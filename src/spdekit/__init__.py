@@ -1,6 +1,6 @@
 """spdekit: spectral Galerkin SPDE simulation and verification on the 1-d torus.
 
-Subpackages follow the pipeline: :mod:`spdekit.spectral` (fields, norms,
+The modules follow the pipeline: :mod:`spdekit.spectral` (fields, norms,
 Fourier-multiplier operators), :mod:`spdekit.noise` (Q-Wiener increments and
 diagonal covariance arithmetic), :mod:`spdekit.models` (the SPDE drift and
 diffusion pairs and the coercivity/monotonicity/growth checkers),
@@ -10,7 +10,6 @@ diffusion pairs and the coercivity/monotonicity/growth checkers),
 ``spdekit`` command line, :mod:`spdekit.cli`).
 """
 
-from ._jit import NUMBA_ENABLED
 from .spectral import (
     SobolevIndex,
     SpectralField,
@@ -73,3 +72,6 @@ from .burgers import (
 from .verify import McConfig, StatReport
 
 __version__ = "0.1.0"
+
+# Every path steps in numpy; the constant stays because run records read it.
+NUMBA_ENABLED = False

@@ -14,9 +14,11 @@ Four schemes are provided:
   Ornstein-Uhlenbeck system dv = Lap v dt + Q^(1/2) dW.
 
 ``simulate`` drives whole paths and records every state together with the
-consumed channel increments, so pathwise identities can be replayed.  Hot
-diagonal loops dispatch to the numba kernels in :mod:`spdekit._kernels`;
-``SPDEKIT_DISABLE_NUMBA=1`` selects the pure numpy lane instead.
+consumed channel increments, so pathwise identities can be replayed.  The
+model decides how a path is stepped: the Fourier-diagonal models
+(TransportHeat, AdditiveHeat) run as whole-path mode recursions in numpy,
+the nonlinear models call the per-step functions above.  Those per-step
+functions are the reference the diagonal recursions are tested against.
 
 Explicit schemes are stable only for dt < 2 / (2 pi K)^2; exponential Euler
 removes the constraint for the diagonal linear part.
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .models import (
     AdditiveHeat,
     Burgers,
@@ -47,7 +48,7 @@ from .noise import (
     increment_from_scaled,
     pack_draws,
 )
-from .spectral import SpectralField, TorusGrid, heat_semigroup, laplacian
+from .spectral import SpectralField, TorusGrid, heat_semigroup, l2_sq_rows, laplacian
 
 __all__ = [
     "SamplePath",
@@ -134,8 +135,7 @@ class SamplePath:
         return increment_from_scaled(self.spec, self.draws[i], dt)
 
     def l2_sq_series(self) -> np.ndarray:
-        c = self.states
-        return c[:, 0].real ** 2 + 2.0 * np.sum(np.abs(c[:, 1:]) ** 2, axis=1)
+        return l2_sq_rows(self.states)
 
     def h1_sq_series(self) -> np.ndarray:
         w = self.grid.sobolev_weights
@@ -254,13 +254,6 @@ def exp_euler_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> S
     return heat_semigroup(u + nl * inc.dt + inc.field, inc.dt)
 
 
-_STEP_FUNCS = {
-    "euler_maruyama": em_step,
-    "heun_stratonovich": heun_strat_step,
-    "exponential_euler": exp_euler_step,
-}
-
-
 def _resolve_steps(T: float, dt: float) -> int:
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
@@ -295,8 +288,8 @@ def simulate(
     sampler's current position) or from a pre-scaled draw matrix of shape
     (n_steps, 2K+1) -- the latter lets refinement studies drive several dt
     levels with one Brownian path.  With neither, the increments are zero
-    (deterministic run).  Raises :class:`BlowUpError` when a state leaves
-    the finite range.
+    (deterministic run).  Raises :class:`BlowUpError` at the time of the
+    first state that is non-finite or has L2 norm above ``BLOW_UP_NORM``.
     """
     grid = model.grid
     if u0.grid != grid:
@@ -327,13 +320,34 @@ def simulate(
     if scheme.kind == "heun_stratonovich" and not isinstance(model, TransportHeat):
         raise ValueError("heun_stratonovich applies to the TransportHeat model only")
 
-    blown = _run_fast(model, scheme, states, scaled, dt)
-    if blown is None:
-        _run_generic(model, scheme, states, scaled, dt, spec)
-    elif blown >= 0:
-        raise BlowUpError(times[blown])
-    _check_finite_tail(states, times)
+    if isinstance(model, (TransportHeat, AdditiveHeat)):
+        # Fourier-diagonal: each mode follows its own scalar recursion, so the
+        # whole path is computed first and checked for blow-up once
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(model, TransportHeat):
+                _transport_factors(model, scheme.kind, scaled, dt, out=states[1:])
+                np.multiply.accumulate(states, axis=0, out=states)
+            else:
+                decay, eta = _additive_eta(model, scheme, scaled, dt)
+                for n in range(n_steps):
+                    states[n + 1] = decay * states[n] + eta[n]
+            blown = np.flatnonzero(_blown_rows(states[1:]))
+        if blown.size:
+            raise BlowUpError(times[blown[0] + 1])
+    else:
+        step = exp_euler_step if scheme.kind == "exponential_euler" else em_step
+        u = u0
+        for n in range(n_steps):
+            u = step(model, u, increment_from_scaled(spec, scaled[n], dt))
+            states[n + 1] = u.coef
+            if _blown_rows(u.coef):
+                raise BlowUpError(times[n + 1])
     return SamplePath(grid, times, states, scaled, spec)
+
+
+def _blown_rows(rows: np.ndarray) -> np.ndarray:
+    """Which states are non-finite or have L2 norm above ``BLOW_UP_NORM``."""
+    return ~np.isfinite(rows).all(axis=-1) | (l2_sq_rows(rows) > BLOW_UP_NORM**2)
 
 
 def _transport_noise_series(model: TransportHeat, scaled: np.ndarray) -> np.ndarray:
@@ -343,82 +357,36 @@ def _transport_noise_series(model: TransportHeat, scaled: np.ndarray) -> np.ndar
     return scaled[:, :j] @ np.sqrt(np.asarray(model.sigma_seq))
 
 
+def _transport_factors(
+    model: TransportHeat, kind: str, scaled: np.ndarray, dt: float, out: np.ndarray
+) -> None:
+    """Write the mode factors f[n, k] of step n, c_{n+1} = f[n] c_n, into ``out``.
+
+    With a = 2 pi k and s_n the step's collapsed noise, i a s_n is purely
+    imaginary, so each factor is assembled in place from its real and
+    imaginary parts (no temporaries of the path's size).
+    """
+    a = model.grid.angular
+    mu = model.grid.laplacian_eigs
+    s = _transport_noise_series(model, scaled)
+    re, im = out.real, out.imag
+    if kind == "euler_maruyama":  # 1 - mu dt + i a s
+        re[...] = 1.0 - mu * dt
+        np.multiply.outer(s, a, out=im)
+    elif kind == "heun_stratonovich":  # 1 - (1 - sigma/2) mu dt + i a s + (i a s)^2 / 2
+        np.multiply.outer(s * s, -0.5 * a * a, out=re)
+        re += 1.0 - (1.0 - 0.5 * model.sigma_total) * mu * dt
+        np.multiply.outer(s, a, out=im)
+    else:  # exponential Euler: e^{-mu dt} (1 + i a s)
+        decay = np.exp(-mu * dt)
+        re[...] = decay
+        np.multiply.outer(s, decay * a, out=im)
+
+
 def _additive_eta(model: ModelSpec, scheme: SchemeSpec, scaled: np.ndarray, dt: float):
-    """(decay, eta) of the diagonal linear recursion, or None if nonlinear."""
-    grid = model.grid
-    mu = grid.laplacian_eigs
+    """(decay, eta) of the diagonal recursion c_{n+1} = decay * c_n + eta[n]."""
+    mu = model.grid.laplacian_eigs
     if scheme.kind == "euler_maruyama":
         return 1.0 - mu * dt, pack_draws(model.q, scaled)
     # exponential Euler and exact OU share the exact-convolution increment
     return np.exp(-mu * dt), pack_draws(model.q, scaled * _ou_rescale(model.q, dt))
-
-
-def _run_fast(model, scheme, states, scaled, dt):
-    """Kernel dispatch; returns blow-up step, -1 for clean, None if unhandled."""
-    grid = model.grid
-    blow_sq = BLOW_UP_NORM**2
-    if isinstance(model, TransportHeat) and scheme.kind in (
-        "euler_maruyama",
-        "heun_stratonovich",
-        "exponential_euler",
-    ):
-        amp = _transport_noise_series(model, scaled)
-        if not _kernels.NUMBA_ENABLED:
-            return None
-        if scheme.kind == "euler_maruyama":
-            return _kernels.transport_em_path(states, grid.laplacian_eigs, grid.angular, dt, amp, blow_sq)
-        if scheme.kind == "heun_stratonovich":
-            return _kernels.transport_heun_path(
-                states, grid.laplacian_eigs, grid.angular, dt, amp, model.sigma_total, blow_sq
-            )
-        decay = np.exp(-grid.laplacian_eigs * dt)
-        return _kernels.transport_exp_path(states, decay, grid.angular, amp, blow_sq)
-    if isinstance(model, AdditiveHeat) and scheme.kind in (
-        "euler_maruyama",
-        "exponential_euler",
-        "exact_ou",
-    ):
-        decay, eta = _additive_eta(model, scheme, scaled, dt)
-        if not _kernels.NUMBA_ENABLED:
-            return None
-        return _kernels.linear_additive_path(states, decay.astype(np.complex128), eta, blow_sq)
-    return None
-
-
-def _run_generic(model, scheme, states, scaled, dt, spec):
-    """Pure numpy lane: per-step field arithmetic (also the nonlinear path)."""
-    grid = model.grid
-    if isinstance(model, AdditiveHeat) and scheme.kind in (
-        "euler_maruyama",
-        "exponential_euler",
-        "exact_ou",
-    ):
-        decay, eta = _additive_eta(model, scheme, scaled, dt)
-        c = states[0].copy()
-        for n in range(scaled.shape[0]):
-            c = decay * c + eta[n]
-            states[n + 1] = c
-            _step_guard(states, n + 1, dt)
-        return
-    step = _STEP_FUNCS[scheme.kind]
-    u = SpectralField(grid, states[0])
-    for n in range(scaled.shape[0]):
-        inc = increment_from_scaled(spec, scaled[n], dt)
-        u = step(model, u, inc)
-        states[n + 1] = u.coef
-        _step_guard(states, n + 1, dt)
-
-
-def _step_guard(states, i, dt):
-    row = states[i]
-    if not np.all(np.isfinite(row.view(float))):
-        raise BlowUpError(i * dt)
-    norm_sq = row[0].real ** 2 + 2.0 * np.sum(np.abs(row[1:]) ** 2)
-    if norm_sq > BLOW_UP_NORM**2:
-        raise BlowUpError(i * dt)
-
-
-def _check_finite_tail(states, times):
-    if not np.all(np.isfinite(states.view(float))):
-        bad = np.where(~np.all(np.isfinite(states.view(float)).reshape(states.shape[0], -1), axis=1))[0]
-        raise BlowUpError(times[bad[0]])

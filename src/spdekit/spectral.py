@@ -42,6 +42,7 @@ __all__ = [
     "derivative",
     "heat_semigroup",
     "sobolev_norm",
+    "l2_sq_rows",
     "lp_norm",
     "h_inner",
     "dealias",
@@ -155,8 +156,7 @@ class SpectralField:
         return float(self.coef[0].real)
 
     def l2_norm_sq(self) -> float:
-        c = self.coef
-        return float(c[0].real ** 2 + 2.0 * np.sum(np.abs(c[1:]) ** 2))
+        return float(l2_sq_rows(self.coef))
 
 
 @dataclass(frozen=True)
@@ -274,6 +274,14 @@ def heat_semigroup(f: SpectralField, t: float) -> SpectralField:
     if t < 0:
         raise ValueError(f"heat semigroup needs t >= 0, got {t}")
     return f.with_coef(f.coef * np.exp(-f.grid.laplacian_eigs * t))
+
+
+def l2_sq_rows(coef: np.ndarray) -> np.ndarray:
+    """Squared L^2 norm of each half spectrum along the last axis of ``coef``.
+
+    The imaginary part of the k = 0 amplitude is ignored, as for a real field.
+    """
+    return coef[..., 0].real ** 2 + 2.0 * np.sum(np.abs(coef[..., 1:]) ** 2, axis=-1)
 
 
 def sobolev_norm(f: SpectralField, idx: SobolevIndex | float) -> float:

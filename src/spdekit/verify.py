@@ -38,7 +38,7 @@ from .noise import (
     pack_draws,
     trace,
 )
-from .spectral import SpectralField, TorusGrid
+from .spectral import SpectralField, TorusGrid, l2_sq_rows
 
 __all__ = [
     "McConfig",
@@ -128,10 +128,6 @@ def mc_normals(seed: int, n_paths: int, cols: int, stream0: int = 0) -> np.ndarr
         bitgen = np.random.Philox(key=np.array([seed, stream0 + i], dtype=np.uint64))
         out[i] = np.random.Generator(bitgen).standard_normal(cols)
     return out
-
-
-def _l2_sq_rows(coef: np.ndarray) -> np.ndarray:
-    return coef[..., 0].real ** 2 + 2.0 * np.sum(np.abs(coef[..., 1:]) ** 2, axis=-1)
 
 
 def _l2_inner_rows(coef: np.ndarray, h: SpectralField) -> np.ndarray:
@@ -363,7 +359,7 @@ def trace_identity_mc(spec: CovarianceSpec, T: float, cfg: McConfig) -> StatRepo
     """E |W_T|_{L^2}^2 against T Tr Q (truncated trace for white noise)."""
     z = mc_normals(cfg.base_seed, cfg.n_paths, spec.n_channels)
     coef = pack_draws(spec, z * np.sqrt(T))
-    samples = _l2_sq_rows(coef)
+    samples = l2_sq_rows(coef)
     estimate = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / np.sqrt(cfg.n_paths))
     target = float(T * trace(spec, truncated_ok=True))
@@ -384,7 +380,7 @@ def trace_identity_mc(spec: CovarianceSpec, T: float, cfg: McConfig) -> StatRepo
 def gaussian_moment_ratio(spec: CovarianceSpec, cfg: McConfig) -> StatReport:
     """E |X|^4 for X ~ N(0, Q) against (Tr Q)^2 + 2 Tr(Q^2)."""
     z = mc_normals(cfg.base_seed, cfg.n_paths, spec.n_channels)
-    samples = _l2_sq_rows(pack_draws(spec, z)) ** 2
+    samples = l2_sq_rows(pack_draws(spec, z)) ** 2
     estimate = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / np.sqrt(cfg.n_paths))
     tr = trace(spec, truncated_ok=True)
@@ -562,7 +558,7 @@ def ito_strat_compare(
                 model, SchemeSpec("heun_stratonovich", dt), u0, T, scaled_draws=scaled
             )
             diff = ito.states[-1] - strat.states[-1]
-            dists.append(float(np.sqrt(diff[0].real ** 2 + 2.0 * np.sum(np.abs(diff[1:]) ** 2))))
+            dists.append(float(np.sqrt(l2_sq_rows(diff))))
         dists = np.asarray(dists)
         mean_dist += dists
         if np.all(dists == 0.0):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import cos_field, make_random_field, sin_field
 from spdekit.integrators import (
+    BLOW_UP_NORM,
     BlowUpError,
     SamplePath,
     SchemeSpec,
@@ -16,7 +17,7 @@ from spdekit.integrators import (
 )
 from spdekit.models import AdditiveHeat, Burgers, ReactionDiffusion, TransportHeat
 from spdekit.noise import CovarianceSpec, NoiseSampler, coarsen_increments, increment_from_scaled
-from spdekit.spectral import TorusGrid, field_from_modes, zero_field
+from spdekit.spectral import SpectralField, TorusGrid, field_from_modes, zero_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -256,6 +257,71 @@ class TestSimulate:
         assert np.all(np.diff(p.times) > 0)
         inc = p.increment(3)
         assert inc.dt == pytest.approx(1e-3)
+
+
+REFERENCE_STEPS = {
+    "euler_maruyama": em_step,
+    "heun_stratonovich": heun_strat_step,
+    "exponential_euler": exp_euler_step,
+}
+
+
+def reference_states(model, kind, u0, scaled, spec, dt):
+    """The path as a Python loop of the per-step reference function."""
+    u, rows = u0, [u0.coef]
+    for n in range(scaled.shape[0]):
+        u = REFERENCE_STEPS[kind](model, u, increment_from_scaled(spec, scaled[n], dt))
+        rows.append(u.coef)
+    return np.array(rows)
+
+
+class TestDiagonalLanes:
+    # simulate steps TransportHeat and AdditiveHeat as whole-path mode
+    # recursions; the per-step functions are the reference they must match
+
+    @pytest.mark.parametrize("sigma", [(1.0,), (0.5, 0.3)])
+    @pytest.mark.parametrize("kind", ["euler_maruyama", "heun_stratonovich", "exponential_euler"])
+    def test_transport_matches_per_step_reference(self, kind, sigma):
+        g = TorusGrid(8)
+        m = TransportHeat(g, sigma)
+        spec = CovarianceSpec.white(g)
+        u0 = field_from_modes(g, [(0, 0.2), (1, 0.5), (3, 0.1 + 0.2j), (8, 0.05)])
+        dt = 1e-4
+        scaled = NoiseSampler(spec, 3, 1).scaled_block(0, 100, dt)
+        p = simulate(m, SchemeSpec(kind, dt), u0, 0.01, scaled_draws=scaled)
+        ref = reference_states(m, kind, u0, scaled, spec, dt)
+        np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["euler_maruyama", "exponential_euler"])
+    def test_additive_matches_per_step_reference(self, kind):
+        g = TorusGrid(8)
+        q = CovarianceSpec.power(g, 1.0)
+        m = AdditiveHeat(q)
+        u0 = cos_field(g)
+        dt = 1e-4
+        scaled = NoiseSampler(q, 4, 2).scaled_block(0, 100, dt)
+        p = simulate(m, SchemeSpec(kind, dt), u0, 0.01, scaled_draws=scaled)
+        ref = reference_states(m, kind, u0, scaled, q, dt)
+        np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=0)
+
+    def test_blow_up_time_matches_reference(self):
+        # explicit EM far beyond the stability limit of the top mode: the
+        # reported time is that of the first reference state out of range
+        g = TorusGrid(32)
+        white = CovarianceSpec.white(g)
+        u0 = SpectralField(g, np.ones(33, dtype=np.complex128))
+        dt = 1e-2
+        scaled = NoiseSampler(white, 1).scaled_block(0, 100, dt)
+        for m in (TransportHeat(g, (0.0,)), AdditiveHeat(white)):
+            with pytest.raises(BlowUpError) as err:
+                simulate(m, SchemeSpec("euler_maruyama", dt), u0, 1.0, scaled_draws=scaled)
+            u, n = u0, 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                while np.all(np.isfinite(u.coef)) and u.l2_norm_sq() <= BLOW_UP_NORM**2:
+                    u = em_step(m, u, increment_from_scaled(white, scaled[n], dt))
+                    n += 1
+            assert 0 < n < 100
+            assert err.value.time == n * dt
 
 
 class TestSchemeRelations:
