@@ -234,9 +234,17 @@ def build_initial_field(cfg: RunConfig, grid: TorusGrid, key="u0") -> SpectralFi
 
 
 def effective_seed(cfg: RunConfig, override: int | None) -> int:
+    """The run's seed: ``--seed`` if given, else ``experiment.base_seed``.
+
+    Philox keys are unsigned 64-bit words, so the seed must lie in [0, 2^64).
+    """
     if override is not None:
-        return override
-    return cfg.get_int("experiment", "base_seed", 0)
+        seed, source = override, "--seed"
+    else:
+        seed, source = cfg.get_int("experiment", "base_seed", 0), "experiment.base_seed"
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{source} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def output_dir(cfg: RunConfig, override: str | None) -> Path:

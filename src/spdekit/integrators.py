@@ -331,9 +331,9 @@ def simulate(
                 decay, eta = _additive_eta(model, scheme, scaled, dt)
                 for n in range(n_steps):
                     states[n + 1] = decay * states[n] + eta[n]
-            blown = np.flatnonzero(_blown_rows(states[1:]))
-        if blown.size:
-            raise BlowUpError(times[blown[0] + 1])
+            first = _first_blown_row(states[1:])
+        if first is not None:
+            raise BlowUpError(times[first + 1])
     else:
         step = exp_euler_step if scheme.kind == "exponential_euler" else em_step
         u = u0
@@ -348,6 +348,18 @@ def simulate(
 def _blown_rows(rows: np.ndarray) -> np.ndarray:
     """Which states are non-finite or have L2 norm above ``BLOW_UP_NORM``."""
     return ~np.isfinite(rows).all(axis=-1) | (l2_sq_rows(rows) > BLOW_UP_NORM**2)
+
+
+_BLOW_UP_BLOCK = 256  # rows per blow-up scan; bounds the predicate's temporaries
+
+
+def _first_blown_row(rows: np.ndarray) -> int | None:
+    """Index of the first row that :func:`_blown_rows` flags, or None."""
+    for start in range(0, rows.shape[0], _BLOW_UP_BLOCK):
+        blown = np.flatnonzero(_blown_rows(rows[start : start + _BLOW_UP_BLOCK]))
+        if blown.size:
+            return start + int(blown[0])
+    return None
 
 
 def _transport_noise_series(model: TransportHeat, scaled: np.ndarray) -> np.ndarray:

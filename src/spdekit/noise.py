@@ -186,8 +186,9 @@ class NoiseSampler:
 
     Single-owner and stateful: ``sample_increment`` walks forward through
     the stream.  The draw for (stream, step, channel) is a pure function of
-    (seed, stream_id, step, channel), so paths can be generated per stream
-    in any order.
+    (seed, stream_id, step, channel) and the channel count 2K+1, so paths
+    can be generated per stream in any order.  A step's channels are read
+    from one stream, so the same channel changes with K.
     """
 
     def __init__(self, spec: CovarianceSpec, seed: int, stream_id: int = 0):

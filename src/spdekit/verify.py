@@ -73,6 +73,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"base_seed must lie in [0, 2^64), got {self.base_seed}")
 
 
 def evaluate_pass(estimate, target, se, tol_kind, tolerance) -> bool:
@@ -121,13 +123,45 @@ class StatReport:
         return "pass" if self.passed else "fail"
 
 
-def mc_normals(seed: int, n_paths: int, cols: int, stream0: int = 0) -> np.ndarray:
-    """Per-path standard normals from counter-keyed streams, shape (n_paths, cols)."""
+# The widest block of Monte Carlo normals drawn so far, under its key
+# (seed, n_paths, stream0).  The checks of one verify command share the seed,
+# so each block is drawn once; one entry bounds the memory held to one block.
+_mc_block: dict[tuple[int, int, int], np.ndarray] = {}
+
+
+def _draw_normals(seed: int, n_paths: int, stream0: int, cols: int) -> np.ndarray:
+    # a Philox stream is fixed by its key alone, so one generator re-keyed
+    # from its fresh state draws what a new generator per path would
+    bitgen = np.random.Philox(key=np.array([seed, stream0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
     out = np.empty((n_paths, cols))
     for i in range(n_paths):
-        bitgen = np.random.Philox(key=np.array([seed, stream0 + i], dtype=np.uint64))
-        out[i] = np.random.Generator(bitgen).standard_normal(cols)
+        key[1] = stream0 + i
+        bitgen.state = fresh
+        gen.standard_normal(out=out[i])
     return out
+
+
+def mc_normals(seed: int, n_paths: int, cols: int, stream0: int = 0) -> np.ndarray:
+    """Per-path standard normals from counter-keyed streams, shape (n_paths, cols).
+
+    Row ``i`` is the first ``cols`` normals of the Philox stream keyed
+    ``(seed, stream0 + i)``, i.e. of
+    ``Generator(Philox(key=[seed, stream0 + i])).standard_normal(cols)``.
+    The ziggurat consumes a stream in order, so a narrower request is the
+    leading columns of a wider one: repeated requests under one key are served
+    from the widest block drawn so far, and every Monte Carlo check of a
+    ``verify`` command reads the same samples.  The array is read-only.
+    """
+    memo = (int(seed), int(n_paths), int(stream0))
+    if memo not in _mc_block or _mc_block[memo].shape[1] < cols:
+        _mc_block.clear()  # release the old block before drawing the new one
+        z = _draw_normals(*memo, cols)
+        z.flags.writeable = False
+        _mc_block[memo] = z
+    return _mc_block[memo][:, :cols]
 
 
 def _l2_inner_rows(coef: np.ndarray, h: SpectralField) -> np.ndarray:

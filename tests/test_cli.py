@@ -72,6 +72,21 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
         assert manifest["seed"] == 99
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_seed_out_of_range_exits_two(self, tmp_path, capsys, command):
+        # Philox keys are unsigned 64-bit: such seeds are configuration errors
+        text = BASE_SIM.format(out=tmp_path / "o").replace(
+            "base_seed = 7", "base_seed = 7\nchecks = ito_isometry"
+        )
+        for bad in ("-3", str(2**64)):
+            bad_text = text.replace("base_seed = 7", f"base_seed = {bad}")
+            cfg = write_config(tmp_path / "c.ini", bad_text)
+            assert cli.main([command, "--config", cfg]) == 2
+            assert "experiment.base_seed" in capsys.readouterr().err
+            cfg = write_config(tmp_path / "c.ini", text)
+            assert cli.main([command, "--config", cfg, "--seed", bad]) == 2
+            assert "--seed" in capsys.readouterr().err
+
     def test_reruns_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", BASE_SIM.format(out=tmp_path / "o"))
         cli.main(["simulate", "--config", cfg])

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import cos_field, make_random_field, sin_field
 from spdekit.integrators import (
+    _BLOW_UP_BLOCK,
     BLOW_UP_NORM,
     BlowUpError,
     SamplePath,
@@ -305,8 +306,16 @@ class TestDiagonalLanes:
         np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=0)
 
     def test_blow_up_time_matches_reference(self):
-        # explicit EM far beyond the stability limit of the top mode: the
-        # reported time is that of the first reference state out of range
+        # the reported time is that of the first reference state out of range
+        def reference_blow_up_step(m, u0, white, scaled, dt):
+            u, n = u0, 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                while np.all(np.isfinite(u.coef)) and u.l2_norm_sq() <= BLOW_UP_NORM**2:
+                    u = em_step(m, u, increment_from_scaled(white, scaled[n], dt))
+                    n += 1
+            return n
+
+        # explicit EM far beyond the stability limit of the top mode
         g = TorusGrid(32)
         white = CovarianceSpec.white(g)
         u0 = SpectralField(g, np.ones(33, dtype=np.complex128))
@@ -315,13 +324,27 @@ class TestDiagonalLanes:
         for m in (TransportHeat(g, (0.0,)), AdditiveHeat(white)):
             with pytest.raises(BlowUpError) as err:
                 simulate(m, SchemeSpec("euler_maruyama", dt), u0, 1.0, scaled_draws=scaled)
-            u, n = u0, 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                while np.all(np.isfinite(u.coef)) and u.l2_norm_sq() <= BLOW_UP_NORM**2:
-                    u = em_step(m, u, increment_from_scaled(white, scaled[n], dt))
-                    n += 1
+            n = reference_blow_up_step(m, u0, white, scaled, dt)
             assert 0 < n < 100
             assert err.value.time == n * dt
+
+        # a stable path kicked out of range by one huge draw on either side
+        # of the boundary between the first two row blocks of the scan
+        g = TorusGrid(8)
+        white = CovarianceSpec.white(g)
+        u0 = cos_field(g)
+        dt = 1e-4
+        n_steps = _BLOW_UP_BLOCK + 8
+        draws = NoiseSampler(white, 2).scaled_block(0, n_steps, dt)
+        for row in (_BLOW_UP_BLOCK - 1, _BLOW_UP_BLOCK, _BLOW_UP_BLOCK + 1):
+            scaled = draws.copy()
+            scaled[row, 0] = 1e14
+            for m in (TransportHeat(g, (1.0,)), AdditiveHeat(white)):
+                with pytest.raises(BlowUpError) as err:
+                    simulate(m, SchemeSpec("euler_maruyama", dt), u0, n_steps * dt,
+                             scaled_draws=scaled)
+                assert reference_blow_up_step(m, u0, white, scaled, dt) == row + 1
+                assert err.value.time == (row + 1) * dt
 
 
 class TestSchemeRelations:

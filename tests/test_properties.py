@@ -1,0 +1,65 @@
+"""Property tests of cheap algebraic invariants (Hermitian packing, norms, coarsening)."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from spdekit.noise import CovarianceSpec, coarsen_increments, pack_draws
+from spdekit.spectral import SpectralField, TorusGrid, derivative, l2_sq_rows, sobolev_norm
+
+# derandomized and without an example database, so a run is reproducible
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def spec_and_draws(draw):
+    """A covariance on a small grid with a (rows, 2K+1) block of channel draws."""
+    n_modes = draw(st.integers(1, 12))
+    lam = draw(arrays(float, n_modes + 1, elements=st.floats(0.0, 10.0)))
+    spec = CovarianceSpec.from_eigenvalues(TorusGrid(n_modes), lam)
+    rows = draw(st.integers(1, 5))
+    z = draw(arrays(float, (rows, spec.n_channels), elements=finite))
+    return spec, z
+
+
+@st.composite
+def fields(draw):
+    n_modes = draw(st.integers(1, 16))
+    parts = arrays(float, n_modes + 1, elements=st.floats(-1e3, 1e3))
+    coef = draw(parts) + 1j * draw(parts)
+    coef[0] = coef[0].real
+    return SpectralField(TorusGrid(n_modes), coef)
+
+
+@PROPERTY
+@given(spec_and_draws())
+def test_packed_norm_is_variance_weighted_sum_of_squares(case):
+    spec, z = case
+    expected = np.sum(spec.channel_variances() * z**2, axis=-1)
+    got = l2_sq_rows(pack_draws(spec, z))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-300)
+
+
+@PROPERTY
+@given(fields())
+def test_h1_norm_is_l2_plus_derivative_l2(f):
+    lhs = sobolev_norm(f, 1.0) ** 2
+    rhs = f.l2_norm_sq() + derivative(f).l2_norm_sq()
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_coarsening_preserves_column_sums(factor, n_coarse, channels, data):
+    fine = data.draw(arrays(float, (factor * n_coarse, channels), elements=finite))
+    coarse = coarsen_increments(fine, factor)
+    assert coarse.shape == (n_coarse, channels)
+    np.testing.assert_allclose(coarse.sum(axis=0), fine.sum(axis=0), rtol=1e-12, atol=1e-9)

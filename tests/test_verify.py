@@ -21,6 +21,7 @@ from spdekit.verify import (
     ito_isometry_mc,
     ito_strat_compare,
     mass_conservation_check,
+    mc_normals,
     ou_variance_mc,
     quadratic_variation_partition,
     she_increment_structure,
@@ -56,6 +57,102 @@ class TestStatReport:
     def test_mc_config_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
             McConfig(n_paths=1)
+        for seed in (-3, 2**64):
+            with pytest.raises(ValueError, match="base_seed"):
+                McConfig(base_seed=seed)
+
+
+MC_CHECKS_CONFIG = """
+[model]
+kind = additive_heat
+
+[grid]
+modes = 8
+
+[scheme]
+kind = exact_ou
+dt = 0.01
+
+[noise]
+kind = white
+
+[experiment]
+t = 0.5
+s = 0.2
+h = cos
+g = cos
+ou_modes = 0, 1, 8
+n_paths = 400
+base_seed = 19
+checks = {checks}
+
+[output]
+directory = {out}
+prefix = mc
+"""
+
+MC_CHECKS = ("ito_isometry", "trace_identity", "wiener_covariance", "gaussian_moment", "ou_exactness")
+
+
+class TestMcNormals:
+    # the randomness contract: row i is the start of the Philox stream keyed
+    # (seed, stream0 + i), whatever was requested before
+
+    @staticmethod
+    def reference(seed, n, cols, stream0):
+        return np.array(
+            [
+                np.random.Generator(
+                    np.random.Philox(key=np.array([seed, stream0 + i], dtype=np.uint64))
+                ).standard_normal(cols)
+                for i in range(n)
+            ]
+        )
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
+    @pytest.mark.parametrize("cols", [1, 257, 514])
+    def test_rows_are_keyed_streams(self, seed, cols):
+        for stream0 in (0, 37):
+            z = mc_normals(seed, 6, cols, stream0)
+            assert z.shape == (6, cols)
+            assert np.array_equal(z, self.reference(seed, 6, cols, stream0))
+
+    def test_request_order_does_not_matter(self):
+        wide, narrow = self.reference(23, 50, 514, 3), self.reference(23, 50, 257, 3)
+        for first, second in ((257, 514), (514, 257)):
+            mc_normals(24, 50, 514, 3)  # a different key: the next request draws afresh
+            a = mc_normals(23, 50, first, 3)
+            b = mc_normals(23, 50, second, 3)
+            got = {first: a, second: b}
+            assert np.array_equal(got[514], wide)
+            assert np.array_equal(got[257], narrow)
+
+    def test_blocks_are_read_only(self):
+        for cols in (4, 2, 8):
+            z = mc_normals(29, 10, cols)
+            assert not z.flags.writeable
+            with pytest.raises(ValueError):
+                z[0, 0] = 1.0
+
+    def test_one_command_equals_one_command_per_check(self, tmp_path):
+        from spdekit import cli
+
+        def rows(checks, out):
+            cfg = tmp_path / f"{out}.ini"
+            cfg.write_text(MC_CHECKS_CONFIG.format(checks=checks, out=tmp_path / out))
+            # 0 or 1: the rows are compared, not their statistical verdicts
+            assert cli.main(["verify", "--config", str(cfg)]) in (0, 1)
+            return (tmp_path / out / "mc_reports.csv").read_text().splitlines()
+
+        together = rows(", ".join(MC_CHECKS), "all")
+        one_by_one = [together[0]]
+        for name in MC_CHECKS:
+            mc_normals(0, 2, 1)  # a different key: the command draws afresh, as a new process would
+            lines = rows(name, name)
+            assert lines[0] == together[0]
+            one_by_one.extend(lines[1:])
+        assert len(together) == 1 + 4 + 3
+        assert together == one_by_one
 
 
 class TestEnergyIdentity:
@@ -261,7 +358,6 @@ class TestSheStructure:
         q = CovarianceSpec.white(grid)
         n = 10_000
         from spdekit.noise import pack_draws
-        from spdekit.verify import mc_normals
 
         mu = grid.laplacian_eigs
         w = grid.sobolev_weights
