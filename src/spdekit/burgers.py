@@ -30,15 +30,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .integrators import SamplePath, SchemeSpec, simulate
-from .models import AdditiveHeat
+from .models import AdditiveHeat, Burgers, nonlinear_quad_points
 from .noise import CovarianceSpec, NoiseSampler
-from .spectral import (
-    SpectralField,
-    TorusGrid,
-    _coef_to_samples,
-    _samples_to_coef,
-    zero_field,
-)
+from .spectral import SpectralField, TorusGrid, _coef_to_samples, zero_field
 from .verify import StatReport
 
 __all__ = [
@@ -104,11 +98,7 @@ class BurgersProblem:
     @property
     def quad_points(self) -> int:
         """Alias-free grid for the quadratic nonlinearity (>= 3K+1, power of 2)."""
-        target = max(self.grid.n_points, 3 * self.grid.n_modes + 1)
-        n = 1
-        while n < target:
-            n <<= 1
-        return n
+        return nonlinear_quad_points(Burgers(self.q), self.grid)
 
 
 @dataclass(frozen=True)
@@ -139,10 +129,20 @@ def sample_linear_part(problem: BurgersProblem, sampler: NoiseSampler) -> Sample
     )
 
 
+def _lp_of_squares(sq: np.ndarray, p: float) -> np.ndarray:
+    """L^p norm per row from squared real samples; overwrites ``sq``.
+
+    (s*s)**(p/2) is |s|**p for real s, and numpy squares in place at p = 4.
+    """
+    sq **= p / 2
+    return np.mean(sq, axis=-1) ** (1.0 / p)
+
+
 def _lp_rows(coef: np.ndarray, p: float, n_points: int) -> np.ndarray:
     """L^p norm per row of a batch of half spectra."""
     samples = _coef_to_samples(coef, n_points)
-    return np.mean(np.abs(samples) ** p, axis=-1) ** (1.0 / p)
+    samples *= samples
+    return _lp_of_squares(samples, p)
 
 
 def _halpha_rows(coef: np.ndarray, grid: TorusGrid, alpha: float) -> np.ndarray:
@@ -152,13 +152,25 @@ def _halpha_rows(coef: np.ndarray, grid: TorusGrid, alpha: float) -> np.ndarray:
     )
 
 
-def _forcing_rows(
-    w_rows: np.ndarray, v_rows: np.ndarray, grid: TorusGrid, n_points: int
-) -> np.ndarray:
-    """((w + v)^2)_x per row, squared pointwise on the enlarged grid."""
-    total = _coef_to_samples(w_rows + v_rows, n_points)
-    sq = _samples_to_coef(total * total, grid.n_modes)
-    return sq * (1j * grid.angular)
+def _decay_powers(decay: np.ndarray, n_rows: int) -> np.ndarray:
+    """decay ** 2**l for every scan shift 2**l < n_rows, one row per level."""
+    shifts = 2.0 ** np.arange((n_rows - 1).bit_length())
+    return decay ** shifts[:, None]
+
+
+def _semigroup_scan(x: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """x[j] <- sum_{i <= j} decay**(j - i) x[i] in place (Hillis-Steele scan).
+
+    With x[0] the window's initial state and x[j + 1] = decay * dt * f[j], this
+    is the recurrence out[j + 1] = decay * (out[j] + dt * f[j]) in one vector
+    pass per row of ``powers`` (``_decay_powers(decay, len(x))``). Every
+    multiplier is a power of decay <= 1 and nothing divides by decay**j, so
+    modes whose decay**j underflows stay finite.
+    """
+    for level, power in enumerate(powers):
+        shift = 1 << level
+        x[shift:] += power * x[:-shift]
+    return x
 
 
 def solve_remainder(problem: BurgersProblem, v_path: SamplePath):
@@ -167,6 +179,12 @@ def solve_remainder(problem: BurgersProblem, v_path: SamplePath):
     Returns ``(w_path, iters, residuals, distance_log)``: the converged
     remainder, iteration counts and mild-equation residuals per window, and
     the successive-iterate distances (contraction witnesses).
+
+    Each window carries the iterates as physical samples: the forcing
+    ((w + v)^2)_x is squared from samples(w) + samples(v), and the distances
+    are L^p norms of sample differences, so one Picard iteration costs one
+    rfft (the forcing) and one irfft (the new iterate). The Duhamel
+    recurrence runs as a log-depth scan over the window's rows.
     """
     grid = problem.grid
     if v_path.grid != grid:
@@ -175,57 +193,68 @@ def solve_remainder(problem: BurgersProblem, v_path: SamplePath):
     if v_path.n_steps != n_steps:
         raise ValueError("v path does not match the problem's time grid")
     dt = problem.dt
+    p = problem.p
+    n_modes = grid.n_modes
     decay = np.exp(-grid.laplacian_eigs * dt)
+    gain = decay * dt * (1j * grid.angular)  # spectrum of (w + v)^2 -> decay * dt * forcing
     n_pts = problem.quad_points
     v = v_path.states
 
-    w = np.empty((n_steps + 1, grid.n_modes + 1), dtype=np.complex128)
+    w = np.empty((n_steps + 1, n_modes + 1), dtype=np.complex128)
     w[0] = problem.w0.coef
     steps_per_window = max(1, int(round(problem.window / dt)))
+    powers = _decay_powers(decay, steps_per_window + 1)
 
     iters: list[int] = []
     residuals: list[float] = []
     distance_log: list[list[float]] = []
 
-    def sweep(n0: int, n1: int, source: np.ndarray) -> np.ndarray:
-        """One application of the discrete Duhamel map on [n0, n1]."""
-        forcing = _forcing_rows(source[: n1 - n0], v[n0:n1], grid, n_pts)
-        out = np.empty((n1 - n0 + 1, grid.n_modes + 1), dtype=np.complex128)
-        out[0] = w[n0]
-        for j in range(n1 - n0):
-            out[j + 1] = decay * (out[j] + dt * forcing[j])
-        return out
+    # the window buffers below are bound afresh at the top of every window
+    def sweep(old: np.ndarray) -> np.ndarray:
+        """One application of the discrete Duhamel map: coefficients into
+        ``coef``, samples (into ``spare``) returned."""
+        total = np.add(old[:-1], v_samples, out=scratch[:-1])
+        total *= total
+        np.fft.rfft(total, norm="forward", out=spec)
+        np.multiply(spec[:, : n_modes + 1], gain, out=coef[1:])
+        coef[0] = w[n0]
+        _semigroup_scan(coef, powers)
+        return _coef_to_samples(coef, n_pts, out=spare)
 
-    def sup_lp(coef_rows: np.ndarray) -> float:
-        return float(np.max(_lp_rows(coef_rows, problem.p, n_pts)))
+    def sup_lp(squares: np.ndarray) -> float:
+        return float(np.max(_lp_of_squares(squares, p)))
+
+    def sup_lp_distance(new: np.ndarray, old: np.ndarray) -> float:
+        diff = np.subtract(new, old, out=scratch)
+        return sup_lp(np.multiply(diff, diff, out=diff))
 
     n0 = 0
     window_index = 0
     while n0 < n_steps:
         n1 = min(n0 + steps_per_window, n_steps)
+        rows = n1 - n0 + 1
+        v_samples = _coef_to_samples(v[n0:n1], n_pts)
+        coef = np.zeros((rows, n_modes + 1), dtype=np.complex128)
+        spec = np.empty((rows - 1, n_pts // 2 + 1), dtype=np.complex128)
+        scratch = np.empty((rows, n_pts))
+        spare = np.empty((rows, n_pts))
         # first guess: free heat evolution of the window's initial state
-        old = np.empty((n1 - n0 + 1, grid.n_modes + 1), dtype=np.complex128)
-        old[0] = w[n0]
-        for j in range(n1 - n0):
-            old[j + 1] = decay * old[j]
+        coef[0] = w[n0]
+        old = _coef_to_samples(_semigroup_scan(coef, powers), n_pts)
         dists: list[float] = []
-        converged = False
         for _ in range(problem.picard_maxit):
-            new = sweep(n0, n1, old)
-            scale = max(1.0, sup_lp(new))
-            dist = sup_lp(new - old) / scale
-            dists.append(dist)
-            old = new
-            if dist <= problem.picard_tol:
-                converged = True
+            new = sweep(old)
+            scale = max(1.0, sup_lp(np.multiply(new, new, out=scratch)))
+            dists.append(sup_lp_distance(new, old) / scale)
+            old, spare = new, old
+            if dists[-1] <= problem.picard_tol:
                 break
-        if not converged:
+        else:
             raise PicardError(window_index, dists[-1], problem.picard_maxit)
         iters.append(len(dists))
         distance_log.append(dists)
-        residual = sup_lp(sweep(n0, n1, old) - old)
-        residuals.append(residual)
-        w[n0 : n1 + 1] = old
+        w[n0 : n1 + 1] = coef
+        residuals.append(sup_lp_distance(sweep(old), old))
         n0 = n1
         window_index += 1
 
@@ -252,17 +281,27 @@ def compose(v_path: SamplePath, w_path: SamplePath) -> SamplePath:
 
 
 def apriori_report(
-    problem: BurgersProblem, w_path: SamplePath, v_path: SamplePath
+    problem: BurgersProblem,
+    w_path: SamplePath,
+    v_path: SamplePath,
+    *,
+    w_lp: np.ndarray | None = None,
+    v_halpha: np.ndarray | None = None,
 ) -> StatReport:
     """Empirical a priori ratio sup_t |w|_{L^p} / (|w_0|_{L^p} + sup_t |v|_{H^alpha}).
 
     The theory bounds the numerator by a constant times the denominator with
-    an abstract constant, so the ratio is reported, not gated.
+    an abstract constant, so the ratio is reported, not gated. ``w_lp`` and
+    ``v_halpha`` are the per-row norms of the two paths, when the caller has
+    them already; they are computed here otherwise.
     """
-    n_pts = problem.quad_points
-    sup_w = float(np.max(_lp_rows(w_path.states, problem.p, n_pts)))
-    w0_norm = float(_lp_rows(w_path.states[:1], problem.p, n_pts)[0])
-    sup_v = float(np.max(_halpha_rows(v_path.states, problem.grid, problem.alpha)))
+    if w_lp is None:
+        w_lp = _lp_rows(w_path.states, problem.p, problem.quad_points)
+    if v_halpha is None:
+        v_halpha = _halpha_rows(v_path.states, problem.grid, problem.alpha)
+    sup_w = float(np.max(w_lp))
+    w0_norm = float(w_lp[0])
+    sup_v = float(np.max(v_halpha))
     denom = w0_norm + sup_v
     ratio = sup_w / denom if denom > 0 else 0.0
     return StatReport(

@@ -607,7 +607,9 @@ def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
             seed_file, ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"], rows
         )
         outputs.append(seed_file.name)
-        rep = burgers_mod.apriori_report(problem, split.w_path, split.v_path)
+        rep = burgers_mod.apriori_report(
+            problem, split.w_path, split.v_path, w_lp=w_lp, v_halpha=v_ha
+        )
         summary_rows.append(
             [
                 i,

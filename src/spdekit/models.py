@@ -17,7 +17,9 @@ hypothesis checkers reject it.
 
 Nonlinear terms are evaluated pointwise on an enlarged grid with at least
 m*K+1 points and projected back onto the band, which keeps the retained
-modes alias-free and makes the porous-medium duality
+modes alias-free. For the Burgers quadratic m = 3: u*u has modes up to 2K,
+and M points fold mode 2K onto M - 2K, which lies outside the band only when
+M >= 3K+1. The rule also makes the porous-medium duality
 < Lap(|u|^(m-2)u), u >_{H^-1} = -|u|_{L^m}^m an exact identity of the
 discretization (at matching quadrature).
 """
@@ -163,7 +165,8 @@ def _nonlinear_degree(model: ModelSpec) -> int:
     if isinstance(model, (ReactionDiffusion, PorousMedium)):
         return model.m
     if isinstance(model, Burgers):
-        return 2
+        # u*u has modes up to 2K, which alias onto |k| <= K unless M >= 3K+1
+        return 3
     return 1
 
 

@@ -224,10 +224,11 @@ def _samples_to_coef(samples: np.ndarray, n_modes: int) -> np.ndarray:
     return np.asarray(spec[..., : n_modes + 1], dtype=np.complex128)
 
 
-def _coef_to_samples(coef: np.ndarray, n_points: int) -> np.ndarray:
-    half = np.zeros(coef.shape[:-1] + (n_points // 2 + 1,), dtype=np.complex128)
-    half[..., : coef.shape[-1]] = coef
-    return np.fft.irfft(half * n_points, n=n_points)
+def _coef_to_samples(
+    coef: np.ndarray, n_points: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Real samples of half spectra (zero above mode K) at j/n_points."""
+    return np.fft.irfft(coef, n_points, norm="forward", out=out)
 
 
 def physical_samples(f: SpectralField, n_points: int | None = None) -> np.ndarray:

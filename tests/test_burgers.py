@@ -7,6 +7,10 @@ from conftest import sin_field
 from spdekit.burgers import (
     BurgersProblem,
     PicardError,
+    _decay_powers,
+    _halpha_rows,
+    _lp_rows,
+    _semigroup_scan,
     apriori_report,
     compose,
     sample_linear_part,
@@ -14,7 +18,13 @@ from spdekit.burgers import (
     solve_split,
 )
 from spdekit.noise import CovarianceSpec, NoiseSampler
-from spdekit.spectral import TorusGrid, lp_norm, zero_field
+from spdekit.spectral import (
+    TorusGrid,
+    _coef_to_samples,
+    _samples_to_coef,
+    lp_norm,
+    zero_field,
+)
 
 
 def dead_noise(grid):
@@ -81,6 +91,96 @@ class TestLinearPart:
         assert abs(var - 1 / (2 * mu)) / (1 / (2 * mu)) < 0.01
 
 
+def row_recurrence(x, decay):
+    """out[0] = x[0], out[j] = decay * out[j - 1] + x[j], one row at a time."""
+    out = np.empty_like(x)
+    out[0] = x[0]
+    for j in range(1, len(x)):
+        out[j] = decay * out[j - 1] + x[j]
+    return out
+
+
+def reference_solve_remainder(problem, v_path):
+    """The per-row, four-transform Picard loop that ``solve_remainder`` replaced."""
+    grid = problem.grid
+    n_steps = problem.n_steps
+    dt = problem.dt
+    decay = np.exp(-grid.laplacian_eigs * dt)
+    n_pts = problem.quad_points
+    v = v_path.states
+
+    def lp_rows(coef):
+        samples = _coef_to_samples(coef, n_pts)
+        return np.mean(np.abs(samples) ** problem.p, axis=-1) ** (1.0 / problem.p)
+
+    def sup_lp(coef):
+        return float(np.max(lp_rows(coef)))
+
+    w = np.empty((n_steps + 1, grid.n_modes + 1), dtype=np.complex128)
+    w[0] = problem.w0.coef
+    steps_per_window = max(1, int(round(problem.window / dt)))
+    iters, residuals, distance_log = [], [], []
+
+    def sweep(n0, n1, source):
+        total = _coef_to_samples(source[: n1 - n0] + v[n0:n1], n_pts)
+        forcing = _samples_to_coef(total * total, grid.n_modes) * (1j * grid.angular)
+        out = np.empty((n1 - n0 + 1, grid.n_modes + 1), dtype=np.complex128)
+        out[0] = w[n0]
+        for j in range(n1 - n0):
+            out[j + 1] = decay * (out[j] + dt * forcing[j])
+        return out
+
+    n0 = 0
+    while n0 < n_steps:
+        n1 = min(n0 + steps_per_window, n_steps)
+        old = np.empty((n1 - n0 + 1, grid.n_modes + 1), dtype=np.complex128)
+        old[0] = w[n0]
+        for j in range(n1 - n0):
+            old[j + 1] = decay * old[j]
+        dists = []
+        for _ in range(problem.picard_maxit):
+            new = sweep(n0, n1, old)
+            scale = max(1.0, sup_lp(new))
+            dists.append(sup_lp(new - old) / scale)
+            old = new
+            if dists[-1] <= problem.picard_tol:
+                break
+        else:
+            raise AssertionError("reference loop did not converge")
+        iters.append(len(dists))
+        distance_log.append(dists)
+        residuals.append(sup_lp(sweep(n0, n1, old) - old))
+        w[n0 : n1 + 1] = old
+        n0 = n1
+    return w, iters, residuals, distance_log
+
+
+class TestSemigroupScan:
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 200, 201])
+    @pytest.mark.parametrize("n_modes, dt", [(16, 1e-3), (64, 2.5e-4)])
+    def test_matches_row_recurrence(self, n_rows, n_modes, dt):
+        # at K = 64, dt = 2.5e-4 the top modes' decay**j underflows within the window
+        g = TorusGrid(n_modes)
+        decay = np.exp(-g.laplacian_eigs * dt)
+        rng = np.random.default_rng(n_rows + n_modes)
+        x = rng.normal(size=(n_rows, n_modes + 1)) + 1j * rng.normal(size=(n_rows, n_modes + 1))
+        expected = row_recurrence(x, decay)
+        got = _semigroup_scan(x.copy(), _decay_powers(decay, n_rows))
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    def test_free_evolution_of_stiff_modes_stays_finite(self):
+        g = TorusGrid(64)
+        decay = np.exp(-g.laplacian_eigs * 2.5e-4)
+        assert decay[-1] ** 200 == 0.0
+        x = np.zeros((201, 65), dtype=np.complex128)
+        x[0] = 1.0
+        got = _semigroup_scan(x, _decay_powers(decay, 201))
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got[:, :8], decay[:8] ** np.arange(201)[:, None], rtol=1e-12)
+        assert np.all(got[-1, -8:] == 0.0)
+
+
 class TestRemainder:
     def test_zero_data_zero_noise_one_iteration(self):
         g = TorusGrid(16)
@@ -129,6 +229,27 @@ class TestRemainder:
         split = solve_split(prob, seed=11)
         assert np.max(np.abs(split.w_path.mode0_series())) < 1e-10
         assert np.max(np.abs(split.v_path.mode0_series())) == 0.0  # mean-free noise
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("window", [0.05, 0.03])  # 0.03 leaves a short last window
+    @pytest.mark.parametrize("seed", [3, 17, 101])
+    def test_same_iterates_and_diagnostics(self, seed, window):
+        g = TorusGrid(32)
+        # amplitude 2 puts sup |w|_{L^4} above 1, so the distance scale is exercised
+        prob = BurgersProblem(g, 0.1, 5e-4, sin_field(g, amplitude=2.0), window=window)
+        v = sample_linear_part(prob, NoiseSampler(prob.q, seed))
+        w, iters, residuals, dists = solve_remainder(prob, v)
+        ref_w, ref_iters, ref_residuals, ref_dists = reference_solve_remainder(prob, v)
+        assert iters == ref_iters
+        # entries far below the field's scale (top modes early in a window) are
+        # sums of cancelling terms: one rounding unit of max |w| is their floor
+        np.testing.assert_allclose(w.states, ref_w, rtol=1e-12, atol=1e-16 * np.max(np.abs(ref_w)))
+        # differences of O(1) quantities: compared absolutely
+        np.testing.assert_allclose(residuals, ref_residuals, rtol=0, atol=1e-14)
+        assert [len(d) for d in dists] == [len(d) for d in ref_dists]
+        for got, ref in zip(dists, ref_dists):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
 
 class TestCompose:
@@ -184,6 +305,21 @@ class TestAprioriReport:
         rep = apriori_report(prob, w, v)
         assert rep.metadata["sup_w_lp"] <= rep.metadata["w0_lp"] * (1 + 1e-12)
         assert rep.estimate <= 1.0
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_precomputed_rows_give_the_same_report(self, seed):
+        g = TorusGrid(32)
+        prob = BurgersProblem(g, 0.05, 5e-4, sin_field(g, amplitude=0.5))
+        split = solve_split(prob, seed=seed)
+        fresh = apriori_report(prob, split.w_path, split.v_path)
+        reused = apriori_report(
+            prob,
+            split.w_path,
+            split.v_path,
+            w_lp=_lp_rows(split.w_path.states, prob.p, prob.quad_points),
+            v_halpha=_halpha_rows(split.v_path.states, g, prob.alpha),
+        )
+        assert reused == fresh
 
     def test_doubling_w0_monotone_trend(self):
         g = TorusGrid(32)

@@ -21,10 +21,13 @@ from spdekit.models import (
 from spdekit.noise import CovarianceSpec, NoiseSampler, increment_from_scaled
 from spdekit.spectral import (
     TorusGrid,
+    derivative,
     field_from_modes,
+    field_from_samples,
     h_inner,
     laplacian,
     lp_norm,
+    physical_samples,
     to_physical,
     zero_field,
 )
@@ -92,6 +95,17 @@ class TestDrift:
         # sin^2 = 1/2 - cos(4 pi x)/2 -> derivative = 2 pi sin(4 pi x) -> amp(2) = pi/1j
         assert out.amp(1) == pytest.approx(-(TWO_PI**2) * (0.5 / 1j), rel=1e-12)
         assert out.amp(2) == pytest.approx(2 * np.pi * (0.5 / 1j) * 2 / 2, rel=1e-12)
+
+    def test_burgers_drift_alias_free_off_default_grid(self):
+        # M = 49 is not 4K: the quadratic needs >= 3K+1 points, not 2K+1
+        g = TorusGrid(24, n_points=49)
+        m = Burgers(CovarianceSpec.mean_free_white(g))
+        assert nonlinear_quad_points(m) >= 3 * g.n_modes + 1
+        u = make_random_field(g, 21, decay=0.0)
+        square = field_from_samples(g, physical_samples(u, 512) ** 2)
+        ref = laplacian(u).coef + derivative(square).coef
+        got = drift(m, u).coef
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
     def test_grid_mismatch(self):
         m = TransportHeat(TorusGrid(8), (1.0,))

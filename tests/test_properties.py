@@ -1,10 +1,11 @@
-"""Property tests of cheap algebraic invariants (Hermitian packing, norms, coarsening)."""
+"""Property tests of cheap algebraic invariants (packing, norms, coarsening, the Duhamel scan)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spdekit.burgers import _decay_powers, _semigroup_scan
 from spdekit.noise import CovarianceSpec, coarsen_increments, pack_draws
 from spdekit.spectral import SpectralField, TorusGrid, derivative, l2_sq_rows, sobolev_norm
 
@@ -63,3 +64,26 @@ def test_coarsening_preserves_column_sums(factor, n_coarse, channels, data):
     coarse = coarsen_increments(fine, factor)
     assert coarse.shape == (n_coarse, channels)
     np.testing.assert_allclose(coarse.sum(axis=0), fine.sum(axis=0), rtol=1e-12, atol=1e-9)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 70),
+    st.integers(1, 6),
+    st.floats(1e-6, 1e-2),
+    st.data(),
+)
+def test_semigroup_scan_is_the_row_recurrence(n_rows, n_modes, dt, data):
+    mu = (2.0 * np.pi * np.arange(n_modes + 1)) ** 2 * data.draw(st.floats(1.0, 1e3))
+    decay = np.exp(-mu * dt)
+    parts = arrays(float, (n_rows, n_modes + 1), elements=finite)
+    x = data.draw(parts) + 1j * data.draw(parts)
+    expected = np.empty_like(x)
+    expected[0] = x[0]
+    for j in range(1, n_rows):
+        expected[j] = decay * expected[j - 1] + x[j]
+    got = _semigroup_scan(x.copy(), _decay_powers(decay, n_rows))
+    # rounding of a sum of n_rows terms, bounded by their absolute sum (and by
+    # the spacing of subnormals where products underflow)
+    bound = 1e-13 * np.cumsum(np.abs(x), axis=0) + 1e-300
+    assert np.all(np.abs(got - expected) <= bound)
