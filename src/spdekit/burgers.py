@@ -32,7 +32,7 @@ import numpy as np
 from .integrators import SamplePath, SchemeSpec, simulate
 from .models import AdditiveHeat, Burgers, nonlinear_quad_points
 from .noise import CovarianceSpec, NoiseSampler
-from .spectral import SpectralField, TorusGrid, _coef_to_samples, zero_field
+from .spectral import SpectralField, TorusGrid, _coef_to_samples, l2_sq_rows, zero_field
 from .verify import StatReport
 
 __all__ = [
@@ -146,10 +146,7 @@ def _lp_rows(coef: np.ndarray, p: float, n_points: int) -> np.ndarray:
 
 
 def _halpha_rows(coef: np.ndarray, grid: TorusGrid, alpha: float) -> np.ndarray:
-    w = grid.sobolev_weights**alpha
-    return np.sqrt(
-        w[0] * coef[:, 0].real ** 2 + 2.0 * np.sum(w[1:] * np.abs(coef[:, 1:]) ** 2, axis=1)
-    )
+    return np.sqrt(l2_sq_rows(coef, grid.sobolev_weights**alpha))
 
 
 def _decay_powers(decay: np.ndarray, n_rows: int) -> np.ndarray:

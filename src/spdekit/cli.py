@@ -276,11 +276,22 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the header and the rows: a list of rows or a structured array.
+
+    A structured array (one field per column, as from ``np.rec.fromarrays``)
+    is formatted with one %-string per row, integer fields as ``%d`` and the
+    others as ``%.17e``: the bytes :func:`_fmt` gives row by row.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        if isinstance(rows, np.ndarray):
+            kinds = [rows.dtype[name].kind for name in rows.dtype.names]
+            line = ",".join("%d" if k in "iu" else "%.17e" for k in kinds) + "\r\n"
+            fh.writelines(line % row for row in rows.tolist())
+        else:
+            for row in rows:
+                writer.writerow([_fmt(x) for x in row])
 
 
 def write_manifest(path: Path, cfg: RunConfig, command: str, seed: int, outputs) -> None:
@@ -331,18 +342,17 @@ def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
     norms_file = out / f"{prefix}_norms.csv"
     l2 = np.sqrt(path.l2_sq_series())
     h1 = np.sqrt(path.h1_sq_series())
-    mode0 = path.mode0_series()
-    rows = [[t, a, b, c] for t, a, b, c in zip(path.times, l2, h1, mode0)]
+    rows = np.rec.fromarrays([path.times, l2, h1, path.mode0_series()])
     write_csv(norms_file, ["t", "l2", "h1", "mode0"], rows)
     outputs = [norms_file.name]
 
     if (cfg.get_str("experiment", "save_spectra", "false") or "").lower() in ("1", "true", "yes"):
         spec_file = out / f"{prefix}_spectra.csv"
-        rows = []
-        for i, t in enumerate(path.times):
-            for k in range(grid.n_modes + 1):
-                c = path.states[i, k]
-                rows.append([t, k, c.real, c.imag])
+        n_k = grid.n_modes + 1
+        t = np.repeat(path.times, n_k)
+        k = np.tile(np.arange(n_k), path.times.size)
+        coef = path.states.ravel()
+        rows = np.rec.fromarrays([t, k, coef.real, coef.imag])
         write_csv(spec_file, ["t", "k", "re", "im"], rows)
         outputs.append(spec_file.name)
 
@@ -595,13 +605,14 @@ def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
         v_ha = burgers_mod._halpha_rows(split.v_path.states, grid, problem.alpha)
         w_lp = burgers_mod._lp_rows(split.w_path.states, problem.p, n_pts)
         u_l2 = np.sqrt(split.u_path.l2_sq_series())
+        # row 0 and the rows ending the steps of window w belong to window w
+        times = split.u_path.times
         steps_per_window = max(1, int(round(problem.window / dt)))
-        rows = []
-        for j, t in enumerate(split.u_path.times):
-            widx = min((j - 1) // steps_per_window if j else 0, len(split.picard_iters) - 1)
-            rows.append(
-                [t, v_ha[j], w_lp[j], u_l2[j], split.picard_iters[widx], split.residuals[widx]]
-            )
+        window = np.repeat(np.arange(len(split.picard_iters)), steps_per_window)
+        window = np.concatenate(([0], window))[: times.size]
+        iters = np.asarray(split.picard_iters)[window]
+        residuals = np.asarray(split.residuals)[window]
+        rows = np.rec.fromarrays([times, v_ha, w_lp, u_l2, iters, residuals])
         seed_file = out / f"{prefix}_seed{i:03d}.csv"
         write_csv(
             seed_file, ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"], rows

@@ -17,8 +17,10 @@ Four schemes are provided:
 consumed channel increments, so pathwise identities can be replayed.  The
 model decides how a path is stepped: the Fourier-diagonal models
 (TransportHeat, AdditiveHeat) run as whole-path mode recursions in numpy,
-the nonlinear models call the per-step functions above.  Those per-step
-functions are the reference the diagonal recursions are tested against.
+the nonlinear models (ReactionDiffusion, PorousMedium, Burgers) as one loop
+over raw coefficient rows that evaluates ``models.DriftKernel`` with two
+FFTs per step and packs the noise in row blocks.  The per-step functions
+above are the reference both lanes are tested against.
 
 Explicit schemes are stable only for dt < 2 / (2 pi K)^2; exponential Euler
 removes the constraint for the diagonal linear part.
@@ -33,6 +35,7 @@ import numpy as np
 from .models import (
     AdditiveHeat,
     Burgers,
+    DriftKernel,
     ModelSpec,
     PorousMedium,
     ReactionDiffusion,
@@ -70,11 +73,21 @@ BLOW_UP_NORM = 1e12  # L2 norm beyond which a path is declared blown up
 
 
 class BlowUpError(RuntimeError):
-    """State left the finite range; carries the offending time."""
+    """A state left the finite range.
 
-    def __init__(self, time: float, message: str | None = None):
+    ``time`` and ``step`` locate the first such state, ``norm`` is its L2
+    norm and ``mode`` the wavenumber of its largest amplitude.
+    """
+
+    def __init__(self, time: float, step: int, norm: float, mode: int):
         self.time = time
-        super().__init__(message or f"solution blew up at t = {time:.6g}")
+        self.step = step
+        self.norm = norm
+        self.mode = mode
+        super().__init__(
+            f"solution blew up at t = {time:.6g} (step {step}, L2 norm {norm:.3e}, "
+            f"largest amplitude at mode k = {mode})"
+        )
 
 
 @dataclass(frozen=True)
@@ -138,9 +151,7 @@ class SamplePath:
         return l2_sq_rows(self.states)
 
     def h1_sq_series(self) -> np.ndarray:
-        w = self.grid.sobolev_weights
-        c = self.states
-        return w[0] * c[:, 0].real ** 2 + 2.0 * np.sum(w[1:] * np.abs(c[:, 1:]) ** 2, axis=1)
+        return l2_sq_rows(self.states, self.grid.sobolev_weights)
 
     def mode0_series(self) -> np.ndarray:
         return self.states[:, 0].real.copy()
@@ -333,16 +344,69 @@ def simulate(
                     states[n + 1] = decay * states[n] + eta[n]
             first = _first_blown_row(states[1:])
         if first is not None:
-            raise BlowUpError(times[first + 1])
+            raise _blow_up(times, states, first + 1)
     else:
-        step = exp_euler_step if scheme.kind == "exponential_euler" else em_step
-        u = u0
-        for n in range(n_steps):
-            u = step(model, u, increment_from_scaled(spec, scaled[n], dt))
-            states[n + 1] = u.coef
-            if _blown_rows(u.coef):
-                raise BlowUpError(times[n + 1])
+        _step_nonlinear(model, scheme, spec, scaled, times, states)
     return SamplePath(grid, times, states, scaled, spec)
+
+
+def _step_nonlinear(
+    model: ModelSpec,
+    scheme: SchemeSpec,
+    spec: CovarianceSpec,
+    scaled: np.ndarray,
+    times: np.ndarray,
+    states: np.ndarray,
+) -> None:
+    """Fill ``states[1:]`` for ReactionDiffusion, PorousMedium or Burgers.
+
+    With A(c) = lin*c + N(c) the model's :class:`DriftKernel`:
+
+    * Euler-Maruyama: c' = c + A(c) dt + eta;
+    * exponential Euler: c' = e^{-mu dt} (c + N(c) dt + eta), where N = 0
+      for the porous medium at m = 2 (its drift is the Laplacian).
+
+    The noise eta is packed and the states are checked for blow-up in blocks
+    of ``_BLOW_UP_BLOCK`` rows, so a step allocates no field objects.  Mode 0
+    stays exactly real: every multiplier of it is real (or 0j for Burgers),
+    so its imaginary part stays +0.0 while the state is finite.
+    """
+    dt = scheme.dt
+    kernel = DriftKernel(model)
+    if scheme.kind == "exponential_euler":
+        if isinstance(model, PorousMedium) and model.m != 2:
+            raise ValueError(
+                "PorousMedium has no Laplacian linear part; exponential Euler undefined"
+            )
+        decay = np.exp(-model.grid.laplacian_eigs * dt)
+        nonlinear = (lambda c: 0.0) if isinstance(model, PorousMedium) else kernel.nonlinear
+
+        def step(c, eta):
+            return (c + nonlinear(c) * dt + eta) * decay
+
+    else:
+
+        def step(c, eta):
+            return c + kernel(c) * dt + eta
+
+    n_steps = scaled.shape[0]
+    for b0 in range(0, n_steps, _BLOW_UP_BLOCK):
+        b1 = min(b0 + _BLOW_UP_BLOCK, n_steps)
+        eta = pack_draws(spec, scaled[b0:b1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(b0, b1):
+                states[n + 1] = step(states[n], eta[n - b0])
+            first = _first_blown_row(states[b0 + 1 : b1 + 1])
+        if first is not None:
+            raise _blow_up(times, states, b0 + 1 + first)
+
+
+def _blow_up(times: np.ndarray, states: np.ndarray, row: int) -> BlowUpError:
+    """The error for the first out-of-range state ``states[row]``."""
+    c = states[row]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.sqrt(l2_sq_rows(c)))
+    return BlowUpError(float(times[row]), row, norm, int(np.argmax(np.abs(c))))
 
 
 def _blown_rows(rows: np.ndarray) -> np.ndarray:

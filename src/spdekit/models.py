@@ -36,11 +36,9 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     derivative,
-    field_from_samples,
     h_inner,
     laplacian,
     lp_norm,
-    physical_samples,
     sobolev_norm,
 )
 
@@ -54,6 +52,7 @@ __all__ = [
     "HypothesisReport",
     "model_grid",
     "nonlinear_quad_points",
+    "DriftKernel",
     "drift",
     "diffusion_apply",
     "diffusion_hs_norm_sq",
@@ -185,9 +184,52 @@ def nonlinear_quad_points(model: ModelSpec, grid: TorusGrid | None = None) -> in
     return n
 
 
-def _project_pointwise(grid: TorusGrid, u: SpectralField, func, n_points: int) -> SpectralField:
-    samples = physical_samples(u, n_points)
-    return field_from_samples(grid, func(samples))
+class DriftKernel:
+    """A(c) = lin*c + outer*P_K F(samples of c) on raw half spectra.
+
+    The three nonlinear drifts share this form, with F evaluated on
+    ``nonlinear_quad_points`` samples and P_K the projection onto the band:
+
+    * reaction-diffusion: lin = -mu, outer = theta, F(x) = |x|^(m-2) x;
+    * porous medium: lin = 0, outer = -mu, F(x) = |x|^(m-2) x;
+    * Burgers: lin = -mu, outer = i a, F(x) = x*x.
+
+    The sample and spectrum buffers are allocated once and reused, so one
+    evaluation costs one ``irfft`` and one ``rfft``.  Not thread-safe.
+    """
+
+    def __init__(self, model: ModelSpec):
+        grid = model.grid
+        mu = grid.laplacian_eigs
+        if isinstance(model, ReactionDiffusion):
+            self.lin, self.outer, self._power = -mu, model.theta, model.m - 2
+        elif isinstance(model, PorousMedium):
+            self.lin, self.outer, self._power = None, -mu, model.m - 2
+        elif isinstance(model, Burgers):
+            self.lin, self.outer, self._power = -mu, 1j * grid.angular, None
+        else:
+            raise TypeError(f"{type(model).__name__} has no nonlinear drift")
+        self.n_points = nonlinear_quad_points(model)
+        self._samples = np.empty(self.n_points)
+        self._modulus = np.empty(self.n_points)
+        self._spectrum = np.empty(self.n_points // 2 + 1, dtype=np.complex128)
+        self._band = self._spectrum[: grid.n_modes + 1]
+
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+        """outer * P_K F(samples of c): the drift without its lin*c term."""
+        s = np.fft.irfft(c, self.n_points, norm="forward", out=self._samples)
+        if self._power is None:
+            s *= s
+        else:
+            t = np.abs(s, out=self._modulus)
+            t **= self._power
+            s *= t
+        np.fft.rfft(s, out=self._spectrum)
+        return self.outer * (self._band / self.n_points)
+
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        nl = self.nonlinear(c)
+        return nl if self.lin is None else self.lin * c + nl
 
 
 def _check_grid(model: ModelSpec, u: SpectralField) -> None:
@@ -200,21 +242,7 @@ def drift(model: ModelSpec, u: SpectralField) -> SpectralField:
     _check_grid(model, u)
     if isinstance(model, (TransportHeat, AdditiveHeat)):
         return laplacian(u)
-    n_nl = nonlinear_quad_points(model)
-    if isinstance(model, ReactionDiffusion):
-        m, theta = model.m, model.theta
-        reaction = _project_pointwise(
-            model.grid, u, lambda x: np.abs(x) ** (m - 2) * x, n_nl
-        )
-        return laplacian(u) + theta * reaction
-    if isinstance(model, PorousMedium):
-        m = model.m
-        inner = _project_pointwise(model.grid, u, lambda x: np.abs(x) ** (m - 2) * x, n_nl)
-        return laplacian(inner)
-    if isinstance(model, Burgers):
-        square = _project_pointwise(model.grid, u, lambda x: x * x, n_nl)
-        return laplacian(u) + derivative(square)
-    raise TypeError(f"unknown model {model!r}")
+    return SpectralField(u.grid, DriftKernel(model)(u.coef))
 
 
 def transport_noise_amplitude(model: TransportHeat, inc: NoiseIncrement) -> float:

@@ -277,12 +277,19 @@ def heat_semigroup(f: SpectralField, t: float) -> SpectralField:
     return f.with_coef(f.coef * np.exp(-f.grid.laplacian_eigs * t))
 
 
-def l2_sq_rows(coef: np.ndarray) -> np.ndarray:
-    """Squared L^2 norm of each half spectrum along the last axis of ``coef``.
+def l2_sq_rows(coef: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Squared (weighted) L^2 norm of each half spectrum along the last axis.
 
-    The imaginary part of the k = 0 amplitude is ignored, as for a real field.
+    With mode weights w_k this is w_0 c_0^2 + 2 sum_{k>=1} w_k |c_k|^2, and
+    w = 1 without ``weights``.  The imaginary part of the k = 0 amplitude is
+    ignored, as for a real field.
     """
-    return coef[..., 0].real ** 2 + 2.0 * np.sum(np.abs(coef[..., 1:]) ** 2, axis=-1)
+    c0 = coef[..., 0].real ** 2
+    sq = np.abs(coef[..., 1:]) ** 2
+    if weights is not None:
+        c0 = weights[0] * c0
+        sq *= weights[1:]
+    return c0 + 2.0 * np.sum(sq, axis=-1)
 
 
 def sobolev_norm(f: SpectralField, idx: SobolevIndex | float) -> float:
@@ -291,10 +298,7 @@ def sobolev_norm(f: SpectralField, idx: SobolevIndex | float) -> float:
         idx = SobolevIndex(float(idx))
     if idx.p != 2.0:
         raise ValueError("sobolev_norm covers the Hilbert case p = 2 only; use lp_norm")
-    w = f.grid.sobolev_weights**idx.alpha
-    c = f.coef
-    total = w[0] * c[0].real ** 2 + 2.0 * np.sum(w[1:] * np.abs(c[1:]) ** 2)
-    return float(np.sqrt(total))
+    return float(np.sqrt(l2_sq_rows(f.coef, f.grid.sobolev_weights**idx.alpha)))
 
 
 def lp_norm(f: SpectralField, p: float, quad_points: int | None = None) -> float:

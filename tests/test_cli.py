@@ -133,7 +133,9 @@ prefix = x
 """.format(out=tmp_path / "o")
         cfg = write_config(tmp_path / "c.ini", text)
         assert cli.main(["simulate", "--config", cfg]) == 3
-        assert "blew up" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "blew up" in err
+        assert "(step " in err and "L2 norm" in err and "mode k = " in err
 
     def test_invalid_model_exponent_exits_two(self, tmp_path, capsys):
         text = BASE_SIM.format(out=tmp_path / "o").replace(
@@ -143,6 +145,80 @@ prefix = x
         cfg = write_config(tmp_path / "c.ini", text)
         assert cli.main(["simulate", "--config", cfg]) == 2
         assert "m must be >= 3" in capsys.readouterr().err
+
+
+def write_rows(path, header, rows):
+    """The row-by-row CSV path: every value through ``cli._fmt``."""
+    cli.write_csv(path, header, [list(row) for row in rows])
+    return path.read_bytes()
+
+
+class TestCsvTables:
+    # tables are written with one %-string per row; the bytes must be those
+    # of the row-wise _fmt path on the same values
+
+    def test_table_matches_row_wise_bytes(self, tmp_path):
+        t = np.array([0.0, -0.0, 1e-300, -2.5, np.pi, 1e300, np.nan, np.inf, -np.inf])
+        k = np.array([0, 1, -7, 2**40, 3, 0, 12, 5, 9], dtype=np.int64)
+        header = ["t", "k", "x"]
+        cli.write_csv(tmp_path / "table.csv", header, np.rec.fromarrays([t, k, t[::-1]]))
+        rows = write_rows(tmp_path / "rows.csv", header, zip(t, k, t[::-1]))
+        assert (tmp_path / "table.csv").read_bytes() == rows
+
+    def test_simulate_tables_match_row_wise_bytes(self, tmp_path):
+        from spdekit.integrators import SchemeSpec, simulate
+        from spdekit.models import ReactionDiffusion
+        from spdekit.noise import CovarianceSpec, NoiseSampler
+        from spdekit.spectral import TorusGrid, field_from_modes
+
+        text = BASE_SIM.format(out=tmp_path / "o").replace(
+            "kind = transport_heat\nsigma = 1.0", "kind = reaction_diffusion\ntheta = -1.0\nm = 3"
+        ).replace("u0 = cos", "u0 = cos\nsave_spectra = true")
+        assert cli.main(["simulate", "--config", write_config(tmp_path / "c.ini", text)]) == 0
+
+        g = TorusGrid(16)
+        q = CovarianceSpec.white(g)
+        u0 = field_from_modes(g, [(1, 0.5)])
+        path = simulate(ReactionDiffusion(-1.0, 3, q), SchemeSpec("euler_maruyama", 1e-4), u0,
+                        0.01, sampler=NoiseSampler(q, 7, 0))
+        norms = zip(path.times, np.sqrt(path.l2_sq_series()), np.sqrt(path.h1_sq_series()),
+                    path.mode0_series())
+        spectra = [[t, k, c.real, c.imag] for t, row in zip(path.times, path.states)
+                   for k, c in enumerate(row)]
+        out = tmp_path / "o"
+        assert (out / "run_norms.csv").read_bytes() == write_rows(
+            tmp_path / "n.csv", ["t", "l2", "h1", "mode0"], norms)
+        assert (out / "run_spectra.csv").read_bytes() == write_rows(
+            tmp_path / "s.csv", ["t", "k", "re", "im"], spectra)
+
+    @pytest.mark.parametrize("window", ["0.05", "0.03"])  # 0.03 leaves a short last window
+    def test_burgers_series_matches_row_wise_bytes(self, tmp_path, window):
+        from conftest import sin_field
+        from spdekit.burgers import BurgersProblem, _halpha_rows, _lp_rows, solve_split
+        from spdekit.noise import CovarianceSpec
+        from spdekit.spectral import TorusGrid
+
+        text = BURGERS_TEMPLATE.format(
+            noise="mean_free_white", amp="0.5", n=1, maxit=25, out=tmp_path / "o"
+        ).replace("picard_maxit", f"window = {window}\npicard_maxit")
+        assert cli.main(["burgers", "--config", write_config(tmp_path / "c.ini", text)]) == 0
+
+        g = TorusGrid(32)
+        prob = BurgersProblem(g, 0.05, 1e-3, sin_field(g, 0.5), window=float(window),
+                              q=CovarianceSpec.mean_free_white(g))
+        split = solve_split(prob, 3, 0)
+        v_ha = _halpha_rows(split.v_path.states, g, prob.alpha)
+        w_lp = _lp_rows(split.w_path.states, prob.p, prob.quad_points)
+        u_l2 = np.sqrt(split.u_path.l2_sq_series())
+        spw = max(1, int(round(prob.window / prob.dt)))
+        rows = []
+        for j, t in enumerate(split.u_path.times):
+            widx = min((j - 1) // spw if j else 0, len(split.picard_iters) - 1)
+            rows.append([t, v_ha[j], w_lp[j], u_l2[j], split.picard_iters[widx],
+                         split.residuals[widx]])
+        header = ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"]
+        assert (tmp_path / "o" / "b_seed000.csv").read_bytes() == write_rows(
+            tmp_path / "r.csv", header, rows)
 
 
 class TestConfigHash:

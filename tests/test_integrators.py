@@ -16,7 +16,7 @@ from spdekit.integrators import (
     heun_strat_step,
     simulate,
 )
-from spdekit.models import AdditiveHeat, Burgers, ReactionDiffusion, TransportHeat
+from spdekit.models import AdditiveHeat, Burgers, PorousMedium, ReactionDiffusion, TransportHeat
 from spdekit.noise import CovarianceSpec, NoiseSampler, coarsen_increments, increment_from_scaled
 from spdekit.spectral import SpectralField, TorusGrid, field_from_modes, zero_field
 
@@ -306,13 +306,17 @@ class TestDiagonalLanes:
         np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=0)
 
     def test_blow_up_time_matches_reference(self):
-        # the reported time is that of the first reference state out of range
-        def reference_blow_up_step(m, u0, white, scaled, dt):
+        # the reported time and step are those of the first reference state
+        # out of range, and the norm and worst mode are read from that state
+        def reference_blow_up_step(m, u0, white, scaled, dt, err):
             u, n = u0, 0
             with np.errstate(over="ignore", invalid="ignore"):
                 while np.all(np.isfinite(u.coef)) and u.l2_norm_sq() <= BLOW_UP_NORM**2:
                     u = em_step(m, u, increment_from_scaled(white, scaled[n], dt))
                     n += 1
+                assert err.step == n
+                assert err.mode == int(np.argmax(np.abs(u.coef)))
+                assert err.norm == pytest.approx(np.sqrt(u.l2_norm_sq()), rel=1e-12)
             return n
 
         # explicit EM far beyond the stability limit of the top mode
@@ -324,27 +328,110 @@ class TestDiagonalLanes:
         for m in (TransportHeat(g, (0.0,)), AdditiveHeat(white)):
             with pytest.raises(BlowUpError) as err:
                 simulate(m, SchemeSpec("euler_maruyama", dt), u0, 1.0, scaled_draws=scaled)
-            n = reference_blow_up_step(m, u0, white, scaled, dt)
+            n = reference_blow_up_step(m, u0, white, scaled, dt, err.value)
             assert 0 < n < 100
             assert err.value.time == n * dt
 
         # a stable path kicked out of range by one huge draw on either side
-        # of the boundary between the first two row blocks of the scan
+        # of the boundary between the first two row blocks of the scan (and
+        # of the noise packing, for the nonlinear lane)
         g = TorusGrid(8)
         white = CovarianceSpec.white(g)
         u0 = cos_field(g)
         dt = 1e-4
         n_steps = _BLOW_UP_BLOCK + 8
         draws = NoiseSampler(white, 2).scaled_block(0, n_steps, dt)
+        models = (TransportHeat(g, (1.0,)), AdditiveHeat(white), ReactionDiffusion(1.0, 3, white))
         for row in (_BLOW_UP_BLOCK - 1, _BLOW_UP_BLOCK, _BLOW_UP_BLOCK + 1):
             scaled = draws.copy()
             scaled[row, 0] = 1e14
-            for m in (TransportHeat(g, (1.0,)), AdditiveHeat(white)):
+            for m in models:
                 with pytest.raises(BlowUpError) as err:
                     simulate(m, SchemeSpec("euler_maruyama", dt), u0, n_steps * dt,
                              scaled_draws=scaled)
-                assert reference_blow_up_step(m, u0, white, scaled, dt) == row + 1
+                assert reference_blow_up_step(m, u0, white, scaled, dt, err.value) == row + 1
                 assert err.value.time == (row + 1) * dt
+
+
+NONLINEAR_CASES = [
+    ("rd_theta-1_m3", "euler_maruyama"),
+    ("rd_theta-1_m3", "exponential_euler"),
+    ("rd_theta+1_m3", "euler_maruyama"),
+    ("rd_theta+1_m3", "exponential_euler"),
+    ("rd_theta-1_m4", "euler_maruyama"),
+    ("rd_theta-1_m4", "exponential_euler"),
+    ("rd_theta+1_m4", "euler_maruyama"),
+    ("rd_theta+1_m4", "exponential_euler"),
+    ("pm_m2", "euler_maruyama"),
+    ("pm_m2", "exponential_euler"),
+    ("pm_m3", "euler_maruyama"),
+    ("burgers", "euler_maruyama"),
+    ("burgers", "exponential_euler"),
+]
+
+
+def nonlinear_model(name, grid):
+    q = CovarianceSpec.power(grid, 1.0)
+    if name == "burgers":
+        return Burgers(CovarianceSpec.mean_free_white(grid))
+    if name.startswith("pm"):
+        return PorousMedium(int(name[-1]), q)
+    theta = -1.0 if "theta-1" in name else 1.0
+    return ReactionDiffusion(theta, int(name[-1]), q)
+
+
+class TestNonlinearLane:
+    # simulate steps ReactionDiffusion, PorousMedium and Burgers as one loop
+    # over raw coefficient rows; em_step / exp_euler_step are the reference
+
+    @pytest.mark.parametrize("name,kind", NONLINEAR_CASES)
+    def test_matches_per_step_reference(self, name, kind):
+        g = TorusGrid(16)
+        m = nonlinear_model(name, g)
+        u0 = field_from_modes(g, [(1, 0.4 - 0.2j), (2, 0.15j), (5, 0.05), (16, 1e-3)])
+        if not isinstance(m, Burgers):
+            u0 = u0 + field_from_modes(g, [(0, 0.1)])
+        dt = 5e-5
+        n_steps = _BLOW_UP_BLOCK + 44  # crosses a noise-packing block boundary
+        scaled = NoiseSampler(m.q, 8, 3).scaled_block(0, n_steps, dt)
+        p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=scaled)
+        ref = reference_states(m, kind, u0, scaled, m.q, dt)
+        # entries that cancel to a few units of the field's scale are held to
+        # an absolute floor of one rounding unit of that scale
+        scale = np.max(np.abs(ref))
+        np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=1e-15 * scale)
+        if kind == "euler_maruyama" or isinstance(m, PorousMedium):
+            # same operations in the same order as the reference: same bits
+            assert np.array_equal(p.states, ref)
+        # mode 0 is real, with a +0.0 imaginary part as in a SpectralField
+        assert not np.any(p.states[:, 0].imag) and not np.any(np.signbit(p.states[:, 0].imag))
+
+    def test_exp_euler_porous_medium_above_m2_rejected(self):
+        g = TorusGrid(8)
+        m = PorousMedium(3, CovarianceSpec.white(g))
+        with pytest.raises(ValueError, match="no Laplacian linear part"):
+            simulate(m, SchemeSpec("exponential_euler", 1e-4), cos_field(g), 1e-2)
+
+    def test_steps_build_no_fields(self, monkeypatch):
+        # the lane works on raw rows: the number of SpectralField objects a
+        # run builds must not grow with the number of steps
+        g = TorusGrid(16)
+        m = ReactionDiffusion(-1.0, 3, CovarianceSpec.power(g, 1.0))
+        u0 = cos_field(g)
+        built = []
+        post_init = SpectralField.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(SpectralField, "__post_init__", counting)
+        for kind in ("euler_maruyama", "exponential_euler"):
+            built.clear()
+            p = simulate(m, SchemeSpec(kind, 1e-5), u0, 1e-2,
+                         sampler=NoiseSampler(m.q, 4, 0))
+            assert p.n_steps == 1000
+            assert len(built) <= 2
 
 
 class TestSchemeRelations:
