@@ -27,13 +27,15 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import burgers as burgers_mod
 from . import verify as verify_mod
-from .integrators import BlowUpError, SamplePath, SchemeSpec, simulate
+from .integrators import BlowUpError, SamplePath, SchemeSpec, noise_spec, simulate
 from .models import (
     AdditiveHeat,
     Burgers,
@@ -57,20 +59,6 @@ MODEL_KINDS = (
     "reaction_diffusion",
     "porous_medium",
     "burgers",
-)
-
-KNOWN_CHECKS = (
-    "mass_conservation",
-    "energy_identity",
-    "gronwall",
-    "ito_isometry",
-    "trace_identity",
-    "wiener_covariance",
-    "quadratic_variation",
-    "ito_strat",
-    "gaussian_moment",
-    "ou_exactness",
-    "holder_exponent",
 )
 
 
@@ -335,7 +323,7 @@ def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
     scheme = build_scheme(cfg)
     T = cfg.get_float("experiment", "t", required=True)
     u0 = build_initial_field(cfg, grid)
-    sampler = NoiseSampler(_sampler_spec(cfg, model, grid), seed, 0)
+    sampler = NoiseSampler(noise_spec(model), seed, 0)
     path = simulate(model, scheme, u0, T, sampler=sampler)
 
     prefix = output_prefix(cfg)
@@ -360,41 +348,17 @@ def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
     return 0
 
 
-def _sampler_spec(cfg: RunConfig, model, grid) -> CovarianceSpec:
-    if isinstance(model, TransportHeat):
-        return CovarianceSpec.white(grid)
-    return model.q
-
-
-def _mc_config(cfg: RunConfig, seed: int) -> verify_mod.McConfig:
-    return verify_mod.McConfig(
-        n_paths=cfg.get_int("experiment", "n_paths", 100),
-        base_seed=seed,
-        tolerance_multiplier=cfg.get_float("experiment", "tolerance_multiplier", 3.0),
-    )
-
-
-def _simulated_paths(cfg, model, scheme, u0, T, seed, n_paths) -> list[SamplePath]:
-    spec = _sampler_spec(cfg, model, model.grid)
-    paths = []
-    for i in range(n_paths):
-        sampler = NoiseSampler(spec, seed, i)
-        paths.append(simulate(model, scheme, u0, T, sampler=sampler))
-    return paths
-
-
 def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
     checks = cfg.get_list("experiment", "checks")
     for name in checks:
-        if name not in KNOWN_CHECKS:
+        if name not in CHECKS:
             raise ConfigError(
-                f"experiment.checks names unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}"
+                f"experiment.checks names unknown check {name!r}; known: {', '.join(CHECKS)}"
             )
     grid = build_grid(cfg)
-    mc = _mc_config(cfg, seed)
     reports: list[verify_mod.StatReport] = []
     for name in checks:
-        reports.extend(_dispatch_check(name, cfg, grid, seed, mc))
+        reports.extend(CHECKS[name](cfg, grid, seed))
 
     prefix = output_prefix(cfg)
     report_file = out / f"{prefix}_reports.csv"
@@ -404,172 +368,213 @@ def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
     return 1 if failed else 0
 
 
-def _path_ensemble_args(cfg: RunConfig, grid: TorusGrid, seed: int):
+# ---------------------------------------------------------------------------
+# verify checks: one function per config name, (cfg, grid, seed) -> reports
+# ---------------------------------------------------------------------------
+
+
+def _mc_config(cfg: RunConfig, seed: int) -> verify_mod.McConfig:
+    try:
+        return verify_mod.McConfig(
+            n_paths=cfg.get_int("experiment", "n_paths", 100),
+            base_seed=seed,
+            tolerance_multiplier=cfg.get_float("experiment", "tolerance_multiplier", 3.0),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"experiment.n_paths invalid for a Monte Carlo check: {exc}") from exc
+
+
+def _path_run(cfg: RunConfig, grid: TorusGrid):
+    """(model, scheme, T, u0) of the configured path experiment."""
     model = build_model(cfg, grid)
     scheme = build_scheme(cfg)
     T = cfg.get_float("experiment", "t", required=True)
     u0 = build_initial_field(cfg, grid)
+    return model, scheme, T, u0
+
+
+def _require_transport(model, check: str) -> None:
+    if not isinstance(model, TransportHeat):
+        raise ConfigError(f"{check} check requires model.kind = transport_heat")
+
+
+def _sample_path(model, scheme, u0, T, seed: int, i: int) -> SamplePath:
+    return simulate(model, scheme, u0, T, sampler=NoiseSampler(noise_spec(model), seed, i))
+
+
+def _worst_path(cfg: RunConfig, report_of_path, key=lambda r: r.estimate):
+    """The report ``key`` ranks highest over paths ``0 .. experiment.n_paths - 1``."""
     n_paths = cfg.get_int("experiment", "n_paths", 1)
-    return model, scheme, T, u0, n_paths
+    if n_paths < 1:
+        raise ConfigError(f"experiment.n_paths must be at least 1, got {n_paths}")
+    return [max(map(report_of_path, range(n_paths)), key=key)]
 
 
-def _dispatch_check(name, cfg, grid, seed, mc) -> list[verify_mod.StatReport]:
-    if name == "mass_conservation":
-        model, scheme, T, u0, n_paths = _path_ensemble_args(cfg, grid, seed)
-        if isinstance(model, (AdditiveHeat, ReactionDiffusion, PorousMedium)):
-            return [
-                verify_mod.StatReport(
-                    name="mass_conservation",
-                    estimate=0.0,
-                    target=0.0,
-                    se=0.0,
-                    n=0,
-                    tol_kind="abs",
-                    tolerance=0.0,
-                    skipped=True,
-                    note="inapplicable: mean mode is a Brownian motion for additive noise",
-                )
-            ]
-        paths = _simulated_paths(cfg, model, scheme, u0, T, seed, n_paths)
-        reps = [verify_mod.mass_conservation_check(p) for p in paths]
-        worst = max(reps, key=lambda r: r.estimate)
-        return [worst]
-
-    if name == "energy_identity":
-        model, scheme, T, u0, n_paths = _path_ensemble_args(cfg, grid, seed)
-        if not isinstance(model, TransportHeat):
-            raise ConfigError("energy_identity check requires model.kind = transport_heat")
-        rel_tol = cfg.get_float("experiment", "rel_tol", 0.05)
-        worst = None
-        for i in range(n_paths):
-            ladder = verify_mod.energy_identity_refinement(
-                model, u0, T, [scheme.dt, scheme.dt / 2.0], seed, i, rel_tol
-            )
-            fine = ladder[-1]
-            if worst is None or fine.estimate > worst.estimate:
-                worst = fine
-        return [worst]
-
-    if name == "gronwall":
-        model, scheme, T, u0, n_paths = _path_ensemble_args(cfg, grid, seed)
-        if not isinstance(model, TransportHeat):
-            raise ConfigError("gronwall check requires model.kind = transport_heat")
-        slack = cfg.get_float("experiment", "slack", 0.05)
-        if model.sigma_total >= 2.0:
-            return [
-                verify_mod.StatReport(
-                    name="gronwall",
-                    estimate=float("nan"),
-                    target=float("nan"),
-                    se=0.0,
-                    n=0,
-                    tol_kind="upper",
-                    tolerance=slack,
-                    skipped=True,
-                    note=f"sigma >= 2 (sigma = {model.sigma_total:g}); bound undefined",
-                )
-            ]
-        paths = _simulated_paths(cfg, model, scheme, u0, T, seed, n_paths)
-        reps = [verify_mod.gronwall_check(p, model.sigma_seq, slack) for p in paths]
-        worst = max(reps, key=lambda r: r.estimate - r.target)
-        return [worst]
-
-    if name == "ito_isometry":
-        T = cfg.get_float("experiment", "t", required=True)
-        phi_kind = cfg.get_str("experiment", "phi", "single_mode")
-        count = cfg.get_int("experiment", "phi_count", 16)
-        if phi_kind == "single_mode":
-            phi, lam = np.array([1.0]), np.array([1.0])
-        elif phi_kind == "inverse_k":
-            phi = 1.0 / np.arange(1, count + 1)
-            lam = np.ones(count)
-        elif phi_kind == "white":
-            phi = np.ones(2 * count + 1)
-            lam = np.ones(2 * count + 1)
-        else:
-            raise ConfigError("experiment.phi must be single_mode|inverse_k|white")
-        return [verify_mod.ito_isometry_mc(phi, lam, T, mc)]
-
-    if name == "trace_identity":
-        spec = build_noise(cfg, grid)
-        T = cfg.get_float("experiment", "t", required=True)
-        return [verify_mod.trace_identity_mc(spec, T, mc)]
-
-    if name == "wiener_covariance":
-        spec = build_noise(cfg, grid)
-        s = cfg.get_float("experiment", "s", 0.3)
-        t = cfg.get_float("experiment", "t", required=True)
-        h = build_initial_field(cfg, grid, key="h")
-        g = build_initial_field(cfg, grid, key="g")
-        return [verify_mod.wiener_covariance_mc(spec, h, g, s, t, mc)]
-
-    if name == "quadratic_variation":
-        T = cfg.get_float("experiment", "t", required=True)
-        n_int = cfg.get_int("experiment", "qv_intervals", 2**14)
-        rel_tol = cfg.get_float("experiment", "rel_tol", 0.05)
-        levels = [max(1, n_int // 16), max(1, n_int // 4), n_int]
-        hit = 0
-        worst = None
-        for i in range(mc.n_paths):
-            values = verify_mod.brownian_scalar_path(seed, n_int, T, stream_id=i)
-            rep = verify_mod.quadratic_variation_partition(values, levels, T, rel_tol)
-            hit += rep.passed
-            if worst is None or abs(rep.estimate - T) > abs(worst.estimate - T):
-                worst = rep
-        frac = verify_mod.StatReport(
-            name="quadratic_variation",
-            estimate=hit / mc.n_paths,
-            target=0.9,
-            se=0.0,
-            n=mc.n_paths,
-            tol_kind="lower",
-            tolerance=0.0,
-            metadata={"intervals": n_int},
+def _skipped(name, note, tol_kind="abs", tolerance=0.0, value=0.0):
+    return [
+        verify_mod.StatReport(
+            name=name, estimate=value, target=value, se=0.0, n=0,
+            tol_kind=tol_kind, tolerance=tolerance, skipped=True, note=note,
         )
-        smooth = np.arange(2**21 + 1) / 2**21 * T
-        smooth = smooth + 0.1 * np.sin(2 * np.pi * smooth / T)
-        smooth_rep = verify_mod.quadratic_variation_partition(smooth, [2**21], 0.0, 1e-6)
-        smooth_rep = verify_mod.StatReport(
-            name="quadratic_variation_smooth",
-            estimate=smooth_rep.estimate,
-            target=0.0,
-            se=0.0,
-            n=2**21,
-            tol_kind="abs",
-            tolerance=1e-6,
-            note="finite-variation path: partition sums vanish under refinement",
-        )
-        return [frac, smooth_rep]
+    ]
 
-    if name == "ito_strat":
-        model, scheme, T, u0, _ = _path_ensemble_args(cfg, grid, seed)
-        if not isinstance(model, TransportHeat):
-            raise ConfigError("ito_strat check requires model.kind = transport_heat")
-        ladder = cfg.get_floats("experiment", "dt_ladder", [1e-3, 2.5e-4, 6.25e-5])
+
+def _check_mass_conservation(cfg, grid, seed):
+    model, scheme, T, u0 = _path_run(cfg, grid)
+    if isinstance(model, (AdditiveHeat, ReactionDiffusion, PorousMedium)):
+        return _skipped(
+            "mass_conservation", "inapplicable: mean mode is a Brownian motion for additive noise"
+        )
+    return _worst_path(
+        cfg,
+        lambda i: verify_mod.mass_conservation_check(_sample_path(model, scheme, u0, T, seed, i)),
+    )
+
+
+def _check_energy_identity(cfg, grid, seed):
+    model, scheme, T, u0 = _path_run(cfg, grid)
+    _require_transport(model, "energy_identity")
+    rel_tol = cfg.get_float("experiment", "rel_tol", 0.05)
+    dts = [scheme.dt, scheme.dt / 2.0]
+    try:
+        return _worst_path(
+            cfg,
+            lambda i: verify_mod.energy_identity_refinement(
+                model, u0, T, dts, seed, i, rel_tol, kind=scheme.kind
+            )[-1],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"energy_identity with scheme.kind = {scheme.kind}: {exc}") from exc
+
+
+def _check_gronwall(cfg, grid, seed):
+    model, scheme, T, u0 = _path_run(cfg, grid)
+    _require_transport(model, "gronwall")
+    slack = cfg.get_float("experiment", "slack", 0.05)
+    if model.sigma_total >= 2.0:
+        note = f"sigma >= 2 (sigma = {model.sigma_total:g}); bound undefined"
+        return _skipped("gronwall", note, "upper", slack, float("nan"))
+    return _worst_path(
+        cfg,
+        lambda i: verify_mod.gronwall_check(
+            _sample_path(model, scheme, u0, T, seed, i), model.sigma_seq, slack
+        ),
+        key=lambda r: r.estimate - r.target,
+    )
+
+
+def _check_ito_isometry(cfg, grid, seed):
+    mc = _mc_config(cfg, seed)
+    T = cfg.get_float("experiment", "t", required=True)
+    phi_kind = cfg.get_str("experiment", "phi", "single_mode")
+    count = cfg.get_int("experiment", "phi_count", 16)
+    if phi_kind == "single_mode":
+        phi, lam = np.array([1.0]), np.array([1.0])
+    elif phi_kind == "inverse_k":
+        phi = 1.0 / np.arange(1, count + 1)
+        lam = np.ones(count)
+    elif phi_kind == "white":
+        phi = np.ones(2 * count + 1)
+        lam = np.ones(2 * count + 1)
+    else:
+        raise ConfigError("experiment.phi must be single_mode|inverse_k|white")
+    return [verify_mod.ito_isometry_mc(phi, lam, T, mc)]
+
+
+def _check_trace_identity(cfg, grid, seed):
+    mc = _mc_config(cfg, seed)
+    spec = build_noise(cfg, grid)
+    T = cfg.get_float("experiment", "t", required=True)
+    return [verify_mod.trace_identity_mc(spec, T, mc)]
+
+
+def _check_wiener_covariance(cfg, grid, seed):
+    mc = _mc_config(cfg, seed)
+    spec = build_noise(cfg, grid)
+    s = cfg.get_float("experiment", "s", 0.3)
+    t = cfg.get_float("experiment", "t", required=True)
+    h = build_initial_field(cfg, grid, key="h")
+    g = build_initial_field(cfg, grid, key="g")
+    return [verify_mod.wiener_covariance_mc(spec, h, g, s, t, mc)]
+
+
+def _check_quadratic_variation(cfg, grid, seed):
+    mc = _mc_config(cfg, seed)
+    T = cfg.get_float("experiment", "t", required=True)
+    n_int = cfg.get_int("experiment", "qv_intervals", 2**14)
+    rel_tol = cfg.get_float("experiment", "rel_tol", 0.05)
+    levels = [max(1, n_int // 16), max(1, n_int // 4), n_int]
+    hit = 0
+    for i in range(mc.n_paths):
+        values = verify_mod.brownian_scalar_path(seed, n_int, T, stream_id=i)
+        hit += verify_mod.quadratic_variation_partition(values, levels, T, rel_tol).passed
+    frac = verify_mod.StatReport(
+        name="quadratic_variation",
+        estimate=hit / mc.n_paths,
+        target=0.9,
+        se=0.0,
+        n=mc.n_paths,
+        tol_kind="lower",
+        tolerance=0.0,
+        metadata={"intervals": n_int},
+    )
+    smooth = np.arange(2**21 + 1) / 2**21 * T
+    smooth = smooth + 0.1 * np.sin(2 * np.pi * smooth / T)
+    smooth_rep = verify_mod.quadratic_variation_partition(smooth, [2**21], 0.0, 1e-6)
+    note = "finite-variation path: partition sums vanish under refinement"
+    return [frac, replace(smooth_rep, name="quadratic_variation_smooth", note=note)]
+
+
+def _check_ito_strat(cfg, grid, seed):
+    mc = _mc_config(cfg, seed)
+    model, scheme, T, u0 = _path_run(cfg, grid)
+    _require_transport(model, "ito_strat")
+    ladder = cfg.get_floats("experiment", "dt_ladder", [1e-3, 2.5e-4, 6.25e-5])
+    try:
         return [verify_mod.ito_strat_compare(model.sigma_seq, u0, ladder, T, mc)]
+    except ValueError as exc:
+        raise ConfigError(f"experiment.dt_ladder invalid: {exc}") from exc
 
-    if name == "gaussian_moment":
-        spec = build_noise(cfg, grid)
-        return [verify_mod.gaussian_moment_ratio(spec, mc)]
 
-    if name == "ou_exactness":
-        spec = build_noise(cfg, grid)
-        dt = cfg.get_float("scheme", "dt", required=True)
-        modes = [int(k) for k in cfg.get_floats("experiment", "ou_modes", [0, 1, 8])]
-        return verify_mod.ou_variance_mc(spec, dt, modes, mc)
+def _check_gaussian_moment(cfg, grid, seed):
+    mc = _mc_config(cfg, seed)
+    return [verify_mod.gaussian_moment_ratio(build_noise(cfg, grid), mc)]
 
-    if name == "holder_exponent":
-        alpha = cfg.get_float("experiment", "alpha", -0.25)
-        lags = cfg.get_floats(
-            "experiment", "lags", [2.0**-e for e in range(8, 15)]
-        )
-        base_time = cfg.get_float("experiment", "base_time", 0.5)
-        try:
-            return [verify_mod.holder_exponent_fit(alpha, grid.n_modes, lags, base_time)]
-        except ValueError as exc:
-            raise ConfigError(f"holder_exponent: {exc}") from exc
 
-    raise ConfigError(f"unknown check {name!r}")
+def _check_ou_exactness(cfg, grid, seed):
+    mc = _mc_config(cfg, seed)
+    spec = build_noise(cfg, grid)
+    dt = cfg.get_float("scheme", "dt", required=True)
+    modes = [int(k) for k in cfg.get_floats("experiment", "ou_modes", [0, 1, 8])]
+    return verify_mod.ou_variance_mc(spec, dt, modes, mc)
+
+
+def _check_holder_exponent(cfg, grid, seed):
+    alpha = cfg.get_float("experiment", "alpha", -0.25)
+    lags = cfg.get_floats("experiment", "lags", [2.0**-e for e in range(8, 15)])
+    base_time = cfg.get_float("experiment", "base_time", 0.5)
+    try:
+        return [verify_mod.holder_exponent_fit(alpha, grid.n_modes, lags, base_time)]
+    except ValueError as exc:
+        raise ConfigError(f"holder_exponent: {exc}") from exc
+
+
+# The verify checks by config name, in README order.  Each entry looks up the
+# builders, ``simulate`` and the ``verify`` checkers as module attributes when
+# it runs, so wrappers installed on those attributes (timers, tracers) see it.
+CHECKS: dict[str, Callable[[RunConfig, TorusGrid, int], list[verify_mod.StatReport]]] = {
+    "mass_conservation": _check_mass_conservation,
+    "energy_identity": _check_energy_identity,
+    "gronwall": _check_gronwall,
+    "ito_isometry": _check_ito_isometry,
+    "trace_identity": _check_trace_identity,
+    "wiener_covariance": _check_wiener_covariance,
+    "quadratic_variation": _check_quadratic_variation,
+    "ito_strat": _check_ito_strat,
+    "gaussian_moment": _check_gaussian_moment,
+    "ou_exactness": _check_ou_exactness,
+    "holder_exponent": _check_holder_exponent,
+}
 
 
 def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:

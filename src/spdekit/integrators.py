@@ -64,6 +64,7 @@ __all__ = [
     "exp_euler_step",
     "exact_ou_step",
     "simulate",
+    "noise_spec",
     "ou_channel_variances",
 ]
 
@@ -274,11 +275,12 @@ def _resolve_steps(T: float, dt: float) -> int:
     return n
 
 
-def _packing_spec(model: ModelSpec, sampler: NoiseSampler | None) -> CovarianceSpec:
-    if sampler is not None:
-        if sampler.spec.grid != model.grid:
-            raise ValueError("sampler grid does not match model grid")
-        return sampler.spec
+def noise_spec(model: ModelSpec) -> CovarianceSpec:
+    """The covariance whose channels drive ``model``.
+
+    Transport noise is built from white channels (the first ``len(sigma)``
+    of them are used); every other model is driven by its own ``model.q``.
+    """
     if isinstance(model, TransportHeat):
         return CovarianceSpec.white(model.grid)
     return model.q
@@ -307,7 +309,9 @@ def simulate(
         raise ValueError("initial state grid does not match model grid")
     dt = scheme.dt
     n_steps = _resolve_steps(T, dt)
-    spec = _packing_spec(model, sampler)
+    if sampler is not None and sampler.spec.grid != grid:
+        raise ValueError("sampler grid does not match model grid")
+    spec = sampler.spec if sampler is not None else noise_spec(model)
 
     if scaled_draws is not None:
         scaled = np.asarray(scaled_draws, dtype=float)

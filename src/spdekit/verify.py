@@ -23,11 +23,11 @@ Covered identities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .integrators import SamplePath, SchemeSpec, simulate
+from .integrators import SamplePath, SchemeSpec, noise_spec, simulate
 from .models import ModelSpec, TransportHeat
 from .noise import (
     CovarianceSpec,
@@ -164,6 +164,40 @@ def mc_normals(seed: int, n_paths: int, cols: int, stream0: int = 0) -> np.ndarr
     return _mc_block[memo][:, :cols]
 
 
+def _mc_report(name, samples, target, cfg: McConfig, note="", **metadata) -> StatReport:
+    """The report of a Monte Carlo mean: gated at ``cfg.tolerance_multiplier`` SEs."""
+    return StatReport(
+        name=name,
+        estimate=float(np.mean(samples)),
+        target=target,
+        se=float(np.std(samples, ddof=1) / np.sqrt(cfg.n_paths)),
+        n=cfg.n_paths,
+        tol_kind="se",
+        tolerance=cfg.tolerance_multiplier,
+        note=note,
+        metadata=metadata,
+    )
+
+
+def _ladder_draws(spec: CovarianceSpec, seed: int, stream_id: int, dts, T: float):
+    """Yield ``(dt, scaled draws)`` coarse to fine, all block sums of one fine path.
+
+    The fine path is the stream ``(seed, stream_id)`` at the smallest dt;
+    every rung must be an integer multiple of it.
+    """
+    dts = sorted(float(d) for d in dts)
+    dt_fine = dts[0]
+    factors = [int(round(dt / dt_fine)) for dt in dts]
+    for factor, dt in zip(factors, dts):
+        if abs(factor * dt_fine - dt) > 1e-9 * dt:
+            raise ValueError(
+                f"ladder dts must be integer multiples of the finest ({dt_fine:g}), got {dt:g}"
+            )
+    fine = NoiseSampler(spec, seed, stream_id).scaled_block(0, int(round(T / dt_fine)), dt_fine)
+    for factor, dt in zip(reversed(factors), reversed(dts)):
+        yield dt, coarsen_increments(fine, factor)
+
+
 def _l2_inner_rows(coef: np.ndarray, h: SpectralField) -> np.ndarray:
     ch = h.coef
     return coef[..., 0].real * ch[0].real + 2.0 * np.sum(
@@ -232,38 +266,22 @@ def energy_identity_refinement(
     seed: int,
     stream_id: int = 0,
     rel_tol: float = 0.05,
+    kind: str = "euler_maruyama",
 ) -> list[StatReport]:
     """Energy residual across a dt ladder driven by one Brownian path.
 
-    The ladder is simulated from block-sums of the finest increments, so
-    residual decay under refinement is a pathwise statement.  Reports come
-    coarse to fine; each carries the decay ratio to its predecessor.
+    The ladder is simulated with the scheme ``kind`` from block-sums of the
+    finest increments, so residual decay under refinement is a pathwise
+    statement.  Reports come coarse to fine; each carries the decay ratio to
+    its predecessor.
     """
-    dts = sorted(float(d) for d in dts)
-    dt_fine = dts[0]
-    n_fine = int(round(T / dt_fine))
-    sampler = NoiseSampler(CovarianceSpec.white(model.grid), seed, stream_id)
-    fine = sampler.scaled_block(0, n_fine, dt_fine)
     reports = []
     prev = None
-    for dt in sorted(dts, reverse=True):
-        factor = int(round(dt / dt_fine))
-        if abs(factor * dt_fine - dt) > 1e-9 * dt:
-            raise ValueError("ladder dts must be integer multiples of the finest")
-        scaled = coarsen_increments(fine, factor)
-        path = simulate(model, SchemeSpec("euler_maruyama", dt), u0, T, scaled_draws=scaled)
+    for dt, scaled in _ladder_draws(noise_spec(model), seed, stream_id, dts, T):
+        path = simulate(model, SchemeSpec(kind, dt), u0, T, scaled_draws=scaled)
         rep = energy_identity_residual(path, model.sigma_seq, rel_tol)
         ratio = prev / rep.estimate if (prev is not None and rep.estimate > 0) else np.inf
-        rep = StatReport(
-            name=rep.name,
-            estimate=rep.estimate,
-            target=rep.target,
-            se=rep.se,
-            n=rep.n,
-            tol_kind=rep.tol_kind,
-            tolerance=rep.tolerance,
-            metadata={**rep.metadata, "decay_from_previous": ratio},
-        )
+        rep = replace(rep, metadata={**rep.metadata, "decay_from_previous": ratio})
         reports.append(rep)
         prev = rep.estimate
     return reports
@@ -342,18 +360,7 @@ def ito_isometry_mc(phi, lam, T: float, cfg: McConfig) -> StatReport:
     target = float(T * np.sum(phi**2 * lam))
     z = mc_normals(cfg.base_seed, cfg.n_paths, phi.size)
     samples = np.sum((phi**2 * lam * T) * z**2, axis=1)
-    estimate = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / np.sqrt(cfg.n_paths))
-    return StatReport(
-        name="ito_isometry",
-        estimate=estimate,
-        target=target,
-        se=se,
-        n=cfg.n_paths,
-        tol_kind="se",
-        tolerance=cfg.tolerance_multiplier,
-        metadata={"T": T, "channels": int(phi.size)},
-    )
+    return _mc_report("ito_isometry", samples, target, cfg, T=T, channels=int(phi.size))
 
 
 def wiener_covariance_mc(
@@ -374,40 +381,18 @@ def wiener_covariance_mc(
     w_hi = w_lo + pack_draws(spec, z[:, 1, :] * np.sqrt(hi - lo))
     w_at_t, w_at_s = (w_hi, w_lo) if t >= s else (w_lo, w_hi)
     samples = _l2_inner_rows(w_at_t, h) * _l2_inner_rows(w_at_s, g)
-    estimate = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / np.sqrt(cfg.n_paths))
     target = float(min(s, t) * covariance_pairing(spec, h, g))
-    return StatReport(
-        name="wiener_covariance",
-        estimate=estimate,
-        target=target,
-        se=se,
-        n=cfg.n_paths,
-        tol_kind="se",
-        tolerance=cfg.tolerance_multiplier,
-        metadata={"s": s, "t": t},
-    )
+    return _mc_report("wiener_covariance", samples, target, cfg, s=s, t=t)
 
 
 def trace_identity_mc(spec: CovarianceSpec, T: float, cfg: McConfig) -> StatReport:
     """E |W_T|_{L^2}^2 against T Tr Q (truncated trace for white noise)."""
     z = mc_normals(cfg.base_seed, cfg.n_paths, spec.n_channels)
     coef = pack_draws(spec, z * np.sqrt(T))
-    samples = l2_sq_rows(coef)
-    estimate = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / np.sqrt(cfg.n_paths))
     target = float(T * trace(spec, truncated_ok=True))
     note = "truncated white noise (K modes recorded)" if spec.kind == "white" else ""
-    return StatReport(
-        name="trace_identity",
-        estimate=estimate,
-        target=target,
-        se=se,
-        n=cfg.n_paths,
-        tol_kind="se",
-        tolerance=cfg.tolerance_multiplier,
-        note=note,
-        metadata={"T": T, "n_modes": spec.grid.n_modes},
+    return _mc_report(
+        "trace_identity", l2_sq_rows(coef), target, cfg, note, T=T, n_modes=spec.grid.n_modes
     )
 
 
@@ -415,20 +400,9 @@ def gaussian_moment_ratio(spec: CovarianceSpec, cfg: McConfig) -> StatReport:
     """E |X|^4 for X ~ N(0, Q) against (Tr Q)^2 + 2 Tr(Q^2)."""
     z = mc_normals(cfg.base_seed, cfg.n_paths, spec.n_channels)
     samples = l2_sq_rows(pack_draws(spec, z)) ** 2
-    estimate = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / np.sqrt(cfg.n_paths))
     tr = trace(spec, truncated_ok=True)
     target = float(tr**2 + 2.0 * hs_norm_sq(spec, truncated_ok=True))
-    return StatReport(
-        name="gaussian_fourth_moment",
-        estimate=estimate,
-        target=target,
-        se=se,
-        n=cfg.n_paths,
-        tol_kind="se",
-        tolerance=cfg.tolerance_multiplier,
-        metadata={"trace": tr},
-    )
+    return _mc_report("gaussian_fourth_moment", samples, target, cfg, trace=tr)
 
 
 # ---------------------------------------------------------------------------
@@ -573,20 +547,12 @@ def ito_strat_compare(
     ensemble-mean distances must additionally decrease at every rung.
     """
     model = TransportHeat(u0.grid, tuple(np.atleast_1d(sigma)))
-    dts = sorted(float(d) for d in dt_ladder)
-    dt_fine = dts[0]
-    n_fine = int(round(T / dt_fine))
-    white = CovarianceSpec.white(u0.grid)
-    ladder = sorted(dts, reverse=True)
+    ladder = sorted((float(d) for d in dt_ladder), reverse=True)
     ok = 0
     mean_dist = np.zeros(len(ladder))
     for path_idx in range(cfg.n_paths):
-        sampler = NoiseSampler(white, cfg.base_seed, path_idx)
-        fine = sampler.scaled_block(0, n_fine, dt_fine)
         dists = []
-        for dt in ladder:
-            factor = int(round(dt / dt_fine))
-            scaled = coarsen_increments(fine, factor)
+        for dt, scaled in _ladder_draws(noise_spec(model), cfg.base_seed, path_idx, ladder, T):
             ito = simulate(model, SchemeSpec("euler_maruyama", dt), u0, T, scaled_draws=scaled)
             strat = simulate(
                 model, SchemeSpec("heun_stratonovich", dt), u0, T, scaled_draws=scaled
@@ -646,18 +612,5 @@ def ou_variance_mc(q: CovarianceSpec, dt: float, modes, cfg: McConfig) -> list[S
         else:
             samples = np.abs(eta[:, k]) ** 2
             target = float(q.lam[k] * (1.0 - np.exp(-2.0 * mu[k] * dt)) / (2.0 * mu[k]))
-        estimate = float(np.mean(samples))
-        se = float(np.std(samples, ddof=1) / np.sqrt(cfg.n_paths))
-        reports.append(
-            StatReport(
-                name=f"ou_variance_mode{k}",
-                estimate=estimate,
-                target=target,
-                se=se,
-                n=cfg.n_paths,
-                tol_kind="se",
-                tolerance=cfg.tolerance_multiplier,
-                metadata={"dt": dt, "mode": k},
-            )
-        )
+        reports.append(_mc_report(f"ou_variance_mode{k}", samples, target, cfg, dt=dt, mode=k))
     return reports

@@ -1,11 +1,14 @@
 """Config-driven runner: subcommands, exit codes, CSV determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spdekit import cli
+from spdekit.verify import energy_identity_refinement
 
 
 def write_config(path, text):
@@ -347,6 +350,137 @@ class TestVerify:
         first = (tmp_path / "o" / "v_reports.csv").read_bytes()
         cli.main(["verify", "--config", cfg])
         assert (tmp_path / "o" / "v_reports.csv").read_bytes() == first
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# every check applies to this config; the Monte Carlo budget is tiny, so the
+# gates may fail (exit 1), but each check must run and write its rows
+ALL_CHECKS_TEMPLATE = """
+[model]
+kind = transport_heat
+sigma = 1.0
+
+[grid]
+modes = 8
+
+[scheme]
+kind = {scheme}
+dt = 1e-4
+
+[noise]
+kind = white
+
+[experiment]
+t = 0.01
+u0 = cos
+n_paths = {n_paths}
+base_seed = 5
+qv_intervals = 1024
+checks = {checks}
+{extra}
+[output]
+directory = {out}
+prefix = v
+"""
+
+EXPECTED_REPORTS = {
+    "mass_conservation": ["mass_conservation"],
+    "energy_identity": ["energy_identity"],
+    "gronwall": ["gronwall"],
+    "ito_isometry": ["ito_isometry"],
+    "trace_identity": ["trace_identity"],
+    "wiener_covariance": ["wiener_covariance"],
+    "quadratic_variation": ["quadratic_variation", "quadratic_variation_smooth"],
+    "ito_strat": ["ito_strat_equivalence"],
+    "gaussian_moment": ["gaussian_fourth_moment"],
+    "ou_exactness": ["ou_variance_mode0", "ou_variance_mode1", "ou_variance_mode8"],
+    "holder_exponent": ["holder_exponent"],
+}
+
+
+def all_checks_config(tmp_path, checks, scheme="euler_maruyama", n_paths=3, extra=""):
+    text = ALL_CHECKS_TEMPLATE.format(
+        scheme=scheme, n_paths=n_paths, checks=checks, extra=extra, out=tmp_path / "o"
+    )
+    return write_config(tmp_path / "c.ini", text)
+
+
+def report_rows(tmp_path):
+    lines = (tmp_path / "o" / "v_reports.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+class TestCheckTable:
+    @pytest.mark.parametrize("name", list(cli.CHECKS))
+    def test_each_check_writes_its_reports(self, tmp_path, name):
+        cfg = all_checks_config(tmp_path, name)
+        assert cli.main(["verify", "--config", cfg]) in (0, 1)
+        assert [row["name"] for row in report_rows(tmp_path)] == EXPECTED_REPORTS[name]
+
+    def test_expected_reports_cover_the_table(self):
+        assert list(EXPECTED_REPORTS) == list(cli.CHECKS)
+
+    def test_readme_lists_the_table(self):
+        readme = (ROOT / "README.md").read_text()
+        listed = re.search(r"Known verify checks: (.*?)\.\n", readme, re.DOTALL).group(1)
+        assert tuple(re.findall(r"`(\w+)`", listed)) == tuple(cli.CHECKS)
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.ini")), ids=lambda p: p.name)
+    def test_shipped_configs_build(self, path):
+        cfg = cli.load_config(path)
+        grid = cli.build_grid(cfg)
+        cli.build_model(cfg, grid)
+        cli.build_scheme(cfg)
+        assert set(cfg.get_list("experiment", "checks")) <= set(cli.CHECKS)
+
+    def test_energy_identity_steps_with_the_configured_scheme(self, tmp_path):
+        cfg_path = all_checks_config(
+            tmp_path, "energy_identity", scheme="heun_stratonovich", n_paths=2
+        )
+        assert cli.main(["verify", "--config", cfg_path]) == 0
+        cfg = cli.load_config(cfg_path)
+        grid = cli.build_grid(cfg)
+        model, u0 = cli.build_model(cfg, grid), cli.build_initial_field(cfg, grid)
+
+        def worst(kind):
+            return max(
+                energy_identity_refinement(model, u0, 0.01, [1e-4, 5e-5], 5, i, kind=kind)[-1]
+                .estimate
+                for i in range(2)
+            )
+
+        estimate = report_rows(tmp_path)[0]["estimate"]
+        assert estimate == "%.17e" % worst("heun_stratonovich")
+        assert estimate != "%.17e" % worst("euler_maruyama")
+
+    def test_energy_identity_rejects_exact_ou(self, tmp_path, capsys):
+        cfg = all_checks_config(tmp_path, "energy_identity", scheme="exact_ou")
+        assert cli.main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "energy_identity" in err and "exact_ou" in err
+
+    def test_ito_strat_misaligned_ladder_is_config_error(self, tmp_path, capsys):
+        cfg = all_checks_config(tmp_path, "ito_strat", extra="dt_ladder = 1e-3, 3e-4")
+        assert cli.main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "experiment.dt_ladder" in err and "integer multiples of the finest" in err
+
+    def test_single_path_runs_pathwise_checks(self, tmp_path):
+        cfg = all_checks_config(tmp_path, "mass_conservation, gronwall", n_paths=1)
+        assert cli.main(["verify", "--config", cfg]) == 0
+        assert [row["name"] for row in report_rows(tmp_path)] == ["mass_conservation", "gronwall"]
+
+    def test_zero_paths_is_config_error(self, tmp_path, capsys):
+        cfg = all_checks_config(tmp_path, "mass_conservation", n_paths=0)
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert "experiment.n_paths" in capsys.readouterr().err
+
+    def test_single_path_monte_carlo_check_is_config_error(self, tmp_path, capsys):
+        cfg = all_checks_config(tmp_path, "ito_isometry", n_paths=1)
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert "experiment.n_paths" in capsys.readouterr().err
 
 
 BURGERS_TEMPLATE = """

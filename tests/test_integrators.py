@@ -14,6 +14,7 @@ from spdekit.integrators import (
     exact_ou_step,
     exp_euler_step,
     heun_strat_step,
+    noise_spec,
     simulate,
 )
 from spdekit.models import AdditiveHeat, Burgers, PorousMedium, ReactionDiffusion, TransportHeat
@@ -173,6 +174,17 @@ class TestExactOu:
 
 
 class TestSimulate:
+    def test_noise_spec_per_model(self):
+        g = TorusGrid(4)
+        q = CovarianceSpec.power(g, 1.0)
+        white = noise_spec(TransportHeat(g, (0.5, 0.3)))
+        assert white.kind == "white" and white.grid == g
+        for model in (AdditiveHeat(q), ReactionDiffusion(-1.0, 3, q), Burgers(q)):
+            assert noise_spec(model) is q
+        # a sampler-free run packs with the same covariance
+        path = simulate(AdditiveHeat(q), SchemeSpec("euler_maruyama", 0.01), zero_field(g), 0.02)
+        assert path.spec is q
+
     def test_zero_horizon(self):
         g = TorusGrid(4)
         m = TransportHeat(g, (1.0,))

@@ -444,6 +444,20 @@ class TestTraceIdentity:
         spec = CovarianceSpec.power(g, 1.0)
         rep = trace_identity_mc(spec, 0.5, McConfig(5000, 9))
         assert rep.passed
+        assert rep.note == ""
+
+    def test_report_fields_recomputed_from_the_samples(self):
+        g = TorusGrid(8)
+        spec = CovarianceSpec.white(g)
+        cfg = McConfig(200, 4, tolerance_multiplier=2.5)
+        rep = trace_identity_mc(spec, 0.5, cfg)
+        z = mc_normals(cfg.base_seed, cfg.n_paths, spec.n_channels)
+        samples = np.sum(0.5 * z**2, axis=1)  # |W|^2 = T * sum of squared unit channels
+        assert rep.estimate == pytest.approx(np.mean(samples), rel=1e-12)
+        assert rep.se == pytest.approx(np.std(samples, ddof=1) / np.sqrt(200), rel=1e-12)
+        assert (rep.n, rep.tol_kind, rep.tolerance) == (200, "se", 2.5)
+        assert rep.note == "truncated white noise (K modes recorded)"
+        assert rep.metadata == {"T": 0.5, "n_modes": 8}
 
 
 class TestOuVariance:
