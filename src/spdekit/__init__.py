@@ -32,7 +32,6 @@ from .noise import (
     NoiseSampler,
     covariance_pairing,
     hs_norm_sq,
-    sample_increment,
     trace,
 )
 from .models import (

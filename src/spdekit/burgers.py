@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .integrators import SamplePath, SchemeSpec, simulate
+from .integrators import SamplePath, SchemeSpec, _resolve_steps, simulate
 from .models import AdditiveHeat, Burgers, nonlinear_quad_points
 from .noise import CovarianceSpec, NoiseSampler
 from .spectral import SpectralField, TorusGrid, _coef_to_samples, l2_sq_rows, zero_field
@@ -87,13 +87,11 @@ class BurgersProblem:
             object.__setattr__(self, "q", CovarianceSpec.mean_free_white(self.grid))
         elif self.q.grid != self.grid:
             raise ValueError("covariance grid does not match problem grid")
+        _resolve_steps(self.T, self.dt)
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.T / self.dt))
-        if abs(n * self.dt - self.T) > 1e-9 * max(self.T, self.dt):
-            raise ValueError(f"dt={self.dt} does not divide T={self.T}")
-        return n
+        return _resolve_steps(self.T, self.dt)
 
     @property
     def quad_points(self) -> int:

@@ -35,7 +35,8 @@ import numpy as np
 
 from . import burgers as burgers_mod
 from . import verify as verify_mod
-from .integrators import BlowUpError, SamplePath, SchemeSpec, noise_spec, simulate
+from .integrators import BlowUpError, SamplePath, SchemeSpec, check_scheme, noise_spec, simulate
+from .integrators import _resolve_steps
 from .models import (
     AdditiveHeat,
     Burgers,
@@ -319,12 +320,8 @@ REPORT_HEADER = ["name", "estimate", "target", "se", "n", "pass", "seed", "toler
 
 def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
     grid = build_grid(cfg)
-    model = build_model(cfg, grid)
-    scheme = build_scheme(cfg)
-    T = cfg.get_float("experiment", "t", required=True)
-    u0 = build_initial_field(cfg, grid)
-    sampler = NoiseSampler(noise_spec(model), seed, 0)
-    path = simulate(model, scheme, u0, T, sampler=sampler)
+    model, scheme, T, u0 = _path_run(cfg, grid)
+    path = _sample_path(model, scheme, u0, T, seed, 0)
 
     prefix = output_prefix(cfg)
     norms_file = out / f"{prefix}_norms.csv"
@@ -384,12 +381,28 @@ def _mc_config(cfg: RunConfig, seed: int) -> verify_mod.McConfig:
         raise ConfigError(f"experiment.n_paths invalid for a Monte Carlo check: {exc}") from exc
 
 
-def _path_run(cfg: RunConfig, grid: TorusGrid):
-    """(model, scheme, T, u0) of the configured path experiment."""
+def _check_steps(T: float, dt: float, where: str = "") -> None:
+    try:
+        _resolve_steps(T, dt)
+    except ValueError as exc:
+        raise ConfigError(f"{where}scheme.dt / experiment.t: {exc}") from exc
+
+
+def _path_run(cfg: RunConfig, grid: TorusGrid, check: str = ""):
+    """(model, scheme, T, u0) of the configured path experiment, checked for stepping.
+
+    ``check`` names the verify check in the ConfigError of a bad scheme or dt.
+    """
+    where = f"{check} with " if check else ""
     model = build_model(cfg, grid)
     scheme = build_scheme(cfg)
     T = cfg.get_float("experiment", "t", required=True)
     u0 = build_initial_field(cfg, grid)
+    try:
+        check_scheme(model, scheme.kind)
+    except ValueError as exc:
+        raise ConfigError(f"{where}scheme.kind = {scheme.kind}: {exc}") from exc
+    _check_steps(T, scheme.dt, where)
     return model, scheme, T, u0
 
 
@@ -420,7 +433,7 @@ def _skipped(name, note, tol_kind="abs", tolerance=0.0, value=0.0):
 
 
 def _check_mass_conservation(cfg, grid, seed):
-    model, scheme, T, u0 = _path_run(cfg, grid)
+    model, scheme, T, u0 = _path_run(cfg, grid, "mass_conservation")
     if isinstance(model, (AdditiveHeat, ReactionDiffusion, PorousMedium)):
         return _skipped(
             "mass_conservation", "inapplicable: mean mode is a Brownian motion for additive noise"
@@ -432,23 +445,20 @@ def _check_mass_conservation(cfg, grid, seed):
 
 
 def _check_energy_identity(cfg, grid, seed):
-    model, scheme, T, u0 = _path_run(cfg, grid)
+    model, scheme, T, u0 = _path_run(cfg, grid, "energy_identity")
     _require_transport(model, "energy_identity")
     rel_tol = cfg.get_float("experiment", "rel_tol", 0.05)
     dts = [scheme.dt, scheme.dt / 2.0]
-    try:
-        return _worst_path(
-            cfg,
-            lambda i: verify_mod.energy_identity_refinement(
-                model, u0, T, dts, seed, i, rel_tol, kind=scheme.kind
-            )[-1],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"energy_identity with scheme.kind = {scheme.kind}: {exc}") from exc
+    return _worst_path(
+        cfg,
+        lambda i: verify_mod.energy_identity_refinement(
+            model, u0, T, dts, seed, i, rel_tol, kind=scheme.kind
+        )[-1],
+    )
 
 
 def _check_gronwall(cfg, grid, seed):
-    model, scheme, T, u0 = _path_run(cfg, grid)
+    model, scheme, T, u0 = _path_run(cfg, grid, "gronwall")
     _require_transport(model, "gronwall")
     slack = cfg.get_float("experiment", "slack", 0.05)
     if model.sigma_total >= 2.0:
@@ -527,7 +537,10 @@ def _check_quadratic_variation(cfg, grid, seed):
 
 def _check_ito_strat(cfg, grid, seed):
     mc = _mc_config(cfg, seed)
-    model, scheme, T, u0 = _path_run(cfg, grid)
+    # the ladder, not [scheme], sets the steps here
+    model = build_model(cfg, grid)
+    T = cfg.get_float("experiment", "t", required=True)
+    u0 = build_initial_field(cfg, grid)
     _require_transport(model, "ito_strat")
     ladder = cfg.get_floats("experiment", "dt_ladder", [1e-3, 2.5e-4, 6.25e-5])
     try:
@@ -584,6 +597,7 @@ def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
     grid = build_grid(cfg)
     T = cfg.get_float("experiment", "t", required=True)
     dt = cfg.get_float("scheme", "dt", required=True)
+    _check_steps(T, dt)
     w0 = build_initial_field(cfg, grid, key="w0")
     try:
         problem = burgers_mod.BurgersProblem(

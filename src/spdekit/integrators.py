@@ -11,7 +11,10 @@ Four schemes are provided:
   additive noise enters as an exact stochastic-convolution increment
   (AdditiveHeat) or as the semigroup image of the plain increment otherwise.
 * ``exact_ou_step`` -- the distributionally exact transition of the diagonal
-  Ornstein-Uhlenbeck system dv = Lap v dt + Q^(1/2) dW.
+  Ornstein-Uhlenbeck system dv = Lap v dt + Q^(1/2) dW, which is exponential
+  Euler on AdditiveHeat.
+
+``check_scheme`` holds the rules for which scheme may step which model.
 
 ``simulate`` drives whole paths and records every state together with the
 consumed channel increments, so pathwise identities can be replayed.  The
@@ -44,13 +47,7 @@ from .models import (
     drift,
     transport_noise_amplitude,
 )
-from .noise import (
-    CovarianceSpec,
-    NoiseIncrement,
-    NoiseSampler,
-    increment_from_scaled,
-    pack_draws,
-)
+from .noise import CovarianceSpec, NoiseIncrement, NoiseSampler, increment_from_scaled, pack_draws
 from .spectral import SpectralField, TorusGrid, heat_semigroup, l2_sq_rows, laplacian
 
 __all__ = [
@@ -58,6 +55,7 @@ __all__ = [
     "SchemeSpec",
     "BlowUpError",
     "SCHEME_KINDS",
+    "check_scheme",
     "BLOW_UP_NORM",
     "em_step",
     "heun_strat_step",
@@ -101,6 +99,16 @@ class SchemeSpec:
             raise ValueError(f"unknown scheme {self.kind!r}; expected one of {SCHEME_KINDS}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+
+
+def check_scheme(model: ModelSpec, kind: str) -> None:
+    """Raise ValueError if the scheme ``kind`` cannot step ``model``."""
+    if kind == "exact_ou" and not isinstance(model, AdditiveHeat):
+        raise ValueError("exact_ou scheme applies to the AdditiveHeat model only")
+    if kind == "heun_stratonovich" and not isinstance(model, TransportHeat):
+        raise ValueError("heun_stratonovich applies to the TransportHeat model only")
+    if kind == "exponential_euler" and isinstance(model, PorousMedium) and model.m != 2:
+        raise ValueError("PorousMedium has no Laplacian linear part; exponential Euler undefined")
 
 
 @dataclass(frozen=True)
@@ -178,8 +186,7 @@ def heun_strat_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> 
     deterministic drift is explicit, the noise slope is averaged between the
     base point and the Euler predictor.
     """
-    if not isinstance(model, TransportHeat):
-        raise ValueError("heun_strat_step applies to the TransportHeat model only")
+    check_scheme(model, "heun_stratonovich")
     _check_inc(u, inc)
     s = transport_noise_amplitude(model, inc)
     a = u.grid.angular
@@ -224,18 +231,14 @@ def _ou_rescale(spec: CovarianceSpec, dt: float) -> np.ndarray:
     return g
 
 
-def exact_ou_step(
-    q: CovarianceSpec, v: SpectralField, dt: float, sampler: NoiseSampler
-) -> SpectralField:
-    """Distributionally exact transition of dv = Lap v dt + Q^(1/2) dW."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if v.grid != q.grid:
-        raise ValueError("state grid does not match covariance grid")
-    z = sampler.next_standard_draws()
-    eta = pack_draws(q, z * np.sqrt(dt) * _ou_rescale(q, dt))
-    decay = np.exp(-q.grid.laplacian_eigs * dt)
-    return SpectralField(v.grid, decay * v.coef + eta)
+def exact_ou_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> SpectralField:
+    """Distributionally exact transition of dv = Lap v dt + Q^(1/2) dW (AdditiveHeat).
+
+    On the diagonal OU system exponential Euler integrates the linear part
+    and the stochastic convolution exactly, so the two schemes coincide.
+    """
+    check_scheme(model, "exact_ou")
+    return exp_euler_step(model, u, inc)
 
 
 def _nonlinear_drift(model: ModelSpec, u: SpectralField) -> SpectralField:
@@ -267,6 +270,9 @@ def exp_euler_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> S
 
 
 def _resolve_steps(T: float, dt: float) -> int:
+    """Number of steps of length ``dt`` in the horizon ``T``; ValueError unless it divides."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
     n = int(round(T / dt)) if T > 0 else 0
@@ -296,9 +302,8 @@ def simulate(
 ) -> SamplePath:
     """Run the scheme from u0 to time T, recording states and increments.
 
-    Noise comes from ``sampler`` (reproducible per (seed, stream_id); steps
-    0..n_steps-1 of its stream are consumed by counter, regardless of the
-    sampler's current position) or from a pre-scaled draw matrix of shape
+    Noise comes from ``sampler`` (steps 0..n_steps-1 of its stream
+    (seed, stream_id)) or from a pre-scaled draw matrix of shape
     (n_steps, 2K+1) -- the latter lets refinement studies drive several dt
     levels with one Brownian path.  With neither, the increments are zero
     (deterministic run).  Raises :class:`BlowUpError` at the time of the
@@ -307,6 +312,7 @@ def simulate(
     grid = model.grid
     if u0.grid != grid:
         raise ValueError("initial state grid does not match model grid")
+    check_scheme(model, scheme.kind)
     dt = scheme.dt
     n_steps = _resolve_steps(T, dt)
     if sampler is not None and sampler.spec.grid != grid:
@@ -329,11 +335,6 @@ def simulate(
     states[0] = u0.coef
     if n_steps == 0:
         return SamplePath(grid, times, states, scaled, spec)
-
-    if scheme.kind == "exact_ou" and not isinstance(model, AdditiveHeat):
-        raise ValueError("exact_ou scheme applies to the AdditiveHeat model only")
-    if scheme.kind == "heun_stratonovich" and not isinstance(model, TransportHeat):
-        raise ValueError("heun_stratonovich applies to the TransportHeat model only")
 
     if isinstance(model, (TransportHeat, AdditiveHeat)):
         # Fourier-diagonal: each mode follows its own scalar recursion, so the
@@ -378,10 +379,6 @@ def _step_nonlinear(
     dt = scheme.dt
     kernel = DriftKernel(model)
     if scheme.kind == "exponential_euler":
-        if isinstance(model, PorousMedium) and model.m != 2:
-            raise ValueError(
-                "PorousMedium has no Laplacian linear part; exponential Euler undefined"
-            )
         decay = np.exp(-model.grid.laplacian_eigs * dt)
         nonlinear = (lambda c: 0.0) if isinstance(model, PorousMedium) else kernel.nonlinear
 

@@ -50,7 +50,6 @@ __all__ = [
     "Burgers",
     "ModelSpec",
     "HypothesisReport",
-    "model_grid",
     "nonlinear_quad_points",
     "DriftKernel",
     "drift",
@@ -154,10 +153,6 @@ class HypothesisReport:
     @property
     def satisfied(self) -> bool:
         return self.margin >= 0.0
-
-
-def model_grid(model: ModelSpec) -> TorusGrid:
-    return model.grid
 
 
 def _nonlinear_degree(model: ModelSpec) -> int:

@@ -12,9 +12,10 @@ spectrum so that the increment field is real and
 
     Var <dW, e_k> = lambda_k * dt        for every mode k.
 
-Draws are derived counter-style from a Philox generator keyed by
-(seed, stream_id) with the block counter advancing along the path, so
-distinct streams can be generated in any order and still reproduce.
+Every normal comes from :func:`stream_normals`: the Philox stream keyed
+(seed, stream) read from counter block ``chunk``.  A path's step s is row
+s mod 256 of counter block s // 256 of its stream, so distinct streams and
+blocks can be generated in any order and still reproduce.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = [
     "NoiseIncrement",
     "trace",
     "hs_norm_sq",
-    "sample_increment",
+    "stream_normals",
     "covariance_pairing",
     "pack_draws",
     "coarsen_increments",
@@ -181,14 +182,38 @@ class NoiseIncrement:
         return self.per_mode[:count]
 
 
-class NoiseSampler:
-    """Reproducible increment stream for one (seed, stream_id) pair.
+def stream_normals(seed: int, streams, cols: int, chunk: int = 0) -> np.ndarray:
+    """Standard normals of counter-keyed Philox streams, shape (len(streams), cols).
 
-    Single-owner and stateful: ``sample_increment`` walks forward through
-    the stream.  The draw for (stream, step, channel) is a pure function of
-    (seed, stream_id, step, channel) and the channel count 2K+1, so paths
-    can be generated per stream in any order.  A step's channels are read
-    from one stream, so the same channel changes with K.
+    Row ``i`` is the first ``cols`` normals of the Philox stream keyed
+    ``(seed, streams[i])`` at counter ``[0, 0, 0, chunk]``, i.e. of
+    ``Generator(Philox(key=[seed, streams[i]], counter=[0, 0, 0, chunk]))
+    .standard_normal(cols)``.  This is the one place a Philox key is chosen.
+    """
+    bitgen = np.random.Philox(
+        key=np.array([seed, 0], dtype=np.uint64),
+        counter=np.array([0, 0, 0, chunk], dtype=np.uint64),
+    )
+    gen = np.random.Generator(bitgen)
+    # a Philox stream is fixed by its key and counter alone, so one generator
+    # re-keyed from its fresh state draws what a new generator per row would
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    out = np.empty((len(streams), cols))
+    for row, stream in zip(out, streams):
+        key[1] = stream
+        bitgen.state = fresh
+        gen.standard_normal(out=row)
+    return out
+
+
+class NoiseSampler:
+    """Reproducible channel draws of the stream ``(seed, stream_id)``.
+
+    Stateless: the draw for (step, channel) is a pure function of (seed,
+    stream_id, step, channel) and the channel count 2K+1, so paths and blocks
+    can be generated in any order.  A step's channels are read from one
+    stream, so the same channel changes with K.
     """
 
     def __init__(self, spec: CovarianceSpec, seed: int, stream_id: int = 0):
@@ -197,42 +222,17 @@ class NoiseSampler:
         self.spec = spec
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        self._step = 0
-        self._chunk = -1
-        self._block: np.ndarray | None = None
-
-    def _load_chunk(self, chunk: int) -> np.ndarray:
-        if chunk != self._chunk:
-            bitgen = np.random.Philox(
-                key=np.array([self.seed, self.stream_id], dtype=np.uint64),
-                counter=np.array([0, 0, 0, chunk], dtype=np.uint64),
-            )
-            gen = np.random.Generator(bitgen)
-            self._block = gen.standard_normal((_CHUNK, self.spec.n_channels))
-            self._chunk = chunk
-        return self._block
-
-    def standard_draws(self, step: int) -> np.ndarray:
-        """Unit-variance draws for one step, shape (2K+1,)."""
-        block = self._load_chunk(step // _CHUNK)
-        return block[step % _CHUNK].copy()
-
-    def next_standard_draws(self) -> np.ndarray:
-        """Unit-variance draws at the current position, advancing the stream."""
-        z = self.standard_draws(self._step)
-        self._step += 1
-        return z
 
     def draws_block(self, step0: int, n_steps: int) -> np.ndarray:
-        """Unit-variance draws for steps step0..step0+n_steps-1."""
-        out = np.empty((n_steps, self.spec.n_channels))
+        """Unit-variance draws for steps step0..step0+n_steps-1, shape (n_steps, 2K+1)."""
+        width = self.spec.n_channels
+        out = np.empty((n_steps, width))
         i = 0
         while i < n_steps:
-            step = step0 + i
-            block = self._load_chunk(step // _CHUNK)
-            lo = step % _CHUNK
+            chunk, lo = divmod(step0 + i, _CHUNK)
             take = min(_CHUNK - lo, n_steps - i)
-            out[i : i + take] = block[lo : lo + take]
+            block = stream_normals(self.seed, [self.stream_id], _CHUNK * width, chunk)
+            out[i : i + take] = block.reshape(_CHUNK, width)[lo : lo + take]
             i += take
         return out
 
@@ -242,16 +242,6 @@ class NoiseSampler:
             raise ValueError(f"dt must be positive, got {dt}")
         return self.draws_block(step0, n_steps) * np.sqrt(dt)
 
-    def sample_increment(self, dt: float) -> NoiseIncrement:
-        """Next increment in the stream (advances the sampler)."""
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        scaled = self.next_standard_draws() * np.sqrt(dt)
-        return increment_from_scaled(self.spec, scaled, dt)
-
-    def reset(self) -> None:
-        self._step = 0
-
 
 def increment_from_scaled(
     spec: CovarianceSpec, scaled: np.ndarray, dt: float
@@ -259,10 +249,6 @@ def increment_from_scaled(
     """Wrap pre-scaled channel draws (N(0, dt)) as a NoiseIncrement."""
     fld = SpectralField(spec.grid, pack_draws(spec, scaled))
     return NoiseIncrement(dt=dt, field=fld, per_mode=scaled)
-
-
-def sample_increment(sampler: NoiseSampler, dt: float) -> NoiseIncrement:
-    return sampler.sample_increment(dt)
 
 
 def coarsen_increments(scaled: np.ndarray, factor: int) -> np.ndarray:

@@ -36,6 +36,7 @@ from .noise import (
     covariance_pairing,
     hs_norm_sq,
     pack_draws,
+    stream_normals,
     trace,
 )
 from .spectral import SpectralField, TorusGrid, l2_sq_rows
@@ -129,27 +130,12 @@ class StatReport:
 _mc_block: dict[tuple[int, int, int], np.ndarray] = {}
 
 
-def _draw_normals(seed: int, n_paths: int, stream0: int, cols: int) -> np.ndarray:
-    # a Philox stream is fixed by its key alone, so one generator re-keyed
-    # from its fresh state draws what a new generator per path would
-    bitgen = np.random.Philox(key=np.array([seed, stream0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    key = fresh["state"]["key"]
-    out = np.empty((n_paths, cols))
-    for i in range(n_paths):
-        key[1] = stream0 + i
-        bitgen.state = fresh
-        gen.standard_normal(out=out[i])
-    return out
-
-
 def mc_normals(seed: int, n_paths: int, cols: int, stream0: int = 0) -> np.ndarray:
     """Per-path standard normals from counter-keyed streams, shape (n_paths, cols).
 
     Row ``i`` is the first ``cols`` normals of the Philox stream keyed
-    ``(seed, stream0 + i)``, i.e. of
-    ``Generator(Philox(key=[seed, stream0 + i])).standard_normal(cols)``.
+    ``(seed, stream0 + i)``: row ``i`` of
+    ``noise.stream_normals(seed, range(stream0, stream0 + n_paths), cols)``.
     The ziggurat consumes a stream in order, so a narrower request is the
     leading columns of a wider one: repeated requests under one key are served
     from the widest block drawn so far, and every Monte Carlo check of a
@@ -158,7 +144,7 @@ def mc_normals(seed: int, n_paths: int, cols: int, stream0: int = 0) -> np.ndarr
     memo = (int(seed), int(n_paths), int(stream0))
     if memo not in _mc_block or _mc_block[memo].shape[1] < cols:
         _mc_block.clear()  # release the old block before drawing the new one
-        z = _draw_normals(*memo, cols)
+        z = stream_normals(seed, range(stream0, stream0 + n_paths), cols)
         z.flags.writeable = False
         _mc_block[memo] = z
     return _mc_block[memo][:, :cols]
@@ -412,8 +398,7 @@ def gaussian_moment_ratio(spec: CovarianceSpec, cfg: McConfig) -> StatReport:
 
 def brownian_scalar_path(seed: int, n_intervals: int, t: float, stream_id: int = 0) -> np.ndarray:
     """Standard Brownian samples on the uniform grid 0..t with n intervals."""
-    bitgen = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))
-    inc = np.random.Generator(bitgen).standard_normal(n_intervals) * np.sqrt(t / n_intervals)
+    inc = stream_normals(seed, [stream_id], n_intervals)[0] * np.sqrt(t / n_intervals)
     out = np.empty(n_intervals + 1)
     out[0] = 0.0
     np.cumsum(inc, out=out[1:])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spdekit.noise import NoiseSampler, increment_from_scaled
 from spdekit.spectral import SpectralField, TorusGrid, field_from_modes
 
 
@@ -33,3 +34,9 @@ def cos_field(grid, amplitude=1.0, mode=1):
 def sin_field(grid, amplitude=1.0, mode=1):
     """amplitude * sin(2 pi mode x)."""
     return field_from_modes(grid, [(mode, amplitude / 2j)])
+
+
+def sampled_increment(spec, seed, dt, stream=0, step=0):
+    """The increment of step ``step`` of the noise stream (seed, stream)."""
+    sampler = NoiseSampler(spec, seed, stream)
+    return increment_from_scaled(spec, sampler.scaled_block(step, 1, dt)[0], dt)

@@ -483,6 +483,59 @@ class TestCheckTable:
         assert "experiment.n_paths" in capsys.readouterr().err
 
 
+def stepping_error_config(tmp_path, case):
+    """(command, config path) of a configuration the stepping layer rejects."""
+    out = tmp_path / "o"
+    sim = BASE_SIM.format(out=out)
+    transport = "kind = transport_heat\nsigma = 1.0"
+    if case == "simulate_transport_exact_ou":
+        text = sim.replace("euler_maruyama", "exact_ou")
+        return "simulate", write_config(tmp_path / "c.ini", text)
+    if case == "verify_transport_exact_ou":
+        return "verify", all_checks_config(tmp_path, "mass_conservation, gronwall", "exact_ou")
+    if case == "simulate_reaction_diffusion_heun":
+        text = sim.replace(transport, "kind = reaction_diffusion\ntheta = -1\nm = 3")
+        text = text.replace("euler_maruyama", "heun_stratonovich")
+        return "simulate", write_config(tmp_path / "c.ini", text)
+    if case == "simulate_porous_medium_m3_exp_euler":
+        text = sim.replace(transport, "kind = porous_medium\nm = 3")
+        text = text.replace("euler_maruyama", "exponential_euler")
+        return "simulate", write_config(tmp_path / "c.ini", text)
+    if case == "simulate_dt_does_not_divide":
+        return "simulate", write_config(tmp_path / "c.ini", sim.replace("dt = 1e-4", "dt = 3e-3"))
+    if case == "verify_dt_does_not_divide":
+        text = all_checks_config(tmp_path, "mass_conservation")
+        return "verify", write_config(
+            tmp_path / "c.ini", Path(text).read_text().replace("dt = 1e-4", "dt = 3e-3")
+        )
+    text = (ROOT / "configs" / "burgers_ensemble.ini").read_text()
+    text = text.replace("dt = 2.5e-4", "dt = 3e-3").replace("directory = out", f"directory = {out}")
+    return "burgers", write_config(tmp_path / "c.ini", text)
+
+
+class TestSteppingConfigErrors:
+    # a scheme that cannot step the model, or a dt that does not divide the
+    # horizon, is a configuration error naming its key, whatever the command
+
+    @pytest.mark.parametrize(
+        "case, key",
+        [
+            ("simulate_transport_exact_ou", "scheme.kind = exact_ou"),
+            ("verify_transport_exact_ou", "scheme.kind = exact_ou"),
+            ("simulate_reaction_diffusion_heun", "scheme.kind = heun_stratonovich"),
+            ("simulate_porous_medium_m3_exp_euler", "scheme.kind = exponential_euler"),
+            ("simulate_dt_does_not_divide", "scheme.dt / experiment.t"),
+            ("verify_dt_does_not_divide", "scheme.dt / experiment.t"),
+            ("burgers_dt_does_not_divide", "scheme.dt / experiment.t"),
+        ],
+    )
+    def test_exit_two_naming_the_key(self, tmp_path, capsys, case, key):
+        command, cfg = stepping_error_config(tmp_path, case)
+        assert cli.main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and key in err
+
+
 BURGERS_TEMPLATE = """
 [model]
 kind = burgers

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import cos_field, make_random_field, sin_field
+from conftest import cos_field, make_random_field, sampled_increment, sin_field
 from spdekit.integrators import (
     _BLOW_UP_BLOCK,
     BLOW_UP_NORM,
@@ -64,7 +64,7 @@ class TestEmStep:
         g = TorusGrid(4)
         q = CovarianceSpec.white(g)
         m = AdditiveHeat(q)
-        inc = NoiseSampler(q, 3).sample_increment(0.01)
+        inc = sampled_increment(q, 3, 0.01)
         out = em_step(m, zero_field(g), inc)
         assert np.array_equal(out.coef, inc.field.coef)
 
@@ -83,7 +83,7 @@ class TestHeunStep:
         g = TorusGrid(8)
         m = TransportHeat(g, (0.0,))
         u = make_random_field(g, 5)
-        inc = NoiseSampler(CovarianceSpec.white(g), 7).sample_increment(1e-3)
+        inc = sampled_increment(CovarianceSpec.white(g), 7, 1e-3)
         a = heun_strat_step(m, u, inc)
         b = em_step(m, u, inc)
         assert np.allclose(a.coef, b.coef, atol=1e-15)
@@ -137,26 +137,31 @@ class TestExactOu:
     def test_zero_stays_zero(self):
         g = TorusGrid(4)
         q = CovarianceSpec.from_eigenvalues(g, np.zeros(5))
-        s = NoiseSampler(q, 1)
-        out = exact_ou_step(q, zero_field(g), 0.1, s)
+        out = exact_ou_step(AdditiveHeat(q), zero_field(g), sampled_increment(q, 1, 0.1))
         assert np.all(out.coef == 0)
 
     def test_dt_validation(self):
         g = TorusGrid(4)
         q = CovarianceSpec.white(g)
+        inc = increment_from_scaled(q, np.zeros(9), -0.1)
         with pytest.raises(ValueError, match="positive"):
-            exact_ou_step(q, zero_field(g), -0.1, NoiseSampler(q, 1))
+            exact_ou_step(AdditiveHeat(q), zero_field(g), inc)
+
+    def test_wrong_model_rejected(self):
+        g = TorusGrid(4)
+        with pytest.raises(ValueError, match="AdditiveHeat"):
+            exact_ou_step(TransportHeat(g, (1.0,)), cos_field(g), zero_inc(g, 0.1))
 
     def test_stationary_variance(self):
         # long-time marginal of mode k reaches lambda/(2 mu) (3 SE at n draws)
         g = TorusGrid(4)
         q = CovarianceSpec.white(g)
+        m = AdditiveHeat(q)
         n, k, dt = 4000, 1, 5.0  # mu*dt >> 1: one step reaches stationarity
         mu = g.laplacian_eigs[k]
         samples = np.empty(n)
         for i in range(n):
-            s = NoiseSampler(q, 100, i)
-            out = exact_ou_step(q, zero_field(g), dt, s)
+            out = exact_ou_step(m, zero_field(g), sampled_increment(q, 100, dt, stream=i))
             samples[i] = abs(out.amp(k)) ** 2
         target = 1.0 / (2 * mu)
         se = np.std(samples, ddof=1) / np.sqrt(n)
@@ -276,6 +281,7 @@ REFERENCE_STEPS = {
     "euler_maruyama": em_step,
     "heun_stratonovich": heun_strat_step,
     "exponential_euler": exp_euler_step,
+    "exact_ou": exact_ou_step,
 }
 
 
@@ -305,7 +311,7 @@ class TestDiagonalLanes:
         ref = reference_states(m, kind, u0, scaled, spec, dt)
         np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("kind", ["euler_maruyama", "exponential_euler"])
+    @pytest.mark.parametrize("kind", ["euler_maruyama", "exponential_euler", "exact_ou"])
     def test_additive_matches_per_step_reference(self, kind):
         g = TorusGrid(8)
         q = CovarianceSpec.power(g, 1.0)

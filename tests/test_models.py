@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import cos_field, make_random_field, sin_field
+from conftest import cos_field, make_random_field, sampled_increment, sin_field
 from spdekit.models import (
     AdditiveHeat,
     Burgers,
@@ -18,7 +18,7 @@ from spdekit.models import (
     monotonicity_check,
     nonlinear_quad_points,
 )
-from spdekit.noise import CovarianceSpec, NoiseSampler, increment_from_scaled
+from spdekit.noise import CovarianceSpec, increment_from_scaled
 from spdekit.spectral import (
     TorusGrid,
     derivative,
@@ -36,7 +36,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def white_inc(grid, seed, dt=0.01):
-    return NoiseSampler(CovarianceSpec.white(grid), seed).sample_increment(dt)
+    return sampled_increment(CovarianceSpec.white(grid), seed, dt)
 
 
 def unit_channel_increment(grid, dt, delta):

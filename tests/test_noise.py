@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from conftest import cos_field, make_random_field, sin_field
+from conftest import cos_field, make_random_field, sampled_increment, sin_field
 from spdekit.noise import (
     CovarianceSpec,
     NoiseSampler,
     coarsen_increments,
     covariance_pairing,
     hs_norm_sq,
-    sample_increment,
+    stream_normals,
     trace,
 )
 from spdekit.spectral import TorusGrid, field_from_modes
+from spdekit.verify import brownian_scalar_path
 
 
 class TestCovarianceSpec:
@@ -104,17 +105,17 @@ class TestSampling:
     def test_dt_validation(self):
         sampler = NoiseSampler(CovarianceSpec.white(TorusGrid(2)), 1)
         with pytest.raises(ValueError, match="positive"):
-            sampler.sample_increment(0.0)
+            sampler.scaled_block(0, 1, 0.0)
 
     def test_zero_spectrum_gives_zero_field(self):
         spec = CovarianceSpec.from_eigenvalues(TorusGrid(4), np.zeros(5))
-        inc = NoiseSampler(spec, 1).sample_increment(0.1)
+        inc = sampled_increment(spec, 1, 0.1)
         assert np.all(inc.field.coef == 0)
         assert np.any(inc.per_mode != 0)  # draws are made, the operator kills them
 
     def test_hermitian_and_mean_real(self):
         spec = CovarianceSpec.white(TorusGrid(8))
-        inc = NoiseSampler(spec, 5).sample_increment(0.01)
+        inc = sampled_increment(spec, 5, 0.01)
         assert inc.field.coef[0].imag == 0.0
 
     def test_reproducibility_and_stream_independence(self):
@@ -131,18 +132,9 @@ class TestSampling:
         spec = CovarianceSpec.white(TorusGrid(3))
         s = NoiseSampler(spec, 11, 2)
         block = s.draws_block(250, 20)  # spans the 256-row chunk boundary
-        rows = np.array([NoiseSampler(spec, 11, 2).standard_draws(250 + i) for i in range(20)])
+        fresh = NoiseSampler(spec, 11, 2)
+        rows = np.concatenate([fresh.draws_block(250 + i, 1) for i in range(20)])
         assert np.array_equal(block, rows)
-
-    def test_sequential_increments_walk_the_stream(self):
-        spec = CovarianceSpec.white(TorusGrid(3))
-        s = NoiseSampler(spec, 13)
-        first = s.sample_increment(0.1)
-        second = s.sample_increment(0.1)
-        assert not np.array_equal(first.per_mode, second.per_mode)
-        s.reset()
-        again = s.sample_increment(0.1)
-        assert np.array_equal(first.per_mode, again.per_mode)
 
     def test_gaussian_moments(self):
         spec = CovarianceSpec.white(TorusGrid(2))
@@ -214,12 +206,50 @@ class TestSampling:
 
     def test_scalar_increments_bounds(self):
         spec = CovarianceSpec.white(TorusGrid(2))
-        inc = NoiseSampler(spec, 37).sample_increment(0.1)
+        inc = sampled_increment(spec, 37, 0.1)
         assert inc.scalar_increments(3).shape == (3,)
         with pytest.raises(ValueError, match="channels requested"):
             inc.scalar_increments(99)
 
-    def test_module_level_sample_increment(self):
-        spec = CovarianceSpec.white(TorusGrid(2))
-        inc = sample_increment(NoiseSampler(spec, 41), 0.2)
-        assert inc.dt == 0.2
+
+class TestRandomnessContract:
+    # every normal is read from the Philox stream keyed (seed, stream) at
+    # counter [0, 0, 0, chunk]; a path's step s is row s mod 256 of chunk s // 256
+
+    @staticmethod
+    def philox_normals(seed, stream, chunk, shape):
+        bitgen = np.random.Philox(
+            key=np.array([seed, stream], dtype=np.uint64),
+            counter=np.array([0, 0, 0, chunk], dtype=np.uint64),
+        )
+        return np.random.Generator(bitgen).standard_normal(shape)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [0, 7, 2**40])
+    @pytest.mark.parametrize("modes", [0, 3, 32])
+    def test_draws_block_rows_are_counter_blocks(self, seed, stream, modes):
+        spec = CovarianceSpec.white(TorusGrid(modes))
+        sampler = NoiseSampler(spec, seed, stream)
+        width = spec.n_channels
+        chunks = np.concatenate(
+            [self.philox_normals(seed, stream, c, (256, width)) for c in range(3)]
+        )
+        for step0, n_steps in ((0, 0), (0, 256), (250, 20), (255, 1), (256, 300), (511, 257)):
+            block = sampler.draws_block(step0, n_steps)
+            assert block.shape == (n_steps, width)
+            assert np.array_equal(block, chunks[step0 : step0 + n_steps])
+
+    def test_stream_normals_rows_are_keyed_streams(self):
+        rows = stream_normals(2**64 - 1, [3, 2**40, 3], 10, chunk=4)
+        for row, stream in zip(rows, (3, 2**40, 3)):
+            assert np.array_equal(row, self.philox_normals(2**64 - 1, stream, 4, 10))
+        assert stream_normals(1, [], 5).shape == (0, 5)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_brownian_scalar_path_is_a_stream_cumsum(self, seed):
+        n, t = 1000, 0.7
+        path = brownian_scalar_path(seed, n, t, stream_id=2**40)
+        inc = self.philox_normals(seed, 2**40, 0, n) * np.sqrt(t / n)
+        assert path[0] == 0.0
+        assert np.array_equal(path[1:], np.cumsum(inc))
+        assert np.array_equal(stream_normals(seed, [2**40], n)[0] * np.sqrt(t / n), inc)
