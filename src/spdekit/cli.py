@@ -264,6 +264,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _open_new(path: Path):
+    """Open ``path`` for writing as a new file: a rerun replaces each output.
+
+    Unlinking first means a link at ``path`` is replaced, not written
+    through, and no existing file is truncated in place.
+    """
+    path.unlink(missing_ok=True)
+    return open(path, "w", newline="")
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write the header and the rows: a list of rows or a structured array.
 
@@ -271,7 +281,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     is formatted with one %-string per row, integer fields as ``%d`` and the
     others as ``%.17e``: the bytes :func:`_fmt` gives row by row.
     """
-    with open(path, "w", newline="") as fh:
+    with _open_new(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         if isinstance(rows, np.ndarray):
@@ -291,7 +301,7 @@ def write_manifest(path: Path, cfg: RunConfig, command: str, seed: int, outputs)
         "outputs": sorted(str(o) for o in outputs),
         "created_unix": time.time(),
     }
-    with open(path, "w") as fh:
+    with _open_new(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -353,6 +363,7 @@ def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
                 f"experiment.checks names unknown check {name!r}; known: {', '.join(CHECKS)}"
             )
     grid = build_grid(cfg)
+    _draw_widest_block(cfg, grid, seed, checks)
     reports: list[verify_mod.StatReport] = []
     for name in checks:
         reports.extend(CHECKS[name](cfg, grid, seed))
@@ -473,21 +484,23 @@ def _check_gronwall(cfg, grid, seed):
     )
 
 
-def _check_ito_isometry(cfg, grid, seed):
-    mc = _mc_config(cfg, seed)
-    T = cfg.get_float("experiment", "t", required=True)
+def _phi_weights(cfg):
+    """(phi, lambda) of the ito_isometry check: one weight and variance per channel."""
     phi_kind = cfg.get_str("experiment", "phi", "single_mode")
     count = cfg.get_int("experiment", "phi_count", 16)
     if phi_kind == "single_mode":
-        phi, lam = np.array([1.0]), np.array([1.0])
-    elif phi_kind == "inverse_k":
-        phi = 1.0 / np.arange(1, count + 1)
-        lam = np.ones(count)
-    elif phi_kind == "white":
-        phi = np.ones(2 * count + 1)
-        lam = np.ones(2 * count + 1)
-    else:
-        raise ConfigError("experiment.phi must be single_mode|inverse_k|white")
+        return np.array([1.0]), np.array([1.0])
+    if phi_kind == "inverse_k":
+        return 1.0 / np.arange(1, count + 1), np.ones(count)
+    if phi_kind == "white":
+        return np.ones(2 * count + 1), np.ones(2 * count + 1)
+    raise ConfigError("experiment.phi must be single_mode|inverse_k|white")
+
+
+def _check_ito_isometry(cfg, grid, seed):
+    mc = _mc_config(cfg, seed)
+    T = cfg.get_float("experiment", "t", required=True)
+    phi, lam = _phi_weights(cfg)
     return [verify_mod.ito_isometry_mc(phi, lam, T, mc)]
 
 
@@ -559,7 +572,10 @@ def _check_ou_exactness(cfg, grid, seed):
     spec = build_noise(cfg, grid)
     dt = cfg.get_float("scheme", "dt", required=True)
     modes = [int(k) for k in cfg.get_floats("experiment", "ou_modes", [0, 1, 8])]
-    return verify_mod.ou_variance_mc(spec, dt, modes, mc)
+    try:
+        return verify_mod.ou_variance_mc(spec, dt, modes, mc)
+    except ValueError as exc:
+        raise ConfigError(f"experiment.ou_modes invalid: {exc}") from exc
 
 
 def _check_holder_exponent(cfg, grid, seed):
@@ -588,6 +604,34 @@ CHECKS: dict[str, Callable[[RunConfig, TorusGrid, int], list[verify_mod.StatRepo
     "ou_exactness": _check_ou_exactness,
     "holder_exponent": _check_holder_exponent,
 }
+
+
+# Columns per stream that each Monte Carlo check reads from ``verify.mc_normals``.
+MC_COLUMNS: dict[str, Callable[[RunConfig, TorusGrid], int]] = {
+    "ito_isometry": lambda cfg, grid: _phi_weights(cfg)[0].size,
+    "trace_identity": lambda cfg, grid: 2 * grid.n_modes + 1,
+    "wiener_covariance": lambda cfg, grid: 2 * (2 * grid.n_modes + 1),
+    "gaussian_moment": lambda cfg, grid: 2 * grid.n_modes + 1,
+    "ou_exactness": lambda cfg, grid: 2 * grid.n_modes + 1,
+}
+
+
+def _draw_widest_block(cfg: RunConfig, grid: TorusGrid, seed: int, checks) -> None:
+    """Draw the widest Monte Carlo block the listed checks read, before any runs.
+
+    Every later ``mc_normals`` request of the command is then a slice of this
+    one block.  A configuration error is left to the check that meets it, so
+    errors still surface in check order.
+    """
+    widths = [MC_COLUMNS[name] for name in checks if name in MC_COLUMNS]
+    if not widths:
+        return
+    try:
+        cols = max(width(cfg, grid) for width in widths)
+        mc = _mc_config(cfg, seed)
+    except ConfigError:
+        return
+    verify_mod.mc_normals(mc.base_seed, mc.n_paths, cols)
 
 
 def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:

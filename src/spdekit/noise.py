@@ -35,6 +35,7 @@ __all__ = [
     "stream_normals",
     "covariance_pairing",
     "pack_draws",
+    "channel_weights",
     "coarsen_increments",
 ]
 
@@ -158,6 +159,23 @@ def pack_draws(spec: CovarianceSpec, scaled: np.ndarray) -> np.ndarray:
     half = root[1:] / np.sqrt(2.0)
     coef[..., 1:] = half * (scaled[..., 1::2] - 1j * scaled[..., 2::2])
     return coef
+
+
+def channel_weights(spec: CovarianceSpec, h: SpectralField) -> np.ndarray:
+    """Real weights a_h with <W, h> = z @ a_h for the unit channel draws z of W.
+
+    The L^2 pairing of the packed field with ``h``, written on the channels:
+    a_h[0] = sqrt(lam_0) Re h_0, and the cosine/sine pair of mode k >= 1
+    carries a_h[2k-1] = sqrt(2 lam_k) Re h_k and a_h[2k] = -sqrt(2 lam_k) Im h_k.
+    """
+    if h.grid != spec.grid:
+        raise ValueError("field and covariance must share one grid")
+    root = np.sqrt(2.0 * spec.lam[1:])
+    a = np.empty(spec.n_channels)
+    a[0] = np.sqrt(spec.lam[0]) * h.coef[0].real
+    a[1::2] = root * h.coef[1:].real
+    a[2::2] = -root * h.coef[1:].imag
+    return a
 
 
 @dataclass(frozen=True)

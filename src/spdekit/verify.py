@@ -27,15 +27,15 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .integrators import SamplePath, SchemeSpec, noise_spec, simulate
+from .integrators import SamplePath, SchemeSpec, noise_spec, ou_channel_variances, simulate
 from .models import ModelSpec, TransportHeat
 from .noise import (
     CovarianceSpec,
     NoiseSampler,
+    channel_weights,
     coarsen_increments,
     covariance_pairing,
     hs_norm_sq,
-    pack_draws,
     stream_normals,
     trace,
 )
@@ -139,7 +139,10 @@ def mc_normals(seed: int, n_paths: int, cols: int, stream0: int = 0) -> np.ndarr
     The ziggurat consumes a stream in order, so a narrower request is the
     leading columns of a wider one: repeated requests under one key are served
     from the widest block drawn so far, and every Monte Carlo check of a
-    ``verify`` command reads the same samples.  The array is read-only.
+    ``verify`` command reads the same samples.  ``spdekit verify`` asks for the
+    widest block its listed checks read before any of them runs, so the block
+    is drawn once per command; the checks evaluate their identities on these
+    real channels, without Hermitian packing.  The array is read-only.
     """
     memo = (int(seed), int(n_paths), int(stream0))
     if memo not in _mc_block or _mc_block[memo].shape[1] < cols:
@@ -184,11 +187,9 @@ def _ladder_draws(spec: CovarianceSpec, seed: int, stream_id: int, dts, T: float
         yield dt, coarsen_increments(fine, factor)
 
 
-def _l2_inner_rows(coef: np.ndarray, h: SpectralField) -> np.ndarray:
-    ch = h.coef
-    return coef[..., 0].real * ch[0].real + 2.0 * np.sum(
-        (coef[..., 1:] * np.conj(ch[1:])).real, axis=-1
-    )
+def _weighted_sq_rows(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j z_ij^2 for each row, without a (rows, columns) temporary."""
+    return np.einsum("ij,ij,j->i", z, z, weights)
 
 
 def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
@@ -357,16 +358,22 @@ def wiener_covariance_mc(
     t: float,
     cfg: McConfig,
 ) -> StatReport:
-    """E <W_t, h> <W_s, g> against (s ^ t) <Qh, g>."""
+    """E <W_t, h> <W_s, g> against (s ^ t) <Qh, g>.
+
+    The first 2K+1 columns drive W at the earlier time, the next 2K+1 its
+    increment to the later one; each pairing is the draws times the channel
+    weights of its test field.
+    """
     if s < 0 or t < 0:
         raise ValueError("times must be nonnegative")
     lo, hi = (s, t) if s <= t else (t, s)
     ch = spec.n_channels
-    z = mc_normals(cfg.base_seed, cfg.n_paths, 2 * ch).reshape(cfg.n_paths, 2, ch)
-    w_lo = pack_draws(spec, z[:, 0, :] * np.sqrt(lo))
-    w_hi = w_lo + pack_draws(spec, z[:, 1, :] * np.sqrt(hi - lo))
-    w_at_t, w_at_s = (w_hi, w_lo) if t >= s else (w_lo, w_hi)
-    samples = _l2_inner_rows(w_at_t, h) * _l2_inner_rows(w_at_s, g)
+    z = mc_normals(cfg.base_seed, cfg.n_paths, 2 * ch)
+    weights = np.stack([channel_weights(spec, h), channel_weights(spec, g)], axis=1)
+    at_lo = np.sqrt(lo) * (z[:, :ch] @ weights)  # columns <W_lo, h>, <W_lo, g>
+    at_hi = at_lo + np.sqrt(hi - lo) * (z[:, ch:] @ weights)
+    at_t, at_s = (at_hi, at_lo) if t >= s else (at_lo, at_hi)
+    samples = at_t[:, 0] * at_s[:, 1]
     target = float(min(s, t) * covariance_pairing(spec, h, g))
     return _mc_report("wiener_covariance", samples, target, cfg, s=s, t=t)
 
@@ -374,18 +381,18 @@ def wiener_covariance_mc(
 def trace_identity_mc(spec: CovarianceSpec, T: float, cfg: McConfig) -> StatReport:
     """E |W_T|_{L^2}^2 against T Tr Q (truncated trace for white noise)."""
     z = mc_normals(cfg.base_seed, cfg.n_paths, spec.n_channels)
-    coef = pack_draws(spec, z * np.sqrt(T))
+    samples = _weighted_sq_rows(z, T * spec.channel_variances())
     target = float(T * trace(spec, truncated_ok=True))
     note = "truncated white noise (K modes recorded)" if spec.kind == "white" else ""
     return _mc_report(
-        "trace_identity", l2_sq_rows(coef), target, cfg, note, T=T, n_modes=spec.grid.n_modes
+        "trace_identity", samples, target, cfg, note, T=T, n_modes=spec.grid.n_modes
     )
 
 
 def gaussian_moment_ratio(spec: CovarianceSpec, cfg: McConfig) -> StatReport:
     """E |X|^4 for X ~ N(0, Q) against (Tr Q)^2 + 2 Tr(Q^2)."""
     z = mc_normals(cfg.base_seed, cfg.n_paths, spec.n_channels)
-    samples = l2_sq_rows(pack_draws(spec, z)) ** 2
+    samples = _weighted_sq_rows(z, spec.channel_variances()) ** 2
     tr = trace(spec, truncated_ok=True)
     target = float(tr**2 + 2.0 * hs_norm_sq(spec, truncated_ok=True))
     return _mc_report("gaussian_fourth_moment", samples, target, cfg, trace=tr)
@@ -581,21 +588,21 @@ def ou_variance_mc(q: CovarianceSpec, dt: float, modes, cfg: McConfig) -> list[S
     """Marginal variance of the exact OU transition noise per requested mode.
 
     Targets lambda_k (1 - e^{-2 mu_k dt}) / (2 mu_k), the k = 0 mode being
-    pure Brownian with variance lambda_0 dt.
+    pure Brownian with variance lambda_0 dt.  Mode k reads only its own
+    channels: channel 0 for k = 0, the cosine/sine pair 2k-1, 2k otherwise.
     """
-    from .integrators import _ou_rescale  # shared closed form
-
+    var = ou_channel_variances(q, dt)
     z = mc_normals(cfg.base_seed, cfg.n_paths, q.n_channels)
-    eta = pack_draws(q, z * np.sqrt(dt) * _ou_rescale(q, dt))
-    mu = q.grid.laplacian_eigs
     reports = []
     for k in modes:
         k = int(k)
+        if not 0 <= k <= q.grid.n_modes:
+            raise ValueError(f"mode {k} outside 0..{q.grid.n_modes}")
+        target = float(var[2 * k])
         if k == 0:
-            samples = eta[:, 0].real ** 2
-            target = float(q.lam[0] * dt)
+            samples = var[0] * z[:, 0] ** 2
         else:
-            samples = np.abs(eta[:, k]) ** 2
-            target = float(q.lam[k] * (1.0 - np.exp(-2.0 * mu[k] * dt)) / (2.0 * mu[k]))
+            pair = z[:, 2 * k - 1 : 2 * k + 1]
+            samples = 0.5 * (pair * pair) @ var[2 * k - 1 : 2 * k + 1]
         reports.append(_mc_report(f"ou_variance_mode{k}", samples, target, cfg, dt=dt, mode=k))
     return reports

@@ -1,13 +1,14 @@
 """Config-driven runner: subcommands, exit codes, CSV determinism."""
 
 import json
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spdekit import cli
+from spdekit import cli, verify
 from spdekit.verify import energy_identity_refinement
 
 
@@ -96,6 +97,30 @@ class TestSimulate:
         first = (tmp_path / "o" / "run_norms.csv").read_bytes()
         cli.main(["simulate", "--config", cfg])
         assert (tmp_path / "o" / "run_norms.csv").read_bytes() == first
+
+    def test_rerun_replaces_outputs(self, tmp_path):
+        # a rerun writes new files: links to the old outputs keep the old bytes
+        cfg = write_config(tmp_path / "c.ini", BASE_SIM.format(out=tmp_path / "o"))
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        norms, manifest = tmp_path / "o" / "run_norms.csv", tmp_path / "o" / "run_manifest.json"
+        first_norms, first_manifest = norms.read_bytes(), manifest.read_bytes()
+        os.link(norms, tmp_path / "old_norms.csv")
+        os.link(manifest, tmp_path / "old_manifest.json")
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        assert norms.read_bytes() == first_norms
+        assert not os.path.samefile(norms, tmp_path / "old_norms.csv")
+        assert cli.main(["simulate", "--config", cfg, "--seed", "8"]) == 0
+        assert norms.read_bytes() != first_norms
+        assert (tmp_path / "old_norms.csv").read_bytes() == first_norms
+        assert (tmp_path / "old_manifest.json").read_bytes() == first_manifest
+        # a symlink at an output name is replaced too, not written through
+        target = tmp_path / "elsewhere.csv"
+        target.write_text("keep\n")
+        norms.unlink()
+        norms.symlink_to(target)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        assert not norms.is_symlink() and norms.read_bytes() == first_norms
+        assert target.read_text() == "keep\n"
 
     def test_save_spectra_flag(self, tmp_path):
         text = BASE_SIM.format(out=tmp_path / "o").replace(
@@ -481,6 +506,74 @@ class TestCheckTable:
         cfg = all_checks_config(tmp_path, "ito_isometry", n_paths=1)
         assert cli.main(["verify", "--config", cfg]) == 2
         assert "experiment.n_paths" in capsys.readouterr().err
+
+
+MC_CHECK_NAMES = "ito_isometry, trace_identity, wiener_covariance, gaussian_moment, ou_exactness"
+
+
+class TestWidestBlockFirst:
+    # one verify command draws one Monte Carlo block, at the widest width any
+    # listed check reads; every later request is a slice of it
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Column counts of the calls to ``verify.stream_normals``, from an empty memo."""
+        monkeypatch.setattr(verify, "_mc_block", {})
+        cols = []
+        real = verify.stream_normals
+
+        def counted(seed, streams, n_cols, chunk=0):
+            cols.append(n_cols)
+            return real(seed, streams, n_cols, chunk)
+
+        monkeypatch.setattr(verify, "stream_normals", counted)
+        return cols
+
+    def test_all_monte_carlo_checks_draw_once(self, tmp_path, draws):
+        cfg = all_checks_config(tmp_path, MC_CHECK_NAMES, n_paths=50)
+        assert cli.main(["verify", "--config", cfg]) in (0, 1)
+        assert draws == [2 * (2 * 8 + 1)]
+        assert len(report_rows(tmp_path)) == 7
+
+    def test_widest_phi_sets_the_width(self, tmp_path, draws):
+        extra = "phi = white\nphi_count = 20"
+        cfg = all_checks_config(tmp_path, MC_CHECK_NAMES, n_paths=50, extra=extra)
+        assert cli.main(["verify", "--config", cfg]) in (0, 1)
+        assert draws == [2 * 20 + 1]
+
+    def test_no_monte_carlo_check_draws_nothing(self, tmp_path, draws):
+        cfg = all_checks_config(tmp_path, "mass_conservation, gronwall, holder_exponent")
+        assert cli.main(["verify", "--config", cfg]) in (0, 1)
+        assert len(report_rows(tmp_path)) == 3
+        assert draws == [] and verify._mc_block == {}
+
+    @pytest.mark.parametrize(
+        "name, extra",
+        [(name, "") for name in cli.CHECKS]
+        + [
+            ("ito_isometry", "phi = white\nphi_count = 20"),
+            ("ito_isometry", "phi = inverse_k\nphi_count = 5"),
+        ],
+    )
+    def test_rule_matches_what_each_check_reads(self, tmp_path, monkeypatch, name, extra):
+        requested = []
+        real = verify.mc_normals
+
+        def recorded(seed, n_paths, cols, stream0=0):
+            requested.append(cols)
+            return real(seed, n_paths, cols, stream0)
+
+        monkeypatch.setattr(verify, "mc_normals", recorded)
+        cfg = cli.load_config(all_checks_config(tmp_path, name, n_paths=4, extra=extra))
+        grid = cli.build_grid(cfg)
+        cli.CHECKS[name](cfg, grid, 5)
+        rule = cli.MC_COLUMNS.get(name)
+        assert max(requested, default=None) == (rule(cfg, grid) if rule else None)
+
+    def test_mode_outside_the_grid_is_config_error(self, tmp_path, capsys):
+        cfg = all_checks_config(tmp_path, "ou_exactness", n_paths=50, extra="ou_modes = 0, 9")
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert "experiment.ou_modes" in capsys.readouterr().err
 
 
 def stepping_error_config(tmp_path, case):

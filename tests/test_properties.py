@@ -1,4 +1,4 @@
-"""Property tests of cheap algebraic invariants (packing, norms, coarsening, the Duhamel scan)."""
+"""Property tests of cheap algebraic invariants (packing, channel weights, norms, coarsening, the Duhamel scan)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,8 +6,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spdekit.burgers import _decay_powers, _semigroup_scan
-from spdekit.noise import CovarianceSpec, coarsen_increments, pack_draws
-from spdekit.spectral import SpectralField, TorusGrid, derivative, l2_sq_rows, sobolev_norm
+from spdekit.noise import CovarianceSpec, channel_weights, coarsen_increments, pack_draws
+from spdekit.spectral import (
+    SpectralField,
+    TorusGrid,
+    derivative,
+    h_inner,
+    l2_sq_rows,
+    sobolev_norm,
+)
 
 # derandomized and without an example database, so a run is reproducible
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -42,6 +49,22 @@ def test_packed_norm_is_variance_weighted_sum_of_squares(case):
     expected = np.sum(spec.channel_variances() * z**2, axis=-1)
     got = l2_sq_rows(pack_draws(spec, z))
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-300)
+
+
+@PROPERTY
+@given(spec_and_draws(), st.data())
+def test_channel_weights_give_the_packed_l2_pairing(case, data):
+    spec, z = case
+    parts = arrays(float, spec.grid.n_modes + 1, elements=finite)
+    coef = data.draw(parts) + 1j * data.draw(parts)
+    coef[0] = coef[0].real
+    h = SpectralField(spec.grid, coef)
+    a = channel_weights(spec, h)
+    expected = np.array([h_inner(SpectralField(spec.grid, c), h) for c in pack_draws(spec, z)])
+    got = z @ a
+    # rtol 1e-12 of the pairing, or of its absolute sum where the terms cancel
+    bound = 1e-12 * (np.abs(expected) + np.abs(z) @ np.abs(a)) + 1e-300
+    assert np.all(np.abs(got - expected) <= bound)
 
 
 @PROPERTY

@@ -6,8 +6,8 @@ import pytest
 from conftest import cos_field, make_random_field
 from spdekit.integrators import SchemeSpec, simulate
 from spdekit.models import AdditiveHeat, Burgers, TransportHeat
-from spdekit.noise import CovarianceSpec, NoiseSampler
-from spdekit.spectral import TorusGrid, field_from_modes, zero_field
+from spdekit.noise import CovarianceSpec, NoiseSampler, pack_draws
+from spdekit.spectral import TorusGrid, field_from_modes, l2_sq_rows, zero_field
 from spdekit.verify import (
     McConfig,
     StatReport,
@@ -153,6 +153,85 @@ class TestMcNormals:
             one_by_one.extend(lines[1:])
         assert len(together) == 1 + 4 + 3
         assert together == one_by_one
+
+
+def packed_report(samples):
+    return np.mean(samples), np.std(samples, ddof=1) / np.sqrt(samples.size)
+
+
+def packed_pairing(coef, h):
+    """<W, h> of each row of packed half spectra, the L^2 pairing on the modes."""
+    return coef[:, 0].real * h.coef[0].real + 2.0 * np.sum(
+        (coef[:, 1:] * np.conj(h.coef[1:])).real, axis=1
+    )
+
+
+class TestChannelSpaceCheckers:
+    # each checker against the Hermitian-packed computation on the same block
+
+    CFG = McConfig(500, 17)
+    SPECS = {
+        "white": CovarianceSpec.white(TorusGrid(8)),
+        "power": CovarianceSpec.power(TorusGrid(8), 0.7),
+    }
+
+    @staticmethod
+    def assert_matches(rep, samples):
+        estimate, se = packed_report(samples)
+        assert rep.estimate == pytest.approx(estimate, rel=1e-12, abs=0.0)
+        assert rep.se == pytest.approx(se, rel=1e-12, abs=0.0)
+
+    def block(self, cols):
+        return mc_normals(self.CFG.base_seed, self.CFG.n_paths, cols)
+
+    @pytest.mark.parametrize("kind", ["white", "power"])
+    def test_trace_identity(self, kind):
+        spec = self.SPECS[kind]
+        z = self.block(spec.n_channels)
+        rep = trace_identity_mc(spec, 0.7, self.CFG)
+        self.assert_matches(rep, l2_sq_rows(pack_draws(spec, z * np.sqrt(0.7))))
+
+    @pytest.mark.parametrize("kind", ["white", "power"])
+    def test_gaussian_moment(self, kind):
+        spec = self.SPECS[kind]
+        z = self.block(spec.n_channels)
+        rep = gaussian_moment_ratio(spec, self.CFG)
+        self.assert_matches(rep, l2_sq_rows(pack_draws(spec, z)) ** 2)
+
+    @pytest.mark.parametrize("kind", ["white", "power"])
+    @pytest.mark.parametrize("s, t", [(0.3, 0.8), (0.8, 0.3), (0.5, 0.5)])
+    def test_wiener_covariance(self, kind, s, t):
+        spec = self.SPECS[kind]
+        h = make_random_field(spec.grid, 3)
+        g = make_random_field(spec.grid, 3, amplitude=0.5)
+        ch = spec.n_channels
+        z = self.block(2 * ch)
+        lo, hi = min(s, t), max(s, t)
+        w_lo = pack_draws(spec, z[:, :ch] * np.sqrt(lo))
+        w_hi = w_lo + pack_draws(spec, z[:, ch:] * np.sqrt(hi - lo))
+        w_t, w_s = (w_hi, w_lo) if t >= s else (w_lo, w_hi)
+        rep = wiener_covariance_mc(spec, h, g, s, t, self.CFG)
+        self.assert_matches(rep, packed_pairing(w_t, h) * packed_pairing(w_s, g))
+
+    @pytest.mark.parametrize("kind", ["white", "power"])
+    def test_ou_variance(self, kind):
+        spec, dt = self.SPECS[kind], 0.01
+        K = spec.grid.n_modes
+        mu = spec.grid.laplacian_eigs
+        tau = np.empty(spec.n_channels)
+        tau[0] = dt
+        tau[1::2] = tau[2::2] = -np.expm1(-2.0 * mu[1:] * dt) / (2.0 * mu[1:])
+        eta = pack_draws(spec, self.block(spec.n_channels) * np.sqrt(tau))
+        reps = ou_variance_mc(spec, dt, [0, 1, K], self.CFG)
+        self.assert_matches(reps[0], eta[:, 0].real ** 2)
+        self.assert_matches(reps[1], np.abs(eta[:, 1]) ** 2)
+        self.assert_matches(reps[2], np.abs(eta[:, K]) ** 2)
+
+    def test_ou_mode_out_of_range(self):
+        spec = self.SPECS["white"]
+        for k in (-1, spec.grid.n_modes + 1):
+            with pytest.raises(ValueError, match="outside 0..8"):
+                ou_variance_mc(spec, 0.01, [k], self.CFG)
 
 
 class TestEnergyIdentity:
