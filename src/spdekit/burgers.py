@@ -94,6 +94,11 @@ class BurgersProblem:
         return _resolve_steps(self.T, self.dt)
 
     @property
+    def steps_per_window(self) -> int:
+        """Steps in one Picard window: ``window / dt`` rounded, at least one."""
+        return max(1, int(round(self.window / self.dt)))
+
+    @property
     def quad_points(self) -> int:
         """Alias-free grid for the quadratic nonlinearity (>= 3K+1, power of 2)."""
         return nonlinear_quad_points(Burgers(self.q), self.grid)
@@ -197,7 +202,7 @@ def solve_remainder(problem: BurgersProblem, v_path: SamplePath):
 
     w = np.empty((n_steps + 1, n_modes + 1), dtype=np.complex128)
     w[0] = problem.w0.coef
-    steps_per_window = max(1, int(round(problem.window / dt)))
+    steps_per_window = problem.steps_per_window
     powers = _decay_powers(decay, steps_per_window + 1)
 
     iters: list[int] = []

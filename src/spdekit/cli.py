@@ -670,8 +670,7 @@ def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
         u_l2 = np.sqrt(split.u_path.l2_sq_series())
         # row 0 and the rows ending the steps of window w belong to window w
         times = split.u_path.times
-        steps_per_window = max(1, int(round(problem.window / dt)))
-        window = np.repeat(np.arange(len(split.picard_iters)), steps_per_window)
+        window = np.repeat(np.arange(len(split.picard_iters)), problem.steps_per_window)
         window = np.concatenate(([0], window))[: times.size]
         iters = np.asarray(split.picard_iters)[window]
         residuals = np.asarray(split.residuals)[window]

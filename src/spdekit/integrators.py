@@ -17,13 +17,15 @@ Four schemes are provided:
 ``check_scheme`` holds the rules for which scheme may step which model.
 
 ``simulate`` drives whole paths and records every state together with the
-consumed channel increments, so pathwise identities can be replayed.  The
-model decides how a path is stepped: the Fourier-diagonal models
-(TransportHeat, AdditiveHeat) run as whole-path mode recursions in numpy,
-the nonlinear models (ReactionDiffusion, PorousMedium, Burgers) as one loop
-over raw coefficient rows that evaluates ``models.DriftKernel`` with two
-FFTs per step and packs the noise in row blocks.  The per-step functions
-above are the reference both lanes are tested against.
+consumed channel increments, so pathwise identities can be replayed.  It is
+one loop over blocks of ``_BLOW_UP_BLOCK`` steps: each block is filled by
+the model's block update on raw coefficient rows, then scanned for blow-up,
+so a diverging path stops at its first blown block.  TransportHeat's update
+is a running product of mode factors, AdditiveHeat's the recursion
+c' = decay * c + eta, and the nonlinear models' (ReactionDiffusion,
+PorousMedium, Burgers) a row loop that evaluates ``models.DriftKernel`` with
+two FFTs per step.  The per-step functions above are the reference the
+block updates are tested against.
 
 Explicit schemes are stable only for dt < 2 / (2 pi K)^2; exponential Euler
 removes the constraint for the diagonal linear part.
@@ -48,7 +50,7 @@ from .models import (
     transport_noise_amplitude,
 )
 from .noise import CovarianceSpec, NoiseIncrement, NoiseSampler, increment_from_scaled, pack_draws
-from .spectral import SpectralField, TorusGrid, heat_semigroup, l2_sq_rows, laplacian
+from .spectral import SpectralField, TorusGrid, heat_semigroup, l2_sq_rows
 
 __all__ = [
     "SamplePath",
@@ -248,7 +250,7 @@ def _nonlinear_drift(model: ModelSpec, u: SpectralField) -> SpectralField:
     if isinstance(model, PorousMedium) and model.m == 2:
         return SpectralField(u.grid, np.zeros_like(u.coef))
     if isinstance(model, (ReactionDiffusion, Burgers)):
-        return drift(model, u) - laplacian(u)
+        return SpectralField(u.grid, DriftKernel(model).nonlinear(u.coef))
     raise ValueError(
         f"{type(model).__name__} has no Laplacian linear part; exponential Euler undefined"
     )
@@ -333,73 +335,80 @@ def simulate(
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, grid.n_modes + 1), dtype=np.complex128)
     states[0] = u0.coef
-    if n_steps == 0:
-        return SamplePath(grid, times, states, scaled, spec)
-
-    if isinstance(model, (TransportHeat, AdditiveHeat)):
-        # Fourier-diagonal: each mode follows its own scalar recursion, so the
-        # whole path is computed first and checked for blow-up once
+    fill = _block_filler(model, scheme, spec)
+    for b0 in range(0, n_steps, _BLOW_UP_BLOCK):
+        b1 = min(b0 + _BLOW_UP_BLOCK, n_steps)
         with np.errstate(over="ignore", invalid="ignore"):
-            if isinstance(model, TransportHeat):
-                _transport_factors(model, scheme.kind, scaled, dt, out=states[1:])
-                np.multiply.accumulate(states, axis=0, out=states)
-            else:
-                decay, eta = _additive_eta(model, scheme, scaled, dt)
-                for n in range(n_steps):
-                    states[n + 1] = decay * states[n] + eta[n]
-            first = _first_blown_row(states[1:])
-        if first is not None:
-            raise _blow_up(times, states, first + 1)
-    else:
-        _step_nonlinear(model, scheme, spec, scaled, times, states)
+            fill(states[b0 : b1 + 1], scaled[b0:b1])
+            blown = np.flatnonzero(_blown_rows(states[b0 + 1 : b1 + 1]))
+        if blown.size:
+            raise _blow_up(times, states, b0 + 1 + int(blown[0]))
     return SamplePath(grid, times, states, scaled, spec)
 
 
-def _step_nonlinear(
-    model: ModelSpec,
-    scheme: SchemeSpec,
-    spec: CovarianceSpec,
-    scaled: np.ndarray,
-    times: np.ndarray,
-    states: np.ndarray,
-) -> None:
-    """Fill ``states[1:]`` for ReactionDiffusion, PorousMedium or Burgers.
+_BLOW_UP_BLOCK = 256  # rows per block: bounds the noise packing and the blow-up scan
 
-    With A(c) = lin*c + N(c) the model's :class:`DriftKernel`:
 
-    * Euler-Maruyama: c' = c + A(c) dt + eta;
-    * exponential Euler: c' = e^{-mu dt} (c + N(c) dt + eta), where N = 0
-      for the porous medium at m = 2 (its drift is the Laplacian).
+def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec):
+    """The block update ``fill(rows, scaled)`` of ``model`` under ``scheme``.
 
-    The noise eta is packed and the states are checked for blow-up in blocks
-    of ``_BLOW_UP_BLOCK`` rows, so a step allocates no field objects.  Mode 0
-    stays exactly real: every multiplier of it is real (or 0j for Burgers),
-    so its imaginary part stays +0.0 while the state is finite.
+    ``fill`` writes ``rows[1:]`` from ``rows[0]`` and the block's channel
+    draws ``scaled`` (one row per step):
+
+    * TransportHeat: each mode is multiplied by its step factor, so the
+      block is a running product of :func:`_transport_factors`;
+    * AdditiveHeat: c' = decay * c + eta, with eta the packed increment,
+      rescaled to the exact convolution for exponential Euler and exact OU;
+    * ReactionDiffusion, PorousMedium, Burgers, with A(c) = lin*c + N(c)
+      the model's :class:`DriftKernel`: Euler-Maruyama c' = c + A(c) dt + eta,
+      exponential Euler c' = e^{-mu dt} (c + N(c) dt + eta), where N = 0 for
+      the porous medium at m = 2 (its drift is the Laplacian).
+
+    A step allocates no field objects.  Mode 0 stays exactly real: every
+    multiplier of it is real (or 0j for Burgers), so its imaginary part
+    stays +0.0 while the state is finite.
     """
     dt = scheme.dt
-    kernel = DriftKernel(model)
-    if scheme.kind == "exponential_euler":
-        decay = np.exp(-model.grid.laplacian_eigs * dt)
-        nonlinear = (lambda c: 0.0) if isinstance(model, PorousMedium) else kernel.nonlinear
+    if isinstance(model, TransportHeat):
+
+        def fill(rows, scaled):
+            _transport_factors(model, scheme.kind, scaled, dt, out=rows[1:])
+            np.multiply.accumulate(rows, axis=0, out=rows)
+
+        return fill
+
+    mu = model.grid.laplacian_eigs
+    rescale = 1.0
+    if isinstance(model, AdditiveHeat):
+        spec = model.q  # the model's own covariance, as in exp_euler_step
+        if scheme.kind == "euler_maruyama":
+            decay = 1.0 - mu * dt
+        else:  # exponential Euler and exact OU share the exact-convolution increment
+            decay, rescale = np.exp(-mu * dt), _ou_rescale(spec, dt)
+
+        def step(c, eta):
+            return decay * c + eta
+
+    elif scheme.kind == "exponential_euler":
+        decay = np.exp(-mu * dt)
+        porous = isinstance(model, PorousMedium)
+        nonlinear = (lambda c: 0.0) if porous else DriftKernel(model).nonlinear
 
         def step(c, eta):
             return (c + nonlinear(c) * dt + eta) * decay
 
     else:
+        kernel = DriftKernel(model)
 
         def step(c, eta):
             return c + kernel(c) * dt + eta
 
-    n_steps = scaled.shape[0]
-    for b0 in range(0, n_steps, _BLOW_UP_BLOCK):
-        b1 = min(b0 + _BLOW_UP_BLOCK, n_steps)
-        eta = pack_draws(spec, scaled[b0:b1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(b0, b1):
-                states[n + 1] = step(states[n], eta[n - b0])
-            first = _first_blown_row(states[b0 + 1 : b1 + 1])
-        if first is not None:
-            raise _blow_up(times, states, b0 + 1 + first)
+    def fill(rows, scaled):
+        eta = pack_draws(spec, scaled * rescale)
+        for n in range(scaled.shape[0]):
+            rows[n + 1] = step(rows[n], eta[n])
+
+    return fill
 
 
 def _blow_up(times: np.ndarray, states: np.ndarray, row: int) -> BlowUpError:
@@ -413,18 +422,6 @@ def _blow_up(times: np.ndarray, states: np.ndarray, row: int) -> BlowUpError:
 def _blown_rows(rows: np.ndarray) -> np.ndarray:
     """Which states are non-finite or have L2 norm above ``BLOW_UP_NORM``."""
     return ~np.isfinite(rows).all(axis=-1) | (l2_sq_rows(rows) > BLOW_UP_NORM**2)
-
-
-_BLOW_UP_BLOCK = 256  # rows per blow-up scan; bounds the predicate's temporaries
-
-
-def _first_blown_row(rows: np.ndarray) -> int | None:
-    """Index of the first row that :func:`_blown_rows` flags, or None."""
-    for start in range(0, rows.shape[0], _BLOW_UP_BLOCK):
-        blown = np.flatnonzero(_blown_rows(rows[start : start + _BLOW_UP_BLOCK]))
-        if blown.size:
-            return start + int(blown[0])
-    return None
 
 
 def _transport_noise_series(model: TransportHeat, scaled: np.ndarray) -> np.ndarray:
@@ -441,7 +438,7 @@ def _transport_factors(
 
     With a = 2 pi k and s_n the step's collapsed noise, i a s_n is purely
     imaginary, so each factor is assembled in place from its real and
-    imaginary parts (no temporaries of the path's size).
+    imaginary parts (no temporaries of the block's size).
     """
     a = model.grid.angular
     mu = model.grid.laplacian_eigs
@@ -459,11 +456,3 @@ def _transport_factors(
         re[...] = decay
         np.multiply.outer(s, decay * a, out=im)
 
-
-def _additive_eta(model: ModelSpec, scheme: SchemeSpec, scaled: np.ndarray, dt: float):
-    """(decay, eta) of the diagonal recursion c_{n+1} = decay * c_n + eta[n]."""
-    mu = model.grid.laplacian_eigs
-    if scheme.kind == "euler_maruyama":
-        return 1.0 - mu * dt, pack_draws(model.q, scaled)
-    # exponential Euler and exact OU share the exact-convolution increment
-    return np.exp(-mu * dt), pack_draws(model.q, scaled * _ou_rescale(model.q, dt))

@@ -125,17 +125,16 @@ class StatReport:
 
 
 # The widest block of Monte Carlo normals drawn so far, under its key
-# (seed, n_paths, stream0).  The checks of one verify command share the seed,
+# (seed, n_paths).  The checks of one verify command share the seed,
 # so each block is drawn once; one entry bounds the memory held to one block.
-_mc_block: dict[tuple[int, int, int], np.ndarray] = {}
+_mc_block: dict[tuple[int, int], np.ndarray] = {}
 
 
-def mc_normals(seed: int, n_paths: int, cols: int, stream0: int = 0) -> np.ndarray:
+def mc_normals(seed: int, n_paths: int, cols: int) -> np.ndarray:
     """Per-path standard normals from counter-keyed streams, shape (n_paths, cols).
 
     Row ``i`` is the first ``cols`` normals of the Philox stream keyed
-    ``(seed, stream0 + i)``: row ``i`` of
-    ``noise.stream_normals(seed, range(stream0, stream0 + n_paths), cols)``.
+    ``(seed, i)``: row ``i`` of ``noise.stream_normals(seed, range(n_paths), cols)``.
     The ziggurat consumes a stream in order, so a narrower request is the
     leading columns of a wider one: repeated requests under one key are served
     from the widest block drawn so far, and every Monte Carlo check of a
@@ -144,10 +143,10 @@ def mc_normals(seed: int, n_paths: int, cols: int, stream0: int = 0) -> np.ndarr
     is drawn once per command; the checks evaluate their identities on these
     real channels, without Hermitian packing.  The array is read-only.
     """
-    memo = (int(seed), int(n_paths), int(stream0))
+    memo = (int(seed), int(n_paths))
     if memo not in _mc_block or _mc_block[memo].shape[1] < cols:
         _mc_block.clear()  # release the old block before drawing the new one
-        z = stream_normals(seed, range(stream0, stream0 + n_paths), cols)
+        z = stream_normals(seed, range(n_paths), cols)
         z.flags.writeable = False
         _mc_block[memo] = z
     return _mc_block[memo][:, :cols]

@@ -559,9 +559,9 @@ class TestWidestBlockFirst:
         requested = []
         real = verify.mc_normals
 
-        def recorded(seed, n_paths, cols, stream0=0):
+        def recorded(seed, n_paths, cols):
             requested.append(cols)
-            return real(seed, n_paths, cols, stream0)
+            return real(seed, n_paths, cols)
 
         monkeypatch.setattr(verify, "mc_normals", recorded)
         cfg = cli.load_config(all_checks_config(tmp_path, name, n_paths=4, extra=extra))

@@ -295,7 +295,7 @@ def reference_states(model, kind, u0, scaled, spec, dt):
 
 
 class TestDiagonalLanes:
-    # simulate steps TransportHeat and AdditiveHeat as whole-path mode
+    # simulate steps TransportHeat and AdditiveHeat as blocks of mode
     # recursions; the per-step functions are the reference they must match
 
     @pytest.mark.parametrize("sigma", [(1.0,), (0.5, 0.3)])
@@ -306,8 +306,9 @@ class TestDiagonalLanes:
         spec = CovarianceSpec.white(g)
         u0 = field_from_modes(g, [(0, 0.2), (1, 0.5), (3, 0.1 + 0.2j), (8, 0.05)])
         dt = 1e-4
-        scaled = NoiseSampler(spec, 3, 1).scaled_block(0, 100, dt)
-        p = simulate(m, SchemeSpec(kind, dt), u0, 0.01, scaled_draws=scaled)
+        n_steps = _BLOW_UP_BLOCK + 44  # crosses a block boundary
+        scaled = NoiseSampler(spec, 3, 1).scaled_block(0, n_steps, dt)
+        p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=scaled)
         ref = reference_states(m, kind, u0, scaled, spec, dt)
         np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=0)
 
@@ -318,8 +319,9 @@ class TestDiagonalLanes:
         m = AdditiveHeat(q)
         u0 = cos_field(g)
         dt = 1e-4
-        scaled = NoiseSampler(q, 4, 2).scaled_block(0, 100, dt)
-        p = simulate(m, SchemeSpec(kind, dt), u0, 0.01, scaled_draws=scaled)
+        n_steps = _BLOW_UP_BLOCK + 44  # crosses a block boundary
+        scaled = NoiseSampler(q, 4, 2).scaled_block(0, n_steps, dt)
+        p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=scaled)
         ref = reference_states(m, kind, u0, scaled, q, dt)
         np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=0)
 
@@ -351,8 +353,7 @@ class TestDiagonalLanes:
             assert err.value.time == n * dt
 
         # a stable path kicked out of range by one huge draw on either side
-        # of the boundary between the first two row blocks of the scan (and
-        # of the noise packing, for the nonlinear lane)
+        # of the boundary between the first two blocks of the stepping loop
         g = TorusGrid(8)
         white = CovarianceSpec.white(g)
         u0 = cos_field(g)
@@ -418,9 +419,8 @@ class TestNonlinearLane:
         # an absolute floor of one rounding unit of that scale
         scale = np.max(np.abs(ref))
         np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=1e-15 * scale)
-        if kind == "euler_maruyama" or isinstance(m, PorousMedium):
-            # same operations in the same order as the reference: same bits
-            assert np.array_equal(p.states, ref)
+        # same operations in the same order as the reference: same bits
+        assert np.array_equal(p.states, ref)
         # mode 0 is real, with a +0.0 imaginary part as in a SpectralField
         assert not np.any(p.states[:, 0].imag) and not np.any(np.signbit(p.states[:, 0].imag))
 
