@@ -364,16 +364,18 @@ def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
             )
     grid = build_grid(cfg)
     _draw_widest_block(cfg, grid, seed, checks)
-    reports: list[verify_mod.StatReport] = []
-    for name in checks:
-        reports.extend(CHECKS[name](cfg, grid, seed))
+    reports = [r for name in checks for r in CHECKS[name](cfg, grid, seed)]
+    return _write_reports(cfg, out, seed, "verify", reports)
 
+
+def _write_reports(cfg: RunConfig, out: Path, seed: int, command: str, reports, outputs=()) -> int:
+    """Write ``<prefix>_reports.csv`` and the manifest; exit 1 if a report failed."""
     prefix = output_prefix(cfg)
     report_file = out / f"{prefix}_reports.csv"
     write_csv(report_file, REPORT_HEADER, [report_row(r, seed) for r in reports])
-    write_manifest(out / f"{prefix}_manifest.json", cfg, "verify", seed, [report_file.name])
-    failed = [r for r in reports if not r.skipped and not r.passed]
-    return 1 if failed else 0
+    outputs = [*outputs, report_file.name]
+    write_manifest(out / f"{prefix}_manifest.json", cfg, command, seed, outputs)
+    return 0 if all(r.passed for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +580,18 @@ def _check_ou_exactness(cfg, grid, seed):
         raise ConfigError(f"experiment.ou_modes invalid: {exc}") from exc
 
 
-def _check_holder_exponent(cfg, grid, seed):
-    alpha = cfg.get_float("experiment", "alpha", -0.25)
+def _holder_report(cfg: RunConfig, grid: TorusGrid, alpha: float) -> verify_mod.StatReport:
+    """The Hoelder-exponent fit at ``alpha`` over ``experiment.lags`` and ``base_time``."""
     lags = cfg.get_floats("experiment", "lags", [2.0**-e for e in range(8, 15)])
     base_time = cfg.get_float("experiment", "base_time", 0.5)
     try:
-        return [verify_mod.holder_exponent_fit(alpha, grid.n_modes, lags, base_time)]
+        return verify_mod.holder_exponent_fit(alpha, grid.n_modes, lags, base_time)
     except ValueError as exc:
-        raise ConfigError(f"holder_exponent: {exc}") from exc
+        raise ConfigError(f"experiment.alpha or experiment.lags invalid: {exc}") from exc
+
+
+def _check_holder_exponent(cfg, grid, seed):
+    return [_holder_report(cfg, grid, cfg.get_float("experiment", "alpha", -0.25))]
 
 
 # The verify checks by config name, in README order.  Each entry looks up the
@@ -716,28 +722,15 @@ def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
 
 def run_regularity(cfg: RunConfig, out: Path, seed: int) -> int:
     grid = build_grid(cfg)
-    alphas = cfg.get_floats("experiment", "alpha", [-0.25])
-    lags = cfg.get_floats("experiment", "lags", [2.0**-e for e in range(8, 15)])
-    base_time = cfg.get_float("experiment", "base_time", 0.5)
-    prefix = output_prefix(cfg)
-    reports = []
-    curve_rows = []
-    for alpha in alphas:
-        try:
-            rep = verify_mod.holder_exponent_fit(alpha, grid.n_modes, lags, base_time)
-        except ValueError as exc:
-            raise ConfigError(f"regularity: {exc}") from exc
-        reports.append(rep)
-        for lag, value in zip(rep.metadata["lags"], rep.metadata["structure_values"]):
-            curve_rows.append([alpha, lag, value])
-    curve_file = out / f"{prefix}_structure.csv"
+    reports = [_holder_report(cfg, grid, a) for a in cfg.get_floats("experiment", "alpha", [-0.25])]
+    curve_rows = [
+        [rep.metadata["alpha"], lag, value]
+        for rep in reports
+        for lag, value in zip(rep.metadata["lags"], rep.metadata["structure_values"])
+    ]
+    curve_file = out / f"{output_prefix(cfg)}_structure.csv"
     write_csv(curve_file, ["alpha", "lag", "structure"], curve_rows)
-    report_file = out / f"{prefix}_reports.csv"
-    write_csv(report_file, REPORT_HEADER, [report_row(r, seed) for r in reports])
-    write_manifest(
-        out / f"{prefix}_manifest.json", cfg, "regularity", seed, [curve_file.name, report_file.name]
-    )
-    return 1 if any(not r.passed for r in reports) else 0
+    return _write_reports(cfg, out, seed, "regularity", reports, [curve_file.name])
 
 
 # ---------------------------------------------------------------------------

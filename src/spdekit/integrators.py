@@ -49,7 +49,8 @@ from .models import (
     drift,
     transport_noise_amplitude,
 )
-from .noise import CovarianceSpec, NoiseIncrement, NoiseSampler, increment_from_scaled, pack_draws
+from .noise import CovarianceSpec, NoiseIncrement, NoiseSampler, increment_from_scaled
+from .noise import pack_draws, per_channel
 from .spectral import SpectralField, TorusGrid, heat_semigroup, l2_sq_rows
 
 __all__ = [
@@ -66,6 +67,7 @@ __all__ = [
     "simulate",
     "noise_spec",
     "ou_channel_variances",
+    "ou_tau",
 ]
 
 SCHEME_KINDS = ("euler_maruyama", "heun_stratonovich", "exponential_euler", "exact_ou")
@@ -202,35 +204,30 @@ def heun_strat_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> 
     return SpectralField(u.grid, new)
 
 
+def ou_tau(mu: np.ndarray, t: float) -> np.ndarray:
+    """int_0^t e^{-2 mu s} ds = (1 - e^{-2 mu t}) / (2 mu) per mode, and t where mu = 0.
+
+    The variance the stochastic convolution of dv = -mu v dt + dbeta
+    accumulates over a time t.
+    """
+    with np.errstate(invalid="ignore"):
+        tau = -np.expm1(-2.0 * mu * t) / (2.0 * mu)
+    return np.where(mu == 0.0, t, tau)
+
+
 def ou_channel_variances(spec: CovarianceSpec, dt: float) -> np.ndarray:
     """Per-channel variance of the exact OU transition noise over one step.
 
     For mode k the stochastic-convolution increment has total variance
-    lambda_k (1 - exp(-2 mu_k dt)) / (2 mu_k) (pure Brownian lambda_0 dt at
-    k = 0), split evenly between the cosine and sine channels.
+    lambda_k tau(mu_k, dt) (see :func:`ou_tau`), split evenly between the
+    cosine and sine channels.
     """
-    mu = spec.grid.laplacian_eigs
-    tau = np.empty_like(mu)
-    tau[0] = dt
-    tau[1:] = (1.0 - np.exp(-2.0 * mu[1:] * dt)) / (2.0 * mu[1:])
-    lam = spec.channel_variances()
-    tau_ch = np.empty(spec.n_channels)
-    tau_ch[0] = tau[0]
-    tau_ch[1::2] = tau[1:]
-    tau_ch[2::2] = tau[1:]
-    return lam * tau_ch
+    return per_channel(spec.lam * ou_tau(spec.grid.laplacian_eigs, dt))
 
 
 def _ou_rescale(spec: CovarianceSpec, dt: float) -> np.ndarray:
     """Factor turning N(0, dt) channel draws into exact-convolution draws."""
-    mu = spec.grid.laplacian_eigs
-    g = np.empty(spec.n_channels)
-    g[0] = 1.0
-    with np.errstate(invalid="ignore"):
-        gm = np.sqrt((1.0 - np.exp(-2.0 * mu[1:] * dt)) / (2.0 * mu[1:] * dt))
-    g[1::2] = gm
-    g[2::2] = gm
-    return g
+    return per_channel(np.sqrt(ou_tau(spec.grid.laplacian_eigs, dt) / dt))
 
 
 def exact_ou_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> SpectralField:
@@ -305,7 +302,8 @@ def simulate(
     """Run the scheme from u0 to time T, recording states and increments.
 
     Noise comes from ``sampler`` (steps 0..n_steps-1 of its stream
-    (seed, stream_id)) or from a pre-scaled draw matrix of shape
+    (seed, stream_id), under the covariance ``noise_spec(model)``) or from
+    a pre-scaled draw matrix of shape
     (n_steps, 2K+1) -- the latter lets refinement studies drive several dt
     levels with one Brownian path.  With neither, the increments are zero
     (deterministic run).  Raises :class:`BlowUpError` at the time of the
@@ -317,9 +315,15 @@ def simulate(
     check_scheme(model, scheme.kind)
     dt = scheme.dt
     n_steps = _resolve_steps(T, dt)
-    if sampler is not None and sampler.spec.grid != grid:
-        raise ValueError("sampler grid does not match model grid")
-    spec = sampler.spec if sampler is not None else noise_spec(model)
+    spec = noise_spec(model)
+    if sampler is not None:
+        if sampler.spec.grid != grid:
+            raise ValueError("sampler grid does not match model grid")
+        if sampler.spec.kind != spec.kind or not np.array_equal(sampler.spec.lam, spec.lam):
+            raise ValueError(
+                f"sampler covariance ({sampler.spec.kind}) is not the noise covariance "
+                f"of {type(model).__name__} ({spec.kind})"
+            )
 
     if scaled_draws is not None:
         scaled = np.asarray(scaled_draws, dtype=float)
@@ -380,7 +384,6 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec):
     mu = model.grid.laplacian_eigs
     rescale = 1.0
     if isinstance(model, AdditiveHeat):
-        spec = model.q  # the model's own covariance, as in exp_euler_step
         if scheme.kind == "euler_maruyama":
             decay = 1.0 - mu * dt
         else:  # exponential Euler and exact OU share the exact-convolution increment

@@ -37,6 +37,7 @@ from .spectral import (
     TorusGrid,
     derivative,
     h_inner,
+    l2_sq_rows,
     laplacian,
     lp_norm,
     sobolev_norm,
@@ -258,16 +259,11 @@ def diffusion_apply(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> 
     return inc.field
 
 
-def _grad_norm_sq(u: SpectralField) -> float:
-    mu = u.grid.laplacian_eigs
-    return float(2.0 * np.sum(mu[1:] * np.abs(u.coef[1:]) ** 2))
-
-
 def diffusion_hs_norm_sq(model: ModelSpec, u: SpectralField) -> float:
     """|B(u)|_{L_2}^2: sigma-weighted gradient energy, or Tr Q for additive noise."""
     _check_grid(model, u)
     if isinstance(model, TransportHeat):
-        return model.sigma_total * _grad_norm_sq(u)
+        return model.sigma_total * float(l2_sq_rows(u.coef, u.grid.laplacian_eigs))
     return trace(model.q, truncated_ok=True)
 
 
@@ -288,7 +284,7 @@ def coercivity_check(model: ModelSpec, u: SpectralField, alpha: float) -> Hypoth
     _check_grid(model, u)
     if isinstance(model, TransportHeat):
         _require_mean_free(u, "transport coercivity")
-        grad_sq = _grad_norm_sq(u)
+        grad_sq = float(l2_sq_rows(u.coef, u.grid.laplacian_eigs))
         lhs = (
             2.0 * h_inner(drift(model, u), u, "l2")
             + diffusion_hs_norm_sq(model, u)
@@ -323,7 +319,8 @@ def monotonicity_check(model: ModelSpec, u: SpectralField, w: SpectralField) -> 
     diff = u - w
     a_diff = drift(model, u) - drift(model, w)
     if isinstance(model, TransportHeat):
-        lhs = 2.0 * h_inner(a_diff, diff, "l2") + model.sigma_total * _grad_norm_sq(diff)
+        # B is linear in u, so |B(u) - B(w)|^2 = |B(u - w)|^2
+        lhs = 2.0 * h_inner(a_diff, diff, "l2") + diffusion_hs_norm_sq(model, diff)
         return HypothesisReport("monotonicity", lhs, 0.0, {"pairing": "l2"})
     if isinstance(model, (AdditiveHeat, ReactionDiffusion)):
         # additive noise: B(u) - B(w) = 0
@@ -336,14 +333,6 @@ def monotonicity_check(model: ModelSpec, u: SpectralField, w: SpectralField) -> 
     raise ValueError(f"monotonicity hypothesis not defined for {type(model).__name__}")
 
 
-def _dual_h1_norm(f: SpectralField) -> float:
-    """Norm of the dual of the w-weighted H^1 space, spectrally exact."""
-    w = f.grid.sobolev_weights
-    c = f.coef
-    total = c[0].real ** 2 / w[0] + 2.0 * np.sum(np.abs(c[1:]) ** 2 / w[1:])
-    return float(np.sqrt(total))
-
-
 def growth_check(model: ModelSpec, u: SpectralField) -> HypothesisReport:
     """Report |A(u)|_{V*} against c (1 + |u|_V^(m-1)) with reference c = 1.
 
@@ -353,13 +342,13 @@ def growth_check(model: ModelSpec, u: SpectralField) -> HypothesisReport:
     """
     _check_grid(model, u)
     if isinstance(model, (TransportHeat, AdditiveHeat)):
-        value = _dual_h1_norm(laplacian(u))
+        value = sobolev_norm(laplacian(u), -1.0)
         cap = 1.0 + sobolev_norm(u, 1.0)
         meta = {"exponent": 1, "ratio": value / cap}
         return HypothesisReport("growth", value, cap, meta)
     if isinstance(model, ReactionDiffusion):
         m = model.m
-        value = _dual_h1_norm(laplacian(u)) + abs(model.theta) * lp_norm(
+        value = sobolev_norm(laplacian(u), -1.0) + abs(model.theta) * lp_norm(
             u, m, nonlinear_quad_points(model)
         ) ** (m - 1)
         cap = 1.0 + sobolev_norm(u, 1.0) ** (m - 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid
+from .spectral import SpectralField, TorusGrid, mode_sum
 
 __all__ = [
     "CovarianceSpec",
@@ -36,6 +36,7 @@ __all__ = [
     "covariance_pairing",
     "pack_draws",
     "channel_weights",
+    "per_channel",
     "coarsen_increments",
 ]
 
@@ -99,16 +100,17 @@ class CovarianceSpec:
         return 2 * self.grid.n_modes + 1
 
     def channel_variances(self) -> np.ndarray:
-        """Eigenvalue per real channel in draw order.
+        """Eigenvalue per real channel in draw order (see :func:`per_channel`)."""
+        return per_channel(self.lam)
 
-        Channel 0 is the constant mode; channels 2k-1 and 2k are the cosine
-        and sine channels of mode k, both carrying lambda_k.
-        """
-        var = np.empty(self.n_channels)
-        var[0] = self.lam[0]
-        var[1::2] = self.lam[1:]
-        var[2::2] = self.lam[1:]
-        return var
+
+def per_channel(per_mode: np.ndarray) -> np.ndarray:
+    """Spread a per-mode quantity (k = 0..K) over the 2K+1 real channels.
+
+    Channel 0 is the constant mode; channels 2k-1 and 2k are the cosine and
+    sine channels of mode k, and both carry the value of mode k.
+    """
+    return np.repeat(per_mode, 2)[1:]
 
 
 def trace(spec: CovarianceSpec, truncated_ok: bool = False) -> float:
@@ -122,7 +124,7 @@ def trace(spec: CovarianceSpec, truncated_ok: bool = False) -> float:
             "white noise is not trace class; pass truncated_ok=True for the "
             "trace of the 2K+1-mode truncation"
         )
-    return float(spec.lam[0] + 2.0 * np.sum(spec.lam[1:]))
+    return float(mode_sum(spec.lam))
 
 
 def hs_norm_sq(spec: CovarianceSpec, truncated_ok: bool = False) -> float:
@@ -132,17 +134,14 @@ def hs_norm_sq(spec: CovarianceSpec, truncated_ok: bool = False) -> float:
             "white noise is not Hilbert-Schmidt; pass truncated_ok=True for "
             "the truncated value"
         )
-    return float(spec.lam[0] ** 2 + 2.0 * np.sum(spec.lam[1:] ** 2))
+    return float(mode_sum(spec.lam**2))
 
 
 def covariance_pairing(spec: CovarianceSpec, h: SpectralField, g: SpectralField) -> float:
     """<Qh, g> = sum_k lambda_k amp_h(k) conj(amp_g(k)), a real number."""
     if h.grid != spec.grid or g.grid != spec.grid:
         raise ValueError("fields and covariance must share one grid")
-    ch, cg = h.coef, g.coef
-    total = spec.lam[0] * ch[0].real * cg[0].real
-    total += 2.0 * np.sum(spec.lam[1:] * (ch[1:] * np.conj(cg[1:])).real)
-    return float(total)
+    return float(mode_sum(spec.lam * (h.coef * np.conj(g.coef)).real))
 
 
 def pack_draws(spec: CovarianceSpec, scaled: np.ndarray) -> np.ndarray:

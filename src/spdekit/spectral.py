@@ -42,6 +42,7 @@ __all__ = [
     "derivative",
     "heat_semigroup",
     "sobolev_norm",
+    "mode_sum",
     "l2_sq_rows",
     "lp_norm",
     "h_inner",
@@ -277,6 +278,15 @@ def heat_semigroup(f: SpectralField, t: float) -> SpectralField:
     return f.with_coef(f.coef * np.exp(-f.grid.laplacian_eigs * t))
 
 
+def mode_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over all modes -K..K of a per-mode quantity stored for k = 0..K.
+
+    Mode 0 counts once and each k >= 1 twice, for itself and its mirror -k:
+    x_0 + 2 sum_{k>=1} x_k along the last axis.
+    """
+    return x[..., 0] + 2.0 * np.sum(x[..., 1:], axis=-1)
+
+
 def l2_sq_rows(coef: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Squared (weighted) L^2 norm of each half spectrum along the last axis.
 
@@ -284,12 +294,11 @@ def l2_sq_rows(coef: np.ndarray, weights: np.ndarray | None = None) -> np.ndarra
     w = 1 without ``weights``.  The imaginary part of the k = 0 amplitude is
     ignored, as for a real field.
     """
-    c0 = coef[..., 0].real ** 2
-    sq = np.abs(coef[..., 1:]) ** 2
+    sq = np.abs(coef) ** 2
+    sq[..., 0] = coef[..., 0].real ** 2
     if weights is not None:
-        c0 = weights[0] * c0
-        sq *= weights[1:]
-    return c0 + 2.0 * np.sum(sq, axis=-1)
+        sq *= weights
+    return mode_sum(sq)
 
 
 def sobolev_norm(f: SpectralField, idx: SobolevIndex | float) -> float:
@@ -320,20 +329,18 @@ def h_inner(f: SpectralField, g: SpectralField, space: str = "l2") -> float:
     inverse-Laplacian weight 1/(2 pi k)^2 per mode.
     """
     _check_same_grid(f, g)
-    cf, cg = f.coef, g.coef
     key = space.lower().replace("^", "").replace("_", "")
+    pair = (f.coef * np.conj(g.coef)).real
     if key == "l2":
-        total = cf[0].real * cg[0].real + 2.0 * np.sum((cf[1:] * np.conj(cg[1:])).real)
-        return float(total)
+        return float(mode_sum(pair))
+    if key not in ("h10", "h-1", "hminus1"):
+        raise ValueError(f"unknown space {space!r}; expected 'l2', 'h10' or 'h-1'")
+    _require_mean_zero(f, g, space)
+    mu = f.grid.laplacian_eigs
     if key == "h10":
-        _require_mean_zero(f, g, space)
-        mu = f.grid.laplacian_eigs[1:]
-        return float(2.0 * np.sum(mu * (cf[1:] * np.conj(cg[1:])).real))
-    if key in ("h-1", "hminus1"):
-        _require_mean_zero(f, g, space)
-        mu = f.grid.laplacian_eigs[1:]
-        return float(2.0 * np.sum((cf[1:] * np.conj(cg[1:])).real / mu))
-    raise ValueError(f"unknown space {space!r}; expected 'l2', 'h10' or 'h-1'")
+        return float(mode_sum(mu * pair))
+    # the mean-zero mode carries weight 0 in place of 1/mu_0
+    return float(mode_sum(np.divide(pair, mu, out=np.zeros_like(pair), where=mu > 0)))
 
 
 def _require_mean_zero(f: SpectralField, g: SpectralField, space: str) -> None:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .integrators import SamplePath, SchemeSpec, noise_spec, ou_channel_variances, simulate
+from .integrators import SamplePath, SchemeSpec, noise_spec, ou_channel_variances, ou_tau
+from .integrators import simulate
 from .models import ModelSpec, TransportHeat
 from .noise import (
     CovarianceSpec,
@@ -39,7 +40,7 @@ from .noise import (
     stream_normals,
     trace,
 )
-from .spectral import SpectralField, TorusGrid, l2_sq_rows
+from .spectral import SpectralField, TorusGrid, l2_sq_rows, mode_sum
 
 __all__ = [
     "McConfig",
@@ -207,8 +208,12 @@ def _uniform_dt(path: SamplePath) -> float:
     return float(steps[0])
 
 
-def _sigma_total(sigma) -> float:
-    return float(np.sum(np.atleast_1d(sigma)))
+def _energy_terms(path: SamplePath, sigma):
+    """(sigma, dt, |u_t|^2, |u_t|^2 + (2-sigma) int_0^t |u|_{H^1}^2) along the path."""
+    sig = float(np.sum(np.atleast_1d(sigma)))
+    dt = _uniform_dt(path)
+    l2 = path.l2_sq_series()
+    return sig, dt, l2, l2 + (2.0 - sig) * _cumtrapz(path.h1_sq_series(), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +229,7 @@ def energy_identity_residual(path: SamplePath, sigma, rel_tol: float = 0.05) -> 
     time quadrature; the report carries the worst time residual, gated
     relative to |u_0|^2.
     """
-    sig = _sigma_total(sigma)
-    dt = _uniform_dt(path)
-    l2 = path.l2_sq_series()
-    h1 = path.h1_sq_series()
-    lhs = l2 + (2.0 - sig) * _cumtrapz(h1, dt)
+    sig, dt, l2, lhs = _energy_terms(path, sigma)
     rhs = l2[0] + (2.0 - sig) * _cumtrapz(l2, dt)
     residual = float(np.max(np.abs(lhs - rhs)))
     scale = float(l2[0]) if l2[0] > 0 else 1.0
@@ -283,15 +284,11 @@ def gronwall_check(path: SamplePath, sigma, slack: float = 0.05) -> StatReport:
     at every grid time (equality at t = 0), reporting the worst ratio of
     left to right side; pass iff that ratio stays below 1 + slack.
     """
-    sig = _sigma_total(sigma)
+    sig, _, l2, lhs = _energy_terms(path, sigma)
     if sig >= 2.0:
         raise ValueError(
             f"gronwall bound undefined: requires (2 - sigma) > 0, got sigma = {sig}"
         )
-    dt = _uniform_dt(path)
-    l2 = path.l2_sq_series()
-    h1 = path.h1_sq_series()
-    lhs = l2 + (2.0 - sig) * _cumtrapz(h1, dt)
     bound = l2[0] * np.exp((2.0 - sig) * path.times)
     worst = float(np.max(lhs / bound)) if l2[0] > 0 else 0.0
     return StatReport(
@@ -454,24 +451,21 @@ def she_increment_structure(alpha: float, n_modes: int, s: float, t: float) -> f
 
     Per mode, with mu = (2 pi k)^2,
 
-        E |v_{k,t} - v_{k,s}|^2 = (e^{-mu (t-s)} - 1)^2 (1 - e^{-2 mu s}) / (2 mu)
-                                  + (1 - e^{-2 mu (t-s)}) / (2 mu),
+        E |v_{k,t} - v_{k,s}|^2 = (e^{-mu (t-s)} - 1)^2 tau(mu, s) + tau(mu, t - s)
 
-    the k = 0 mode degenerating to the Brownian value t - s.  White noise
-    (unit eigenvalues) drives every mode.
+    with tau the OU variance of :func:`~spdekit.integrators.ou_tau`, which
+    gives the k = 0 mode the Brownian value t - s.  White noise (unit
+    eigenvalues) drives every mode.
     """
     if s < 0 or t < s:
         raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
     if t == s:
         return 0.0
     grid = TorusGrid(n_modes, 2 * n_modes + 1)
-    mu = grid.laplacian_eigs[1:]
-    w = grid.sobolev_weights
+    mu = grid.laplacian_eigs
     gap = t - s
-    inc = (np.expm1(-mu * gap)) ** 2 * (-np.expm1(-2.0 * mu * s)) / (2.0 * mu)
-    inc += (-np.expm1(-2.0 * mu * gap)) / (2.0 * mu)
-    total = w[0] ** alpha * gap + 2.0 * np.sum(w[1:] ** alpha * inc)
-    return float(total)
+    inc = np.expm1(-mu * gap) ** 2 * ou_tau(mu, s) + ou_tau(mu, gap)
+    return float(mode_sum(grid.sobolev_weights**alpha * inc))
 
 
 def holder_exponent_fit(

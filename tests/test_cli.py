@@ -751,10 +751,23 @@ class TestRegularity:
         assert curve[0] == "alpha,lag,structure"
         assert len(curve) == 1 + 7  # default dyadic ladder 2^-8 .. 2^-14
 
+    def test_failed_fit_exits_one_with_every_report(self, tmp_path):
+        # alpha = +0.25 misses the band at K = 256 (the strict xfail of c09)
+        text = REGULARITY_TEMPLATE.format(out=tmp_path / "o").replace(
+            "alpha = -0.25", "alpha = -0.25, 0.25"
+        )
+        cfg = write_config(tmp_path / "c.ini", text)
+        assert cli.main(["regularity", "--config", cfg]) == 1
+        rows = (tmp_path / "o" / "r_reports.csv").read_text().strip().splitlines()
+        assert [r.split(",")[5] for r in rows[1:]] == ["true", "false"]
+        manifest = json.loads((tmp_path / "o" / "r_manifest.json").read_text())
+        assert manifest["outputs"] == ["r_reports.csv", "r_structure.csv"]
+
     def test_divergent_alpha_config_error(self, tmp_path, capsys):
         text = REGULARITY_TEMPLATE.format(out=tmp_path / "o").replace(
             "alpha = -0.25", "alpha = 0.75"
         )
         cfg = write_config(tmp_path / "c.ini", text)
         assert cli.main(["regularity", "--config", cfg]) == 2
-        assert "diverges" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "experiment.alpha" in err and "diverges" in err

@@ -255,6 +255,21 @@ class TestSimulate:
         with pytest.raises(ValueError, match="TransportHeat"):
             simulate(ma, SchemeSpec("heun_stratonovich", 0.1), cos_field(g), 0.1, sampler=s)
 
+    def test_sampler_must_carry_the_model_noise(self):
+        g = TorusGrid(8)
+        m = AdditiveHeat(CovarianceSpec.power(g, 1.0))
+        scheme = SchemeSpec("euler_maruyama", 1e-3)
+        white = NoiseSampler(CovarianceSpec.white(g), 1)
+        with pytest.raises(ValueError, match=r"\(white\).*AdditiveHeat \(trace_class\)"):
+            simulate(m, scheme, zero_field(g), 0.01, sampler=white)
+        steeper = NoiseSampler(CovarianceSpec.power(g, 2.0), 1)
+        with pytest.raises(ValueError, match=r"\(trace_class\).*\(trace_class\)"):
+            simulate(m, scheme, zero_field(g), 0.01, sampler=steeper)
+        # a distinct spec with the same eigenvalues is the model's covariance
+        p = simulate(m, scheme, zero_field(g), 0.01,
+                     sampler=NoiseSampler(CovarianceSpec.power(g, 1.0), 1))
+        assert np.array_equal(p.states[1], p.increment(0).field.coef)
+
     def test_sampler_and_explicit_draws_agree(self):
         g = TorusGrid(8)
         m = TransportHeat(g, (1.0,))

@@ -6,13 +6,25 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spdekit.burgers import _decay_powers, _semigroup_scan
-from spdekit.noise import CovarianceSpec, channel_weights, coarsen_increments, pack_draws
+from spdekit.integrators import ou_channel_variances, ou_tau
+from spdekit.models import AdditiveHeat, growth_check
+from spdekit.noise import (
+    CovarianceSpec,
+    channel_weights,
+    coarsen_increments,
+    covariance_pairing,
+    hs_norm_sq,
+    pack_draws,
+    trace,
+)
 from spdekit.spectral import (
     SpectralField,
     TorusGrid,
     derivative,
     h_inner,
     l2_sq_rows,
+    laplacian,
+    mode_sum,
     sobolev_norm,
 )
 
@@ -33,13 +45,16 @@ def spec_and_draws(draw):
     return spec, z
 
 
-@st.composite
-def fields(draw):
-    n_modes = draw(st.integers(1, 16))
-    parts = arrays(float, n_modes + 1, elements=st.floats(-1e3, 1e3))
+def field_on(draw, grid):
+    parts = arrays(float, grid.n_modes + 1, elements=st.floats(-1e3, 1e3))
     coef = draw(parts) + 1j * draw(parts)
     coef[0] = coef[0].real
-    return SpectralField(TorusGrid(n_modes), coef)
+    return SpectralField(grid, coef)
+
+
+@st.composite
+def fields(draw):
+    return field_on(draw, TorusGrid(draw(st.integers(1, 16))))
 
 
 @PROPERTY
@@ -65,6 +80,44 @@ def test_channel_weights_give_the_packed_l2_pairing(case, data):
     # rtol 1e-12 of the pairing, or of its absolute sum where the terms cancel
     bound = 1e-12 * (np.abs(expected) + np.abs(z) @ np.abs(a)) + 1e-300
     assert np.all(np.abs(got - expected) <= bound)
+
+
+@PROPERTY
+@given(spec_and_draws(), st.data())
+def test_half_spectrum_sums_agree_across_modules(case, data):
+    spec, _ = case
+    f, g = field_on(data.draw, spec.grid), field_on(data.draw, spec.grid)
+    close = dict(rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(h_inner(f, f, "l2"), l2_sq_rows(f.coef), **close)
+    assert covariance_pairing(CovarianceSpec.white(spec.grid), f, g) == h_inner(f, g)
+    var = spec.channel_variances()
+    np.testing.assert_allclose(trace(spec), var.sum(), **close)
+    np.testing.assert_allclose(hs_norm_sq(spec), np.sum(var**2), **close)
+
+
+@PROPERTY
+@given(spec_and_draws(), st.floats(1e-6, 1.0))
+def test_ou_channel_variances_carry_the_mode_variance(case, dt):
+    spec, _ = case
+    mu = spec.grid.laplacian_eigs
+    tau = ou_tau(mu, dt)
+    assert tau[0] == dt
+    # 1 - e^{-x} loses about eps / x here, x = 2 mu dt >= 7.9e-5
+    np.testing.assert_allclose(tau[1:], (1.0 - np.exp(-2.0 * mu[1:] * dt)) / (2.0 * mu[1:]), rtol=1e-9)
+    var = ou_channel_variances(spec, dt)
+    per_mode = np.concatenate(([var[0]], 0.5 * (var[1::2] + var[2::2])))
+    np.testing.assert_array_equal(per_mode, spec.lam * tau)
+    np.testing.assert_allclose(var.sum(), mode_sum(spec.lam * tau), rtol=1e-12, atol=1e-300)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(fields())
+def test_growth_dual_norm_is_the_division_formula(f):
+    # the H^-1 norm through l2_sq_rows with weights w^-1, against c_k^2 / w_k per mode
+    c, w = laplacian(f).coef, f.grid.sobolev_weights
+    divided = np.sqrt(c[0].real ** 2 / w[0] + 2.0 * np.sum(np.abs(c[1:]) ** 2 / w[1:]))
+    value = growth_check(AdditiveHeat(CovarianceSpec.white(f.grid)), f).lhs
+    assert abs(value - divided) <= 1e-14 * divided
 
 
 @PROPERTY
