@@ -363,8 +363,13 @@ def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
                 f"experiment.checks names unknown check {name!r}; known: {', '.join(CHECKS)}"
             )
     grid = build_grid(cfg)
-    _draw_widest_block(cfg, grid, seed, checks)
-    reports = [r for name in checks for r in CHECKS[name](cfg, grid, seed)]
+    items = [item for name in checks for item in CHECKS[name](cfg, grid, seed)]
+    # the Monte Carlo statistics of every listed check share one streamed pass
+    stats = [item for item in items if isinstance(item, verify_mod.McStatistic)]
+    streamed = iter(verify_mod.mc_reports(stats, _mc_config(cfg, seed)) if stats else ())
+    reports = [
+        next(streamed) if isinstance(item, verify_mod.McStatistic) else item for item in items
+    ]
     return _write_reports(cfg, out, seed, "verify", reports)
 
 
@@ -379,11 +384,13 @@ def _write_reports(cfg: RunConfig, out: Path, seed: int, command: str, reports, 
 
 
 # ---------------------------------------------------------------------------
-# verify checks: one function per config name, (cfg, grid, seed) -> reports
+# verify checks: one function per config name, (cfg, grid, seed) -> reports,
+# or the statistics of a Monte Carlo check
 # ---------------------------------------------------------------------------
 
 
 def _mc_config(cfg: RunConfig, seed: int) -> verify_mod.McConfig:
+    """The Monte Carlo budget; each Monte Carlo check reads it before its other keys."""
     try:
         return verify_mod.McConfig(
             n_paths=cfg.get_int("experiment", "n_paths", 100),
@@ -500,27 +507,26 @@ def _phi_weights(cfg):
 
 
 def _check_ito_isometry(cfg, grid, seed):
-    mc = _mc_config(cfg, seed)
+    _mc_config(cfg, seed)
     T = cfg.get_float("experiment", "t", required=True)
-    phi, lam = _phi_weights(cfg)
-    return [verify_mod.ito_isometry_mc(phi, lam, T, mc)]
+    return [verify_mod.ito_isometry_stat(*_phi_weights(cfg), T)]
 
 
 def _check_trace_identity(cfg, grid, seed):
-    mc = _mc_config(cfg, seed)
+    _mc_config(cfg, seed)
     spec = build_noise(cfg, grid)
     T = cfg.get_float("experiment", "t", required=True)
-    return [verify_mod.trace_identity_mc(spec, T, mc)]
+    return [verify_mod.trace_identity_stat(spec, T)]
 
 
 def _check_wiener_covariance(cfg, grid, seed):
-    mc = _mc_config(cfg, seed)
+    _mc_config(cfg, seed)
     spec = build_noise(cfg, grid)
     s = cfg.get_float("experiment", "s", 0.3)
     t = cfg.get_float("experiment", "t", required=True)
     h = build_initial_field(cfg, grid, key="h")
     g = build_initial_field(cfg, grid, key="g")
-    return [verify_mod.wiener_covariance_mc(spec, h, g, s, t, mc)]
+    return [verify_mod.wiener_covariance_stat(spec, h, g, s, t)]
 
 
 def _check_quadratic_variation(cfg, grid, seed):
@@ -565,17 +571,17 @@ def _check_ito_strat(cfg, grid, seed):
 
 
 def _check_gaussian_moment(cfg, grid, seed):
-    mc = _mc_config(cfg, seed)
-    return [verify_mod.gaussian_moment_ratio(build_noise(cfg, grid), mc)]
+    _mc_config(cfg, seed)
+    return [verify_mod.gaussian_moment_stat(build_noise(cfg, grid))]
 
 
 def _check_ou_exactness(cfg, grid, seed):
-    mc = _mc_config(cfg, seed)
+    _mc_config(cfg, seed)
     spec = build_noise(cfg, grid)
     dt = cfg.get_float("scheme", "dt", required=True)
     modes = [int(k) for k in cfg.get_floats("experiment", "ou_modes", [0, 1, 8])]
     try:
-        return verify_mod.ou_variance_mc(spec, dt, modes, mc)
+        return verify_mod.ou_variance_stats(spec, dt, modes)
     except ValueError as exc:
         raise ConfigError(f"experiment.ou_modes invalid: {exc}") from exc
 
@@ -597,7 +603,12 @@ def _check_holder_exponent(cfg, grid, seed):
 # The verify checks by config name, in README order.  Each entry looks up the
 # builders, ``simulate`` and the ``verify`` checkers as module attributes when
 # it runs, so wrappers installed on those attributes (timers, tracers) see it.
-CHECKS: dict[str, Callable[[RunConfig, TorusGrid, int], list[verify_mod.StatReport]]] = {
+# A Monte Carlo check returns its statistics, which ``run_verify`` streams in
+# one pass; the other checks return their reports.
+CHECKS: dict[
+    str,
+    Callable[[RunConfig, TorusGrid, int], list[verify_mod.StatReport | verify_mod.McStatistic]],
+] = {
     "mass_conservation": _check_mass_conservation,
     "energy_identity": _check_energy_identity,
     "gronwall": _check_gronwall,
@@ -610,34 +621,6 @@ CHECKS: dict[str, Callable[[RunConfig, TorusGrid, int], list[verify_mod.StatRepo
     "ou_exactness": _check_ou_exactness,
     "holder_exponent": _check_holder_exponent,
 }
-
-
-# Columns per stream that each Monte Carlo check reads from ``verify.mc_normals``.
-MC_COLUMNS: dict[str, Callable[[RunConfig, TorusGrid], int]] = {
-    "ito_isometry": lambda cfg, grid: _phi_weights(cfg)[0].size,
-    "trace_identity": lambda cfg, grid: 2 * grid.n_modes + 1,
-    "wiener_covariance": lambda cfg, grid: 2 * (2 * grid.n_modes + 1),
-    "gaussian_moment": lambda cfg, grid: 2 * grid.n_modes + 1,
-    "ou_exactness": lambda cfg, grid: 2 * grid.n_modes + 1,
-}
-
-
-def _draw_widest_block(cfg: RunConfig, grid: TorusGrid, seed: int, checks) -> None:
-    """Draw the widest Monte Carlo block the listed checks read, before any runs.
-
-    Every later ``mc_normals`` request of the command is then a slice of this
-    one block.  A configuration error is left to the check that meets it, so
-    errors still surface in check order.
-    """
-    widths = [MC_COLUMNS[name] for name in checks if name in MC_COLUMNS]
-    if not widths:
-        return
-    try:
-        cols = max(width(cfg, grid) for width in widths)
-        mc = _mc_config(cfg, seed)
-    except ConfigError:
-        return
-    verify_mod.mc_normals(mc.base_seed, mc.n_paths, cols)
 
 
 def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:

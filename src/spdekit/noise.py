@@ -37,6 +37,7 @@ __all__ = [
     "pack_draws",
     "channel_weights",
     "per_channel",
+    "mode_channels",
     "coarsen_increments",
 ]
 
@@ -111,6 +112,11 @@ def per_channel(per_mode: np.ndarray) -> np.ndarray:
     sine channels of mode k, and both carry the value of mode k.
     """
     return np.repeat(per_mode, 2)[1:]
+
+
+def mode_channels(k: int) -> slice:
+    """The real channels of mode k (see :func:`per_channel`) as a slice."""
+    return slice(0, 1) if k == 0 else slice(2 * k - 1, 2 * k + 1)
 
 
 def trace(spec: CovarianceSpec, truncated_ok: bool = False) -> float:

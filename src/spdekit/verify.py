@@ -24,6 +24,7 @@ Covered identities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .noise import (
     coarsen_increments,
     covariance_pairing,
     hs_norm_sq,
+    mode_channels,
     stream_normals,
     trace,
 )
@@ -46,20 +48,28 @@ __all__ = [
     "McConfig",
     "StatReport",
     "evaluate_pass",
+    "McStatistic",
     "mc_normals",
+    "mc_pass",
+    "mc_reports",
     "energy_identity_residual",
     "energy_identity_refinement",
     "gronwall_check",
     "mass_conservation_check",
+    "ito_isometry_stat",
     "ito_isometry_mc",
+    "wiener_covariance_stat",
     "wiener_covariance_mc",
     "quadratic_variation_partition",
     "brownian_scalar_path",
     "she_increment_structure",
     "holder_exponent_fit",
     "ito_strat_compare",
+    "gaussian_moment_stat",
     "gaussian_moment_ratio",
+    "trace_identity_stat",
     "trace_identity_mc",
+    "ou_variance_stats",
     "ou_variance_mc",
 ]
 
@@ -125,47 +135,75 @@ class StatReport:
         return "pass" if self.passed else "fail"
 
 
-# The widest block of Monte Carlo normals drawn so far, under its key
-# (seed, n_paths).  The checks of one verify command share the seed,
-# so each block is drawn once; one entry bounds the memory held to one block.
-_mc_block: dict[tuple[int, int], np.ndarray] = {}
+_MC_ROWS = 256  # rows per chunk of the Monte Carlo pass: about 1 MB of normals at 514 columns
 
 
-def mc_normals(seed: int, n_paths: int, cols: int) -> np.ndarray:
-    """Per-path standard normals from counter-keyed streams, shape (n_paths, cols).
+def mc_normals(seed: int, rows: range | int, cols: int) -> np.ndarray:
+    """Monte Carlo standard normals of the rows ``rows``, shape (len(rows), cols).
 
-    Row ``i`` is the first ``cols`` normals of the Philox stream keyed
-    ``(seed, i)``: row ``i`` of ``noise.stream_normals(seed, range(n_paths), cols)``.
-    The ziggurat consumes a stream in order, so a narrower request is the
-    leading columns of a wider one: repeated requests under one key are served
-    from the widest block drawn so far, and every Monte Carlo check of a
-    ``verify`` command reads the same samples.  ``spdekit verify`` asks for the
-    widest block its listed checks read before any of them runs, so the block
-    is drawn once per command; the checks evaluate their identities on these
-    real channels, without Hermitian packing.  The array is read-only.
+    ``rows`` is a range of row indices, or a count n for rows 0..n-1.  Row
+    ``i`` is the first ``cols`` normals of the Philox stream keyed
+    ``(seed, i)``: ``noise.stream_normals(seed, rows, cols)``.  A stream is
+    fixed by its key, so rows can be drawn in any order and grouping, and the
+    ziggurat consumes a stream in order, so a narrower draw is the leading
+    columns of a wider one.  Nothing is kept between calls.
     """
-    memo = (int(seed), int(n_paths))
-    if memo not in _mc_block or _mc_block[memo].shape[1] < cols:
-        _mc_block.clear()  # release the old block before drawing the new one
-        z = stream_normals(seed, range(n_paths), cols)
-        z.flags.writeable = False
-        _mc_block[memo] = z
-    return _mc_block[memo][:, :cols]
+    if not isinstance(rows, range):
+        rows = range(rows)
+    return stream_normals(seed, rows, cols)
 
 
-def _mc_report(name, samples, target, cfg: McConfig, note="", **metadata) -> StatReport:
-    """The report of a Monte Carlo mean: gated at ``cfg.tolerance_multiplier`` SEs."""
-    return StatReport(
-        name=name,
-        estimate=float(np.mean(samples)),
-        target=target,
-        se=float(np.std(samples, ddof=1) / np.sqrt(cfg.n_paths)),
-        n=cfg.n_paths,
-        tol_kind="se",
-        tolerance=cfg.tolerance_multiplier,
-        note=note,
-        metadata=metadata,
-    )
+@dataclass(frozen=True)
+class McStatistic:
+    """One Monte Carlo report, split for the streamed pass of :func:`mc_pass`.
+
+    ``per_row`` maps unit normals of shape (rows, ``cols``) to one sample per
+    row; the report is the mean of the ``n_paths`` samples against ``target``.
+    """
+
+    name: str
+    cols: int
+    per_row: Callable[[np.ndarray], np.ndarray]
+    target: float
+    note: str = ""
+    metadata: dict = dc_field(default_factory=dict)
+
+
+def mc_pass(stats: list[McStatistic], cfg: McConfig) -> list[np.ndarray]:
+    """The ``cfg.n_paths`` samples of each statistic, from one pass over row chunks.
+
+    Rows are drawn once, ``_MC_ROWS`` at a time and at the widest width the
+    statistics read; each statistic sees the leading columns of each chunk.
+    Memory grows with the chunk and the sample vectors, not with the draws.
+    """
+    if not stats:
+        return []
+    cols = max(st.cols for st in stats)
+    samples = [np.empty(cfg.n_paths) for _ in stats]
+    for lo in range(0, cfg.n_paths, _MC_ROWS):
+        rows = range(lo, min(lo + _MC_ROWS, cfg.n_paths))
+        z = mc_normals(cfg.base_seed, rows, cols)
+        for st, out in zip(stats, samples):
+            out[rows.start : rows.stop] = st.per_row(z[:, : st.cols])
+    return samples
+
+
+def mc_reports(stats: list[McStatistic], cfg: McConfig) -> list[StatReport]:
+    """The report of each statistic, gated at ``cfg.tolerance_multiplier`` SEs."""
+    return [
+        StatReport(
+            name=st.name,
+            estimate=float(np.mean(samples)),
+            target=st.target,
+            se=float(np.std(samples, ddof=1) / np.sqrt(cfg.n_paths)),
+            n=cfg.n_paths,
+            tol_kind="se",
+            tolerance=cfg.tolerance_multiplier,
+            note=st.note,
+            metadata=st.metadata,
+        )
+        for st, samples in zip(stats, mc_pass(stats, cfg))
+    ]
 
 
 def _ladder_draws(spec: CovarianceSpec, seed: int, stream_id: int, dts, T: float):
@@ -330,8 +368,8 @@ def mass_conservation_check(path: SamplePath, tol: float = 1e-10) -> StatReport:
 # ---------------------------------------------------------------------------
 
 
-def ito_isometry_mc(phi, lam, T: float, cfg: McConfig) -> StatReport:
-    """E |phi . W_T|^2 against the closed form T sum_j phi_j^2 lambda_j.
+def ito_isometry_stat(phi, lam, T: float) -> McStatistic:
+    """|phi . W_T|^2 per path, against the closed form T sum_j phi_j^2 lambda_j.
 
     ``phi`` are deterministic, time-constant weights over independent scalar
     Brownian channels with variances ``lam``.
@@ -340,10 +378,44 @@ def ito_isometry_mc(phi, lam, T: float, cfg: McConfig) -> StatReport:
     lam = np.asarray(lam, dtype=float)
     if phi.shape != lam.shape:
         raise ValueError("phi and lambda must have matching shapes")
-    target = float(T * np.sum(phi**2 * lam))
-    z = mc_normals(cfg.base_seed, cfg.n_paths, phi.size)
-    samples = np.sum((phi**2 * lam * T) * z**2, axis=1)
-    return _mc_report("ito_isometry", samples, target, cfg, T=T, channels=int(phi.size))
+    weights = phi**2 * lam * T
+    return McStatistic(
+        "ito_isometry",
+        phi.size,
+        lambda z: np.sum(weights * z**2, axis=1),
+        float(T * np.sum(phi**2 * lam)),
+        metadata={"T": T, "channels": int(phi.size)},
+    )
+
+
+def ito_isometry_mc(phi, lam, T: float, cfg: McConfig) -> StatReport:
+    """E |phi . W_T|^2 against T sum_j phi_j^2 lambda_j (see :func:`ito_isometry_stat`)."""
+    return mc_reports([ito_isometry_stat(phi, lam, T)], cfg)[0]
+
+
+def wiener_covariance_stat(
+    spec: CovarianceSpec, h: SpectralField, g: SpectralField, s: float, t: float
+) -> McStatistic:
+    """<W_t, h> <W_s, g> per path, against (s ^ t) <Qh, g>.
+
+    The first 2K+1 columns drive W at the earlier time, the next 2K+1 its
+    increment to the later one; each pairing is the draws times the channel
+    weights of its test field.
+    """
+    if s < 0 or t < 0:
+        raise ValueError("times must be nonnegative")
+    lo, hi = (s, t) if s <= t else (t, s)
+    ch = spec.n_channels
+    weights = np.stack([channel_weights(spec, h), channel_weights(spec, g)], axis=1)
+
+    def per_row(z):
+        at_lo = np.sqrt(lo) * (z[:, :ch] @ weights)  # columns <W_lo, h>, <W_lo, g>
+        at_hi = at_lo + np.sqrt(hi - lo) * (z[:, ch:] @ weights)
+        at_t, at_s = (at_hi, at_lo) if t >= s else (at_lo, at_hi)
+        return at_t[:, 0] * at_s[:, 1]
+
+    target = float(min(s, t) * covariance_pairing(spec, h, g))
+    return McStatistic("wiener_covariance", 2 * ch, per_row, target, metadata={"s": s, "t": t})
 
 
 def wiener_covariance_mc(
@@ -354,44 +426,46 @@ def wiener_covariance_mc(
     t: float,
     cfg: McConfig,
 ) -> StatReport:
-    """E <W_t, h> <W_s, g> against (s ^ t) <Qh, g>.
+    """E <W_t, h> <W_s, g> against (s ^ t) <Qh, g> (see :func:`wiener_covariance_stat`)."""
+    return mc_reports([wiener_covariance_stat(spec, h, g, s, t)], cfg)[0]
 
-    The first 2K+1 columns drive W at the earlier time, the next 2K+1 its
-    increment to the later one; each pairing is the draws times the channel
-    weights of its test field.
-    """
-    if s < 0 or t < 0:
-        raise ValueError("times must be nonnegative")
-    lo, hi = (s, t) if s <= t else (t, s)
-    ch = spec.n_channels
-    z = mc_normals(cfg.base_seed, cfg.n_paths, 2 * ch)
-    weights = np.stack([channel_weights(spec, h), channel_weights(spec, g)], axis=1)
-    at_lo = np.sqrt(lo) * (z[:, :ch] @ weights)  # columns <W_lo, h>, <W_lo, g>
-    at_hi = at_lo + np.sqrt(hi - lo) * (z[:, ch:] @ weights)
-    at_t, at_s = (at_hi, at_lo) if t >= s else (at_lo, at_hi)
-    samples = at_t[:, 0] * at_s[:, 1]
-    target = float(min(s, t) * covariance_pairing(spec, h, g))
-    return _mc_report("wiener_covariance", samples, target, cfg, s=s, t=t)
+
+def trace_identity_stat(spec: CovarianceSpec, T: float) -> McStatistic:
+    """|W_T|_{L^2}^2 per path, against T Tr Q (truncated trace for white noise)."""
+    weights = T * spec.channel_variances()
+    target = float(T * trace(spec, truncated_ok=True))
+    note = "truncated white noise (K modes recorded)" if spec.kind == "white" else ""
+    return McStatistic(
+        "trace_identity",
+        spec.n_channels,
+        lambda z: _weighted_sq_rows(z, weights),
+        target,
+        note,
+        {"T": T, "n_modes": spec.grid.n_modes},
+    )
 
 
 def trace_identity_mc(spec: CovarianceSpec, T: float, cfg: McConfig) -> StatReport:
-    """E |W_T|_{L^2}^2 against T Tr Q (truncated trace for white noise)."""
-    z = mc_normals(cfg.base_seed, cfg.n_paths, spec.n_channels)
-    samples = _weighted_sq_rows(z, T * spec.channel_variances())
-    target = float(T * trace(spec, truncated_ok=True))
-    note = "truncated white noise (K modes recorded)" if spec.kind == "white" else ""
-    return _mc_report(
-        "trace_identity", samples, target, cfg, note, T=T, n_modes=spec.grid.n_modes
+    """E |W_T|_{L^2}^2 against T Tr Q (see :func:`trace_identity_stat`)."""
+    return mc_reports([trace_identity_stat(spec, T)], cfg)[0]
+
+
+def gaussian_moment_stat(spec: CovarianceSpec) -> McStatistic:
+    """|X|^4 per path for X ~ N(0, Q), against (Tr Q)^2 + 2 Tr(Q^2)."""
+    weights = spec.channel_variances()
+    tr = trace(spec, truncated_ok=True)
+    return McStatistic(
+        "gaussian_fourth_moment",
+        spec.n_channels,
+        lambda z: _weighted_sq_rows(z, weights) ** 2,
+        float(tr**2 + 2.0 * hs_norm_sq(spec, truncated_ok=True)),
+        metadata={"trace": tr},
     )
 
 
 def gaussian_moment_ratio(spec: CovarianceSpec, cfg: McConfig) -> StatReport:
     """E |X|^4 for X ~ N(0, Q) against (Tr Q)^2 + 2 Tr(Q^2)."""
-    z = mc_normals(cfg.base_seed, cfg.n_paths, spec.n_channels)
-    samples = _weighted_sq_rows(z, spec.channel_variances()) ** 2
-    tr = trace(spec, truncated_ok=True)
-    target = float(tr**2 + 2.0 * hs_norm_sq(spec, truncated_ok=True))
-    return _mc_report("gaussian_fourth_moment", samples, target, cfg, trace=tr)
+    return mc_reports([gaussian_moment_stat(spec)], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -577,25 +651,34 @@ def ito_strat_compare(
 # ---------------------------------------------------------------------------
 
 
-def ou_variance_mc(q: CovarianceSpec, dt: float, modes, cfg: McConfig) -> list[StatReport]:
-    """Marginal variance of the exact OU transition noise per requested mode.
+def ou_variance_stats(q: CovarianceSpec, dt: float, modes) -> list[McStatistic]:
+    """Per requested mode, the squared exact OU transition noise of each path.
 
     Targets lambda_k (1 - e^{-2 mu_k dt}) / (2 mu_k), the k = 0 mode being
     pure Brownian with variance lambda_0 dt.  Mode k reads only its own
-    channels: channel 0 for k = 0, the cosine/sine pair 2k-1, 2k otherwise.
+    channels (:func:`~spdekit.noise.mode_channels`): its sample is the mean
+    of their variance-weighted squares.
     """
     var = ou_channel_variances(q, dt)
-    z = mc_normals(cfg.base_seed, cfg.n_paths, q.n_channels)
-    reports = []
+    stats = []
     for k in modes:
         k = int(k)
         if not 0 <= k <= q.grid.n_modes:
             raise ValueError(f"mode {k} outside 0..{q.grid.n_modes}")
-        target = float(var[2 * k])
-        if k == 0:
-            samples = var[0] * z[:, 0] ** 2
-        else:
-            pair = z[:, 2 * k - 1 : 2 * k + 1]
-            samples = 0.5 * (pair * pair) @ var[2 * k - 1 : 2 * k + 1]
-        reports.append(_mc_report(f"ou_variance_mode{k}", samples, target, cfg, dt=dt, mode=k))
-    return reports
+        ch = mode_channels(k)
+        v = var[ch]
+        stats.append(
+            McStatistic(
+                f"ou_variance_mode{k}",
+                q.n_channels,
+                lambda z, ch=ch, v=v: (z[:, ch] * z[:, ch]) @ v / v.size,
+                float(v[0]),
+                metadata={"dt": dt, "mode": k},
+            )
+        )
+    return stats
+
+
+def ou_variance_mc(q: CovarianceSpec, dt: float, modes, cfg: McConfig) -> list[StatReport]:
+    """Marginal variance of the exact OU transition noise per requested mode."""
+    return mc_reports(ou_variance_stats(q, dt, modes), cfg)

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -512,40 +513,57 @@ MC_CHECK_NAMES = "ito_isometry, trace_identity, wiener_covariance, gaussian_mome
 
 
 class TestWidestBlockFirst:
-    # one verify command draws one Monte Carlo block, at the widest width any
-    # listed check reads; every later request is a slice of it
+    # one verify command streams the Monte Carlo rows once: every row
+    # 0..n_paths-1 is drawn exactly once, at the widest width any listed check
+    # reads, and a command without a Monte Carlo check draws nothing
+
+    # the columns each check reads per row, as the README states them
+    WIDTHS = {
+        "ito_isometry": 1,
+        "trace_identity": 2 * 8 + 1,
+        "wiener_covariance": 2 * (2 * 8 + 1),
+        "gaussian_moment": 2 * 8 + 1,
+        "ou_exactness": 2 * 8 + 1,
+    }
+    PHI_WIDTHS = {"phi = white\nphi_count = 20": 2 * 20 + 1, "phi = inverse_k\nphi_count = 5": 5}
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """Column counts of the calls to ``verify.stream_normals``, from an empty memo."""
-        monkeypatch.setattr(verify, "_mc_block", {})
-        cols = []
-        real = verify.stream_normals
+        """(rows, columns) of each call to ``verify.mc_normals``."""
+        calls = []
+        real = verify.mc_normals
 
-        def counted(seed, streams, n_cols, chunk=0):
-            cols.append(n_cols)
-            return real(seed, streams, n_cols, chunk)
+        def recorded(seed, rows, cols):
+            calls.append((rows, cols))
+            return real(seed, rows, cols)
 
-        monkeypatch.setattr(verify, "stream_normals", counted)
-        return cols
+        monkeypatch.setattr(verify, "mc_normals", recorded)
+        return calls
+
+    @staticmethod
+    def assert_each_row_once(draws, n_paths, width):
+        assert [row for rows, _ in draws for row in rows] == list(range(n_paths))
+        assert {cols for _, cols in draws} == {width}
 
     def test_all_monte_carlo_checks_draw_once(self, tmp_path, draws):
-        cfg = all_checks_config(tmp_path, MC_CHECK_NAMES, n_paths=50)
+        n_paths = 2 * verify._MC_ROWS + 37
+        cfg = all_checks_config(tmp_path, MC_CHECK_NAMES, n_paths=n_paths)
         assert cli.main(["verify", "--config", cfg]) in (0, 1)
-        assert draws == [2 * (2 * 8 + 1)]
+        self.assert_each_row_once(draws, n_paths, 2 * (2 * 8 + 1))
+        assert len(draws) == 3
         assert len(report_rows(tmp_path)) == 7
 
     def test_widest_phi_sets_the_width(self, tmp_path, draws):
         extra = "phi = white\nphi_count = 20"
         cfg = all_checks_config(tmp_path, MC_CHECK_NAMES, n_paths=50, extra=extra)
         assert cli.main(["verify", "--config", cfg]) in (0, 1)
-        assert draws == [2 * 20 + 1]
+        self.assert_each_row_once(draws, 50, 2 * 20 + 1)
 
     def test_no_monte_carlo_check_draws_nothing(self, tmp_path, draws):
         cfg = all_checks_config(tmp_path, "mass_conservation, gronwall, holder_exponent")
         assert cli.main(["verify", "--config", cfg]) in (0, 1)
         assert len(report_rows(tmp_path)) == 3
-        assert draws == [] and verify._mc_block == {}
+        assert draws == []
 
     @pytest.mark.parametrize(
         "name, extra",
@@ -555,20 +573,27 @@ class TestWidestBlockFirst:
             ("ito_isometry", "phi = inverse_k\nphi_count = 5"),
         ],
     )
-    def test_rule_matches_what_each_check_reads(self, tmp_path, monkeypatch, name, extra):
-        requested = []
-        real = verify.mc_normals
+    def test_rule_matches_what_each_check_reads(self, tmp_path, draws, name, extra):
+        cfg = all_checks_config(tmp_path, name, n_paths=4, extra=extra)
+        assert cli.main(["verify", "--config", cfg]) in (0, 1)
+        width = self.PHI_WIDTHS.get(extra, self.WIDTHS.get(name))
+        if width is None:
+            assert draws == []
+        else:
+            self.assert_each_row_once(draws, 4, width)
 
-        def recorded(seed, n_paths, cols):
-            requested.append(cols)
-            return real(seed, n_paths, cols)
-
-        monkeypatch.setattr(verify, "mc_normals", recorded)
-        cfg = cli.load_config(all_checks_config(tmp_path, name, n_paths=4, extra=extra))
-        grid = cli.build_grid(cfg)
-        cli.CHECKS[name](cfg, grid, 5)
-        rule = cli.MC_COLUMNS.get(name)
-        assert max(requested, default=None) == (rule(cfg, grid) if rule else None)
+    def test_peak_memory_does_not_grow_with_the_draws(self, tmp_path):
+        # K = 128 and 10^4 paths: holding every draw would take 41 MB
+        text = Path(all_checks_config(tmp_path, MC_CHECK_NAMES, n_paths=10_000)).read_text()
+        cfg = write_config(tmp_path / "c.ini", text.replace("modes = 8", "modes = 128"))
+        tracemalloc.start()
+        try:
+            assert cli.main(["verify", "--config", cfg]) in (0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report_rows(tmp_path)) == 7
+        assert peak < 8e6
 
     def test_mode_outside_the_grid_is_config_error(self, tmp_path, capsys):
         cfg = all_checks_config(tmp_path, "ou_exactness", n_paths=50, extra="ou_modes = 0, 9")

@@ -6,7 +6,8 @@ import pytest
 from conftest import cos_field, make_random_field
 from spdekit.integrators import SchemeSpec, simulate
 from spdekit.models import AdditiveHeat, Burgers, TransportHeat
-from spdekit.noise import CovarianceSpec, NoiseSampler, pack_draws
+from spdekit import verify
+from spdekit.noise import CovarianceSpec, NoiseSampler, pack_draws, stream_normals
 from spdekit.spectral import TorusGrid, field_from_modes, l2_sq_rows, zero_field
 from spdekit.verify import (
     McConfig,
@@ -16,17 +17,24 @@ from spdekit.verify import (
     energy_identity_residual,
     evaluate_pass,
     gaussian_moment_ratio,
+    gaussian_moment_stat,
     gronwall_check,
     holder_exponent_fit,
     ito_isometry_mc,
+    ito_isometry_stat,
     ito_strat_compare,
     mass_conservation_check,
     mc_normals,
+    mc_pass,
+    mc_reports,
     ou_variance_mc,
+    ou_variance_stats,
     quadratic_variation_partition,
     she_increment_structure,
     trace_identity_mc,
+    trace_identity_stat,
     wiener_covariance_mc,
+    wiener_covariance_stat,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -117,21 +125,25 @@ class TestMcNormals:
         assert np.array_equal(z, self.reference(seed, 6, cols))
 
     def test_request_order_does_not_matter(self):
-        wide, narrow = self.reference(23, 50, 514), self.reference(23, 50, 257)
-        for first, second in ((257, 514), (514, 257)):
-            mc_normals(24, 50, 514)  # a different key: the next request draws afresh
-            a = mc_normals(23, 50, first)
-            b = mc_normals(23, 50, second)
-            got = {first: a, second: b}
-            assert np.array_equal(got[514], wide)
-            assert np.array_equal(got[257], narrow)
+        # row ranges drawn in any order, grouping and width are rows of one block
+        wide = self.reference(23, 50, 514)
+        for cols, bounds in ((257, (50, 37, 13, 0)), (514, (50, 49, 1, 0)), (3, (50, 0))):
+            parts = [
+                (lo, mc_normals(23, range(lo, hi), cols))
+                for hi, lo in zip(bounds, bounds[1:])
+            ]
+            got = np.concatenate([z for _, z in sorted(parts, key=lambda p: p[0])])
+            assert np.array_equal(got, wide[:, :cols])
 
-    def test_blocks_are_read_only(self):
-        for cols in (4, 2, 8):
-            z = mc_normals(29, 10, cols)
-            assert not z.flags.writeable
-            with pytest.raises(ValueError):
-                z[0, 0] = 1.0
+    def test_draws_are_fresh_arrays(self):
+        # no memo: each draw is a new writable array, and writing to it
+        # changes no later draw
+        first = mc_normals(29, range(3, 10), 8)
+        assert first.flags.writeable
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(mc_normals(29, range(3, 10), 8), expected)
+        assert np.array_equal(mc_normals(29, range(3, 10), 4), expected[:, :4])
 
     def test_one_command_equals_one_command_per_check(self, tmp_path):
         from spdekit import cli
@@ -152,6 +164,65 @@ class TestMcNormals:
             one_by_one.extend(lines[1:])
         assert len(together) == 1 + 4 + 3
         assert together == one_by_one
+
+
+class TestStreamedPass:
+    # the pass draws chunks of _MC_ROWS rows; every sample of every statistic
+    # must equal the statistic evaluated on one block holding all the rows
+
+    @staticmethod
+    def statistics(K):
+        spec = CovarianceSpec.power(TorusGrid(K), 0.7)
+        h = make_random_field(spec.grid, 3)
+        g = make_random_field(spec.grid, 5, amplitude=0.5)
+        return [
+            ito_isometry_stat(1.0 / np.arange(1, 21), np.ones(20), 0.6),
+            trace_identity_stat(spec, 0.7),
+            wiener_covariance_stat(spec, h, g, 0.8, 0.3),
+            gaussian_moment_stat(spec),
+            *ou_variance_stats(spec, 0.01, [0, 1, K]),
+        ]
+
+    @pytest.mark.parametrize("K", [8, 128])
+    def test_samples_equal_the_full_block(self, K):
+        n = 2 * verify._MC_ROWS + 37  # the last chunk is partial
+        cfg = McConfig(n, 41)
+        stats = self.statistics(K)
+        width = max(st.cols for st in stats)
+        assert width == 2 * (2 * K + 1)
+        block = stream_normals(cfg.base_seed, range(n), width)
+        together = mc_pass(stats, cfg)
+        assert len(together) == len(stats)
+        for st, samples in zip(stats, together):
+            assert samples.shape == (n,)
+            assert np.array_equal(samples, st.per_row(block[:, : st.cols]))  # bitwise
+            alone = stream_normals(cfg.base_seed, range(n), st.cols)
+            assert np.array_equal(mc_pass([st], cfg)[0], st.per_row(alone))
+
+    def test_reports_are_the_public_checkers(self):
+        cfg = McConfig(300, 43)
+        spec = CovarianceSpec.white(TorusGrid(8))
+        h, g = make_random_field(spec.grid, 1), make_random_field(spec.grid, 2)
+        stats = [
+            ito_isometry_stat([1.0, 0.5], [1.0, 2.0], 0.4),
+            trace_identity_stat(spec, 0.4),
+            wiener_covariance_stat(spec, h, g, 0.1, 0.4),
+            gaussian_moment_stat(spec),
+            *ou_variance_stats(spec, 0.02, [0, 3]),
+        ]
+        expected = [
+            ito_isometry_mc([1.0, 0.5], [1.0, 2.0], 0.4, cfg),
+            trace_identity_mc(spec, 0.4, cfg),
+            wiener_covariance_mc(spec, h, g, 0.1, 0.4, cfg),
+            gaussian_moment_ratio(spec, cfg),
+            *ou_variance_mc(spec, 0.02, [0, 3], cfg),
+        ]
+        assert mc_reports(stats, cfg) == expected
+
+    def test_no_statistic_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(verify, "mc_normals", None)  # a draw would raise
+        assert mc_pass([], McConfig(10, 1)) == []
+        assert mc_reports([], McConfig(10, 1)) == []
 
 
 def packed_report(samples):
