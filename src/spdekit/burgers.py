@@ -25,7 +25,7 @@ of the divergence-form nonlinearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -141,11 +141,17 @@ def _lp_of_squares(sq: np.ndarray, p: float) -> np.ndarray:
     return np.mean(sq, axis=-1) ** (1.0 / p)
 
 
+_LP_ROWS = 256  # rows per transform in _lp_rows: bounds its sample buffer
+
+
 def _lp_rows(coef: np.ndarray, p: float, n_points: int) -> np.ndarray:
-    """L^p norm per row of a batch of half spectra."""
-    samples = _coef_to_samples(coef, n_points)
-    samples *= samples
-    return _lp_of_squares(samples, p)
+    """L^p norm per row of a batch of half spectra, ``_LP_ROWS`` rows per irfft."""
+    out = np.empty(coef.shape[:-1])
+    for r0 in range(0, coef.shape[0], _LP_ROWS):
+        samples = _coef_to_samples(coef[r0 : r0 + _LP_ROWS], n_points)
+        samples *= samples
+        out[r0 : r0 + _LP_ROWS] = _lp_of_squares(samples, p)
+    return out
 
 
 def _halpha_rows(coef: np.ndarray, grid: TorusGrid, alpha: float) -> np.ndarray:
@@ -259,7 +265,7 @@ def solve_remainder(problem: BurgersProblem, v_path: SamplePath):
         window_index += 1
 
     times = np.arange(n_steps + 1) * dt
-    w_path = SamplePath(grid, times, w, np.zeros((n_steps, 2 * grid.n_modes + 1)), None)
+    w_path = SamplePath(grid, times, w)
     return w_path, iters, residuals, distance_log
 
 
@@ -271,13 +277,7 @@ def compose(v_path: SamplePath, w_path: SamplePath) -> SamplePath:
         v_path.times, w_path.times
     ):
         raise ValueError("paths live on different time grids")
-    return SamplePath(
-        v_path.grid,
-        v_path.times,
-        v_path.states + w_path.states,
-        v_path.draws,
-        v_path.spec,
-    )
+    return replace(v_path, states=v_path.states + w_path.states)
 
 
 def apriori_report(

@@ -524,6 +524,9 @@ def _check_wiener_covariance(cfg, grid, seed):
     spec = build_noise(cfg, grid)
     s = cfg.get_float("experiment", "s", 0.3)
     t = cfg.get_float("experiment", "t", required=True)
+    for key, value in (("s", s), ("t", t)):
+        if value < 0:
+            raise ConfigError(f"experiment.{key} must be nonnegative, got {value}")
     h = build_initial_field(cfg, grid, key="h")
     g = build_initial_field(cfg, grid, key="g")
     return [verify_mod.wiener_covariance_stat(spec, h, g, s, t)]
@@ -623,6 +626,38 @@ CHECKS: dict[
 }
 
 
+def _burgers_seed(problem, seed: int, i: int, seed_file: Path) -> list:
+    """Solve seed ``i``, write its series to ``seed_file`` and return its summary row.
+
+    Everything the solve holds is released on return, so a ``burgers``
+    command holds one seed's solution at a time.
+    """
+    split = burgers_mod.solve_split(problem, seed, i)
+    v_ha = burgers_mod._halpha_rows(split.v_path.states, problem.grid, problem.alpha)
+    w_lp = burgers_mod._lp_rows(split.w_path.states, problem.p, problem.quad_points)
+    u_l2 = np.sqrt(split.u_path.l2_sq_series())
+    # row 0 and the rows ending the steps of window w belong to window w
+    times = split.u_path.times
+    window = np.repeat(np.arange(len(split.picard_iters)), problem.steps_per_window)
+    window = np.concatenate(([0], window))[: times.size]
+    iters = np.asarray(split.picard_iters)[window]
+    residuals = np.asarray(split.residuals)[window]
+    rows = np.rec.fromarrays([times, v_ha, w_lp, u_l2, iters, residuals])
+    write_csv(seed_file, ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"], rows)
+    rep = burgers_mod.apriori_report(
+        problem, split.w_path, split.v_path, w_lp=w_lp, v_halpha=v_ha
+    )
+    return [
+        i,
+        rep.metadata["sup_w_lp"],
+        rep.metadata["w0_lp"],
+        rep.metadata["sup_v_halpha"],
+        rep.estimate,
+        max(split.picard_iters),
+        split.residual,
+    ]
+
+
 def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
     kind = cfg.get_str("model", "kind", required=True)
     if kind != "burgers":
@@ -651,38 +686,10 @@ def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
     prefix = output_prefix(cfg)
     outputs = []
     summary_rows = []
-    n_pts = problem.quad_points
     for i in range(n_seeds):
-        split = burgers_mod.solve_split(problem, seed, i)
-        v_ha = burgers_mod._halpha_rows(split.v_path.states, grid, problem.alpha)
-        w_lp = burgers_mod._lp_rows(split.w_path.states, problem.p, n_pts)
-        u_l2 = np.sqrt(split.u_path.l2_sq_series())
-        # row 0 and the rows ending the steps of window w belong to window w
-        times = split.u_path.times
-        window = np.repeat(np.arange(len(split.picard_iters)), problem.steps_per_window)
-        window = np.concatenate(([0], window))[: times.size]
-        iters = np.asarray(split.picard_iters)[window]
-        residuals = np.asarray(split.residuals)[window]
-        rows = np.rec.fromarrays([times, v_ha, w_lp, u_l2, iters, residuals])
         seed_file = out / f"{prefix}_seed{i:03d}.csv"
-        write_csv(
-            seed_file, ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"], rows
-        )
+        summary_rows.append(_burgers_seed(problem, seed, i, seed_file))
         outputs.append(seed_file.name)
-        rep = burgers_mod.apriori_report(
-            problem, split.w_path, split.v_path, w_lp=w_lp, v_halpha=v_ha
-        )
-        summary_rows.append(
-            [
-                i,
-                rep.metadata["sup_w_lp"],
-                rep.metadata["w0_lp"],
-                rep.metadata["sup_v_halpha"],
-                rep.estimate,
-                max(split.picard_iters),
-                split.residual,
-            ]
-        )
     agg = [
         "ensemble",
         max(r[1] for r in summary_rows),

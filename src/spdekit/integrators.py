@@ -17,10 +17,12 @@ Four schemes are provided:
 ``check_scheme`` holds the rules for which scheme may step which model.
 
 ``simulate`` drives whole paths and records every state together with the
-consumed channel increments, so pathwise identities can be replayed.  It is
-one loop over blocks of ``_BLOW_UP_BLOCK`` steps: each block is filled by
-the model's block update on raw coefficient rows, then scanned for blow-up,
-so a diverging path stops at its first blown block.  TransportHeat's update
+source of the consumed channel increments, so pathwise identities can be
+replayed.  It is one loop over blocks of ``noise.BLOCK_STEPS`` steps, one
+Philox counter block each: each block's draws are made, the block is filled
+by the model's block update on raw coefficient rows, then scanned for
+blow-up, so a diverging path stops at its first blown block and a path
+holds its states plus one block of draws.  TransportHeat's update
 is a running product of mode factors, AdditiveHeat's the recursion
 c' = decay * c + eta, and the nonlinear models' (ReactionDiffusion,
 PorousMedium, Burgers) a row loop that evaluates ``models.DriftKernel`` with
@@ -50,7 +52,7 @@ from .models import (
     transport_noise_amplitude,
 )
 from .noise import CovarianceSpec, NoiseIncrement, NoiseSampler, increment_from_scaled
-from .noise import pack_draws, per_channel
+from .noise import BLOCK_STEPS, pack_draws, per_channel
 from .spectral import SpectralField, TorusGrid, heat_semigroup, l2_sq_rows
 
 __all__ = [
@@ -119,33 +121,53 @@ def check_scheme(model: ModelSpec, kind: str) -> None:
 class SamplePath:
     """A realized trajectory: time grid, spectra per time, consumed noise.
 
-    ``states[i]`` is the half spectrum at ``times[i]``; ``draws[i]`` are the
-    channel increments (N(0, dt) reals) consumed by step i.
+    ``states[i]`` is the half spectrum at ``times[i]``.  The channel
+    increments consumed by step i (N(0, dt) reals, see :attr:`draws`) are
+    not stored: a path stepped from ``sampler`` re-derives them from its
+    counter-keyed stream, a path stepped from a given matrix keeps a
+    reference to it in ``scaled``, and a path with neither carries no noise.
     """
 
     grid: TorusGrid
     times: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)
-    draws: np.ndarray = field(repr=False)
     spec: CovarianceSpec | None = None
+    sampler: NoiseSampler | None = None
+    scaled: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=np.complex128)
-        draws = np.asarray(self.draws, dtype=float)
         if times.ndim != 1 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if states.shape != (times.size, self.grid.n_modes + 1):
             raise ValueError("need one state per time on this grid")
-        if draws.shape[0] != times.size - 1:
-            raise ValueError("need one increment per step")
+        if self.scaled is not None:
+            if self.sampler is not None:
+                raise ValueError("a path's noise comes from a sampler or a draw matrix, not both")
+            scaled = np.asarray(self.scaled, dtype=float)
+            if scaled.shape[0] != times.size - 1:
+                raise ValueError("need one increment per step")
+            object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "draws", draws)
 
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
+
+    @property
+    def draws(self) -> np.ndarray:
+        """The channel increments of every step, shape (n_steps, 2K+1)."""
+        return self._draw_rows(0, self.n_steps)
+
+    def _draw_rows(self, step0: int, n: int) -> np.ndarray:
+        if self.scaled is not None:
+            return self.scaled[step0 : step0 + n]
+        if self.sampler is None or n == 0:
+            return np.zeros((n, 2 * self.grid.n_modes + 1))
+        # simulate's times are n * dt, so this difference is exactly the dt it scaled by
+        return self.sampler.scaled_block(step0, n, float(self.times[1] - self.times[0]))
 
     def state(self, i: int) -> SpectralField:
         return SpectralField(self.grid, self.states[i])
@@ -157,8 +179,10 @@ class SamplePath:
     def increment(self, i: int) -> NoiseIncrement:
         if self.spec is None:
             raise ValueError("path carries no covariance; increments unavailable")
+        if not 0 <= i < self.n_steps:
+            raise IndexError(f"step {i} is outside 0..{self.n_steps - 1}")
         dt = float(self.times[i + 1] - self.times[i])
-        return increment_from_scaled(self.spec, self.draws[i], dt)
+        return increment_from_scaled(self.spec, self._draw_rows(i, 1)[0], dt)
 
     def l2_sq_series(self) -> np.ndarray:
         return l2_sq_rows(self.states)
@@ -299,12 +323,13 @@ def simulate(
     sampler: NoiseSampler | None = None,
     scaled_draws: np.ndarray | None = None,
 ) -> SamplePath:
-    """Run the scheme from u0 to time T, recording states and increments.
+    """Run the scheme from u0 to time T, recording states and the noise source.
 
     Noise comes from ``sampler`` (steps 0..n_steps-1 of its stream
-    (seed, stream_id), under the covariance ``noise_spec(model)``) or from
-    a pre-scaled draw matrix of shape
-    (n_steps, 2K+1) -- the latter lets refinement studies drive several dt
+    (seed, stream_id), under the covariance ``noise_spec(model)``, drawn one
+    counter block at a time and re-derived by ``SamplePath.draws``) or from
+    a pre-scaled draw matrix of shape (n_steps, 2K+1), which the path keeps
+    a reference to -- the latter lets refinement studies drive several dt
     levels with one Brownian path.  With neither, the increments are zero
     (deterministic run).  Raises :class:`BlowUpError` at the time of the
     first state that is non-finite or has L2 norm above ``BLOW_UP_NORM``.
@@ -326,31 +351,34 @@ def simulate(
             )
 
     if scaled_draws is not None:
-        scaled = np.asarray(scaled_draws, dtype=float)
-        if scaled.shape != (n_steps, spec.n_channels):
+        scaled_draws = np.asarray(scaled_draws, dtype=float)
+        if scaled_draws.shape != (n_steps, spec.n_channels):
             raise ValueError(
-                f"scaled_draws must have shape {(n_steps, spec.n_channels)}, got {scaled.shape}"
+                f"scaled_draws must have shape {(n_steps, spec.n_channels)}, "
+                f"got {scaled_draws.shape}"
             )
-    elif sampler is not None and n_steps > 0:
-        scaled = sampler.scaled_block(0, n_steps, dt)
-    else:
-        scaled = np.zeros((n_steps, spec.n_channels))
+        sampler = None
+    root = np.sqrt(dt)
 
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, grid.n_modes + 1), dtype=np.complex128)
     states[0] = u0.coef
     fill = _block_filler(model, scheme, spec)
-    for b0 in range(0, n_steps, _BLOW_UP_BLOCK):
-        b1 = min(b0 + _BLOW_UP_BLOCK, n_steps)
+    for b0 in range(0, n_steps, BLOCK_STEPS):
+        b1 = min(b0 + BLOCK_STEPS, n_steps)
+        if scaled_draws is not None:
+            scaled = scaled_draws[b0:b1]
+        elif sampler is not None:  # one counter block of the stream, scaled in place
+            scaled = sampler.draws_block(b0, b1 - b0)
+            scaled *= root
+        else:
+            scaled = np.zeros((b1 - b0, spec.n_channels))
         with np.errstate(over="ignore", invalid="ignore"):
-            fill(states[b0 : b1 + 1], scaled[b0:b1])
+            fill(states[b0 : b1 + 1], scaled)
             blown = np.flatnonzero(_blown_rows(states[b0 + 1 : b1 + 1]))
         if blown.size:
             raise _blow_up(times, states, b0 + 1 + int(blown[0]))
-    return SamplePath(grid, times, states, scaled, spec)
-
-
-_BLOW_UP_BLOCK = 256  # rows per block: bounds the noise packing and the blow-up scan
+    return SamplePath(grid, times, states, spec, sampler, scaled_draws)
 
 
 def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec):

@@ -14,8 +14,9 @@ spectrum so that the increment field is real and
 
 Every normal comes from :func:`stream_normals`: the Philox stream keyed
 (seed, stream) read from counter block ``chunk``.  A path's step s is row
-s mod 256 of counter block s // 256 of its stream, so distinct streams and
-blocks can be generated in any order and still reproduce.
+s mod ``BLOCK_STEPS`` (256) of counter block s // ``BLOCK_STEPS`` of its
+stream, so distinct streams and blocks can be generated in any order and
+still reproduce, and a path's draws can be re-derived instead of stored.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ __all__ = [
     "per_channel",
     "mode_channels",
     "coarsen_increments",
+    "BLOCK_STEPS",
 ]
 
-_CHUNK = 256  # draw rows generated per Philox counter block
+BLOCK_STEPS = 256  # path steps per Philox counter block
 
 
 @dataclass(frozen=True)
@@ -252,10 +254,10 @@ class NoiseSampler:
         out = np.empty((n_steps, width))
         i = 0
         while i < n_steps:
-            chunk, lo = divmod(step0 + i, _CHUNK)
-            take = min(_CHUNK - lo, n_steps - i)
-            block = stream_normals(self.seed, [self.stream_id], _CHUNK * width, chunk)
-            out[i : i + take] = block.reshape(_CHUNK, width)[lo : lo + take]
+            chunk, lo = divmod(step0 + i, BLOCK_STEPS)
+            take = min(BLOCK_STEPS - lo, n_steps - i)
+            block = stream_normals(self.seed, [self.stream_id], BLOCK_STEPS * width, chunk)
+            out[i : i + take] = block.reshape(BLOCK_STEPS, width)[lo : lo + take]
             i += take
         return out
 

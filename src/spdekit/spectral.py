@@ -294,7 +294,8 @@ def l2_sq_rows(coef: np.ndarray, weights: np.ndarray | None = None) -> np.ndarra
     w = 1 without ``weights``.  The imaginary part of the k = 0 amplitude is
     ignored, as for a real field.
     """
-    sq = np.abs(coef) ** 2
+    sq = np.abs(coef)
+    sq *= sq
     sq[..., 0] = coef[..., 0].real ** 2
     if weights is not None:
         sq *= weights

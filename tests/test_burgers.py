@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import sin_field
+from spdekit import cli
 from spdekit.burgers import (
     BurgersProblem,
     PicardError,
     _decay_powers,
     _halpha_rows,
+    _lp_of_squares,
     _lp_rows,
     _semigroup_scan,
     apriori_report,
@@ -335,3 +337,42 @@ class TestAprioriReport:
         assert sups[0] < sups[1] < sups[2]
         # doubling w0 at fixed noise does not more than double sup|w| plus offset
         assert sups[2] < 2 * sups[1] + 0.5
+
+
+class TestMemory:
+    def test_chunked_lp_rows_equal_one_transform(self):
+        g = TorusGrid(64)
+        prob = BurgersProblem(g, 0.5, 2.5e-4, sin_field(g))
+        split = solve_split(prob, seed=3)
+        coef = split.w_path.states
+        assert coef.shape[0] == 2001
+        samples = _coef_to_samples(coef, prob.quad_points)
+        samples *= samples
+        assert np.array_equal(_lp_rows(coef, prob.p, prob.quad_points),
+                              _lp_of_squares(samples, prob.p))
+
+    def test_burgers_command_holds_one_seed_at_a_time(self, tmp_path):
+        # one seed's solution (v, w and u states, K = 32, 2000 steps) is
+        # about 3 MB; the peak must not grow with the number of seeds
+        import tracemalloc
+
+        def peak(n_seeds):
+            cfg = tmp_path / f"b{n_seeds}.ini"
+            cfg.write_text(
+                "[model]\nkind = burgers\n[grid]\nmodes = 32\n"
+                "[scheme]\nkind = exponential_euler\ndt = 2.5e-4\n"
+                "[noise]\nkind = mean_free_white\n"
+                f"[experiment]\nt = 0.5\nw0 = sin\nn_paths = {n_seeds}\nbase_seed = 3\n"
+                f"[output]\ndirectory = {tmp_path / str(n_seeds)}\nprefix = b\n"
+            )
+            tracemalloc.start()
+            try:
+                assert cli.main(["burgers", "--config", str(cfg)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations
+        one, two, twelve = peak(1), peak(2), peak(12)
+        assert abs(twelve - two) < 2**20
+        assert two - one < 2**20

@@ -508,6 +508,15 @@ class TestCheckTable:
         assert cli.main(["verify", "--config", cfg]) == 2
         assert "experiment.n_paths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["s", "t"])
+    def test_negative_wiener_covariance_time_is_config_error(self, tmp_path, capsys, key):
+        cfg = Path(all_checks_config(tmp_path, "wiener_covariance", extra="s = 0.3\n"))
+        cfg.write_text(cfg.read_text().replace(f"\n{key} = ", f"\n{key} = -"))
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"experiment.{key} must be nonnegative" in err
+        assert "Traceback" not in err
+
 
 MC_CHECK_NAMES = "ito_isometry, trace_identity, wiener_covariance, gaussian_moment, ou_exactness"
 

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import cos_field, make_random_field, sampled_increment, sin_field
 from spdekit.integrators import (
-    _BLOW_UP_BLOCK,
     BLOW_UP_NORM,
     BlowUpError,
     SamplePath,
@@ -18,7 +17,13 @@ from spdekit.integrators import (
     simulate,
 )
 from spdekit.models import AdditiveHeat, Burgers, PorousMedium, ReactionDiffusion, TransportHeat
-from spdekit.noise import CovarianceSpec, NoiseSampler, coarsen_increments, increment_from_scaled
+from spdekit.noise import (
+    BLOCK_STEPS,
+    CovarianceSpec,
+    NoiseSampler,
+    coarsen_increments,
+    increment_from_scaled,
+)
 from spdekit.spectral import SpectralField, TorusGrid, field_from_modes, zero_field
 
 TWO_PI = 2.0 * np.pi
@@ -321,7 +326,7 @@ class TestDiagonalLanes:
         spec = CovarianceSpec.white(g)
         u0 = field_from_modes(g, [(0, 0.2), (1, 0.5), (3, 0.1 + 0.2j), (8, 0.05)])
         dt = 1e-4
-        n_steps = _BLOW_UP_BLOCK + 44  # crosses a block boundary
+        n_steps = BLOCK_STEPS + 44  # crosses a block boundary
         scaled = NoiseSampler(spec, 3, 1).scaled_block(0, n_steps, dt)
         p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=scaled)
         ref = reference_states(m, kind, u0, scaled, spec, dt)
@@ -334,7 +339,7 @@ class TestDiagonalLanes:
         m = AdditiveHeat(q)
         u0 = cos_field(g)
         dt = 1e-4
-        n_steps = _BLOW_UP_BLOCK + 44  # crosses a block boundary
+        n_steps = BLOCK_STEPS + 44  # crosses a block boundary
         scaled = NoiseSampler(q, 4, 2).scaled_block(0, n_steps, dt)
         p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=scaled)
         ref = reference_states(m, kind, u0, scaled, q, dt)
@@ -373,10 +378,10 @@ class TestDiagonalLanes:
         white = CovarianceSpec.white(g)
         u0 = cos_field(g)
         dt = 1e-4
-        n_steps = _BLOW_UP_BLOCK + 8
+        n_steps = BLOCK_STEPS + 8
         draws = NoiseSampler(white, 2).scaled_block(0, n_steps, dt)
         models = (TransportHeat(g, (1.0,)), AdditiveHeat(white), ReactionDiffusion(1.0, 3, white))
-        for row in (_BLOW_UP_BLOCK - 1, _BLOW_UP_BLOCK, _BLOW_UP_BLOCK + 1):
+        for row in (BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1):
             scaled = draws.copy()
             scaled[row, 0] = 1e14
             for m in models:
@@ -426,7 +431,7 @@ class TestNonlinearLane:
         if not isinstance(m, Burgers):
             u0 = u0 + field_from_modes(g, [(0, 0.1)])
         dt = 5e-5
-        n_steps = _BLOW_UP_BLOCK + 44  # crosses a noise-packing block boundary
+        n_steps = BLOCK_STEPS + 44  # crosses a noise-packing block boundary
         scaled = NoiseSampler(m.q, 8, 3).scaled_block(0, n_steps, dt)
         p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=scaled)
         ref = reference_states(m, kind, u0, scaled, m.q, dt)
@@ -465,6 +470,131 @@ class TestNonlinearLane:
                          sampler=NoiseSampler(m.q, 4, 0))
             assert p.n_steps == 1000
             assert len(built) <= 2
+
+
+STEPPED_PAIRS = [
+    ("transport", "euler_maruyama"),
+    ("transport", "heun_stratonovich"),
+    ("transport", "exponential_euler"),
+    ("additive", "euler_maruyama"),
+    ("additive", "exponential_euler"),
+    ("additive", "exact_ou"),
+] + NONLINEAR_CASES
+
+
+def stepped_model(name, grid):
+    if name == "transport":
+        return TransportHeat(grid, (0.5, 0.3))
+    if name == "additive":
+        return AdditiveHeat(CovarianceSpec.power(grid, 1.0))
+    return nonlinear_model(name, grid)
+
+
+class TestStreamedDraws:
+    # simulate draws each block of 256 steps inside its stepping loop and
+    # holds no draw matrix; a path re-derives its draws from its sampler
+
+    @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("name,kind", STEPPED_PAIRS)
+    def test_sampler_lane_equals_matrix_lane(self, monkeypatch, name, kind, n_steps):
+        from spdekit import integrators
+
+        g = TorusGrid(4)
+        m = stepped_model(name, g)
+        u0 = field_from_modes(g, [(0, 0.1), (1, 0.4 - 0.2j), (3, 0.05j)])
+        if isinstance(m, Burgers):
+            u0 = field_from_modes(g, [(1, 0.4 - 0.2j), (3, 0.05j)])
+        dt = 1e-5
+        sampler = NoiseSampler(noise_spec(m), 12, 5)
+        consumed = []
+        block_filler = integrators._block_filler
+
+        def recording(*args):
+            fill = block_filler(*args)
+
+            def recorded(rows, scaled):
+                consumed.append(scaled.copy())
+                fill(rows, scaled)
+
+            return recorded
+
+        monkeypatch.setattr(integrators, "_block_filler", recording)
+        p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, sampler=sampler)
+        consumed = np.concatenate(consumed)
+        monkeypatch.undo()
+        matrix = sampler.scaled_block(0, n_steps, dt)
+        ref = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=matrix)
+        assert np.array_equal(consumed, matrix)
+        assert np.array_equal(p.states, ref.states)
+        assert np.array_equal(p.draws, consumed) and np.array_equal(ref.draws, consumed)
+        for i in sorted({0, n_steps // 2, min(255, n_steps - 1), n_steps - 1}):
+            inc = p.increment(i)
+            assert np.array_equal(inc.per_mode, consumed[i])
+            assert np.array_equal(inc.field.coef, ref.increment(i).field.coef)
+
+    def test_matrix_lane_keeps_the_callers_array(self):
+        g = TorusGrid(4)
+        m = TransportHeat(g, (1.0,))
+        scaled = NoiseSampler(CovarianceSpec.white(g), 3).scaled_block(0, 300, 1e-4)
+        p = simulate(m, SchemeSpec("euler_maruyama", 1e-4), cos_field(g), 0.03,
+                     scaled_draws=scaled)
+        assert p.scaled is scaled and p.sampler is None
+        assert np.shares_memory(p.draws, scaled)
+
+    def test_noise_free_path_carries_no_matrix(self):
+        g = TorusGrid(4)
+        p = simulate(TransportHeat(g, (1.0,)), SchemeSpec("euler_maruyama", 1e-4),
+                     cos_field(g), 0.03)
+        assert p.scaled is None and p.sampler is None
+        assert p.draws.shape == (300, 9) and not np.any(p.draws)
+        assert not np.any(p.increment(299).per_mode)
+        with pytest.raises(IndexError):
+            p.increment(300)
+
+    @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 600])
+    def test_one_stream_call_per_block(self, monkeypatch, n_steps):
+        from spdekit import noise
+
+        calls = []
+        stream_normals = noise.stream_normals
+
+        def counted(*args):
+            calls.append(args)
+            return stream_normals(*args)
+
+        monkeypatch.setattr(noise, "stream_normals", counted)
+        g = TorusGrid(4)
+        q = CovarianceSpec.power(g, 1.0)
+        simulate(AdditiveHeat(q), SchemeSpec("exact_ou", 1e-4), cos_field(g), n_steps * 1e-4,
+                 sampler=NoiseSampler(q, 2))
+        assert len(calls) == -(-n_steps // BLOCK_STEPS)
+        # each call reads one whole counter block of the stream, in order
+        assert [c[3] for c in calls] == list(range(len(calls)))
+
+    @pytest.mark.parametrize("name,kind", [("transport", "heun_stratonovich"),
+                                           ("additive", "exact_ou")])
+    def test_memory_beyond_the_states_does_not_grow(self, name, kind):
+        # K = 64: a draw matrix would cost 2K+1 = 129 floats per step, held
+        # twice while it is scaled; the streamed lane holds one block
+        import tracemalloc
+
+        g = TorusGrid(64)
+        m = stepped_model(name, g)
+        simulate(m, SchemeSpec(kind, 1e-7), cos_field(g), 1e-7,
+                 sampler=NoiseSampler(noise_spec(m), 1))  # first-call allocations
+        extra = {}
+        for n_steps in (2_000, 20_000):
+            sampler = NoiseSampler(noise_spec(m), 1)
+            tracemalloc.start()
+            try:
+                p = simulate(m, SchemeSpec(kind, 1e-7), cos_field(g), n_steps * 1e-7,
+                             sampler=sampler)
+                extra[n_steps] = tracemalloc.get_traced_memory()[1] - p.states.nbytes
+            finally:
+                tracemalloc.stop()
+        # the time grid costs a few floats per step; one draw row is 129
+        assert extra[20_000] - extra[2_000] < 18_000 * 8 * 8
+        assert extra[20_000] < 4 * 2**20
 
 
 class TestSchemeRelations:
