@@ -57,6 +57,7 @@ from .integrators import (
     exp_euler_step,
     heun_strat_step,
     simulate,
+    step_blocks,
 )
 from .burgers import (
     BurgersProblem,

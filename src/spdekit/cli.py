@@ -36,7 +36,7 @@ import numpy as np
 from . import burgers as burgers_mod
 from . import verify as verify_mod
 from .integrators import BlowUpError, SamplePath, SchemeSpec, check_scheme, noise_spec, simulate
-from .integrators import _resolve_steps
+from .integrators import _resolve_steps, step_blocks
 from .models import (
     AdditiveHeat,
     Burgers,
@@ -45,7 +45,7 @@ from .models import (
     TransportHeat,
 )
 from .noise import CovarianceSpec, NoiseSampler
-from .spectral import SpectralField, TorusGrid, field_from_modes, zero_field
+from .spectral import SpectralField, TorusGrid, field_from_modes, l2_sq_rows, zero_field
 
 __all__ = ["main", "ConfigError", "RunConfig", "load_config"]
 
@@ -274,23 +274,37 @@ def _open_new(path: Path):
     return open(path, "w", newline="")
 
 
+_CSV_ROWS = 4096  # table rows formatted per chunk in _write_table
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write the header and the rows: a list of rows or a structured array.
 
-    A structured array (one field per column, as from ``np.rec.fromarrays``)
-    is formatted with one %-string per row, integer fields as ``%d`` and the
-    others as ``%.17e``: the bytes :func:`_fmt` gives row by row.
+    A structured array is written by :func:`_write_table`; a list of rows
+    is formatted value by value with :func:`_fmt`.
     """
     with _open_new(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         if isinstance(rows, np.ndarray):
-            kinds = [rows.dtype[name].kind for name in rows.dtype.names]
-            line = ",".join("%d" if k in "iu" else "%.17e" for k in kinds) + "\r\n"
-            fh.writelines(line % row for row in rows.tolist())
+            _write_table(fh, rows)
         else:
             for row in rows:
                 writer.writerow([_fmt(x) for x in row])
+
+
+def _write_table(fh, rows: np.ndarray) -> None:
+    """Append a structured array (one field per column, as from ``np.rec.fromarrays``).
+
+    Each row is one %-string, integer fields as ``%d`` and the others as
+    ``%.17e``: the bytes :func:`_fmt` gives row by row.  Rows are turned
+    into Python tuples ``_CSV_ROWS`` at a time, so a long table holds one
+    chunk of them.
+    """
+    kinds = [rows.dtype[name].kind for name in rows.dtype.names]
+    line = ",".join("%d" if k in "iu" else "%.17e" for k in kinds) + "\r\n"
+    for r0 in range(0, rows.shape[0], _CSV_ROWS):
+        fh.writelines(line % row for row in rows[r0 : r0 + _CSV_ROWS].tolist())
 
 
 def write_manifest(path: Path, cfg: RunConfig, command: str, seed: int, outputs) -> None:
@@ -328,29 +342,61 @@ REPORT_HEADER = ["name", "estimate", "target", "se", "n", "pass", "seed", "toler
 # ---------------------------------------------------------------------------
 
 
+NORMS_HEADER = ["t", "l2", "h1", "mode0"]
+SPECTRA_HEADER = ["t", "k", "re", "im"]
+
+
 def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
+    """Step one path and write its norm series (and spectra) block by block.
+
+    Each stepped block is reduced to its rows of the norm table, and its
+    spectra are appended to the spectra CSV, before the next block is
+    stepped: the command holds one block of states and the four norm
+    columns, never the path.  A failure (a blow-up) removes the partial
+    spectra file.
+    """
     grid = build_grid(cfg)
     model, scheme, T, u0 = _path_run(cfg, grid)
-    path = _sample_path(model, scheme, u0, T, seed, 0)
+    blocks = step_blocks(model, scheme, u0, T, sampler=NoiseSampler(noise_spec(model), seed, 0))
+    norms = np.empty(_resolve_steps(T, scheme.dt) + 1, [(name, float) for name in NORMS_HEADER])
+    weights = grid.sobolev_weights
+    n_k = grid.n_modes + 1
 
     prefix = output_prefix(cfg)
     norms_file = out / f"{prefix}_norms.csv"
-    l2 = np.sqrt(path.l2_sq_series())
-    h1 = np.sqrt(path.h1_sq_series())
-    rows = np.rec.fromarrays([path.times, l2, h1, path.mode0_series()])
-    write_csv(norms_file, ["t", "l2", "h1", "mode0"], rows)
-    outputs = [norms_file.name]
+    spec_file = out / f"{prefix}_spectra.csv"
+    save_spectra = (cfg.get_str("experiment", "save_spectra", "false") or "").lower()
+    spectra = _open_new(spec_file) if save_spectra in ("1", "true", "yes") else None
 
-    if (cfg.get_str("experiment", "save_spectra", "false") or "").lower() in ("1", "true", "yes"):
-        spec_file = out / f"{prefix}_spectra.csv"
-        n_k = grid.n_modes + 1
-        t = np.repeat(path.times, n_k)
-        k = np.tile(np.arange(n_k), path.times.size)
-        coef = path.states.ravel()
-        rows = np.rec.fromarrays([t, k, coef.real, coef.imag])
-        write_csv(spec_file, ["t", "k", "re", "im"], rows)
-        outputs.append(spec_file.name)
+    def emit(step0: int, rows: np.ndarray) -> None:
+        """Reduce the states of steps step0, step0 + 1, ... to their table rows."""
+        t = np.arange(step0, step0 + rows.shape[0]) * scheme.dt
+        s = slice(step0, step0 + rows.shape[0])
+        norms["t"][s] = t
+        norms["l2"][s] = np.sqrt(l2_sq_rows(rows))
+        norms["h1"][s] = np.sqrt(l2_sq_rows(rows, weights))
+        norms["mode0"][s] = rows[:, 0].real
+        if spectra is not None:
+            coef = rows.ravel()
+            k = np.tile(np.arange(n_k), rows.shape[0])
+            _write_table(spectra, np.rec.fromarrays([np.repeat(t, n_k), k, coef.real, coef.imag]))
 
+    try:
+        if spectra is not None:
+            csv.writer(spectra).writerow(SPECTRA_HEADER)
+        emit(0, u0.coef[None])
+        for step0, rows in blocks:
+            emit(step0 + 1, rows[1:])
+    except BaseException:
+        if spectra is not None:
+            spectra.close()
+            spec_file.unlink()
+        raise
+    if spectra is not None:
+        spectra.close()
+
+    write_csv(norms_file, NORMS_HEADER, norms)
+    outputs = [norms_file.name] + ([spec_file.name] if spectra is not None else [])
     write_manifest(out / f"{prefix}_manifest.json", cfg, "simulate", seed, outputs)
     return 0
 

@@ -22,7 +22,10 @@ replayed.  It is one loop over blocks of ``noise.BLOCK_STEPS`` steps, one
 Philox counter block each: each block's draws are made, the block is filled
 by the model's block update on raw coefficient rows, then scanned for
 blow-up, so a diverging path stops at its first blown block and a path
-holds its states plus one block of draws.  TransportHeat's update
+holds its states plus one block of draws.  ``step_blocks`` runs the same
+loop on one reused block buffer and yields each block once it is scanned,
+so a caller that reduces the states as they come (``spdekit simulate``)
+holds one block of states, never the path.  TransportHeat's update
 is a running product of mode factors, AdditiveHeat's the recursion
 c' = decay * c + eta, and the nonlinear models' (ReactionDiffusion,
 PorousMedium, Burgers) a row loop that evaluates ``models.DriftKernel`` with
@@ -67,6 +70,7 @@ __all__ = [
     "exp_euler_step",
     "exact_ou_step",
     "simulate",
+    "step_blocks",
     "noise_spec",
     "ou_channel_variances",
     "ou_tau",
@@ -334,12 +338,55 @@ def simulate(
     (deterministic run).  Raises :class:`BlowUpError` at the time of the
     first state that is non-finite or has L2 norm above ``BLOW_UP_NORM``.
     """
+    n_steps, sampler, scaled_draws = _check_run(model, scheme, u0, T, sampler, scaled_draws)
+    states = _first_rows(u0, n_steps)
+    for _ in _blocks(model, scheme, states, n_steps, sampler, scaled_draws):
+        pass
+    times = np.arange(n_steps + 1) * scheme.dt
+    return SamplePath(model.grid, times, states, noise_spec(model), sampler, scaled_draws)
+
+
+def step_blocks(
+    model: ModelSpec,
+    scheme: SchemeSpec,
+    u0: SpectralField,
+    T: float,
+    sampler: NoiseSampler | None = None,
+    scaled_draws: np.ndarray | None = None,
+):
+    """Step u0 to time T as :func:`simulate` does, yielding each block once stepped.
+
+    The arguments are those of :func:`simulate` and are checked at the call.
+    Each block of up to ``BLOCK_STEPS`` steps is yielded as ``(step0, rows)``
+    after its blow-up scan: ``rows[0]`` is the state at step ``step0`` and
+    ``rows[i]`` the state at step ``step0 + i``, bit for bit the rows of
+    ``simulate(...).states``.  ``rows`` is one (BLOCK_STEPS + 1, K+1) buffer
+    reused by every block (its last row is carried to row 0), so it is valid
+    until the next block is asked for, and a run holds one block of states
+    and one of draws.  Raises :class:`BlowUpError` as :func:`simulate` does.
+    """
+    n_steps, sampler, scaled_draws = _check_run(model, scheme, u0, T, sampler, scaled_draws)
+    rows = _first_rows(u0, min(n_steps, BLOCK_STEPS))
+    return _blocks(model, scheme, rows, n_steps, sampler, scaled_draws)
+
+
+def _check_run(
+    model: ModelSpec,
+    scheme: SchemeSpec,
+    u0: SpectralField,
+    T: float,
+    sampler: NoiseSampler | None,
+    scaled_draws: np.ndarray | None,
+) -> tuple[int, NoiseSampler | None, np.ndarray | None]:
+    """(n_steps, sampler, scaled_draws) of a checked run: ValueError on bad arguments.
+
+    A draw matrix takes the place of the sampler, which is then None.
+    """
     grid = model.grid
     if u0.grid != grid:
         raise ValueError("initial state grid does not match model grid")
     check_scheme(model, scheme.kind)
-    dt = scheme.dt
-    n_steps = _resolve_steps(T, dt)
+    n_steps = _resolve_steps(T, scheme.dt)
     spec = noise_spec(model)
     if sampler is not None:
         if sampler.spec.grid != grid:
@@ -349,7 +396,6 @@ def simulate(
                 f"sampler covariance ({sampler.spec.kind}) is not the noise covariance "
                 f"of {type(model).__name__} ({spec.kind})"
             )
-
     if scaled_draws is not None:
         scaled_draws = np.asarray(scaled_draws, dtype=float)
         if scaled_draws.shape != (n_steps, spec.n_channels):
@@ -358,12 +404,35 @@ def simulate(
                 f"got {scaled_draws.shape}"
             )
         sampler = None
-    root = np.sqrt(dt)
+    return n_steps, sampler, scaled_draws
 
-    times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, grid.n_modes + 1), dtype=np.complex128)
-    states[0] = u0.coef
+
+def _first_rows(u0: SpectralField, n: int) -> np.ndarray:
+    """An (n + 1, K+1) state buffer whose row 0 is u0."""
+    rows = np.empty((n + 1, u0.grid.n_modes + 1), dtype=np.complex128)
+    rows[0] = u0.coef
+    return rows
+
+
+def _blocks(
+    model: ModelSpec,
+    scheme: SchemeSpec,
+    buf: np.ndarray,
+    n_steps: int,
+    sampler: NoiseSampler | None,
+    scaled_draws: np.ndarray | None,
+):
+    """The block loop: fill, scan and yield ``(step0, rows)`` per block.
+
+    ``buf[0]`` is the initial state.  A ``buf`` of n_steps + 1 rows ends
+    holding the whole path, each block a view into it; a shorter one is
+    reused by every block, its last row carried to row 0.
+    """
+    spec = noise_spec(model)
+    dt = scheme.dt
+    root = np.sqrt(dt)
     fill = _block_filler(model, scheme, spec)
+    whole = buf.shape[0] == n_steps + 1
     for b0 in range(0, n_steps, BLOCK_STEPS):
         b1 = min(b0 + BLOCK_STEPS, n_steps)
         if scaled_draws is not None:
@@ -373,12 +442,16 @@ def simulate(
             scaled *= root
         else:
             scaled = np.zeros((b1 - b0, spec.n_channels))
+        rows = buf[b0 : b1 + 1] if whole else buf[: b1 - b0 + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            fill(states[b0 : b1 + 1], scaled)
-            blown = np.flatnonzero(_blown_rows(states[b0 + 1 : b1 + 1]))
+            fill(rows, scaled)
+            blown = np.flatnonzero(_blown_rows(rows[1:]))
         if blown.size:
-            raise _blow_up(times, states, b0 + 1 + int(blown[0]))
-    return SamplePath(grid, times, states, spec, sampler, scaled_draws)
+            row = 1 + int(blown[0])
+            raise _blow_up(b0 + row, dt, rows[row])
+        yield b0, rows
+        if not whole:
+            buf[0] = rows[-1]
 
 
 def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec):
@@ -442,12 +515,11 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec):
     return fill
 
 
-def _blow_up(times: np.ndarray, states: np.ndarray, row: int) -> BlowUpError:
-    """The error for the first out-of-range state ``states[row]``."""
-    c = states[row]
+def _blow_up(step: int, dt: float, c: np.ndarray) -> BlowUpError:
+    """The error for the first out-of-range state ``c``, the state at ``step``."""
     with np.errstate(over="ignore", invalid="ignore"):
         norm = float(np.sqrt(l2_sq_rows(c)))
-    return BlowUpError(float(times[row]), row, norm, int(np.argmax(np.abs(c))))
+    return BlowUpError(step * dt, step, norm, int(np.argmax(np.abs(c))))
 
 
 def _blown_rows(rows: np.ndarray) -> np.ndarray:

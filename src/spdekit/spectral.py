@@ -287,13 +287,26 @@ def mode_sum(x: np.ndarray) -> np.ndarray:
     return x[..., 0] + 2.0 * np.sum(x[..., 1:], axis=-1)
 
 
+_SQ_ROWS = 256  # rows per squared-modulus temporary in l2_sq_rows
+
+
 def l2_sq_rows(coef: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Squared (weighted) L^2 norm of each half spectrum along the last axis.
 
     With mode weights w_k this is w_0 c_0^2 + 2 sum_{k>=1} w_k |c_k|^2, and
     w = 1 without ``weights``.  The imaginary part of the k = 0 amplitude is
-    ignored, as for a real field.
+    ignored, as for a real field.  A batch is squared ``_SQ_ROWS`` rows of
+    its first axis at a time, so the float temporary stays one chunk.
     """
+    if coef.ndim < 2:
+        return _l2_sq(coef, weights)
+    out = np.empty(coef.shape[:-1])
+    for r0 in range(0, coef.shape[0], _SQ_ROWS):
+        out[r0 : r0 + _SQ_ROWS] = _l2_sq(coef[r0 : r0 + _SQ_ROWS], weights)
+    return out
+
+
+def _l2_sq(coef: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
     sq = np.abs(coef)
     sq *= sq
     sq[..., 0] = coef[..., 0].real ** 2

@@ -194,6 +194,17 @@ class TestCsvTables:
         rows = write_rows(tmp_path / "rows.csv", header, zip(t, k, t[::-1]))
         assert (tmp_path / "table.csv").read_bytes() == rows
 
+    def test_table_in_row_chunks_matches_row_wise_bytes(self, tmp_path):
+        # two full chunks of formatted rows and a short third one
+        n = 2 * cli._CSV_ROWS + 3
+        rng = np.random.default_rng(5)
+        t, x = rng.normal(size=n), rng.normal(size=n) * 1e-200
+        k = np.arange(n) - n // 2
+        header = ["t", "k", "x"]
+        cli.write_csv(tmp_path / "table.csv", header, np.rec.fromarrays([t, k, x]))
+        rows = write_rows(tmp_path / "rows.csv", header, zip(t, k, x))
+        assert (tmp_path / "table.csv").read_bytes() == rows
+
     def test_simulate_tables_match_row_wise_bytes(self, tmp_path):
         from spdekit.integrators import SchemeSpec, simulate
         from spdekit.models import ReactionDiffusion
@@ -248,6 +259,122 @@ class TestCsvTables:
         header = ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"]
         assert (tmp_path / "o" / "b_seed000.csv").read_bytes() == write_rows(
             tmp_path / "r.csv", header, rows)
+
+
+STREAMED_MODELS = {
+    # (model section, noise section, scheme kind, u0)
+    "transport_heun": ("kind = transport_heat\nsigma = 0.5, 0.3", "", "heun_stratonovich", "cos"),
+    "additive_exact_ou": ("kind = additive_heat", "kind = power\ngamma = 1.0", "exact_ou", "cos"),
+    "reaction_diffusion_em": (
+        "kind = reaction_diffusion\ntheta = -1.0\nm = 3", "kind = white", "euler_maruyama", "cos"
+    ),
+    "burgers_exp_euler": ("kind = burgers", "kind = mean_free_white", "exponential_euler", "sin"),
+}
+
+STREAMED_SIM = """
+[model]
+{model}
+
+[grid]
+modes = 8
+
+[scheme]
+kind = {scheme}
+dt = 1e-5
+
+[noise]
+{noise}
+
+[experiment]
+t = {t!r}
+u0 = {u0}
+{extra}
+base_seed = 7
+
+[output]
+directory = {out}
+prefix = run
+"""
+
+
+def streamed_config(tmp_path, name, n_steps, extra="save_spectra = true"):
+    model, noise, scheme, u0 = STREAMED_MODELS[name]
+    text = STREAMED_SIM.format(model=model, noise=noise, scheme=scheme, u0=u0, t=n_steps * 1e-5,
+                               extra=extra, out=tmp_path / "o")
+    return write_config(tmp_path / "c.ini", text)
+
+
+def full_path(cfg_file):
+    """The configured path from ``integrators.simulate``: every state held."""
+    from spdekit.integrators import noise_spec, simulate
+    from spdekit.noise import NoiseSampler
+
+    cfg = cli.load_config(cfg_file)
+    grid = cli.build_grid(cfg)
+    model, scheme, T, u0 = cli._path_run(cfg, grid)
+    return simulate(model, scheme, u0, T, sampler=NoiseSampler(noise_spec(model), 7, 0))
+
+
+class TestStreamedSimulate:
+    # the simulate command reduces each block as it is stepped; its tables must
+    # be the bytes of the full path under the column formulas of a held path
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("name", sorted(STREAMED_MODELS))
+    def test_tables_equal_the_full_path(self, tmp_path, name, n_steps):
+        cfg = streamed_config(tmp_path, name, n_steps)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        path = full_path(cfg)
+        assert path.n_steps == n_steps
+        norms = zip(path.times, np.sqrt(path.l2_sq_series()), np.sqrt(path.h1_sq_series()),
+                    path.mode0_series())
+        spectra = [[t, k, c.real, c.imag] for t, row in zip(path.times, path.states)
+                   for k, c in enumerate(row)]
+        out = tmp_path / "o"
+        assert (out / "run_norms.csv").read_bytes() == write_rows(
+            tmp_path / "n.csv", ["t", "l2", "h1", "mode0"], norms)
+        assert (out / "run_spectra.csv").read_bytes() == write_rows(
+            tmp_path / "s.csv", ["t", "k", "re", "im"], spectra)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["outputs"] == ["run_norms.csv", "run_spectra.csv"]
+
+    @pytest.mark.parametrize("amplitude", ["50.0", "5.0"])  # blows up in block 0 / block 30
+    def test_blow_up_message_is_the_full_paths(self, tmp_path, capsys, amplitude):
+        from spdekit.integrators import BlowUpError
+
+        text = STREAMED_SIM.format(
+            model="kind = reaction_diffusion\ntheta = 1.0\nm = 4", noise="kind = white",
+            scheme="euler_maruyama", u0="cos", t=1.0, out=tmp_path / "o",
+            extra=f"u0_amplitude = {amplitude}\nsave_spectra = true",
+        ).replace("modes = 8", "modes = 16").replace("dt = 1e-5", "dt = 1e-4")
+        cfg = write_config(tmp_path / "c.ini", text)
+        assert cli.main(["simulate", "--config", cfg]) == 3
+        with pytest.raises(BlowUpError) as err:
+            full_path(cfg)
+        assert capsys.readouterr().err == f"numerical failure: {err.value}\n"
+        assert (err.value.step > 256) == (amplitude == "5.0")
+        assert list((tmp_path / "o").iterdir()) == []  # no partial spectra file is left
+
+    def test_peak_memory_does_not_grow_with_the_path(self, tmp_path):
+        # K = 64: 5 * 10^4 exact OU steps are 52 MB of states; the command
+        # holds one 257-row block and the four norm columns (32 B per step)
+        peaks = {}
+        for n_steps in (5_000, 50_000):
+            text = STREAMED_SIM.format(
+                model="kind = additive_heat", noise="kind = white", scheme="exact_ou", u0="cos",
+                t=n_steps * 1e-5, extra="", out=tmp_path / "o",
+            ).replace("modes = 8", "modes = 64")
+            cfg = write_config(tmp_path / f"c{n_steps}.ini", text)
+            tracemalloc.start()
+            try:
+                assert cli.main(["simulate", "--config", cfg]) == 0
+                _, peaks[n_steps] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            rows = (tmp_path / "o" / "run_norms.csv").read_text().count("\n")
+            assert rows == 1 + n_steps + 1
+        assert peaks[50_000] < 8e6
+        assert peaks[50_000] - peaks[5_000] <= 32 * 45_000
 
 
 class TestConfigHash:

@@ -15,6 +15,7 @@ from spdekit.integrators import (
     heun_strat_step,
     noise_spec,
     simulate,
+    step_blocks,
 )
 from spdekit.models import AdditiveHeat, Burgers, PorousMedium, ReactionDiffusion, TransportHeat
 from spdekit.noise import (
@@ -531,6 +532,29 @@ class TestStreamedDraws:
             inc = p.increment(i)
             assert np.array_equal(inc.per_mode, consumed[i])
             assert np.array_equal(inc.field.coef, ref.increment(i).field.coef)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("name,kind", STEPPED_PAIRS)
+    def test_step_blocks_yield_the_rows_of_simulate(self, name, kind, n_steps):
+        g = TorusGrid(4)
+        m = stepped_model(name, g)
+        u0 = field_from_modes(g, [(0, 0.1), (1, 0.4 - 0.2j), (3, 0.05j)])
+        if isinstance(m, Burgers):
+            u0 = field_from_modes(g, [(1, 0.4 - 0.2j), (3, 0.05j)])
+        dt = 1e-5
+        run = (m, SchemeSpec(kind, dt), u0, n_steps * dt)
+        p = simulate(*run, sampler=NoiseSampler(noise_spec(m), 12, 5))
+        states = [u0.coef]
+        for step0, rows in step_blocks(*run, sampler=NoiseSampler(noise_spec(m), 12, 5)):
+            assert step0 == len(states) - 1 and rows.shape[0] <= BLOCK_STEPS + 1
+            assert np.array_equal(rows[0], states[-1])  # the carried state
+            states.extend(rows[1:].copy())
+        assert np.array_equal(np.array(states), p.states)
+
+    def test_step_blocks_checks_at_the_call(self):
+        g = TorusGrid(4)
+        with pytest.raises(ValueError, match="exact_ou"):
+            step_blocks(TransportHeat(g, (1.0,)), SchemeSpec("exact_ou", 1e-4), cos_field(g), 0.01)
 
     def test_matrix_lane_keeps_the_callers_array(self):
         g = TorusGrid(4)

@@ -14,8 +14,10 @@ from spdekit.spectral import (
     from_physical,
     h_inner,
     heat_semigroup,
+    l2_sq_rows,
     laplacian,
     lp_norm,
+    mode_sum,
     physical_samples,
     sobolev_norm,
     to_physical,
@@ -227,6 +229,22 @@ class TestNorms:
         lhs = sobolev_norm(f, 1.0) ** 2
         rhs = lp_norm(f, 2) ** 2 + lp_norm(derivative(f), 2) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_l2_sq_rows_in_row_chunks_is_bitwise(self, weighted):
+        # 2001 rows: seven chunks of 256 rows and a short one, against the
+        # squares of the whole batch at once and against each row alone
+        g = TorusGrid(16)
+        rng = np.random.default_rng(3)
+        coef = rng.normal(size=(2001, 17)) + 1j * rng.normal(size=(2001, 17))
+        w = g.sobolev_weights**0.7 if weighted else None
+        sq = np.abs(coef) ** 2
+        sq[:, 0] = coef[:, 0].real ** 2
+        whole = mode_sum(sq if w is None else sq * w)
+        got = l2_sq_rows(coef, w)
+        assert np.array_equal(got, whole)
+        assert np.array_equal(got, [l2_sq_rows(row, w) for row in coef])
 
 
 class TestInnerProducts:
