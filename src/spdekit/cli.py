@@ -35,8 +35,8 @@ import numpy as np
 
 from . import burgers as burgers_mod
 from . import verify as verify_mod
-from .integrators import BlowUpError, SamplePath, SchemeSpec, check_scheme, noise_spec, simulate
-from .integrators import _resolve_steps, step_blocks
+from .integrators import BlowUpError, SchemeSpec, check_scheme, noise_spec, norm_table
+from .integrators import _resolve_steps, path_norms, step_blocks, write_norms
 from .models import (
     AdditiveHeat,
     Burgers,
@@ -45,7 +45,7 @@ from .models import (
     TransportHeat,
 )
 from .noise import CovarianceSpec, NoiseSampler
-from .spectral import SpectralField, TorusGrid, field_from_modes, l2_sq_rows, zero_field
+from .spectral import SpectralField, TorusGrid, field_from_modes, zero_field
 
 __all__ = ["main", "ConfigError", "RunConfig", "load_config"]
 
@@ -351,15 +351,14 @@ def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
 
     Each stepped block is reduced to its rows of the norm table, and its
     spectra are appended to the spectra CSV, before the next block is
-    stepped: the command holds one block of states and the four norm
-    columns, never the path.  A failure (a blow-up) removes the partial
-    spectra file.
+    stepped: the command holds one block of states and the norm table (its
+    norms are written as square roots), never the path.  A failure (a
+    blow-up) removes the partial spectra file.
     """
     grid = build_grid(cfg)
     model, scheme, T, u0 = _path_run(cfg, grid)
     blocks = step_blocks(model, scheme, u0, T, sampler=NoiseSampler(noise_spec(model), seed, 0))
-    norms = np.empty(_resolve_steps(T, scheme.dt) + 1, [(name, float) for name in NORMS_HEADER])
-    weights = grid.sobolev_weights
+    norms = norm_table(np.arange(_resolve_steps(T, scheme.dt) + 1) * scheme.dt)
     n_k = grid.n_modes + 1
 
     prefix = output_prefix(cfg)
@@ -370,13 +369,9 @@ def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
 
     def emit(step0: int, rows: np.ndarray) -> None:
         """Reduce the states of steps step0, step0 + 1, ... to their table rows."""
-        t = np.arange(step0, step0 + rows.shape[0]) * scheme.dt
-        s = slice(step0, step0 + rows.shape[0])
-        norms["t"][s] = t
-        norms["l2"][s] = np.sqrt(l2_sq_rows(rows))
-        norms["h1"][s] = np.sqrt(l2_sq_rows(rows, weights))
-        norms["mode0"][s] = rows[:, 0].real
+        write_norms(norms, step0, rows, grid)
         if spectra is not None:
+            t = norms["t"][step0 : step0 + rows.shape[0]]
             coef = rows.ravel()
             k = np.tile(np.arange(n_k), rows.shape[0])
             _write_table(spectra, np.rec.fromarrays([np.repeat(t, n_k), k, coef.real, coef.imag]))
@@ -395,6 +390,8 @@ def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
     if spectra is not None:
         spectra.close()
 
+    for name in ("l2_sq", "h1_sq"):
+        np.sqrt(norms[name], out=norms[name])
     write_csv(norms_file, NORMS_HEADER, norms)
     outputs = [norms_file.name] + ([spec_file.name] if spectra is not None else [])
     write_manifest(out / f"{prefix}_manifest.json", cfg, "simulate", seed, outputs)
@@ -410,13 +407,28 @@ def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
             )
     grid = build_grid(cfg)
     items = [item for name in checks for item in CHECKS[name](cfg, grid, seed)]
-    # the Monte Carlo statistics of every listed check share one streamed pass
+    # the Monte Carlo statistics of every listed check share one streamed pass,
+    # and the pathwise checks one stepping of each path
     stats = [item for item in items if isinstance(item, verify_mod.McStatistic)]
+    on_path = [item for item in items if callable(item)]
     streamed = iter(verify_mod.mc_reports(stats, _mc_config(cfg, seed)) if stats else ())
+    worst = iter(_pathwise_reports(cfg, grid, seed, on_path) if on_path else ())
     reports = [
-        next(streamed) if isinstance(item, verify_mod.McStatistic) else item for item in items
+        next(streamed) if isinstance(item, verify_mod.McStatistic)
+        else next(worst) if callable(item) else item
+        for item in items
     ]
     return _write_reports(cfg, out, seed, "verify", reports)
+
+
+def _pathwise_reports(cfg: RunConfig, grid: TorusGrid, seed: int, checks) -> list:
+    """Each check's worst report over the norm tables of paths 0 .. experiment.n_paths - 1."""
+    model, scheme, T, u0 = _path_run(cfg, grid)
+    tables = (
+        path_norms(model, scheme, u0, T, sampler=NoiseSampler(noise_spec(model), seed, i))
+        for i in range(_n_paths(cfg))
+    )
+    return [_worst(reports) for reports in zip(*([check(t) for check in checks] for t in tables))]
 
 
 def _write_reports(cfg: RunConfig, out: Path, seed: int, command: str, reports, outputs=()) -> int:
@@ -431,7 +443,7 @@ def _write_reports(cfg: RunConfig, out: Path, seed: int, command: str, reports, 
 
 # ---------------------------------------------------------------------------
 # verify checks: one function per config name, (cfg, grid, seed) -> reports,
-# or the statistics of a Monte Carlo check
+# Monte Carlo statistics or norm-table checks
 # ---------------------------------------------------------------------------
 
 
@@ -477,16 +489,17 @@ def _require_transport(model, check: str) -> None:
         raise ConfigError(f"{check} check requires model.kind = transport_heat")
 
 
-def _sample_path(model, scheme, u0, T, seed: int, i: int) -> SamplePath:
-    return simulate(model, scheme, u0, T, sampler=NoiseSampler(noise_spec(model), seed, i))
-
-
-def _worst_path(cfg: RunConfig, report_of_path, key=lambda r: r.estimate):
-    """The report ``key`` ranks highest over paths ``0 .. experiment.n_paths - 1``."""
+def _n_paths(cfg: RunConfig) -> int:
+    """``experiment.n_paths`` of the pathwise checks and of ``burgers``: at least 1."""
     n_paths = cfg.get_int("experiment", "n_paths", 1)
     if n_paths < 1:
         raise ConfigError(f"experiment.n_paths must be at least 1, got {n_paths}")
-    return [max(map(report_of_path, range(n_paths)), key=key)]
+    return n_paths
+
+
+def _worst(reports) -> verify_mod.StatReport:
+    """The report furthest above its target, the first of equals: a check's worst path."""
+    return max(reports, key=lambda r: r.estimate - r.target)
 
 
 def _skipped(name, note, tol_kind="abs", tolerance=0.0, value=0.0):
@@ -504,23 +517,17 @@ def _check_mass_conservation(cfg, grid, seed):
         return _skipped(
             "mass_conservation", "inapplicable: mean mode is a Brownian motion for additive noise"
         )
-    return _worst_path(
-        cfg,
-        lambda i: verify_mod.mass_conservation_check(_sample_path(model, scheme, u0, T, seed, i)),
-    )
+    return [verify_mod.mass_conservation_check]
 
 
 def _check_energy_identity(cfg, grid, seed):
     model, scheme, T, u0 = _path_run(cfg, grid, "energy_identity")
     _require_transport(model, "energy_identity")
     rel_tol = cfg.get_float("experiment", "rel_tol", 0.05)
-    dts = [scheme.dt, scheme.dt / 2.0]
-    return _worst_path(
-        cfg,
-        lambda i: verify_mod.energy_identity_refinement(
-            model, u0, T, dts, seed, i, rel_tol, kind=scheme.kind
-        )[-1],
-    )
+    dts, n_paths = [scheme.dt, scheme.dt / 2.0], _n_paths(cfg)
+    refine = verify_mod.energy_identity_refinement  # a path's report is its finest rung
+    finest = (refine(model, u0, T, dts, seed, i, rel_tol, scheme.kind)[-1] for i in range(n_paths))
+    return [_worst(finest)]
 
 
 def _check_gronwall(cfg, grid, seed):
@@ -530,13 +537,7 @@ def _check_gronwall(cfg, grid, seed):
     if model.sigma_total >= 2.0:
         note = f"sigma >= 2 (sigma = {model.sigma_total:g}); bound undefined"
         return _skipped("gronwall", note, "upper", slack, float("nan"))
-    return _worst_path(
-        cfg,
-        lambda i: verify_mod.gronwall_check(
-            _sample_path(model, scheme, u0, T, seed, i), model.sigma_seq, slack
-        ),
-        key=lambda r: r.estimate - r.target,
-    )
+    return [lambda norms: verify_mod.gronwall_check(norms, model.sigma_seq, slack)]
 
 
 def _phi_weights(cfg):
@@ -650,14 +651,12 @@ def _check_holder_exponent(cfg, grid, seed):
 
 
 # The verify checks by config name, in README order.  Each entry looks up the
-# builders, ``simulate`` and the ``verify`` checkers as module attributes when
-# it runs, so wrappers installed on those attributes (timers, tracers) see it.
-# A Monte Carlo check returns its statistics, which ``run_verify`` streams in
-# one pass; the other checks return their reports.
-CHECKS: dict[
-    str,
-    Callable[[RunConfig, TorusGrid, int], list[verify_mod.StatReport | verify_mod.McStatistic]],
-] = {
+# builders and the ``verify`` checkers as module attributes when it runs, so
+# wrappers installed on those attributes (timers, tracers) see it.  A Monte
+# Carlo check returns its statistics, which ``run_verify`` streams in one
+# pass, and a pathwise check its check of a norm table, which ``run_verify``
+# applies to every path it steps; the other checks return their reports.
+CHECKS: dict[str, Callable[[RunConfig, TorusGrid, int], list]] = {
     "mass_conservation": _check_mass_conservation,
     "energy_identity": _check_energy_identity,
     "gronwall": _check_gronwall,
@@ -681,13 +680,14 @@ def _burgers_seed(problem, seed: int, i: int, seed_file: Path) -> list:
     split = burgers_mod.solve_split(problem, seed, i)
     v_ha = burgers_mod._halpha_rows(split.v_path.states, problem.grid, problem.alpha)
     w_lp = burgers_mod._lp_rows(split.w_path.states, problem.p, problem.quad_points)
-    u_l2 = np.sqrt(split.u_path.l2_sq_series())
+    u_l2 = np.sqrt(split.u_path.norms()["l2_sq"])
     # row 0 and the rows ending the steps of window w belong to window w
     times = split.u_path.times
     window = np.repeat(np.arange(len(split.picard_iters)), problem.steps_per_window)
     window = np.concatenate(([0], window))[: times.size]
-    iters = np.asarray(split.picard_iters)[window]
-    residuals = np.asarray(split.residuals)[window]
+    # a zero horizon has no window: its one row reads 0 iterations, residual 0
+    iters = np.asarray(split.picard_iters or [0])[window]
+    residuals = np.asarray(split.residuals or [0.0])[window]
     rows = np.rec.fromarrays([times, v_ha, w_lp, u_l2, iters, residuals])
     write_csv(seed_file, ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"], rows)
     rep = burgers_mod.apriori_report(
@@ -699,7 +699,7 @@ def _burgers_seed(problem, seed: int, i: int, seed_file: Path) -> list:
         rep.metadata["w0_lp"],
         rep.metadata["sup_v_halpha"],
         rep.estimate,
-        max(split.picard_iters),
+        max(split.picard_iters, default=0),
         split.residual,
     ]
 
@@ -728,7 +728,7 @@ def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"experiment section invalid: {exc}") from exc
-    n_seeds = cfg.get_int("experiment", "n_paths", 1)
+    n_seeds = _n_paths(cfg)
     prefix = output_prefix(cfg)
     outputs = []
     summary_rows = []
@@ -736,15 +736,7 @@ def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
         seed_file = out / f"{prefix}_seed{i:03d}.csv"
         summary_rows.append(_burgers_seed(problem, seed, i, seed_file))
         outputs.append(seed_file.name)
-    agg = [
-        "ensemble",
-        max(r[1] for r in summary_rows),
-        max(r[2] for r in summary_rows),
-        max(r[3] for r in summary_rows),
-        max(r[4] for r in summary_rows),
-        max(r[5] for r in summary_rows),
-        max(r[6] for r in summary_rows),
-    ]
+    agg = ["ensemble", *(max(column) for column in list(zip(*summary_rows))[1:])]
     summary_file = out / f"{prefix}_summary.csv"
     write_csv(
         summary_file,
@@ -779,20 +771,19 @@ def main(argv=None) -> int:
         prog="spdekit",
         description="Spectral Galerkin SPDE simulation and verification on the torus",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "verify", "burgers", "regularity"):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to the INI experiment file")
-        cmd.add_argument("--seed", type=int, default=None, help="override experiment.base_seed")
-        cmd.add_argument("--out", default=None, help="override output.directory")
-    args = parser.parse_args(argv)
-
     runners = {
         "simulate": run_simulate,
         "verify": run_verify,
         "burgers": run_burgers,
         "regularity": run_regularity,
     }
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in runners:
+        cmd = sub.add_parser(name)
+        cmd.add_argument("--config", required=True, help="path to the INI experiment file")
+        cmd.add_argument("--seed", type=int, default=None, help="override experiment.base_seed")
+        cmd.add_argument("--out", default=None, help="override output.directory")
+    args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         out = output_dir(cfg, args.out)
@@ -801,10 +792,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except BlowUpError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except burgers_mod.PicardError as exc:
+    except (BlowUpError, burgers_mod.PicardError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -24,8 +24,9 @@ by the model's block update on raw coefficient rows, then scanned for
 blow-up, so a diverging path stops at its first blown block and a path
 holds its states plus one block of draws.  ``step_blocks`` runs the same
 loop on one reused block buffer and yields each block once it is scanned,
-so a caller that reduces the states as they come (``spdekit simulate``)
-holds one block of states, never the path.  TransportHeat's update
+so a caller that reduces the states as they come (``path_norms``, to the
+norm table that ``spdekit simulate`` and the pathwise checks read) holds
+one block of states, never the path.  TransportHeat's update
 is a running product of mode factors, AdditiveHeat's the recursion
 c' = decay * c + eta, and the nonlinear models' (ReactionDiffusion,
 PorousMedium, Burgers) a row loop that evaluates ``models.DriftKernel`` with
@@ -71,6 +72,9 @@ __all__ = [
     "exact_ou_step",
     "simulate",
     "step_blocks",
+    "path_norms",
+    "norm_table",
+    "write_norms",
     "noise_spec",
     "ou_channel_variances",
     "ou_tau",
@@ -188,14 +192,26 @@ class SamplePath:
         dt = float(self.times[i + 1] - self.times[i])
         return increment_from_scaled(self.spec, self._draw_rows(i, 1)[0], dt)
 
-    def l2_sq_series(self) -> np.ndarray:
-        return l2_sq_rows(self.states)
+    def norms(self) -> np.ndarray:
+        """The path's norm table (see :func:`norm_table`)."""
+        table = norm_table(self.times)
+        write_norms(table, 0, self.states, self.grid)
+        return table
 
-    def h1_sq_series(self) -> np.ndarray:
-        return l2_sq_rows(self.states, self.grid.sobolev_weights)
 
-    def mode0_series(self) -> np.ndarray:
-        return self.states[:, 0].real.copy()
+def norm_table(times: np.ndarray) -> np.ndarray:
+    """A table of rows (t, |u|^2, |u|^2_{H^1}, Re u_0) at ``times``, only t filled yet."""
+    table = np.empty(len(times), [(name, float) for name in ("t", "l2_sq", "h1_sq", "mode0")])
+    table["t"] = times
+    return table
+
+
+def write_norms(table: np.ndarray, step0: int, rows: np.ndarray, grid: TorusGrid) -> None:
+    """Write the norms of the states ``rows`` into table rows step0, step0 + 1, ..."""
+    s = slice(step0, step0 + rows.shape[0])
+    table["l2_sq"][s] = l2_sq_rows(rows)
+    table["h1_sq"][s] = l2_sq_rows(rows, grid.sobolev_weights)
+    table["mode0"][s] = rows[:, 0].real
 
 
 def _check_inc(u: SpectralField, inc: NoiseIncrement) -> None:
@@ -368,6 +384,27 @@ def step_blocks(
     n_steps, sampler, scaled_draws = _check_run(model, scheme, u0, T, sampler, scaled_draws)
     rows = _first_rows(u0, min(n_steps, BLOCK_STEPS))
     return _blocks(model, scheme, rows, n_steps, sampler, scaled_draws)
+
+
+def path_norms(
+    model: ModelSpec,
+    scheme: SchemeSpec,
+    u0: SpectralField,
+    T: float,
+    sampler: NoiseSampler | None = None,
+    scaled_draws: np.ndarray | None = None,
+) -> np.ndarray:
+    """The norm table of the path :func:`simulate` steps, bit for bit its ``norms()``.
+
+    The path is stepped through :func:`step_blocks` and each block reduced
+    to its table rows as it comes, so the run holds one block and the table.
+    """
+    blocks = step_blocks(model, scheme, u0, T, sampler, scaled_draws)
+    table = norm_table(np.arange(_resolve_steps(T, scheme.dt) + 1) * scheme.dt)
+    write_norms(table, 0, u0.coef[None], model.grid)
+    for step0, rows in blocks:
+        write_norms(table, step0 + 1, rows[1:], model.grid)
+    return table
 
 
 def _check_run(

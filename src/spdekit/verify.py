@@ -7,6 +7,11 @@ of those fields plus the recorded tolerance.  Monte Carlo checks pass within
 a configurable multiple of the standard error (3 by default); deterministic
 pathwise checks carry explicit absolute or relative slacks.
 
+A Monte Carlo check is an :class:`McStatistic` and runs one way, through
+:func:`mc_reports`: every statistic of a call shares one streamed pass over
+the rows.  The pathwise checks of the transport equation read a path's norm
+table (``integrators.path_norms``), so one stepped path serves them all.
+
 Covered identities:
 
 * pathwise energy balance and the Groenwall bound of the transport equation,
@@ -28,8 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .integrators import SamplePath, SchemeSpec, noise_spec, ou_channel_variances, ou_tau
-from .integrators import simulate
+from .integrators import SchemeSpec, noise_spec, ou_channel_variances, ou_tau, path_norms, simulate
 from .models import ModelSpec, TransportHeat
 from .noise import (
     CovarianceSpec,
@@ -57,20 +61,15 @@ __all__ = [
     "gronwall_check",
     "mass_conservation_check",
     "ito_isometry_stat",
-    "ito_isometry_mc",
     "wiener_covariance_stat",
-    "wiener_covariance_mc",
     "quadratic_variation_partition",
     "brownian_scalar_path",
     "she_increment_structure",
     "holder_exponent_fit",
     "ito_strat_compare",
     "gaussian_moment_stat",
-    "gaussian_moment_ratio",
     "trace_identity_stat",
-    "trace_identity_mc",
     "ou_variance_stats",
-    "ou_variance_mc",
 ]
 
 
@@ -222,7 +221,7 @@ def _ladder_draws(spec: CovarianceSpec, seed: int, stream_id: int, dts, T: float
             )
     fine = NoiseSampler(spec, seed, stream_id).scaled_block(0, int(round(T / dt_fine)), dt_fine)
     for factor, dt in zip(reversed(factors), reversed(dts)):
-        yield dt, coarsen_increments(fine, factor)
+        yield dt, fine if factor == 1 else coarsen_increments(fine, factor)
 
 
 def _weighted_sq_rows(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -237,8 +236,8 @@ def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _uniform_dt(path: SamplePath) -> float:
-    steps = np.diff(path.times)
+def _uniform_dt(times: np.ndarray) -> float:
+    steps = np.diff(times)
     if steps.size == 0:
         return 0.0
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
@@ -246,12 +245,12 @@ def _uniform_dt(path: SamplePath) -> float:
     return float(steps[0])
 
 
-def _energy_terms(path: SamplePath, sigma):
-    """(sigma, dt, |u_t|^2, |u_t|^2 + (2-sigma) int_0^t |u|_{H^1}^2) along the path."""
+def _energy_terms(norms: np.ndarray, sigma):
+    """(sigma, dt, |u_t|^2, |u_t|^2 + (2-sigma) int_0^t |u|_{H^1}^2) along a norm table."""
     sig = float(np.sum(np.atleast_1d(sigma)))
-    dt = _uniform_dt(path)
-    l2 = path.l2_sq_series()
-    return sig, dt, l2, l2 + (2.0 - sig) * _cumtrapz(path.h1_sq_series(), dt)
+    dt = _uniform_dt(norms["t"])
+    l2 = norms["l2_sq"]
+    return sig, dt, l2, l2 + (2.0 - sig) * _cumtrapz(norms["h1_sq"], dt)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,7 @@ def _energy_terms(path: SamplePath, sigma):
 # ---------------------------------------------------------------------------
 
 
-def energy_identity_residual(path: SamplePath, sigma, rel_tol: float = 0.05) -> StatReport:
+def energy_identity_residual(norms: np.ndarray, sigma, rel_tol: float = 0.05) -> StatReport:
     """Pathwise energy balance of the transport equation.
 
     Checks |u_t|^2 + (2-sigma) int_0^t |u|_{H^1}^2 = |u_0|^2
@@ -267,7 +266,7 @@ def energy_identity_residual(path: SamplePath, sigma, rel_tol: float = 0.05) -> 
     time quadrature; the report carries the worst time residual, gated
     relative to |u_0|^2.
     """
-    sig, dt, l2, lhs = _energy_terms(path, sigma)
+    sig, dt, l2, lhs = _energy_terms(norms, sigma)
     rhs = l2[0] + (2.0 - sig) * _cumtrapz(l2, dt)
     residual = float(np.max(np.abs(lhs - rhs)))
     scale = float(l2[0]) if l2[0] > 0 else 1.0
@@ -303,8 +302,8 @@ def energy_identity_refinement(
     reports = []
     prev = None
     for dt, scaled in _ladder_draws(noise_spec(model), seed, stream_id, dts, T):
-        path = simulate(model, SchemeSpec(kind, dt), u0, T, scaled_draws=scaled)
-        rep = energy_identity_residual(path, model.sigma_seq, rel_tol)
+        norms = path_norms(model, SchemeSpec(kind, dt), u0, T, scaled_draws=scaled)
+        rep = energy_identity_residual(norms, model.sigma_seq, rel_tol)
         ratio = prev / rep.estimate if (prev is not None and rep.estimate > 0) else np.inf
         rep = replace(rep, metadata={**rep.metadata, "decay_from_previous": ratio})
         reports.append(rep)
@@ -312,7 +311,7 @@ def energy_identity_refinement(
     return reports
 
 
-def gronwall_check(path: SamplePath, sigma, slack: float = 0.05) -> StatReport:
+def gronwall_check(norms: np.ndarray, sigma, slack: float = 0.05) -> StatReport:
     """Groenwall energy bound of the transport equation, sigma < 2 only.
 
     Checks the pointwise-in-time consequence of the energy identity,
@@ -322,12 +321,12 @@ def gronwall_check(path: SamplePath, sigma, slack: float = 0.05) -> StatReport:
     at every grid time (equality at t = 0), reporting the worst ratio of
     left to right side; pass iff that ratio stays below 1 + slack.
     """
-    sig, _, l2, lhs = _energy_terms(path, sigma)
+    sig, _, l2, lhs = _energy_terms(norms, sigma)
     if sig >= 2.0:
         raise ValueError(
             f"gronwall bound undefined: requires (2 - sigma) > 0, got sigma = {sig}"
         )
-    bound = l2[0] * np.exp((2.0 - sig) * path.times)
+    bound = l2[0] * np.exp((2.0 - sig) * norms["t"])
     worst = float(np.max(lhs / bound)) if l2[0] > 0 else 0.0
     return StatReport(
         name="gronwall",
@@ -337,11 +336,11 @@ def gronwall_check(path: SamplePath, sigma, slack: float = 0.05) -> StatReport:
         n=1,
         tol_kind="upper",
         tolerance=slack,
-        metadata={"sigma": sig, "T": float(path.times[-1])},
+        metadata={"sigma": sig, "T": float(norms["t"][-1])},
     )
 
 
-def mass_conservation_check(path: SamplePath, tol: float = 1e-10) -> StatReport:
+def mass_conservation_check(norms: np.ndarray, tol: float = 1e-10) -> StatReport:
     """Pathwise conservation of the mean mode (divergence-form noise).
 
     In the continuum the vanishing of the mean's stochastic integral needs an
@@ -349,7 +348,7 @@ def mass_conservation_check(path: SamplePath, tol: float = 1e-10) -> StatReport:
     derivative is identically zero, so the discrete analogue holds exactly at
     every dt and no refinement study is required.
     """
-    mode0 = path.mode0_series()
+    mode0 = norms["mode0"]
     deviation = float(np.max(np.abs(mode0 - mode0[0]))) if mode0.size else 0.0
     return StatReport(
         name="mass_conservation",
@@ -388,10 +387,6 @@ def ito_isometry_stat(phi, lam, T: float) -> McStatistic:
     )
 
 
-def ito_isometry_mc(phi, lam, T: float, cfg: McConfig) -> StatReport:
-    """E |phi . W_T|^2 against T sum_j phi_j^2 lambda_j (see :func:`ito_isometry_stat`)."""
-    return mc_reports([ito_isometry_stat(phi, lam, T)], cfg)[0]
-
 
 def wiener_covariance_stat(
     spec: CovarianceSpec, h: SpectralField, g: SpectralField, s: float, t: float
@@ -418,17 +413,6 @@ def wiener_covariance_stat(
     return McStatistic("wiener_covariance", 2 * ch, per_row, target, metadata={"s": s, "t": t})
 
 
-def wiener_covariance_mc(
-    spec: CovarianceSpec,
-    h: SpectralField,
-    g: SpectralField,
-    s: float,
-    t: float,
-    cfg: McConfig,
-) -> StatReport:
-    """E <W_t, h> <W_s, g> against (s ^ t) <Qh, g> (see :func:`wiener_covariance_stat`)."""
-    return mc_reports([wiener_covariance_stat(spec, h, g, s, t)], cfg)[0]
-
 
 def trace_identity_stat(spec: CovarianceSpec, T: float) -> McStatistic:
     """|W_T|_{L^2}^2 per path, against T Tr Q (truncated trace for white noise)."""
@@ -445,10 +429,6 @@ def trace_identity_stat(spec: CovarianceSpec, T: float) -> McStatistic:
     )
 
 
-def trace_identity_mc(spec: CovarianceSpec, T: float, cfg: McConfig) -> StatReport:
-    """E |W_T|_{L^2}^2 against T Tr Q (see :func:`trace_identity_stat`)."""
-    return mc_reports([trace_identity_stat(spec, T)], cfg)[0]
-
 
 def gaussian_moment_stat(spec: CovarianceSpec) -> McStatistic:
     """|X|^4 per path for X ~ N(0, Q), against (Tr Q)^2 + 2 Tr(Q^2)."""
@@ -462,10 +442,6 @@ def gaussian_moment_stat(spec: CovarianceSpec) -> McStatistic:
         metadata={"trace": tr},
     )
 
-
-def gaussian_moment_ratio(spec: CovarianceSpec, cfg: McConfig) -> StatReport:
-    """E |X|^4 for X ~ N(0, Q) against (Tr Q)^2 + 2 Tr(Q^2)."""
-    return mc_reports([gaussian_moment_stat(spec)], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +654,3 @@ def ou_variance_stats(q: CovarianceSpec, dt: float, modes) -> list[McStatistic]:
         )
     return stats
 
-
-def ou_variance_mc(q: CovarianceSpec, dt: float, modes, cfg: McConfig) -> list[StatReport]:
-    """Marginal variance of the exact OU transition noise per requested mode."""
-    return mc_reports(ou_variance_stats(q, dt, modes), cfg)

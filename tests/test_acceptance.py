@@ -35,15 +35,16 @@ from spdekit.verify import (
     McConfig,
     brownian_scalar_path,
     energy_identity_refinement,
-    gaussian_moment_ratio,
+    gaussian_moment_stat,
     gronwall_check,
     holder_exponent_fit,
-    ito_isometry_mc,
+    ito_isometry_stat,
     ito_strat_compare,
     mass_conservation_check,
-    ou_variance_mc,
+    mc_reports,
+    ou_variance_stats,
     quadratic_variation_partition,
-    trace_identity_mc,
+    trace_identity_stat,
 )
 
 SEED = 20240601
@@ -118,7 +119,7 @@ def test_c03_gronwall_bound():
         for i in range(100):
             sampler = NoiseSampler(CovarianceSpec.white(grid), SEED + 7, i)
             path = simulate(model, SchemeSpec("heun_stratonovich", dt), u0, T, sampler=sampler)
-            rep = gronwall_check(path, sigma, slack=0.05)
+            rep = gronwall_check(path.norms(), sigma, slack=0.05)
             worst = max(worst, rep.estimate)
             ok &= rep.passed
     elapsed = time.monotonic() - t0
@@ -140,12 +141,12 @@ def test_c04_mass_conservation_everywhere():
         u0 = low.with_coef(coef)
         sampler = NoiseSampler(CovarianceSpec.white(grid), SEED + 9, i)
         path = simulate(model, SchemeSpec(scheme, 1e-5), u0, 0.02, sampler=sampler)
-        worst = max(worst, mass_conservation_check(path).estimate)
+        worst = max(worst, mass_conservation_check(path.norms()).estimate)
     gb = TorusGrid(64)
     for i in range(5):
         prob = BurgersProblem(gb, 0.05, 2.5e-4, sin_field(gb))
         split = solve_split(prob, SEED + 11, i)
-        worst = max(worst, mass_conservation_check(split.u_path).estimate)
+        worst = max(worst, mass_conservation_check(split.u_path.norms()).estimate)
         direct = simulate(
             Burgers(prob.q),
             SchemeSpec("exponential_euler", 2.5e-4),
@@ -153,7 +154,7 @@ def test_c04_mass_conservation_everywhere():
             0.05,
             sampler=NoiseSampler(prob.q, SEED + 11, i),
         )
-        worst = max(worst, mass_conservation_check(direct).estimate)
+        worst = max(worst, mass_conservation_check(direct.norms()).estimate)
     ok = worst < 1e-10
     assert announce(4, ok, f"max mode-0 deviation {worst:.2e} < 1e-10 over 30 paths")
 
@@ -162,9 +163,12 @@ def test_c05_ito_isometry():
     t0 = time.monotonic()
     cfg = McConfig(n_paths=10_000, base_seed=SEED + 13)
     reps = [
-        ito_isometry_mc([1.0], [1.0], 0.7, cfg),
-        ito_isometry_mc(1.0 / np.arange(1, 17), np.ones(16), 0.7, cfg),
-        ito_isometry_mc(np.ones(33), np.ones(33), 0.7, cfg),  # white truncated at K=16
+        mc_reports([ito_isometry_stat(phi, lam, 0.7)], cfg)[0]
+        for phi, lam in (
+            ([1.0], [1.0]),
+            (1.0 / np.arange(1, 17), np.ones(16)),
+            (np.ones(33), np.ones(33)),  # white truncated at K=16
+        )
     ]
     elapsed = time.monotonic() - t0
     ok = all(r.passed for r in reps) and elapsed < 30.0
@@ -176,7 +180,8 @@ def test_c06_trace_identity():
     t0 = time.monotonic()
     grid = TorusGrid(64)
     spec = CovarianceSpec.power(grid, 1.0)  # lambda_k = (1+k^2)^-1
-    rep = trace_identity_mc(spec, 0.5, McConfig(n_paths=10_000, base_seed=SEED + 17))
+    cfg = McConfig(n_paths=10_000, base_seed=SEED + 17)
+    rep = mc_reports([trace_identity_stat(spec, 0.5)], cfg)[0]
     elapsed = time.monotonic() - t0
     ok = rep.passed and elapsed < 30.0
     assert announce(
@@ -205,7 +210,8 @@ def test_c08_ou_exactness():
     t0 = time.monotonic()
     grid = TorusGrid(16)
     q = CovarianceSpec.white(grid)
-    reps = ou_variance_mc(q, 0.01, [0, 1, 8], McConfig(n_paths=10_000, base_seed=SEED + 23))
+    cfg = McConfig(n_paths=10_000, base_seed=SEED + 23)
+    reps = mc_reports(ou_variance_stats(q, 0.01, [0, 1, 8]), cfg)
     elapsed = time.monotonic() - t0
     ok = all(r.passed for r in reps) and elapsed < 30.0
     detail = ", ".join(f"k={r.metadata['mode']}: {r.estimate:.3e}~{r.target:.3e}" for r in reps)
@@ -384,10 +390,9 @@ def test_c13_burgers_consistency_bound():
 def test_c14_gaussian_fourth_moment():
     t0 = time.monotonic()
     cfg = McConfig(n_paths=10_000, base_seed=SEED + 43)
-    single = gaussian_moment_ratio(
-        CovarianceSpec.from_eigenvalues(TorusGrid(0, 1), [1.0]), cfg
-    )
-    white = gaussian_moment_ratio(CovarianceSpec.white(TorusGrid(2)), cfg)
+    single_spec = CovarianceSpec.from_eigenvalues(TorusGrid(0, 1), [1.0])
+    single = mc_reports([gaussian_moment_stat(single_spec)], cfg)[0]
+    white = mc_reports([gaussian_moment_stat(CovarianceSpec.white(TorusGrid(2)))], cfg)[0]
     elapsed = time.monotonic() - t0
     ok = single.passed and white.passed and elapsed < 30.0
     assert announce(

@@ -229,8 +229,8 @@ class TestRemainder:
         g = TorusGrid(32)
         prob = BurgersProblem(g, 0.1, 5e-4, sin_field(g))
         split = solve_split(prob, seed=11)
-        assert np.max(np.abs(split.w_path.mode0_series())) < 1e-10
-        assert np.max(np.abs(split.v_path.mode0_series())) == 0.0  # mean-free noise
+        assert np.max(np.abs(split.w_path.norms()["mode0"])) < 1e-10
+        assert np.max(np.abs(split.v_path.norms()["mode0"])) == 0.0  # mean-free noise
 
 
 class TestAgainstReferenceLoop:

@@ -221,8 +221,8 @@ class TestCsvTables:
         u0 = field_from_modes(g, [(1, 0.5)])
         path = simulate(ReactionDiffusion(-1.0, 3, q), SchemeSpec("euler_maruyama", 1e-4), u0,
                         0.01, sampler=NoiseSampler(q, 7, 0))
-        norms = zip(path.times, np.sqrt(path.l2_sq_series()), np.sqrt(path.h1_sq_series()),
-                    path.mode0_series())
+        table = path.norms()
+        norms = zip(table["t"], np.sqrt(table["l2_sq"]), np.sqrt(table["h1_sq"]), table["mode0"])
         spectra = [[t, k, c.real, c.imag] for t, row in zip(path.times, path.states)
                    for k, c in enumerate(row)]
         out = tmp_path / "o"
@@ -249,7 +249,7 @@ class TestCsvTables:
         split = solve_split(prob, 3, 0)
         v_ha = _halpha_rows(split.v_path.states, g, prob.alpha)
         w_lp = _lp_rows(split.w_path.states, prob.p, prob.quad_points)
-        u_l2 = np.sqrt(split.u_path.l2_sq_series())
+        u_l2 = np.sqrt(split.u_path.norms()["l2_sq"])
         spw = max(1, int(round(prob.window / prob.dt)))
         rows = []
         for j, t in enumerate(split.u_path.times):
@@ -326,8 +326,8 @@ class TestStreamedSimulate:
         assert cli.main(["simulate", "--config", cfg]) == 0
         path = full_path(cfg)
         assert path.n_steps == n_steps
-        norms = zip(path.times, np.sqrt(path.l2_sq_series()), np.sqrt(path.h1_sq_series()),
-                    path.mode0_series())
+        table = path.norms()
+        norms = zip(table["t"], np.sqrt(table["l2_sq"]), np.sqrt(table["h1_sq"]), table["mode0"])
         spectra = [[t, k, c.real, c.imag] for t, row in zip(path.times, path.states)
                    for k, c in enumerate(row)]
         out = tmp_path / "o"
@@ -645,6 +645,72 @@ class TestCheckTable:
         assert "Traceback" not in err
 
 
+class TestPathwiseChecks:
+    # one verify command steps each path once, into its norm table, and every
+    # listed pathwise check reads that table
+
+    @staticmethod
+    def config(tmp_path, n_steps, n_paths, modes=8, dt=1e-5):
+        text = Path(all_checks_config(
+            tmp_path, "mass_conservation, gronwall", scheme="heun_stratonovich", n_paths=n_paths
+        )).read_text()
+        text = text.replace("modes = 8", f"modes = {modes}").replace("dt = 1e-4", f"dt = {dt!r}")
+        text = text.replace("\nt = 0.01\n", f"\nt = {n_steps * dt!r}\n")
+        return write_config(tmp_path / "c.ini", text)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 256, 600])
+    def test_each_path_is_stepped_once(self, tmp_path, monkeypatch, n_steps):
+        from spdekit.integrators import noise_spec, simulate
+        from spdekit.noise import NoiseSampler
+
+        n_paths = 3
+        cfg_file = self.config(tmp_path, n_steps, n_paths)
+        streams = []
+        draws_block = NoiseSampler.draws_block
+
+        def recorded(sampler, step0, n):
+            streams.append((sampler.stream_id, step0))
+            return draws_block(sampler, step0, n)
+
+        monkeypatch.setattr(NoiseSampler, "draws_block", recorded)
+        assert cli.main(["verify", "--config", cfg_file]) == 0
+        monkeypatch.undo()
+        path_runs = [stream for stream, step0 in streams if step0 == 0]
+        assert path_runs == (list(range(n_paths)) if n_steps else [])
+        assert len(streams) == n_paths * -(-n_steps // 256)
+
+        # the reference: each check's worst report over held paths
+        cfg = cli.load_config(cfg_file)
+        model, scheme, T, u0 = cli._path_run(cfg, cli.build_grid(cfg))
+        tables = [
+            simulate(model, scheme, u0, T, sampler=NoiseSampler(noise_spec(model), 5, i)).norms()
+            for i in range(n_paths)
+        ]
+        worst = [
+            max(reports, key=lambda r: r.estimate - r.target)
+            for reports in (
+                [verify.mass_conservation_check(t) for t in tables],
+                [verify.gronwall_check(t, model.sigma_seq, 0.05) for t in tables],
+            )
+        ]
+        ref = tmp_path / "ref.csv"
+        cli.write_csv(ref, cli.REPORT_HEADER, [cli.report_row(r, 5) for r in worst])
+        assert (tmp_path / "o" / "v_reports.csv").read_bytes() == ref.read_bytes()
+
+    def test_peak_memory_holds_no_path(self, tmp_path):
+        # K = 32 and 2 * 10^4 Heun steps: a held path is 5.3 MB of states;
+        # the command holds one block and a 32-byte table row per step
+        cfg = self.config(tmp_path, 20_000, 2, modes=32, dt=2.5e-6)
+        tracemalloc.start()
+        try:
+            assert cli.main(["verify", "--config", cfg]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [row["name"] for row in report_rows(tmp_path)] == ["mass_conservation", "gronwall"]
+        assert peak < 4e6
+
+
 MC_CHECK_NAMES = "ito_isometry, trace_identity, wiener_covariance, gaussian_moment, ou_exactness"
 
 
@@ -840,6 +906,30 @@ class TestBurgers:
         summary = (tmp_path / "o" / "b_summary.csv").read_text().strip().splitlines()
         assert len(summary) == 1 + 3 + 1  # header, three seeds, ensemble row
         assert summary[-1].startswith("ensemble,")
+
+    def test_zero_horizon_writes_the_initial_row(self, tmp_path):
+        text = BURGERS_TEMPLATE.format(
+            noise="mean_free_white", amp="0.5", n=2, maxit=25, out=tmp_path / "o"
+        ).replace("t = 0.05", "t = 0.0")
+        assert cli.main(["burgers", "--config", write_config(tmp_path / "c.ini", text)]) == 0
+        for i in range(2):
+            lines = (tmp_path / "o" / f"b_seed00{i}.csv").read_text().strip().splitlines()
+            assert len(lines) == 2  # the header and the row at t = 0
+            t, *_, iters, residual = lines[1].split(",")
+            assert float(t) == 0.0 and iters == "0" and float(residual) == 0.0
+        summary = (tmp_path / "o" / "b_summary.csv").read_text().strip().splitlines()
+        rows = [line.split(",") for line in summary[1:]]
+        assert [row[0] for row in rows] == ["0", "1", "ensemble"]
+        assert rows[-1][5:] == ["0", "%.17e" % 0.0]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_seed_is_config_error(self, tmp_path, capsys, n):
+        text = BURGERS_TEMPLATE.format(
+            noise="mean_free_white", amp="0.5", n=n, maxit=25, out=tmp_path / "o"
+        )
+        assert cli.main(["burgers", "--config", write_config(tmp_path / "c.ini", text)]) == 2
+        err = capsys.readouterr().err
+        assert "experiment.n_paths must be at least 1" in err and "Traceback" not in err
 
     def test_zero_noise_matches_reference(self, tmp_path):
         # the w column of a zero-noise run equals a directly computed remainder

@@ -14,6 +14,7 @@ from spdekit.integrators import (
     exp_euler_step,
     heun_strat_step,
     noise_spec,
+    path_norms,
     simulate,
     step_blocks,
 )
@@ -136,7 +137,7 @@ class TestExpEulerStep:
         coarse = simulate(m, SchemeSpec("exponential_euler", 1e-3), u0, T)
         ref = simulate(m, SchemeSpec("exponential_euler", 1e-3 / 64), u0, T)
         err = l2_dist(coarse.states[-1], ref.states[-1])
-        assert err / np.sqrt(ref.l2_sq_series()[-1]) < 1e-3
+        assert err / np.sqrt(ref.norms()["l2_sq"][-1]) < 1e-3
 
 
 class TestExactOu:
@@ -233,14 +234,14 @@ class TestSimulate:
         u0 = make_random_field(gt, 13, mean_zero=False)
         st = NoiseSampler(CovarianceSpec.white(gt), 7, 0)
         pt = simulate(mt, SchemeSpec("euler_maruyama", 1e-5), u0, 0.005, sampler=st)
-        assert np.max(np.abs(pt.mode0_series() - u0.mean)) < 1e-12
+        assert np.max(np.abs(pt.norms()["mode0"] - u0.mean)) < 1e-12
 
         gb = TorusGrid(32)
         mb = Burgers(CovarianceSpec.mean_free_white(gb))
         w0 = sin_field(gb) + field_from_modes(gb, [(0, 0.3)])
         sb = NoiseSampler(mb.q, 11, 0)
         pb = simulate(mb, SchemeSpec("exponential_euler", 1e-4), w0, 0.02, sampler=sb)
-        assert np.max(np.abs(pb.mode0_series() - 0.3)) < 1e-12
+        assert np.max(np.abs(pb.norms()["mode0"] - 0.3)) < 1e-12
 
     def test_blow_up_reported_with_time(self):
         g = TorusGrid(16)
@@ -550,6 +551,27 @@ class TestStreamedDraws:
             assert np.array_equal(rows[0], states[-1])  # the carried state
             states.extend(rows[1:].copy())
         assert np.array_equal(np.array(states), p.states)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 256, 600])
+    @pytest.mark.parametrize("name,kind", STEPPED_PAIRS)
+    def test_path_norms_are_the_held_paths(self, name, kind, n_steps):
+        # the norm table stepped block by block is bit for bit the held path's
+        g = TorusGrid(4)
+        m = stepped_model(name, g)
+        u0 = field_from_modes(g, [(0, 0.1), (1, 0.4 - 0.2j), (3, 0.05j)])
+        if isinstance(m, Burgers):
+            u0 = field_from_modes(g, [(1, 0.4 - 0.2j), (3, 0.05j)])
+        dt = 1e-5
+        run = (m, SchemeSpec(kind, dt), u0, n_steps * dt)
+        sampler = NoiseSampler(noise_spec(m), 12, 5)
+        table = path_norms(*run, sampler=sampler)
+        assert table.dtype.names == ("t", "l2_sq", "h1_sq", "mode0")
+        assert table.shape == (n_steps + 1,)
+        assert table.tobytes() == simulate(*run, sampler=sampler).norms().tobytes()
+        matrix = sampler.scaled_block(0, n_steps, dt)
+        by_matrix = path_norms(*run, scaled_draws=matrix)
+        assert by_matrix.tobytes() == simulate(*run, scaled_draws=matrix).norms().tobytes()
+        assert by_matrix.tobytes() == table.tobytes()
 
     def test_step_blocks_checks_at_the_call(self):
         g = TorusGrid(4)

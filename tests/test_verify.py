@@ -16,24 +16,19 @@ from spdekit.verify import (
     energy_identity_refinement,
     energy_identity_residual,
     evaluate_pass,
-    gaussian_moment_ratio,
     gaussian_moment_stat,
     gronwall_check,
     holder_exponent_fit,
-    ito_isometry_mc,
     ito_isometry_stat,
     ito_strat_compare,
     mass_conservation_check,
     mc_normals,
     mc_pass,
     mc_reports,
-    ou_variance_mc,
     ou_variance_stats,
     quadratic_variation_partition,
     she_increment_structure,
-    trace_identity_mc,
     trace_identity_stat,
-    wiener_covariance_mc,
     wiener_covariance_stat,
 )
 
@@ -199,7 +194,7 @@ class TestStreamedPass:
             alone = stream_normals(cfg.base_seed, range(n), st.cols)
             assert np.array_equal(mc_pass([st], cfg)[0], st.per_row(alone))
 
-    def test_reports_are_the_public_checkers(self):
+    def test_shared_pass_equals_each_statistic_alone(self):
         cfg = McConfig(300, 43)
         spec = CovarianceSpec.white(TorusGrid(8))
         h, g = make_random_field(spec.grid, 1), make_random_field(spec.grid, 2)
@@ -211,11 +206,11 @@ class TestStreamedPass:
             *ou_variance_stats(spec, 0.02, [0, 3]),
         ]
         expected = [
-            ito_isometry_mc([1.0, 0.5], [1.0, 2.0], 0.4, cfg),
-            trace_identity_mc(spec, 0.4, cfg),
-            wiener_covariance_mc(spec, h, g, 0.1, 0.4, cfg),
-            gaussian_moment_ratio(spec, cfg),
-            *ou_variance_mc(spec, 0.02, [0, 3], cfg),
+            mc_reports([ito_isometry_stat([1.0, 0.5], [1.0, 2.0], 0.4)], cfg)[0],
+            mc_reports([trace_identity_stat(spec, 0.4)], cfg)[0],
+            mc_reports([wiener_covariance_stat(spec, h, g, 0.1, 0.4)], cfg)[0],
+            mc_reports([gaussian_moment_stat(spec)], cfg)[0],
+            *mc_reports(ou_variance_stats(spec, 0.02, [0, 3]), cfg),
         ]
         assert mc_reports(stats, cfg) == expected
 
@@ -258,14 +253,14 @@ class TestChannelSpaceCheckers:
     def test_trace_identity(self, kind):
         spec = self.SPECS[kind]
         z = self.block(spec.n_channels)
-        rep = trace_identity_mc(spec, 0.7, self.CFG)
+        rep = mc_reports([trace_identity_stat(spec, 0.7)], self.CFG)[0]
         self.assert_matches(rep, l2_sq_rows(pack_draws(spec, z * np.sqrt(0.7))))
 
     @pytest.mark.parametrize("kind", ["white", "power"])
     def test_gaussian_moment(self, kind):
         spec = self.SPECS[kind]
         z = self.block(spec.n_channels)
-        rep = gaussian_moment_ratio(spec, self.CFG)
+        rep = mc_reports([gaussian_moment_stat(spec)], self.CFG)[0]
         self.assert_matches(rep, l2_sq_rows(pack_draws(spec, z)) ** 2)
 
     @pytest.mark.parametrize("kind", ["white", "power"])
@@ -280,7 +275,7 @@ class TestChannelSpaceCheckers:
         w_lo = pack_draws(spec, z[:, :ch] * np.sqrt(lo))
         w_hi = w_lo + pack_draws(spec, z[:, ch:] * np.sqrt(hi - lo))
         w_t, w_s = (w_hi, w_lo) if t >= s else (w_lo, w_hi)
-        rep = wiener_covariance_mc(spec, h, g, s, t, self.CFG)
+        rep = mc_reports([wiener_covariance_stat(spec, h, g, s, t)], self.CFG)[0]
         self.assert_matches(rep, packed_pairing(w_t, h) * packed_pairing(w_s, g))
 
     @pytest.mark.parametrize("kind", ["white", "power"])
@@ -292,7 +287,7 @@ class TestChannelSpaceCheckers:
         tau[0] = dt
         tau[1::2] = tau[2::2] = -np.expm1(-2.0 * mu[1:] * dt) / (2.0 * mu[1:])
         eta = pack_draws(spec, self.block(spec.n_channels) * np.sqrt(tau))
-        reps = ou_variance_mc(spec, dt, [0, 1, K], self.CFG)
+        reps = mc_reports(ou_variance_stats(spec, dt, [0, 1, K]), self.CFG)
         self.assert_matches(reps[0], eta[:, 0].real ** 2)
         self.assert_matches(reps[1], np.abs(eta[:, 1]) ** 2)
         self.assert_matches(reps[2], np.abs(eta[:, K]) ** 2)
@@ -301,7 +296,7 @@ class TestChannelSpaceCheckers:
         spec = self.SPECS["white"]
         for k in (-1, spec.grid.n_modes + 1):
             with pytest.raises(ValueError, match="outside 0..8"):
-                ou_variance_mc(spec, 0.01, [k], self.CFG)
+                mc_reports(ou_variance_stats(spec, 0.01, [k]), self.CFG)
 
 
 class TestEnergyIdentity:
@@ -310,7 +305,7 @@ class TestEnergyIdentity:
         g = TorusGrid(32)
         m = TransportHeat(g, (0.0,))
         p = simulate(m, SchemeSpec("exponential_euler", 1e-5), cos_field(g), 0.05)
-        rep = energy_identity_residual(p, 0.0)
+        rep = energy_identity_residual(p.norms(), 0.0)
         assert rep.estimate < 1e-6
         assert rep.passed
 
@@ -319,7 +314,7 @@ class TestEnergyIdentity:
         m = TransportHeat(g, (1.3,))
         s = NoiseSampler(CovarianceSpec.white(g), 3)
         p = simulate(m, SchemeSpec("euler_maruyama", 1e-4), zero_field(g), 0.01, sampler=s)
-        rep = energy_identity_residual(p, 1.3)
+        rep = energy_identity_residual(p.norms(), 1.3)
         assert rep.estimate == 0.0
 
     def test_sign_flip_invariance(self):
@@ -330,7 +325,7 @@ class TestEnergyIdentity:
         for sign in (1.0, -1.0):
             s = NoiseSampler(CovarianceSpec.white(g), 17, 0)
             p = simulate(m, SchemeSpec("euler_maruyama", 1e-4), sign * u0, 0.02, sampler=s)
-            rep = energy_identity_residual(p, 1.0)
+            rep = energy_identity_residual(p.norms(), 1.0)
             if sign == 1.0:
                 base = rep.estimate
             else:
@@ -351,7 +346,7 @@ class TestEnergyIdentity:
         m = TransportHeat(g, (0.5, 0.3, 0.2))
         s = NoiseSampler(CovarianceSpec.white(g), 19)
         p = simulate(m, SchemeSpec("euler_maruyama", 2e-6), cos_field(g), 0.01, sampler=s)
-        rep = energy_identity_residual(p, m.sigma_seq)
+        rep = energy_identity_residual(p.norms(), m.sigma_seq)
         assert rep.metadata["sigma"] == pytest.approx(1.0)
         assert rep.metadata["relative_residual"] < 0.02
 
@@ -361,7 +356,7 @@ class TestGronwall:
         g = TorusGrid(16)
         m = TransportHeat(g, (0.0,))
         p = simulate(m, SchemeSpec("exponential_euler", 1e-4), cos_field(g), 0.05)
-        rep = gronwall_check(p, 0.0)
+        rep = gronwall_check(p.norms(), 0.0)
         assert rep.passed
         assert rep.estimate == pytest.approx(1.0, abs=1e-3)  # equality at t = 0
 
@@ -370,7 +365,7 @@ class TestGronwall:
         m = TransportHeat(g, (2.0,))
         p = simulate(m, SchemeSpec("exponential_euler", 1e-3), cos_field(g), 0.01)
         with pytest.raises(ValueError, match="sigma"):
-            gronwall_check(p, 2.0)
+            gronwall_check(p.norms(), 2.0)
 
 
 class TestMassConservation:
@@ -380,7 +375,7 @@ class TestMassConservation:
         s = NoiseSampler(CovarianceSpec.white(g), 5)
         u0 = field_from_modes(g, [(0, 0.7), (1, 0.25)])
         p = simulate(m, SchemeSpec("euler_maruyama", 1e-4), u0, 0.02, sampler=s)
-        rep = mass_conservation_check(p)
+        rep = mass_conservation_check(p.norms())
         assert rep.estimate == 0.0
         assert rep.passed
 
@@ -390,39 +385,39 @@ class TestMassConservation:
         s = NoiseSampler(m.q, 7)
         u0 = field_from_modes(g, [(1, 0.5 / 1j)])
         p = simulate(m, SchemeSpec("exponential_euler", 1e-4), u0, 0.02, sampler=s)
-        assert mass_conservation_check(p).estimate < 1e-10
+        assert mass_conservation_check(p.norms()).estimate < 1e-10
 
 
 class TestItoIsometry:
     def test_single_mode_brownian_variance(self):
-        rep = ito_isometry_mc([1.0], [1.0], 0.7, McConfig(2000, 3))
+        rep = mc_reports([ito_isometry_stat([1.0], [1.0], 0.7)], McConfig(2000, 3))[0]
         assert rep.target == pytest.approx(0.7)
         assert rep.passed
 
     def test_zero_horizon(self):
-        rep = ito_isometry_mc([1.0, 2.0], [1.0, 1.0], 0.0, McConfig(100, 3))
+        rep = mc_reports([ito_isometry_stat([1.0, 2.0], [1.0, 1.0], 0.0)], McConfig(100, 3))[0]
         assert rep.estimate == 0.0 and rep.target == 0.0
         assert rep.passed
 
     def test_inverse_k_weights_partial_sum_oracle(self):
         k = np.arange(1, 17)
-        rep = ito_isometry_mc(1.0 / k, np.ones(16), 0.5, McConfig(4000, 5))
+        rep = mc_reports([ito_isometry_stat(1.0 / k, np.ones(16), 0.5)], McConfig(4000, 5))[0]
         assert rep.target == pytest.approx(0.5 * np.sum(1.0 / k**2))
         assert rep.passed
 
     def test_se_scaling(self):
         # quadrupling the path count halves the standard error (within 20%),
         # across the Monte Carlo checkers
-        small = ito_isometry_mc([1.0], [1.0], 1.0, McConfig(2000, 11))
-        big = ito_isometry_mc([1.0], [1.0], 1.0, McConfig(8000, 11))
+        small = mc_reports([ito_isometry_stat([1.0], [1.0], 1.0)], McConfig(2000, 11))[0]
+        big = mc_reports([ito_isometry_stat([1.0], [1.0], 1.0)], McConfig(8000, 11))[0]
         assert big.se == pytest.approx(small.se / 2, rel=0.2)
         g = TorusGrid(8)
         spec = CovarianceSpec.power(g, 1.0)
-        small = trace_identity_mc(spec, 0.5, McConfig(2000, 11))
-        big = trace_identity_mc(spec, 0.5, McConfig(8000, 11))
+        small = mc_reports([trace_identity_stat(spec, 0.5)], McConfig(2000, 11))[0]
+        big = mc_reports([trace_identity_stat(spec, 0.5)], McConfig(8000, 11))[0]
         assert big.se == pytest.approx(small.se / 2, rel=0.2)
-        small = gaussian_moment_ratio(spec, McConfig(2000, 11))
-        big = gaussian_moment_ratio(spec, McConfig(8000, 11))
+        small = mc_reports([gaussian_moment_stat(spec)], McConfig(2000, 11))[0]
+        big = mc_reports([gaussian_moment_stat(spec)], McConfig(8000, 11))[0]
         assert big.se == pytest.approx(small.se / 2, rel=0.2)
 
 
@@ -431,7 +426,7 @@ class TestWienerCovariance:
         g = TorusGrid(4)
         spec = CovarianceSpec.white(g)
         h = cos_field(g)
-        rep = wiener_covariance_mc(spec, h, h, 0.0, 0.5, McConfig(500, 3))
+        rep = mc_reports([wiener_covariance_stat(spec, h, h, 0.0, 0.5)], McConfig(500, 3))[0]
         assert rep.target == 0.0
         assert rep.passed
 
@@ -441,7 +436,7 @@ class TestWienerCovariance:
         lam[1] = 1.0
         spec = CovarianceSpec.from_eigenvalues(g, lam)
         h = cos_field(g)
-        rep = wiener_covariance_mc(spec, h, h, 0.4, 0.4, McConfig(4000, 7))
+        rep = mc_reports([wiener_covariance_stat(spec, h, h, 0.4, 0.4)], McConfig(4000, 7))[0]
         assert rep.target == pytest.approx(0.4 * 0.5)
         assert rep.passed
 
@@ -449,7 +444,7 @@ class TestWienerCovariance:
         g = TorusGrid(8)
         spec = CovarianceSpec.white(g)
         h = cos_field(g)
-        rep = wiener_covariance_mc(spec, h, h, 0.3, 0.7, McConfig(10_000, 9))
+        rep = mc_reports([wiener_covariance_stat(spec, h, h, 0.3, 0.7)], McConfig(10_000, 9))[0]
         assert rep.target == pytest.approx(0.15)
         assert rep.passed
 
@@ -566,7 +561,7 @@ class TestGaussianMoments:
     def test_single_channel_fourth_moment(self):
         g = TorusGrid(0, 1)
         spec = CovarianceSpec.from_eigenvalues(g, [1.0])
-        rep = gaussian_moment_ratio(spec, McConfig(20_000, 5))
+        rep = mc_reports([gaussian_moment_stat(spec)], McConfig(20_000, 5))[0]
         assert rep.target == pytest.approx(3.0)
         assert rep.passed
 
@@ -582,7 +577,7 @@ class TestGaussianMoments:
     def test_zero_operator(self):
         g = TorusGrid(2)
         spec = CovarianceSpec.from_eigenvalues(g, np.zeros(3))
-        rep = gaussian_moment_ratio(spec, McConfig(100, 1))
+        rep = mc_reports([gaussian_moment_stat(spec)], McConfig(100, 1))[0]
         assert rep.estimate == 0.0 and rep.target == 0.0
         assert rep.passed
 
@@ -591,7 +586,7 @@ class TestTraceIdentity:
     def test_small_power_spectrum(self):
         g = TorusGrid(16)
         spec = CovarianceSpec.power(g, 1.0)
-        rep = trace_identity_mc(spec, 0.5, McConfig(5000, 9))
+        rep = mc_reports([trace_identity_stat(spec, 0.5)], McConfig(5000, 9))[0]
         assert rep.passed
         assert rep.note == ""
 
@@ -599,7 +594,7 @@ class TestTraceIdentity:
         g = TorusGrid(8)
         spec = CovarianceSpec.white(g)
         cfg = McConfig(200, 4, tolerance_multiplier=2.5)
-        rep = trace_identity_mc(spec, 0.5, cfg)
+        rep = mc_reports([trace_identity_stat(spec, 0.5)], cfg)[0]
         z = mc_normals(cfg.base_seed, cfg.n_paths, spec.n_channels)
         samples = np.sum(0.5 * z**2, axis=1)  # |W|^2 = T * sum of squared unit channels
         assert rep.estimate == pytest.approx(np.mean(samples), rel=1e-12)
@@ -613,6 +608,6 @@ class TestOuVariance:
     def test_modes_against_closed_form(self):
         g = TorusGrid(16)
         q = CovarianceSpec.white(g)
-        reps = ou_variance_mc(q, 0.01, [0, 1, 8], McConfig(5000, 13))
+        reps = mc_reports(ou_variance_stats(q, 0.01, [0, 1, 8]), McConfig(5000, 13))
         assert [r.passed for r in reps] == [True, True, True]
         assert reps[0].target == pytest.approx(0.01)  # Brownian mode
