@@ -62,12 +62,14 @@ from .integrators import (
 from .burgers import (
     BurgersProblem,
     PicardError,
+    PicardWindow,
     SplitSolution,
     apriori_report,
     compose,
     sample_linear_part,
     solve_remainder,
     solve_split,
+    split_windows,
 )
 from .verify import McConfig, StatReport
 

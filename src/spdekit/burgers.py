@@ -13,6 +13,13 @@ The solution of du = (u_xx + (u^2)_x) dt + dW is built as u = v + w:
   by Picard iteration on time windows, discretized with left-endpoint
   exponential-Euler quadrature (exact semigroup weights).
 
+One generator, :func:`split_windows`, solves the windows in turn: it reads
+v from the stepped blocks of the linear part as each window needs it and
+yields the window's rows of v and w with its diagnostics.
+:func:`solve_remainder` and :func:`solve_split` collect the windows into
+paths, and ``spdekit burgers`` reduces each to its output rows before the
+next is solved, so the command holds one window, never a path.
+
 The iteration diagnostics (counts, contraction ratios, mild-equation
 residual) are part of the product: they witness the contraction that the
 fixed-point argument relies on, and failure to converge within the iteration
@@ -26,10 +33,11 @@ of the divergence-form nonlinearity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .integrators import SamplePath, SchemeSpec, _resolve_steps, simulate
+from .integrators import SamplePath, SchemeSpec, _resolve_steps, simulate, step_blocks
 from .models import AdditiveHeat, Burgers, nonlinear_quad_points
 from .noise import CovarianceSpec, NoiseSampler
 from .spectral import SpectralField, TorusGrid, _coef_to_samples, l2_sq_rows, zero_field
@@ -39,7 +47,9 @@ __all__ = [
     "BurgersProblem",
     "SplitSolution",
     "PicardError",
+    "PicardWindow",
     "sample_linear_part",
+    "split_windows",
     "solve_remainder",
     "compose",
     "apriori_report",
@@ -120,16 +130,15 @@ class SplitSolution:
         return max(self.residuals) if self.residuals else 0.0
 
 
+def _linear_run(problem: BurgersProblem):
+    """(model, scheme, v0, T) of the linear part: exact OU steps from v(0) = 0."""
+    scheme = SchemeSpec("exact_ou", problem.dt)
+    return AdditiveHeat(problem.q), scheme, zero_field(problem.grid), problem.T
+
+
 def sample_linear_part(problem: BurgersProblem, sampler: NoiseSampler) -> SamplePath:
     """Distributionally exact OU path of the linear equation, v(0) = 0."""
-    model = AdditiveHeat(problem.q)
-    return simulate(
-        model,
-        SchemeSpec("exact_ou", problem.dt),
-        zero_field(problem.grid),
-        problem.T,
-        sampler=sampler,
-    )
+    return simulate(*_linear_run(problem), sampler=sampler)
 
 
 def _lp_of_squares(sq: np.ndarray, p: float) -> np.ndarray:
@@ -179,94 +188,171 @@ def _semigroup_scan(x: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_remainder(problem: BurgersProblem, v_path: SamplePath):
-    """Windowed Picard iteration for the remainder w given the linear part.
+class PicardWindow(NamedTuple):
+    """One converged Picard window: the split's rows ``step0 .. step0 + len(v) - 1``.
 
-    Returns ``(w_path, iters, residuals, distance_log)``: the converged
-    remainder, iteration counts and mild-equation residuals per window, and
-    the successive-iterate distances (contraction witnesses).
+    ``v`` and ``w`` hold the window's states of the linear part and of the
+    remainder (row 0 is the state the window starts from, the last row of
+    the window before), ``w_lp`` the L^p norm of each row of ``w``.  The
+    three are buffers of the generator, valid until the next window is
+    asked for.  ``distances`` are the successive-iterate distances, the
+    last at most ``picard_tol``, and ``residual`` the mild-equation residual.
+    """
+
+    index: int
+    step0: int
+    v: np.ndarray
+    w: np.ndarray
+    w_lp: np.ndarray
+    iters: int
+    residual: float
+    distances: list[float]
+
+
+def split_windows(problem: BurgersProblem, sampler: NoiseSampler):
+    """Solve the split window by window: v stepped as it is needed, w by Picard.
+
+    v is the path :func:`sample_linear_part` steps from ``sampler``, read
+    from :func:`~spdekit.integrators.step_blocks` one window at a time, so a
+    run holds one window of v and w and one block of v's steps.  Yields a
+    :class:`PicardWindow` per window; raises :class:`PicardError` as
+    :func:`solve_remainder` does.
+    """
+    blocks = step_blocks(*_linear_run(problem), sampler=sampler)
+    return _picard_windows(problem, (rows for _, rows, _ in blocks))
+
+
+def _windows_of(blocks, n_steps: int, steps_per_window: int):
+    """Regroup consecutive blocks of states into windows of ``steps_per_window`` steps.
+
+    ``blocks`` are state arrays whose row 0 is the last state of the block
+    before (the initial state, for the first), as the ``rows`` that
+    :func:`~spdekit.integrators.step_blocks` yields.  Yields ``(n0, rows)``
+    with the states at steps n0 .. min(n0 + steps_per_window, n_steps), in
+    one buffer reused by every window, its last row carried to row 0.
+    """
+    buf = None
+    n0 = filled = 0
+    for rows in blocks:
+        if buf is None:
+            buf = np.empty((min(steps_per_window, n_steps) + 1, rows.shape[1]), rows.dtype)
+            buf[0] = rows[0]
+        rows = rows[1:]
+        while rows.shape[0]:
+            want = min(steps_per_window, n_steps - n0)
+            take = min(want - filled, rows.shape[0])
+            buf[filled + 1 : filled + 1 + take] = rows[:take]
+            filled += take
+            rows = rows[take:]
+            if filled == want:
+                yield n0, buf[: want + 1]
+                buf[0] = buf[want]
+                n0, filled = n0 + want, 0
+
+
+def _picard_windows(problem: BurgersProblem, v_blocks):
+    """The windowed Picard loop over the linear part's blocks of states ``v_blocks``.
 
     Each window carries the iterates as physical samples: the forcing
     ((w + v)^2)_x is squared from samples(w) + samples(v), and the distances
     are L^p norms of sample differences, so one Picard iteration costs one
     rfft (the forcing) and one irfft (the new iterate). The Duhamel
-    recurrence runs as a log-depth scan over the window's rows.
+    recurrence runs as a log-depth scan over the window's rows.  The window
+    buffers are allocated once; the last window may use a leading part.
     """
     grid = problem.grid
-    if v_path.grid != grid:
-        raise ValueError("v path lives on a different grid")
     n_steps = problem.n_steps
-    if v_path.n_steps != n_steps:
-        raise ValueError("v path does not match the problem's time grid")
     dt = problem.dt
     p = problem.p
     n_modes = grid.n_modes
     decay = np.exp(-grid.laplacian_eigs * dt)
     gain = decay * dt * (1j * grid.angular)  # spectrum of (w + v)^2 -> decay * dt * forcing
     n_pts = problem.quad_points
-    v = v_path.states
-
-    w = np.empty((n_steps + 1, n_modes + 1), dtype=np.complex128)
-    w[0] = problem.w0.coef
     steps_per_window = problem.steps_per_window
     powers = _decay_powers(decay, steps_per_window + 1)
 
-    iters: list[int] = []
-    residuals: list[float] = []
-    distance_log: list[list[float]] = []
+    size = min(steps_per_window, n_steps) + 1
+    coef_buf = np.empty((size, n_modes + 1), dtype=np.complex128)
+    w_buf = np.empty_like(coef_buf)
+    spec_buf = np.empty((size - 1, n_pts // 2 + 1), dtype=np.complex128)
+    sample_bufs = np.empty((4, size, n_pts))  # v, scratch and two iterates
+    start = problem.w0.coef  # the remainder at the window's first row
 
-    # the window buffers below are bound afresh at the top of every window
-    def sweep(old: np.ndarray) -> np.ndarray:
+    # the window views below are bound afresh at the top of every window
+    def sweep(old: np.ndarray, out: np.ndarray) -> np.ndarray:
         """One application of the discrete Duhamel map: coefficients into
-        ``coef``, samples (into ``spare``) returned."""
+        ``coef``, samples into ``out``."""
         total = np.add(old[:-1], v_samples, out=scratch[:-1])
         total *= total
         np.fft.rfft(total, norm="forward", out=spec)
         np.multiply(spec[:, : n_modes + 1], gain, out=coef[1:])
-        coef[0] = w[n0]
+        coef[0] = start
         _semigroup_scan(coef, powers)
-        return _coef_to_samples(coef, n_pts, out=spare)
-
-    def sup_lp(squares: np.ndarray) -> float:
-        return float(np.max(_lp_of_squares(squares, p)))
+        return _coef_to_samples(coef, n_pts, out=out)
 
     def sup_lp_distance(new: np.ndarray, old: np.ndarray) -> float:
         diff = np.subtract(new, old, out=scratch)
-        return sup_lp(np.multiply(diff, diff, out=diff))
+        return float(np.max(_lp_of_squares(np.multiply(diff, diff, out=diff), p)))
 
-    n0 = 0
-    window_index = 0
-    while n0 < n_steps:
-        n1 = min(n0 + steps_per_window, n_steps)
-        rows = n1 - n0 + 1
-        v_samples = _coef_to_samples(v[n0:n1], n_pts)
-        coef = np.zeros((rows, n_modes + 1), dtype=np.complex128)
-        spec = np.empty((rows - 1, n_pts // 2 + 1), dtype=np.complex128)
-        scratch = np.empty((rows, n_pts))
-        spare = np.empty((rows, n_pts))
+    windows = _windows_of(v_blocks, n_steps, steps_per_window)
+    for window_index, (n0, v) in enumerate(windows):
+        rows = v.shape[0]
+        coef, w, spec = coef_buf[:rows], w_buf[:rows], spec_buf[: rows - 1]
+        scratch, old, spare = sample_bufs[1:, :rows]
+        v_samples = _coef_to_samples(v[:-1], n_pts, out=sample_bufs[0, : rows - 1])
         # first guess: free heat evolution of the window's initial state
-        coef[0] = w[n0]
-        old = _coef_to_samples(_semigroup_scan(coef, powers), n_pts)
+        coef[0] = start
+        coef[1:] = 0.0
+        old = _coef_to_samples(_semigroup_scan(coef, powers), n_pts, out=old)
         dists: list[float] = []
         for _ in range(problem.picard_maxit):
-            new = sweep(old)
-            scale = max(1.0, sup_lp(np.multiply(new, new, out=scratch)))
+            new = sweep(old, spare)
+            w_lp = _lp_of_squares(np.multiply(new, new, out=scratch), p)
+            scale = max(1.0, float(np.max(w_lp)))
             dists.append(sup_lp_distance(new, old) / scale)
             old, spare = new, old
             if dists[-1] <= problem.picard_tol:
                 break
         else:
             raise PicardError(window_index, dists[-1], problem.picard_maxit)
-        iters.append(len(dists))
-        distance_log.append(dists)
-        w[n0 : n1 + 1] = coef
-        residuals.append(sup_lp_distance(sweep(old), old))
-        n0 = n1
-        window_index += 1
+        w[...] = coef
+        residual = sup_lp_distance(sweep(old, spare), old)
+        yield PicardWindow(window_index, n0, v, w, w_lp, len(dists), residual, dists)
+        start = w[-1].copy()
 
-    times = np.arange(n_steps + 1) * dt
-    w_path = SamplePath(grid, times, w)
-    return w_path, iters, residuals, distance_log
+
+def _collect(problem: BurgersProblem, windows, v: np.ndarray | None = None):
+    """(w_path, iters, residuals, distance_log) of the windows, their v rows into ``v``."""
+    w = np.empty((problem.n_steps + 1, problem.grid.n_modes + 1), dtype=np.complex128)
+    w[0] = problem.w0.coef
+    iters: list[int] = []
+    residuals: list[float] = []
+    distance_log: list[list[float]] = []
+    for win in windows:
+        rows = slice(win.step0, win.step0 + win.w.shape[0])
+        w[rows] = win.w
+        if v is not None:
+            v[rows] = win.v
+        iters.append(win.iters)
+        residuals.append(win.residual)
+        distance_log.append(win.distances)
+    times = np.arange(problem.n_steps + 1) * problem.dt
+    return SamplePath(problem.grid, times, w), iters, residuals, distance_log
+
+
+def solve_remainder(problem: BurgersProblem, v_path: SamplePath):
+    """Windowed Picard iteration for the remainder w given the linear part.
+
+    Returns ``(w_path, iters, residuals, distance_log)``: the converged
+    remainder, iteration counts and mild-equation residuals per window, and
+    the successive-iterate distances (contraction witnesses).  The windows
+    are those :func:`split_windows` solves, collected into a path.
+    """
+    if v_path.grid != problem.grid:
+        raise ValueError("v path lives on a different grid")
+    if v_path.n_steps != problem.n_steps:
+        raise ValueError("v path does not match the problem's time grid")
+    return _collect(problem, _picard_windows(problem, [v_path.states]))
 
 
 def compose(v_path: SamplePath, w_path: SamplePath) -> SamplePath:
@@ -280,25 +366,15 @@ def compose(v_path: SamplePath, w_path: SamplePath) -> SamplePath:
     return replace(v_path, states=v_path.states + w_path.states)
 
 
-def apriori_report(
-    problem: BurgersProblem,
-    w_path: SamplePath,
-    v_path: SamplePath,
-    *,
-    w_lp: np.ndarray | None = None,
-    v_halpha: np.ndarray | None = None,
-) -> StatReport:
+def apriori_report(problem: BurgersProblem, w_lp: np.ndarray, v_halpha: np.ndarray) -> StatReport:
     """Empirical a priori ratio sup_t |w|_{L^p} / (|w_0|_{L^p} + sup_t |v|_{H^alpha}).
 
-    The theory bounds the numerator by a constant times the denominator with
-    an abstract constant, so the ratio is reported, not gated. ``w_lp`` and
-    ``v_halpha`` are the per-row norms of the two paths, when the caller has
-    them already; they are computed here otherwise.
+    ``w_lp`` and ``v_halpha`` are the per-row norms of the two paths, row 0
+    at t = 0 (the ``w_lp`` of :class:`PicardWindow`, or ``_lp_rows`` and
+    ``_halpha_rows`` of the states).  The theory bounds the numerator by a
+    constant times the denominator with an abstract constant, so the ratio
+    is reported, not gated.
     """
-    if w_lp is None:
-        w_lp = _lp_rows(w_path.states, problem.p, problem.quad_points)
-    if v_halpha is None:
-        v_halpha = _halpha_rows(v_path.states, problem.grid, problem.alpha)
     sup_w = float(np.max(w_lp))
     w0_norm = float(w_lp[0])
     sup_v = float(np.max(v_halpha))
@@ -309,7 +385,7 @@ def apriori_report(
         estimate=ratio,
         target=0.0,
         se=0.0,
-        n=w_path.times.size,
+        n=len(w_lp),
         tol_kind="abs",
         tolerance=np.inf,
         note="empirical constant; theoretical constant is abstract",
@@ -324,9 +400,9 @@ def apriori_report(
 
 
 def solve_split(problem: BurgersProblem, seed: int, stream_id: int = 0) -> SplitSolution:
-    """Full pipeline for one seed: sample v, solve w, compose u."""
+    """Full pipeline for one seed: v, w and u = v + w as paths, from :func:`split_windows`."""
     sampler = NoiseSampler(problem.q, seed, stream_id)
-    v_path = sample_linear_part(problem, sampler)
-    w_path, iters, residuals, dist_log = solve_remainder(problem, v_path)
-    u_path = compose(v_path, w_path)
-    return SplitSolution(v_path, w_path, u_path, iters, residuals, dist_log)
+    v = np.zeros((problem.n_steps + 1, problem.grid.n_modes + 1), dtype=np.complex128)
+    w_path, iters, residuals, dist_log = _collect(problem, split_windows(problem, sampler), v)
+    v_path = SamplePath(problem.grid, w_path.times, v, problem.q, sampler)
+    return SplitSolution(v_path, w_path, compose(v_path, w_path), iters, residuals, dist_log)

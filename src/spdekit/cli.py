@@ -45,7 +45,7 @@ from .models import (
     TransportHeat,
 )
 from .noise import CovarianceSpec, NoiseSampler
-from .spectral import SpectralField, TorusGrid, field_from_modes, zero_field
+from .spectral import SpectralField, TorusGrid, field_from_modes, l2_sq_rows, zero_field
 
 __all__ = ["main", "ConfigError", "RunConfig", "load_config"]
 
@@ -367,9 +367,9 @@ def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
     save_spectra = (cfg.get_str("experiment", "save_spectra", "false") or "").lower()
     spectra = _open_new(spec_file) if save_spectra in ("1", "true", "yes") else None
 
-    def emit(step0: int, rows: np.ndarray) -> None:
+    def emit(step0: int, rows: np.ndarray, l2_sq: np.ndarray | None = None) -> None:
         """Reduce the states of steps step0, step0 + 1, ... to their table rows."""
-        write_norms(norms, step0, rows, grid)
+        write_norms(norms, step0, rows, grid, l2_sq)
         if spectra is not None:
             t = norms["t"][step0 : step0 + rows.shape[0]]
             coef = rows.ravel()
@@ -380,8 +380,8 @@ def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
         if spectra is not None:
             csv.writer(spectra).writerow(SPECTRA_HEADER)
         emit(0, u0.coef[None])
-        for step0, rows in blocks:
-            emit(step0 + 1, rows[1:])
+        for step0, rows, l2_sq in blocks:
+            emit(step0 + 1, rows[1:], l2_sq)
     except BaseException:
         if spectra is not None:
             spectra.close()
@@ -671,36 +671,48 @@ CHECKS: dict[str, Callable[[RunConfig, TorusGrid, int], list]] = {
 }
 
 
+BURGERS_HEADER = ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"]
+
+
 def _burgers_seed(problem, seed: int, i: int, seed_file: Path) -> list:
     """Solve seed ``i``, write its series to ``seed_file`` and return its summary row.
 
-    Everything the solve holds is released on return, so a ``burgers``
-    command holds one seed's solution at a time.
+    Each Picard window is reduced to its rows of the series before the next
+    window is solved, so a ``burgers`` command holds one window of v, w and
+    u and one seed's series, never a path.
     """
-    split = burgers_mod.solve_split(problem, seed, i)
-    v_ha = burgers_mod._halpha_rows(split.v_path.states, problem.grid, problem.alpha)
-    w_lp = burgers_mod._lp_rows(split.w_path.states, problem.p, problem.quad_points)
-    u_l2 = np.sqrt(split.u_path.norms()["l2_sq"])
-    # row 0 and the rows ending the steps of window w belong to window w
-    times = split.u_path.times
-    window = np.repeat(np.arange(len(split.picard_iters)), problem.steps_per_window)
-    window = np.concatenate(([0], window))[: times.size]
-    # a zero horizon has no window: its one row reads 0 iterations, residual 0
-    iters = np.asarray(split.picard_iters or [0])[window]
-    residuals = np.asarray(split.residuals or [0.0])[window]
-    rows = np.rec.fromarrays([times, v_ha, w_lp, u_l2, iters, residuals])
-    write_csv(seed_file, ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"], rows)
-    rep = burgers_mod.apriori_report(
-        problem, split.w_path, split.v_path, w_lp=w_lp, v_halpha=v_ha
+    n_steps = problem.n_steps
+    series = np.empty(
+        n_steps + 1, [(n, np.int64 if n == "picard_iters" else float) for n in BURGERS_HEADER]
     )
+    series["t"] = np.arange(n_steps + 1) * problem.dt
+
+    def reduce_rows(rows, v, w, w_lp, iters, residual):
+        rows["v_halpha"] = burgers_mod._halpha_rows(v, problem.grid, problem.alpha)
+        rows["w_lp"] = w_lp
+        rows["u_l2"] = np.sqrt(l2_sq_rows(v + w))
+        rows["picard_iters"] = iters
+        rows["residual"] = residual
+
+    for win in burgers_mod.split_windows(problem, NoiseSampler(problem.q, seed, i)):
+        # row 0 and the rows ending the steps of window w belong to window w
+        k = 1 if win.index else 0
+        rows = series[win.step0 + k : win.step0 + win.v.shape[0]]
+        reduce_rows(rows, win.v[k:], win.w[k:], win.w_lp[k:], win.iters, win.residual)
+    if n_steps == 0:  # no window: the one row is the initial state, 0 iterations, residual 0
+        w0 = problem.w0.coef[None]
+        w0_lp = burgers_mod._lp_rows(w0, problem.p, problem.quad_points)
+        reduce_rows(series, np.zeros_like(w0), w0, w0_lp, 0, 0.0)
+    write_csv(seed_file, BURGERS_HEADER, series)
+    rep = burgers_mod.apriori_report(problem, series["w_lp"], series["v_halpha"])
     return [
         i,
         rep.metadata["sup_w_lp"],
         rep.metadata["w0_lp"],
         rep.metadata["sup_v_halpha"],
         rep.estimate,
-        max(split.picard_iters, default=0),
-        split.residual,
+        int(np.max(series["picard_iters"])),
+        float(np.max(series["residual"])),
     ]
 
 

@@ -206,10 +206,20 @@ def norm_table(times: np.ndarray) -> np.ndarray:
     return table
 
 
-def write_norms(table: np.ndarray, step0: int, rows: np.ndarray, grid: TorusGrid) -> None:
-    """Write the norms of the states ``rows`` into table rows step0, step0 + 1, ..."""
+def write_norms(
+    table: np.ndarray,
+    step0: int,
+    rows: np.ndarray,
+    grid: TorusGrid,
+    l2_sq: np.ndarray | None = None,
+) -> None:
+    """Write the norms of the states ``rows`` into table rows step0, step0 + 1, ...
+
+    ``l2_sq`` is ``l2_sq_rows(rows)`` when the caller has it already (the
+    row sums a stepped block yields); it is computed here otherwise.
+    """
     s = slice(step0, step0 + rows.shape[0])
-    table["l2_sq"][s] = l2_sq_rows(rows)
+    table["l2_sq"][s] = l2_sq_rows(rows) if l2_sq is None else l2_sq
     table["h1_sq"][s] = l2_sq_rows(rows, grid.sobolev_weights)
     table["mode0"][s] = rows[:, 0].real
 
@@ -373,13 +383,15 @@ def step_blocks(
     """Step u0 to time T as :func:`simulate` does, yielding each block once stepped.
 
     The arguments are those of :func:`simulate` and are checked at the call.
-    Each block of up to ``BLOCK_STEPS`` steps is yielded as ``(step0, rows)``
-    after its blow-up scan: ``rows[0]`` is the state at step ``step0`` and
-    ``rows[i]`` the state at step ``step0 + i``, bit for bit the rows of
-    ``simulate(...).states``.  ``rows`` is one (BLOCK_STEPS + 1, K+1) buffer
-    reused by every block (its last row is carried to row 0), so it is valid
-    until the next block is asked for, and a run holds one block of states
-    and one of draws.  Raises :class:`BlowUpError` as :func:`simulate` does.
+    Each block of up to ``BLOCK_STEPS`` steps is yielded as
+    ``(step0, rows, l2_sq)`` after its blow-up scan: ``rows[0]`` is the state
+    at step ``step0`` and ``rows[i]`` the state at step ``step0 + i``, bit for
+    bit the rows of ``simulate(...).states``, and ``l2_sq`` is the scan's
+    ``l2_sq_rows(rows[1:])``, for :func:`write_norms`.  ``rows`` is one
+    (BLOCK_STEPS + 1, K+1) buffer reused by every block (its last row is
+    carried to row 0), so it is valid until the next block is asked for,
+    and a run holds one block of states and one of draws.  Raises
+    :class:`BlowUpError` as :func:`simulate` does.
     """
     n_steps, sampler, scaled_draws = _check_run(model, scheme, u0, T, sampler, scaled_draws)
     rows = _first_rows(u0, min(n_steps, BLOCK_STEPS))
@@ -402,8 +414,8 @@ def path_norms(
     blocks = step_blocks(model, scheme, u0, T, sampler, scaled_draws)
     table = norm_table(np.arange(_resolve_steps(T, scheme.dt) + 1) * scheme.dt)
     write_norms(table, 0, u0.coef[None], model.grid)
-    for step0, rows in blocks:
-        write_norms(table, step0 + 1, rows[1:], model.grid)
+    for step0, rows, l2_sq in blocks:
+        write_norms(table, step0 + 1, rows[1:], model.grid, l2_sq)
     return table
 
 
@@ -459,7 +471,7 @@ def _blocks(
     sampler: NoiseSampler | None,
     scaled_draws: np.ndarray | None,
 ):
-    """The block loop: fill, scan and yield ``(step0, rows)`` per block.
+    """The block loop: fill, scan and yield ``(step0, rows, l2_sq)`` per block.
 
     ``buf[0]`` is the initial state.  A ``buf`` of n_steps + 1 rows ends
     holding the whole path, each block a view into it; a shorter one is
@@ -482,11 +494,12 @@ def _blocks(
         rows = buf[b0 : b1 + 1] if whole else buf[: b1 - b0 + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             fill(rows, scaled)
-            blown = np.flatnonzero(_blown_rows(rows[1:]))
+            l2_sq = l2_sq_rows(rows[1:])
+            blown = np.flatnonzero(_blown_rows(rows[1:], l2_sq))
         if blown.size:
             row = 1 + int(blown[0])
             raise _blow_up(b0 + row, dt, rows[row])
-        yield b0, rows
+        yield b0, rows, l2_sq
         if not whole:
             buf[0] = rows[-1]
 
@@ -559,9 +572,12 @@ def _blow_up(step: int, dt: float, c: np.ndarray) -> BlowUpError:
     return BlowUpError(step * dt, step, norm, int(np.argmax(np.abs(c))))
 
 
-def _blown_rows(rows: np.ndarray) -> np.ndarray:
-    """Which states are non-finite or have L2 norm above ``BLOW_UP_NORM``."""
-    return ~np.isfinite(rows).all(axis=-1) | (l2_sq_rows(rows) > BLOW_UP_NORM**2)
+def _blown_rows(rows: np.ndarray, l2_sq: np.ndarray) -> np.ndarray:
+    """Which states are non-finite or have L2 norm above ``BLOW_UP_NORM``.
+
+    ``l2_sq`` is ``l2_sq_rows(rows)``.
+    """
+    return ~np.isfinite(rows).all(axis=-1) | (l2_sq > BLOW_UP_NORM**2)
 
 
 def _transport_noise_series(model: TransportHeat, scaled: np.ndarray) -> np.ndarray:

@@ -33,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .integrators import SchemeSpec, noise_spec, ou_channel_variances, ou_tau, path_norms, simulate
+from .integrators import SchemeSpec, noise_spec, ou_channel_variances, ou_tau, path_norms
+from .integrators import step_blocks
 from .models import ModelSpec, TransportHeat
 from .noise import (
     CovarianceSpec,
@@ -567,6 +568,14 @@ def holder_exponent_fit(
 # ---------------------------------------------------------------------------
 
 
+def _final_state(model, scheme: SchemeSpec, u0: SpectralField, T: float, scaled) -> np.ndarray:
+    """The state at T of the path ``simulate`` steps from the draws ``scaled``, one block held."""
+    final = u0.coef
+    for _, rows, _ in step_blocks(model, scheme, u0, T, scaled_draws=scaled):
+        final = rows[-1]
+    return final
+
+
 def ito_strat_compare(
     sigma, u0: SpectralField, dt_ladder, T: float, cfg: McConfig
 ) -> StatReport:
@@ -588,11 +597,8 @@ def ito_strat_compare(
     for path_idx in range(cfg.n_paths):
         dists = []
         for dt, scaled in _ladder_draws(noise_spec(model), cfg.base_seed, path_idx, ladder, T):
-            ito = simulate(model, SchemeSpec("euler_maruyama", dt), u0, T, scaled_draws=scaled)
-            strat = simulate(
-                model, SchemeSpec("heun_stratonovich", dt), u0, T, scaled_draws=scaled
-            )
-            diff = ito.states[-1] - strat.states[-1]
+            ito = _final_state(model, SchemeSpec("euler_maruyama", dt), u0, T, scaled)
+            diff = ito - _final_state(model, SchemeSpec("heun_stratonovich", dt), u0, T, scaled)
             dists.append(float(np.sqrt(l2_sq_rows(diff))))
         dists = np.asarray(dists)
         mean_dist += dists

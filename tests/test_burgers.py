@@ -18,6 +18,7 @@ from spdekit.burgers import (
     sample_linear_part,
     solve_remainder,
     solve_split,
+    split_windows,
 )
 from spdekit.noise import CovarianceSpec, NoiseSampler
 from spdekit.spectral import (
@@ -27,6 +28,14 @@ from spdekit.spectral import (
     lp_norm,
     zero_field,
 )
+
+
+def row_norms(prob, w_path, v_path):
+    """(w_lp, v_halpha): the per-row norms that apriori_report reads."""
+    return (
+        _lp_rows(w_path.states, prob.p, prob.quad_points),
+        _halpha_rows(v_path.states, prob.grid, prob.alpha),
+    )
 
 
 def dead_noise(grid):
@@ -295,7 +304,7 @@ class TestAprioriReport:
         prob = BurgersProblem(g, 0.02, 1e-3, zero_field(g), q=dead_noise(g))
         v = sample_linear_part(prob, NoiseSampler(prob.q, 1))
         w, _, _, _ = solve_remainder(prob, v)
-        rep = apriori_report(prob, w, v)
+        rep = apriori_report(prob, *row_norms(prob, w, v))
         assert rep.estimate == 0.0
 
     def test_deterministic_decay_ratio_below_one(self):
@@ -304,24 +313,32 @@ class TestAprioriReport:
         prob = BurgersProblem(g, 0.1, 5e-4, sin_field(g), p=2.0, q=dead_noise(g))
         v = sample_linear_part(prob, NoiseSampler(prob.q, 1))
         w, _, _, _ = solve_remainder(prob, v)
-        rep = apriori_report(prob, w, v)
+        rep = apriori_report(prob, *row_norms(prob, w, v))
         assert rep.metadata["sup_w_lp"] <= rep.metadata["w0_lp"] * (1 + 1e-12)
         assert rep.estimate <= 1.0
 
+    @pytest.mark.parametrize("window", [0.05, 0.03])  # 0.03 leaves a short last window
     @pytest.mark.parametrize("seed", [2, 9])
-    def test_precomputed_rows_give_the_same_report(self, seed):
+    def test_window_norms_are_the_row_norms_of_the_paths(self, seed, window):
+        # the L^p norms the last Picard sweep makes are those of w's rows, so
+        # a report from the windows equals one from the held paths
         g = TorusGrid(32)
-        prob = BurgersProblem(g, 0.05, 5e-4, sin_field(g, amplitude=0.5))
+        prob = BurgersProblem(g, 0.05, 5e-4, sin_field(g, amplitude=0.5), window=window)
         split = solve_split(prob, seed=seed)
-        fresh = apriori_report(prob, split.w_path, split.v_path)
-        reused = apriori_report(
-            prob,
-            split.w_path,
-            split.v_path,
-            w_lp=_lp_rows(split.w_path.states, prob.p, prob.quad_points),
-            v_halpha=_halpha_rows(split.v_path.states, g, prob.alpha),
-        )
-        assert reused == fresh
+        w_lp, v_halpha = row_norms(prob, split.w_path, split.v_path)
+        assert w_lp.shape == v_halpha.shape == (101,)
+        n_windows = 0
+        for win in split_windows(prob, NoiseSampler(prob.q, seed)):
+            rows = slice(win.step0, win.step0 + win.v.shape[0])
+            assert win.index == n_windows and win.iters == split.picard_iters[win.index]
+            assert win.residual == split.residuals[win.index]
+            assert win.distances == split.iterate_distances[win.index]
+            assert np.array_equal(win.v, split.v_path.states[rows])
+            assert np.array_equal(win.w, split.w_path.states[rows])
+            assert win.w_lp.tobytes() == w_lp[rows].tobytes()
+            n_windows += 1
+        assert n_windows == len(split.picard_iters)
+        assert apriori_report(prob, w_lp, v_halpha).n == 101
 
     def test_doubling_w0_monotone_trend(self):
         g = TorusGrid(32)
@@ -331,7 +348,7 @@ class TestAprioriReport:
             sup_w = 0.0
             for seed in range(5):
                 split = solve_split(prob, seed=seed)
-                rep = apriori_report(prob, split.w_path, split.v_path)
+                rep = apriori_report(prob, *row_norms(prob, split.w_path, split.v_path))
                 sup_w += rep.metadata["sup_w_lp"]
             sups.append(sup_w / 5)
         assert sups[0] < sups[1] < sups[2]

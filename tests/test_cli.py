@@ -231,34 +231,63 @@ class TestCsvTables:
         assert (out / "run_spectra.csv").read_bytes() == write_rows(
             tmp_path / "s.csv", ["t", "k", "re", "im"], spectra)
 
-    @pytest.mark.parametrize("window", ["0.05", "0.03"])  # 0.03 leaves a short last window
-    def test_burgers_series_matches_row_wise_bytes(self, tmp_path, window):
+    @pytest.mark.parametrize(
+        "modes, dt, t, window",
+        [
+            (32, "1e-3", "0.05", "0.05"),
+            (32, "1e-3", "0.05", "0.03"),  # a short last window
+            (16, "1e-3", "0.037", "1e-3"),  # one step per window
+            (16, "2.5e-4", "0.13", "0.05"),  # 200 steps per window, 520 steps
+            (16, "2.5e-4", "0.1575", "0.064"),  # 256 steps per window, 630 steps
+            (16, "2.5e-4", "0.2", "0.075"),  # 300 steps per window, 800 steps
+            (16, "1e-3", "0.0", "0.05"),  # no step: one row, 0 iterations, residual 0
+        ],
+    )
+    def test_burgers_outputs_match_solve_split_bytes(self, tmp_path, modes, dt, t, window):
+        # the command reduces each window as it is solved; its series and
+        # summary are bit for bit those of the held paths of solve_split
         from conftest import sin_field
-        from spdekit.burgers import BurgersProblem, _halpha_rows, _lp_rows, solve_split
+        from spdekit.burgers import (
+            BurgersProblem, _halpha_rows, _lp_rows, apriori_report, solve_split,
+        )
         from spdekit.noise import CovarianceSpec
         from spdekit.spectral import TorusGrid
 
         text = BURGERS_TEMPLATE.format(
-            noise="mean_free_white", amp="0.5", n=1, maxit=25, out=tmp_path / "o"
+            noise="mean_free_white", amp="0.5", n=2, maxit=25, out=tmp_path / "o"
         ).replace("picard_maxit", f"window = {window}\npicard_maxit")
+        text = text.replace("modes = 32", f"modes = {modes}").replace("dt = 1e-3", f"dt = {dt}")
+        text = text.replace("t = 0.05", f"t = {t}")
         assert cli.main(["burgers", "--config", write_config(tmp_path / "c.ini", text)]) == 0
 
-        g = TorusGrid(32)
-        prob = BurgersProblem(g, 0.05, 1e-3, sin_field(g, 0.5), window=float(window),
+        g = TorusGrid(modes)
+        prob = BurgersProblem(g, float(t), float(dt), sin_field(g, 0.5), window=float(window),
                               q=CovarianceSpec.mean_free_white(g))
-        split = solve_split(prob, 3, 0)
-        v_ha = _halpha_rows(split.v_path.states, g, prob.alpha)
-        w_lp = _lp_rows(split.w_path.states, prob.p, prob.quad_points)
-        u_l2 = np.sqrt(split.u_path.norms()["l2_sq"])
         spw = max(1, int(round(prob.window / prob.dt)))
-        rows = []
-        for j, t in enumerate(split.u_path.times):
-            widx = min((j - 1) // spw if j else 0, len(split.picard_iters) - 1)
-            rows.append([t, v_ha[j], w_lp[j], u_l2[j], split.picard_iters[widx],
-                         split.residuals[widx]])
         header = ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"]
-        assert (tmp_path / "o" / "b_seed000.csv").read_bytes() == write_rows(
-            tmp_path / "r.csv", header, rows)
+        summary = []
+        for i in range(2):
+            split = solve_split(prob, 3, i)
+            v_ha = _halpha_rows(split.v_path.states, g, prob.alpha)
+            w_lp = _lp_rows(split.w_path.states, prob.p, prob.quad_points)
+            u_l2 = np.sqrt(split.u_path.norms()["l2_sq"])
+            iters, residuals = split.picard_iters or [0], split.residuals or [0.0]
+            rows = []
+            for j, time_j in enumerate(split.u_path.times):
+                # row 0 and the rows ending the steps of window w belong to window w
+                widx = min((j - 1) // spw if j else 0, len(iters) - 1)
+                rows.append([time_j, v_ha[j], w_lp[j], u_l2[j], iters[widx], residuals[widx]])
+            assert (tmp_path / "o" / f"b_seed00{i}.csv").read_bytes() == write_rows(
+                tmp_path / "r.csv", header, rows)
+            rep = apriori_report(prob, w_lp, v_ha)
+            summary.append([i, rep.metadata["sup_w_lp"], rep.metadata["w0_lp"],
+                            rep.metadata["sup_v_halpha"], rep.estimate,
+                            max(split.picard_iters, default=0), split.residual])
+        summary.append(["ensemble", *(max(column) for column in list(zip(*summary))[1:])])
+        header = ["seed", "sup_w_lp", "w0_lp", "sup_v_halpha", "apriori_ratio", "max_iters",
+                  "max_residual"]
+        assert (tmp_path / "o" / "b_summary.csv").read_bytes() == write_rows(
+            tmp_path / "s.csv", header, summary)
 
 
 STREAMED_MODELS = {
@@ -955,6 +984,56 @@ class TestBurgers:
         w, _, _, _ = solve_remainder(prob, v)
         ref = _lp_rows(w.states, prob.p, prob.quad_points)
         assert np.allclose(w_col, ref, rtol=1e-12, atol=1e-15)
+
+    def test_picard_failure_names_the_window_of_solve_split(self, tmp_path, capsys):
+        # the first window needing more than picard_maxit iterations is a later
+        # one here; the command stops in the same window as the library solve
+        from conftest import sin_field
+        from spdekit.burgers import BurgersProblem, PicardError, solve_split
+        from spdekit.spectral import TorusGrid
+
+        g = TorusGrid(16)
+        prob = BurgersProblem(g, 0.2, 1e-3, sin_field(g, 0.1), window=0.02)
+        iters = solve_split(prob, 5).picard_iters
+        maxit = 5
+        failing = next(j for j, n in enumerate(iters) if n > maxit)
+        assert failing > 0
+        with pytest.raises(PicardError, match=f"window {failing}:"):
+            solve_split(BurgersProblem(g, 0.2, 1e-3, sin_field(g, 0.1), window=0.02,
+                                       picard_maxit=maxit), 5)
+        text = BURGERS_TEMPLATE.format(
+            noise="mean_free_white", amp="0.1", n=1, maxit=maxit, out=tmp_path / "o"
+        ).replace("modes = 32", "modes = 16").replace("t = 0.05", "t = 0.2")
+        text = text.replace("base_seed = 3", "base_seed = 5\nwindow = 0.02")
+        assert cli.main(["burgers", "--config", write_config(tmp_path / "c.ini", text)]) == 3
+        assert f"window {failing}:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "b_seed000.csv").exists()
+
+    def test_blow_up_of_the_linear_part_exits_three(self, tmp_path, capsys):
+        text = BURGERS_TEMPLATE.format(noise="list", amp="0.5", n=1, maxit=25, out=tmp_path / "o")
+        text = text.replace("kind = list", "kind = list\nvalues = 1e30")
+        assert cli.main(["burgers", "--config", write_config(tmp_path / "c.ini", text)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: solution blew up at t = 0.001 (step 1" in err
+
+    def test_peak_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        # K = 64: a seed's v, w and u paths are 3 * 16 * 65 B = 3.1 kB per
+        # step; the command holds one 200-step window and 48 B of series per step
+        def peak(t):
+            text = BURGERS_TEMPLATE.format(
+                noise="mean_free_white", amp="1.0", n=1, maxit=25, out=tmp_path / t
+            ).replace("modes = 32", "modes = 64").replace("dt = 1e-3", "dt = 2.5e-4")
+            cfg = write_config(tmp_path / f"c{t}.ini", text.replace("t = 0.05", f"t = {t}"))
+            tracemalloc.start()
+            try:
+                assert cli.main(["burgers", "--config", cfg]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("0.25")  # first-call allocations
+        short, long = peak("0.25"), peak("1.0")
+        assert long <= 1.2 * short, (short, long)
 
     def test_picard_failure_exit_code(self, tmp_path, capsys):
         cfg = write_config(

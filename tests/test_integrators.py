@@ -26,7 +26,7 @@ from spdekit.noise import (
     coarsen_increments,
     increment_from_scaled,
 )
-from spdekit.spectral import SpectralField, TorusGrid, field_from_modes, zero_field
+from spdekit.spectral import SpectralField, TorusGrid, field_from_modes, l2_sq_rows, zero_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -546,9 +546,10 @@ class TestStreamedDraws:
         run = (m, SchemeSpec(kind, dt), u0, n_steps * dt)
         p = simulate(*run, sampler=NoiseSampler(noise_spec(m), 12, 5))
         states = [u0.coef]
-        for step0, rows in step_blocks(*run, sampler=NoiseSampler(noise_spec(m), 12, 5)):
+        for step0, rows, l2_sq in step_blocks(*run, sampler=NoiseSampler(noise_spec(m), 12, 5)):
             assert step0 == len(states) - 1 and rows.shape[0] <= BLOCK_STEPS + 1
             assert np.array_equal(rows[0], states[-1])  # the carried state
+            assert l2_sq.tobytes() == l2_sq_rows(rows[1:]).tobytes()  # the scan's row sums
             states.extend(rows[1:].copy())
         assert np.array_equal(np.array(states), p.states)
 
