@@ -28,7 +28,6 @@ from .spectral import (
 )
 from .noise import (
     CovarianceSpec,
-    NoiseIncrement,
     NoiseSampler,
     covariance_pairing,
     hs_norm_sq,
@@ -42,7 +41,6 @@ from .models import (
     ReactionDiffusion,
     TransportHeat,
     coercivity_check,
-    diffusion_apply,
     diffusion_hs_norm_sq,
     drift,
     growth_check,
@@ -52,10 +50,6 @@ from .integrators import (
     BlowUpError,
     SamplePath,
     SchemeSpec,
-    em_step,
-    exact_ou_step,
-    exp_euler_step,
-    heun_strat_step,
     simulate,
     step_blocks,
 )

@@ -32,7 +32,7 @@ of the divergence-form nonlinearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
@@ -363,7 +363,7 @@ def compose(v_path: SamplePath, w_path: SamplePath) -> SamplePath:
         v_path.times, w_path.times
     ):
         raise ValueError("paths live on different time grids")
-    return replace(v_path, states=v_path.states + w_path.states)
+    return SamplePath(v_path.grid, v_path.times, v_path.states + w_path.states)
 
 
 def apriori_report(problem: BurgersProblem, w_lp: np.ndarray, v_halpha: np.ndarray) -> StatReport:
@@ -401,8 +401,8 @@ def apriori_report(problem: BurgersProblem, w_lp: np.ndarray, v_halpha: np.ndarr
 
 def solve_split(problem: BurgersProblem, seed: int, stream_id: int = 0) -> SplitSolution:
     """Full pipeline for one seed: v, w and u = v + w as paths, from :func:`split_windows`."""
-    sampler = NoiseSampler(problem.q, seed, stream_id)
+    windows = split_windows(problem, NoiseSampler(problem.q, seed, stream_id))
     v = np.zeros((problem.n_steps + 1, problem.grid.n_modes + 1), dtype=np.complex128)
-    w_path, iters, residuals, dist_log = _collect(problem, split_windows(problem, sampler), v)
-    v_path = SamplePath(problem.grid, w_path.times, v, problem.q, sampler)
+    w_path, iters, residuals, dist_log = _collect(problem, windows, v)
+    v_path = SamplePath(problem.grid, w_path.times, v)
     return SplitSolution(v_path, w_path, compose(v_path, w_path), iters, residuals, dist_log)

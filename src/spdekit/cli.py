@@ -25,6 +25,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -85,9 +86,12 @@ class RunConfig:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
+        return value
 
     def get_int(self, section, key, default=None, required=False):
         raw = self._raw(section, key, None, required)
@@ -109,9 +113,12 @@ class RunConfig:
         if items is None or not items:
             return default if default is not None else []
         try:
-            return [float(item) for item in items]
+            values = [float(item) for item in items]
         except ValueError as exc:
             raise ConfigError(f"{section}.{key} must be a comma list of numbers") from exc
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{section}.{key} must be a comma list of finite numbers")
+        return values
 
     def semantic_hash(self) -> str:
         pairs = []
@@ -181,8 +188,12 @@ def build_model(cfg: RunConfig, grid: TorusGrid):
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
     try:
         if kind == "transport_heat":
-            sigma = cfg.get_floats("model", "sigma", [1.0])
-            return TransportHeat(grid, tuple(sigma))
+            model = TransportHeat(grid, tuple(cfg.get_floats("model", "sigma", [1.0])))
+            try:
+                noise_spec(model)
+            except ValueError as exc:
+                raise ConfigError(f"model.sigma lists too many intensities: {exc}") from exc
+            return model
         q = build_noise(cfg, grid)
         if kind == "additive_heat":
             return AdditiveHeat(q)

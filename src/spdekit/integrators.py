@@ -1,37 +1,36 @@
 """Time-stepping schemes for the Galerkin SDE systems.
 
-Four schemes are provided:
+Four schemes are provided, named by :data:`SCHEME_KINDS`:
 
-* ``em_step`` -- explicit Euler-Maruyama on the Ito form.
-* ``heun_strat_step`` -- predictor-corrector (midpoint on the noise) for the
-  Stratonovich form of the transport equation, whose deterministic drift is
-  (1 - sigma/2) Lap.
-* ``exp_euler_step`` -- one-step Duhamel: the Laplacian is integrated exactly
-  by the heat semigroup, nonlinear drift is frozen at the left endpoint, and
-  additive noise enters as an exact stochastic-convolution increment
-  (AdditiveHeat) or as the semigroup image of the plain increment otherwise.
-* ``exact_ou_step`` -- the distributionally exact transition of the diagonal
+* ``euler_maruyama`` -- explicit Euler-Maruyama on the Ito form.
+* ``heun_stratonovich`` -- predictor-corrector (midpoint on the noise) for
+  the Stratonovich form of the transport equation, whose deterministic drift
+  is (1 - sigma/2) Lap.
+* ``exponential_euler`` -- one-step Duhamel: the Laplacian is integrated
+  exactly by the heat semigroup, nonlinear drift is frozen at the left
+  endpoint, and additive noise enters as an exact stochastic-convolution
+  increment (AdditiveHeat) or as the semigroup image of the plain increment
+  otherwise.
+* ``exact_ou`` -- the distributionally exact transition of the diagonal
   Ornstein-Uhlenbeck system dv = Lap v dt + Q^(1/2) dW, which is exponential
   Euler on AdditiveHeat.
 
 ``check_scheme`` holds the rules for which scheme may step which model.
 
-``simulate`` drives whole paths and records every state together with the
-source of the consumed channel increments, so pathwise identities can be
-replayed.  It is one loop over blocks of ``noise.BLOCK_STEPS`` steps, one
+Every run is one loop over blocks of ``noise.BLOCK_STEPS`` steps, one
 Philox counter block each: each block's draws are made, the block is filled
 by the model's block update on raw coefficient rows, then scanned for
-blow-up, so a diverging path stops at its first blown block and a path
-holds its states plus one block of draws.  ``step_blocks`` runs the same
-loop on one reused block buffer and yields each block once it is scanned,
-so a caller that reduces the states as they come (``path_norms``, to the
-norm table that ``spdekit simulate`` and the pathwise checks read) holds
-one block of states, never the path.  TransportHeat's update
+blow-up, so a diverging path stops at its first blown block.
+``step_blocks`` yields each block from one reused buffer once it is
+scanned, so a caller that reduces the states as they come (``path_norms``,
+to the norm table that ``spdekit simulate`` and the pathwise checks read)
+holds one block of states, never the path; ``simulate`` collects the
+blocks into a :class:`SamplePath`.  TransportHeat's update
 is a running product of mode factors, AdditiveHeat's the recursion
 c' = decay * c + eta, and the nonlinear models' (ReactionDiffusion,
 PorousMedium, Burgers) a row loop that evaluates ``models.DriftKernel`` with
-two FFTs per step.  The per-step functions above are the reference the
-block updates are tested against.
+two FFTs per step.  ``tests/reference.py`` holds the per-step reference
+the block updates are tested against.
 
 Explicit schemes are stable only for dt < 2 / (2 pi K)^2; exponential Euler
 removes the constraint for the diagonal linear part.
@@ -39,25 +38,14 @@ removes the constraint for the diagonal linear part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (
-    AdditiveHeat,
-    Burgers,
-    DriftKernel,
-    ModelSpec,
-    PorousMedium,
-    ReactionDiffusion,
-    TransportHeat,
-    diffusion_apply,
-    drift,
-    transport_noise_amplitude,
-)
-from .noise import CovarianceSpec, NoiseIncrement, NoiseSampler, increment_from_scaled
-from .noise import BLOCK_STEPS, pack_draws, per_channel
-from .spectral import SpectralField, TorusGrid, heat_semigroup, l2_sq_rows
+from .models import AdditiveHeat, DriftKernel, ModelSpec, PorousMedium, TransportHeat
+from .noise import BLOCK_STEPS, CovarianceSpec, NoiseSampler, pack_draws, per_channel
+from .spectral import SpectralField, TorusGrid, l2_sq_rows
 
 __all__ = [
     "SamplePath",
@@ -66,10 +54,6 @@ __all__ = [
     "SCHEME_KINDS",
     "check_scheme",
     "BLOW_UP_NORM",
-    "em_step",
-    "heun_strat_step",
-    "exp_euler_step",
-    "exact_ou_step",
     "simulate",
     "step_blocks",
     "path_norms",
@@ -111,8 +95,8 @@ class SchemeSpec:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme {self.kind!r}; expected one of {SCHEME_KINDS}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
 
 def check_scheme(model: ModelSpec, kind: str) -> None:
@@ -127,21 +111,11 @@ def check_scheme(model: ModelSpec, kind: str) -> None:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """A realized trajectory: time grid, spectra per time, consumed noise.
-
-    ``states[i]`` is the half spectrum at ``times[i]``.  The channel
-    increments consumed by step i (N(0, dt) reals, see :attr:`draws`) are
-    not stored: a path stepped from ``sampler`` re-derives them from its
-    counter-keyed stream, a path stepped from a given matrix keeps a
-    reference to it in ``scaled``, and a path with neither carries no noise.
-    """
+    """A realized trajectory: ``states[i]`` is the half spectrum at ``times[i]``."""
 
     grid: TorusGrid
     times: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)
-    spec: CovarianceSpec | None = None
-    sampler: NoiseSampler | None = None
-    scaled: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -150,13 +124,6 @@ class SamplePath:
             raise ValueError("times must be strictly increasing")
         if states.shape != (times.size, self.grid.n_modes + 1):
             raise ValueError("need one state per time on this grid")
-        if self.scaled is not None:
-            if self.sampler is not None:
-                raise ValueError("a path's noise comes from a sampler or a draw matrix, not both")
-            scaled = np.asarray(self.scaled, dtype=float)
-            if scaled.shape[0] != times.size - 1:
-                raise ValueError("need one increment per step")
-            object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
@@ -164,33 +131,12 @@ class SamplePath:
     def n_steps(self) -> int:
         return self.times.size - 1
 
-    @property
-    def draws(self) -> np.ndarray:
-        """The channel increments of every step, shape (n_steps, 2K+1)."""
-        return self._draw_rows(0, self.n_steps)
-
-    def _draw_rows(self, step0: int, n: int) -> np.ndarray:
-        if self.scaled is not None:
-            return self.scaled[step0 : step0 + n]
-        if self.sampler is None or n == 0:
-            return np.zeros((n, 2 * self.grid.n_modes + 1))
-        # simulate's times are n * dt, so this difference is exactly the dt it scaled by
-        return self.sampler.scaled_block(step0, n, float(self.times[1] - self.times[0]))
-
     def state(self, i: int) -> SpectralField:
         return SpectralField(self.grid, self.states[i])
 
     @property
     def final(self) -> SpectralField:
         return self.state(self.n_steps)
-
-    def increment(self, i: int) -> NoiseIncrement:
-        if self.spec is None:
-            raise ValueError("path carries no covariance; increments unavailable")
-        if not 0 <= i < self.n_steps:
-            raise IndexError(f"step {i} is outside 0..{self.n_steps - 1}")
-        dt = float(self.times[i + 1] - self.times[i])
-        return increment_from_scaled(self.spec, self._draw_rows(i, 1)[0], dt)
 
     def norms(self) -> np.ndarray:
         """The path's norm table (see :func:`norm_table`)."""
@@ -224,40 +170,6 @@ def write_norms(
     table["mode0"][s] = rows[:, 0].real
 
 
-def _check_inc(u: SpectralField, inc: NoiseIncrement) -> None:
-    if inc.dt <= 0:
-        raise ValueError(f"increment dt must be positive, got {inc.dt}")
-    if inc.field.grid != u.grid:
-        raise ValueError("increment grid does not match state grid")
-
-
-def em_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> SpectralField:
-    """u + A(u) dt + B(u) dW, the Ito-form Euler step of the Galerkin system."""
-    _check_inc(u, inc)
-    return u + drift(model, u) * inc.dt + diffusion_apply(model, u, inc)
-
-
-def heun_strat_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> SpectralField:
-    """Midpoint predictor-corrector for the Stratonovich transport form.
-
-    Integrates du = (1 - sigma/2) Lap u dt + sqrt(sigma) u_x o dW: the
-    deterministic drift is explicit, the noise slope is averaged between the
-    base point and the Euler predictor.
-    """
-    check_scheme(model, "heun_stratonovich")
-    _check_inc(u, inc)
-    s = transport_noise_amplitude(model, inc)
-    a = u.grid.angular
-    mu = u.grid.laplacian_eigs
-    c = u.coef
-    slope = c * (1j * a)
-    pred = c + slope * s
-    pred_slope = pred * (1j * a)
-    drift_fac = 1.0 - 0.5 * model.sigma_total
-    new = c + (c * (-mu) * drift_fac) * inc.dt + (0.5 * (slope + pred_slope)) * s
-    return SpectralField(u.grid, new)
-
-
 def ou_tau(mu: np.ndarray, t: float) -> np.ndarray:
     """int_0^t e^{-2 mu s} ds = (1 - e^{-2 mu t}) / (2 mu) per mode, and t where mu = 0.
 
@@ -284,50 +196,12 @@ def _ou_rescale(spec: CovarianceSpec, dt: float) -> np.ndarray:
     return per_channel(np.sqrt(ou_tau(spec.grid.laplacian_eigs, dt) / dt))
 
 
-def exact_ou_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> SpectralField:
-    """Distributionally exact transition of dv = Lap v dt + Q^(1/2) dW (AdditiveHeat).
-
-    On the diagonal OU system exponential Euler integrates the linear part
-    and the stochastic convolution exactly, so the two schemes coincide.
-    """
-    check_scheme(model, "exact_ou")
-    return exp_euler_step(model, u, inc)
-
-
-def _nonlinear_drift(model: ModelSpec, u: SpectralField) -> SpectralField:
-    """A(u) minus the Laplacian, for models with a Laplacian linear part."""
-    if isinstance(model, (TransportHeat, AdditiveHeat)):
-        return SpectralField(u.grid, np.zeros_like(u.coef))
-    if isinstance(model, PorousMedium) and model.m == 2:
-        return SpectralField(u.grid, np.zeros_like(u.coef))
-    if isinstance(model, (ReactionDiffusion, Burgers)):
-        return SpectralField(u.grid, DriftKernel(model).nonlinear(u.coef))
-    raise ValueError(
-        f"{type(model).__name__} has no Laplacian linear part; exponential Euler undefined"
-    )
-
-
-def exp_euler_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> SpectralField:
-    """One-step Duhamel update with exact integration of the linear part."""
-    _check_inc(u, inc)
-    if isinstance(model, TransportHeat):
-        forced = u + diffusion_apply(model, u, inc)
-        return heat_semigroup(forced, inc.dt)
-    nl = _nonlinear_drift(model, u)
-    if isinstance(model, AdditiveHeat):
-        eta = pack_draws(model.q, inc.per_mode * _ou_rescale(model.q, inc.dt))
-        propagated = heat_semigroup(u + nl * inc.dt, inc.dt)
-        return SpectralField(u.grid, propagated.coef + eta)
-    # remaining additive-noise models: semigroup image of the plain increment
-    return heat_semigroup(u + nl * inc.dt + inc.field, inc.dt)
-
-
 def _resolve_steps(T: float, dt: float) -> int:
     """Number of steps of length ``dt`` in the horizon ``T``; ValueError unless it divides."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if T < 0:
-        raise ValueError(f"horizon must be nonnegative, got {T}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not 0 <= T < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {T}")
     n = int(round(T / dt)) if T > 0 else 0
     if abs(n * dt - T) > 1e-9 * max(T, dt):
         raise ValueError(f"dt={dt} does not divide T={T} within rounding")
@@ -338,10 +212,17 @@ def noise_spec(model: ModelSpec) -> CovarianceSpec:
     """The covariance whose channels drive ``model``.
 
     Transport noise is built from white channels (the first ``len(sigma)``
-    of them are used); every other model is driven by its own ``model.q``.
+    of them are used; ValueError if the grid's 2K+1 channels are fewer);
+    every other model is driven by its own ``model.q``.
     """
     if isinstance(model, TransportHeat):
-        return CovarianceSpec.white(model.grid)
+        white = CovarianceSpec.white(model.grid)
+        if len(model.sigma_seq) > white.n_channels:
+            raise ValueError(
+                f"{len(model.sigma_seq)} transport intensities need as many noise channels, "
+                f"the grid has 2K+1 = {white.n_channels}"
+            )
+        return white
     return model.q
 
 
@@ -353,23 +234,24 @@ def simulate(
     sampler: NoiseSampler | None = None,
     scaled_draws: np.ndarray | None = None,
 ) -> SamplePath:
-    """Run the scheme from u0 to time T, recording states and the noise source.
+    """Run the scheme from u0 to time T and hold every state of the path.
 
     Noise comes from ``sampler`` (steps 0..n_steps-1 of its stream
     (seed, stream_id), under the covariance ``noise_spec(model)``, drawn one
-    counter block at a time and re-derived by ``SamplePath.draws``) or from
-    a pre-scaled draw matrix of shape (n_steps, 2K+1), which the path keeps
-    a reference to -- the latter lets refinement studies drive several dt
+    counter block at a time) or from a pre-scaled draw matrix of shape
+    (n_steps, 2K+1) -- the latter lets refinement studies drive several dt
     levels with one Brownian path.  With neither, the increments are zero
-    (deterministic run).  Raises :class:`BlowUpError` at the time of the
-    first state that is non-finite or has L2 norm above ``BLOW_UP_NORM``.
+    (deterministic run).  The path is the blocks of :func:`step_blocks`,
+    collected.  Raises :class:`BlowUpError` at the time of the first state
+    that is non-finite or has L2 norm above ``BLOW_UP_NORM``.
     """
-    n_steps, sampler, scaled_draws = _check_run(model, scheme, u0, T, sampler, scaled_draws)
-    states = _first_rows(u0, n_steps)
-    for _ in _blocks(model, scheme, states, n_steps, sampler, scaled_draws):
-        pass
-    times = np.arange(n_steps + 1) * scheme.dt
-    return SamplePath(model.grid, times, states, noise_spec(model), sampler, scaled_draws)
+    blocks = step_blocks(model, scheme, u0, T, sampler, scaled_draws)
+    n_steps = _resolve_steps(T, scheme.dt)
+    states = np.empty((n_steps + 1, model.grid.n_modes + 1), dtype=np.complex128)
+    states[0] = u0.coef
+    for step0, rows, _ in blocks:
+        states[step0 + 1 : step0 + rows.shape[0]] = rows[1:]
+    return SamplePath(model.grid, np.arange(n_steps + 1) * scheme.dt, states)
 
 
 def step_blocks(
@@ -380,21 +262,21 @@ def step_blocks(
     sampler: NoiseSampler | None = None,
     scaled_draws: np.ndarray | None = None,
 ):
-    """Step u0 to time T as :func:`simulate` does, yielding each block once stepped.
+    """Step u0 to time T, yielding each block once stepped.
 
     The arguments are those of :func:`simulate` and are checked at the call.
     Each block of up to ``BLOCK_STEPS`` steps is yielded as
     ``(step0, rows, l2_sq)`` after its blow-up scan: ``rows[0]`` is the state
-    at step ``step0`` and ``rows[i]`` the state at step ``step0 + i``, bit for
-    bit the rows of ``simulate(...).states``, and ``l2_sq`` is the scan's
-    ``l2_sq_rows(rows[1:])``, for :func:`write_norms`.  ``rows`` is one
-    (BLOCK_STEPS + 1, K+1) buffer reused by every block (its last row is
-    carried to row 0), so it is valid until the next block is asked for,
-    and a run holds one block of states and one of draws.  Raises
+    at step ``step0`` and ``rows[i]`` the state at step ``step0 + i``, and
+    ``l2_sq`` is the scan's ``l2_sq_rows(rows[1:])``, for :func:`write_norms`.
+    ``rows`` is one (BLOCK_STEPS + 1, K+1) buffer reused by every block (its
+    last row is carried to row 0), so it is valid until the next block is
+    asked for, and a run holds one block of states and one of draws.  Raises
     :class:`BlowUpError` as :func:`simulate` does.
     """
     n_steps, sampler, scaled_draws = _check_run(model, scheme, u0, T, sampler, scaled_draws)
-    rows = _first_rows(u0, min(n_steps, BLOCK_STEPS))
+    rows = np.empty((min(n_steps, BLOCK_STEPS) + 1, model.grid.n_modes + 1), dtype=np.complex128)
+    rows[0] = u0.coef
     return _blocks(model, scheme, rows, n_steps, sampler, scaled_draws)
 
 
@@ -436,7 +318,7 @@ def _check_run(
         raise ValueError("initial state grid does not match model grid")
     check_scheme(model, scheme.kind)
     n_steps = _resolve_steps(T, scheme.dt)
-    spec = noise_spec(model)
+    spec = noise_spec(model)  # checks that the model's channels fit on the grid
     if sampler is not None:
         if sampler.spec.grid != grid:
             raise ValueError("sampler grid does not match model grid")
@@ -456,13 +338,6 @@ def _check_run(
     return n_steps, sampler, scaled_draws
 
 
-def _first_rows(u0: SpectralField, n: int) -> np.ndarray:
-    """An (n + 1, K+1) state buffer whose row 0 is u0."""
-    rows = np.empty((n + 1, u0.grid.n_modes + 1), dtype=np.complex128)
-    rows[0] = u0.coef
-    return rows
-
-
 def _blocks(
     model: ModelSpec,
     scheme: SchemeSpec,
@@ -473,15 +348,13 @@ def _blocks(
 ):
     """The block loop: fill, scan and yield ``(step0, rows, l2_sq)`` per block.
 
-    ``buf[0]`` is the initial state.  A ``buf`` of n_steps + 1 rows ends
-    holding the whole path, each block a view into it; a shorter one is
-    reused by every block, its last row carried to row 0.
+    ``buf[0]`` is the initial state; ``buf`` is reused by every block, its
+    last row carried to row 0.
     """
     spec = noise_spec(model)
     dt = scheme.dt
     root = np.sqrt(dt)
     fill = _block_filler(model, scheme, spec)
-    whole = buf.shape[0] == n_steps + 1
     for b0 in range(0, n_steps, BLOCK_STEPS):
         b1 = min(b0 + BLOCK_STEPS, n_steps)
         if scaled_draws is not None:
@@ -491,7 +364,7 @@ def _blocks(
             scaled *= root
         else:
             scaled = np.zeros((b1 - b0, spec.n_channels))
-        rows = buf[b0 : b1 + 1] if whole else buf[: b1 - b0 + 1]
+        rows = buf[: b1 - b0 + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             fill(rows, scaled)
             l2_sq = l2_sq_rows(rows[1:])
@@ -500,8 +373,7 @@ def _blocks(
             row = 1 + int(blown[0])
             raise _blow_up(b0 + row, dt, rows[row])
         yield b0, rows, l2_sq
-        if not whole:
-            buf[0] = rows[-1]
+        buf[0] = rows[-1]
 
 
 def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec):
@@ -580,25 +452,19 @@ def _blown_rows(rows: np.ndarray, l2_sq: np.ndarray) -> np.ndarray:
     return ~np.isfinite(rows).all(axis=-1) | (l2_sq > BLOW_UP_NORM**2)
 
 
-def _transport_noise_series(model: TransportHeat, scaled: np.ndarray) -> np.ndarray:
-    j = len(model.sigma_seq)
-    if j > scaled.shape[1]:
-        raise ValueError(f"{j} noise channels needed, {scaled.shape[1]} drawn")
-    return scaled[:, :j] @ np.sqrt(np.asarray(model.sigma_seq))
-
-
 def _transport_factors(
     model: TransportHeat, kind: str, scaled: np.ndarray, dt: float, out: np.ndarray
 ) -> None:
     """Write the mode factors f[n, k] of step n, c_{n+1} = f[n] c_n, into ``out``.
 
-    With a = 2 pi k and s_n the step's collapsed noise, i a s_n is purely
-    imaginary, so each factor is assembled in place from its real and
-    imaginary parts (no temporaries of the block's size).
+    With a = 2 pi k and s_n = sum_j sqrt(sigma_j) dbeta_n^j the step's
+    collapsed noise, i a s_n is purely imaginary, so each factor is
+    assembled in place from its real and imaginary parts (no temporaries of
+    the block's size).
     """
     a = model.grid.angular
     mu = model.grid.laplacian_eigs
-    s = _transport_noise_series(model, scaled)
+    s = scaled[:, : len(model.sigma_seq)] @ np.sqrt(np.asarray(model.sigma_seq))
     re, im = out.real, out.imag
     if kind == "euler_maruyama":  # 1 - mu dt + i a s
         re[...] = 1.0 - mu * dt

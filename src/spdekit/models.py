@@ -31,11 +31,10 @@ from typing import Union
 
 import numpy as np
 
-from .noise import CovarianceSpec, NoiseIncrement, trace
+from .noise import CovarianceSpec, trace
 from .spectral import (
     SpectralField,
     TorusGrid,
-    derivative,
     h_inner,
     l2_sq_rows,
     laplacian,
@@ -54,7 +53,6 @@ __all__ = [
     "nonlinear_quad_points",
     "DriftKernel",
     "drift",
-    "diffusion_apply",
     "diffusion_hs_norm_sq",
     "coercivity_check",
     "monotonicity_check",
@@ -239,24 +237,6 @@ def drift(model: ModelSpec, u: SpectralField) -> SpectralField:
     if isinstance(model, (TransportHeat, AdditiveHeat)):
         return laplacian(u)
     return SpectralField(u.grid, DriftKernel(model)(u.coef))
-
-
-def transport_noise_amplitude(model: TransportHeat, inc: NoiseIncrement) -> float:
-    """Collapsed channel increment sum_j sqrt(sigma_j) dbeta^j for one step."""
-    j = len(model.sigma_seq)
-    db = inc.scalar_increments(j)
-    return float(np.dot(np.sqrt(model.sigma_seq), db))
-
-
-def diffusion_apply(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> SpectralField:
-    """The realized noise term B(u) dW for one increment."""
-    _check_grid(model, u)
-    if inc.field.grid != model.grid:
-        raise ValueError("increment grid does not match model grid")
-    if isinstance(model, TransportHeat):
-        return derivative(u) * transport_noise_amplitude(model, inc)
-    # additive models: the increment enters untouched by the state
-    return inc.field
 
 
 def diffusion_hs_norm_sq(model: ModelSpec, u: SpectralField) -> float:

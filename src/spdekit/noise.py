@@ -16,7 +16,7 @@ Every normal comes from :func:`stream_normals`: the Philox stream keyed
 (seed, stream) read from counter block ``chunk``.  A path's step s is row
 s mod ``BLOCK_STEPS`` (256) of counter block s // ``BLOCK_STEPS`` of its
 stream, so distinct streams and blocks can be generated in any order and
-still reproduce, and a path's draws can be re-derived instead of stored.
+still reproduce, and a run draws each block as it steps it and stores none.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .spectral import SpectralField, TorusGrid, mode_sum
 __all__ = [
     "CovarianceSpec",
     "NoiseSampler",
-    "NoiseIncrement",
     "trace",
     "hs_norm_sq",
     "stream_normals",
@@ -185,28 +184,6 @@ def channel_weights(spec: CovarianceSpec, h: SpectralField) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """One realized increment dW over a step of length dt.
-
-    ``per_mode`` keeps the underlying real Gaussian draws (N(0, dt) per
-    channel) so scheme-level identities can reuse the exact randomness;
-    ``field`` is the packed real field they generate under the covariance.
-    """
-
-    dt: float
-    field: SpectralField
-    per_mode: np.ndarray
-
-    def scalar_increments(self, count: int) -> np.ndarray:
-        """First ``count`` channels as independent scalar Brownian increments."""
-        if count > self.per_mode.shape[-1]:
-            raise ValueError(
-                f"{count} scalar channels requested, only {self.per_mode.shape[-1]} drawn"
-            )
-        return self.per_mode[:count]
-
-
 def stream_normals(seed: int, streams, cols: int, chunk: int = 0) -> np.ndarray:
     """Standard normals of counter-keyed Philox streams, shape (len(streams), cols).
 
@@ -266,14 +243,6 @@ class NoiseSampler:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         return self.draws_block(step0, n_steps) * np.sqrt(dt)
-
-
-def increment_from_scaled(
-    spec: CovarianceSpec, scaled: np.ndarray, dt: float
-) -> NoiseIncrement:
-    """Wrap pre-scaled channel draws (N(0, dt)) as a NoiseIncrement."""
-    fld = SpectralField(spec.grid, pack_draws(spec, scaled))
-    return NoiseIncrement(dt=dt, field=fld, per_mode=scaled)
 
 
 def coarsen_increments(scaled: np.ndarray, factor: int) -> np.ndarray:

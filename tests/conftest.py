@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spdekit.noise import NoiseSampler, increment_from_scaled
+from reference import increment_from_scaled
+from spdekit.noise import NoiseSampler
 from spdekit.spectral import SpectralField, TorusGrid, field_from_modes
 
 

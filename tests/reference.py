@@ -1,0 +1,149 @@
+"""The per-step reference the block updates of ``spdekit.integrators`` are tested against.
+
+Each scheme of ``integrators.SCHEME_KINDS`` is a function ``(model, u, inc)
+-> u`` on field objects, written from the equations, one step per call: a
+loop of them checks every block update.  An increment is a
+:class:`NoiseIncrement`, the N(0, dt) channel draws of one step and the
+field they pack to, and ``diffusion_apply`` is the realized noise term B(u) dW.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from spdekit.integrators import _ou_rescale, check_scheme
+from spdekit.models import (
+    AdditiveHeat,
+    Burgers,
+    DriftKernel,
+    ModelSpec,
+    PorousMedium,
+    ReactionDiffusion,
+    TransportHeat,
+    _check_grid,
+    drift,
+)
+from spdekit.noise import CovarianceSpec, pack_draws
+from spdekit.spectral import SpectralField, derivative, heat_semigroup
+
+
+@dataclass(frozen=True)
+class NoiseIncrement:
+    """One realized increment dW over a step of length dt.
+
+    ``per_mode`` keeps the underlying real Gaussian draws (N(0, dt) per
+    channel) so scheme-level identities can reuse the exact randomness;
+    ``field`` is the packed real field they generate under the covariance.
+    """
+
+    dt: float
+    field: SpectralField
+    per_mode: np.ndarray
+
+    def scalar_increments(self, count: int) -> np.ndarray:
+        """First ``count`` channels as independent scalar Brownian increments."""
+        if count > self.per_mode.shape[-1]:
+            raise ValueError(
+                f"{count} scalar channels requested, only {self.per_mode.shape[-1]} drawn"
+            )
+        return self.per_mode[:count]
+
+
+def increment_from_scaled(
+    spec: CovarianceSpec, scaled: np.ndarray, dt: float
+) -> NoiseIncrement:
+    """Wrap pre-scaled channel draws (N(0, dt)) as a NoiseIncrement."""
+    fld = SpectralField(spec.grid, pack_draws(spec, scaled))
+    return NoiseIncrement(dt=dt, field=fld, per_mode=scaled)
+
+
+def transport_noise_amplitude(model: TransportHeat, inc: NoiseIncrement) -> float:
+    """Collapsed channel increment sum_j sqrt(sigma_j) dbeta^j for one step."""
+    j = len(model.sigma_seq)
+    db = inc.scalar_increments(j)
+    return float(np.dot(np.sqrt(model.sigma_seq), db))
+
+
+def diffusion_apply(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> SpectralField:
+    """The realized noise term B(u) dW for one increment."""
+    _check_grid(model, u)
+    if inc.field.grid != model.grid:
+        raise ValueError("increment grid does not match model grid")
+    if isinstance(model, TransportHeat):
+        return derivative(u) * transport_noise_amplitude(model, inc)
+    # additive models: the increment enters untouched by the state
+    return inc.field
+
+
+def _check_inc(u: SpectralField, inc: NoiseIncrement) -> None:
+    if inc.dt <= 0:
+        raise ValueError(f"increment dt must be positive, got {inc.dt}")
+    if inc.field.grid != u.grid:
+        raise ValueError("increment grid does not match state grid")
+
+
+def em_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> SpectralField:
+    """u + A(u) dt + B(u) dW, the Ito-form Euler step of the Galerkin system."""
+    _check_inc(u, inc)
+    return u + drift(model, u) * inc.dt + diffusion_apply(model, u, inc)
+
+
+def heun_strat_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> SpectralField:
+    """Midpoint predictor-corrector for the Stratonovich transport form.
+
+    Integrates du = (1 - sigma/2) Lap u dt + sqrt(sigma) u_x o dW: the
+    deterministic drift is explicit, the noise slope is averaged between the
+    base point and the Euler predictor.
+    """
+    check_scheme(model, "heun_stratonovich")
+    _check_inc(u, inc)
+    s = transport_noise_amplitude(model, inc)
+    a = u.grid.angular
+    mu = u.grid.laplacian_eigs
+    c = u.coef
+    slope = c * (1j * a)
+    pred = c + slope * s
+    pred_slope = pred * (1j * a)
+    drift_fac = 1.0 - 0.5 * model.sigma_total
+    new = c + (c * (-mu) * drift_fac) * inc.dt + (0.5 * (slope + pred_slope)) * s
+    return SpectralField(u.grid, new)
+
+
+def exact_ou_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> SpectralField:
+    """Distributionally exact transition of dv = Lap v dt + Q^(1/2) dW (AdditiveHeat).
+
+    On the diagonal OU system exponential Euler integrates the linear part
+    and the stochastic convolution exactly, so the two schemes coincide.
+    """
+    check_scheme(model, "exact_ou")
+    return exp_euler_step(model, u, inc)
+
+
+def _nonlinear_drift(model: ModelSpec, u: SpectralField) -> SpectralField:
+    """A(u) minus the Laplacian, for models with a Laplacian linear part."""
+    if isinstance(model, (TransportHeat, AdditiveHeat)):
+        return SpectralField(u.grid, np.zeros_like(u.coef))
+    if isinstance(model, PorousMedium) and model.m == 2:
+        return SpectralField(u.grid, np.zeros_like(u.coef))
+    if isinstance(model, (ReactionDiffusion, Burgers)):
+        return SpectralField(u.grid, DriftKernel(model).nonlinear(u.coef))
+    raise ValueError(
+        f"{type(model).__name__} has no Laplacian linear part; exponential Euler undefined"
+    )
+
+
+def exp_euler_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> SpectralField:
+    """One-step Duhamel update with exact integration of the linear part."""
+    _check_inc(u, inc)
+    if isinstance(model, TransportHeat):
+        forced = u + diffusion_apply(model, u, inc)
+        return heat_semigroup(forced, inc.dt)
+    nl = _nonlinear_drift(model, u)
+    if isinstance(model, AdditiveHeat):
+        eta = pack_draws(model.q, inc.per_mode * _ou_rescale(model.q, inc.dt))
+        propagated = heat_semigroup(u + nl * inc.dt, inc.dt)
+        return SpectralField(u.grid, propagated.coef + eta)
+    # remaining additive-noise models: semigroup image of the plain increment
+    return heat_semigroup(u + nl * inc.dt + inc.field, inc.dt)

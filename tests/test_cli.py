@@ -857,14 +857,30 @@ def stepping_error_config(tmp_path, case):
         return "verify", write_config(
             tmp_path / "c.ini", Path(text).read_text().replace("dt = 1e-4", "dt = 3e-3")
         )
-    text = (ROOT / "configs" / "burgers_ensemble.ini").read_text()
-    text = text.replace("dt = 2.5e-4", "dt = 3e-3").replace("directory = out", f"directory = {out}")
-    return "burgers", write_config(tmp_path / "c.ini", text)
+    if case.endswith("too_many_channels"):  # four intensities, 2K+1 = 3 channels
+        command, _, checks = case[: -len("_too_many_channels")].partition("_")
+        text = sim if command == "simulate" else Path(all_checks_config(tmp_path, checks)).read_text()
+        text = re.sub(r"\nmodes = \d+", "\nmodes = 1", text)
+        text = text.replace("sigma = 1.0", "sigma = 0.1, 0.1, 0.1, 0.1")
+        return command, write_config(tmp_path / "c.ini", text)
+    burgers = (ROOT / "configs" / "burgers_ensemble.ini").read_text()
+    burgers = burgers.replace("directory = out", f"directory = {out}")
+    nonfinite = re.fullmatch(r"(simulate|verify|burgers)_(t|dt)_(inf|nan)", case)
+    if nonfinite:
+        command, key, value = nonfinite.groups()
+        text = {"simulate": sim, "burgers": burgers}.get(command)
+        text = text or Path(all_checks_config(tmp_path, "mass_conservation")).read_text()
+        return command, write_config(
+            tmp_path / "c.ini", re.sub(rf"\n{key} = [^\n]*", f"\n{key} = {value}", text)
+        )
+    return "burgers", write_config(tmp_path / "c.ini", burgers.replace("dt = 2.5e-4", "dt = 3e-3"))
 
 
 class TestSteppingConfigErrors:
-    # a scheme that cannot step the model, or a dt that does not divide the
-    # horizon, is a configuration error naming its key, whatever the command
+    # a scheme that cannot step the model, a dt that does not divide the
+    # horizon, a non-finite horizon or step, or more transport intensities
+    # than noise channels is a configuration error naming its key, whatever
+    # the command
 
     @pytest.mark.parametrize(
         "case, key",
@@ -876,6 +892,18 @@ class TestSteppingConfigErrors:
             ("simulate_dt_does_not_divide", "scheme.dt / experiment.t"),
             ("verify_dt_does_not_divide", "scheme.dt / experiment.t"),
             ("burgers_dt_does_not_divide", "scheme.dt / experiment.t"),
+            ("simulate_t_inf", "experiment.t"),
+            ("simulate_t_nan", "experiment.t"),
+            ("simulate_dt_inf", "scheme.dt"),
+            ("simulate_dt_nan", "scheme.dt"),
+            ("verify_t_inf", "experiment.t"),
+            ("verify_dt_nan", "scheme.dt"),
+            ("burgers_t_inf", "experiment.t"),
+            ("burgers_t_nan", "experiment.t"),
+            ("burgers_dt_inf", "scheme.dt"),
+            ("simulate_too_many_channels", "model.sigma"),
+            ("verify_mass_conservation_too_many_channels", "model.sigma"),
+            ("verify_ito_strat_too_many_channels", "model.sigma"),
         ],
     )
     def test_exit_two_naming_the_key(self, tmp_path, capsys, case, key):

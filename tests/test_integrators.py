@@ -4,28 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import cos_field, make_random_field, sampled_increment, sin_field
+from reference import em_step, exact_ou_step, exp_euler_step, heun_strat_step, increment_from_scaled
 from spdekit.integrators import (
     BLOW_UP_NORM,
     BlowUpError,
-    SamplePath,
     SchemeSpec,
-    em_step,
-    exact_ou_step,
-    exp_euler_step,
-    heun_strat_step,
     noise_spec,
     path_norms,
     simulate,
     step_blocks,
 )
 from spdekit.models import AdditiveHeat, Burgers, PorousMedium, ReactionDiffusion, TransportHeat
-from spdekit.noise import (
-    BLOCK_STEPS,
-    CovarianceSpec,
-    NoiseSampler,
-    coarsen_increments,
-    increment_from_scaled,
-)
+from spdekit.noise import BLOCK_STEPS, CovarianceSpec, NoiseSampler, coarsen_increments, pack_draws
 from spdekit.spectral import SpectralField, TorusGrid, field_from_modes, l2_sq_rows, zero_field
 
 TWO_PI = 2.0 * np.pi
@@ -45,8 +35,9 @@ class TestSchemeSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown scheme"):
             SchemeSpec("rk4", 0.1)
-        with pytest.raises(ValueError, match="positive"):
-            SchemeSpec("euler_maruyama", 0.0)
+        for dt in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                SchemeSpec("euler_maruyama", dt)
 
 
 class TestEmStep:
@@ -193,9 +184,6 @@ class TestSimulate:
         assert white.kind == "white" and white.grid == g
         for model in (AdditiveHeat(q), ReactionDiffusion(-1.0, 3, q), Burgers(q)):
             assert noise_spec(model) is q
-        # a sampler-free run packs with the same covariance
-        path = simulate(AdditiveHeat(q), SchemeSpec("euler_maruyama", 0.01), zero_field(g), 0.02)
-        assert path.spec is q
 
     def test_zero_horizon(self):
         g = TorusGrid(4)
@@ -203,7 +191,6 @@ class TestSimulate:
         p = simulate(m, SchemeSpec("euler_maruyama", 0.1), cos_field(g), 0.0)
         assert p.times.shape == (1,)
         assert p.states.shape == (1, 5)
-        assert p.draws.shape[0] == 0
 
     def test_dt_must_divide_horizon(self):
         g = TorusGrid(4)
@@ -226,7 +213,6 @@ class TestSimulate:
             s = NoiseSampler(CovarianceSpec.white(g), 5, 2)
             runs.append(simulate(m, SchemeSpec("euler_maruyama", 1e-4), cos_field(g), 0.02, sampler=s))
         assert np.array_equal(runs[0].states, runs[1].states)
-        assert np.array_equal(runs[0].draws, runs[1].draws)
 
     def test_mean_mode_constant_transport_and_burgers(self, rand_field):
         gt = TorusGrid(16)
@@ -275,7 +261,8 @@ class TestSimulate:
         # a distinct spec with the same eigenvalues is the model's covariance
         p = simulate(m, scheme, zero_field(g), 0.01,
                      sampler=NoiseSampler(CovarianceSpec.power(g, 1.0), 1))
-        assert np.array_equal(p.states[1], p.increment(0).field.coef)
+        first = NoiseSampler(m.q, 1).draws_block(0, 1)[0] * np.sqrt(1e-3)
+        assert np.array_equal(p.states[1], pack_draws(m.q, first))
 
     def test_sampler_and_explicit_draws_agree(self):
         g = TorusGrid(8)
@@ -292,11 +279,9 @@ class TestSimulate:
         m = TransportHeat(g, (1.0,))
         s = NoiseSampler(CovarianceSpec.white(g), 9)
         p = simulate(m, SchemeSpec("euler_maruyama", 1e-3), cos_field(g), 0.05, sampler=s)
-        assert p.states.shape[0] == p.times.shape[0]
-        assert p.draws.shape[0] == p.times.shape[0] - 1
+        assert p.states.shape[0] == p.times.shape[0] == p.n_steps + 1
         assert np.all(np.diff(p.times) > 0)
-        inc = p.increment(3)
-        assert inc.dt == pytest.approx(1e-3)
+        assert p.times[4] - p.times[3] == pytest.approx(1e-3)
 
 
 REFERENCE_STEPS = {
@@ -494,7 +479,7 @@ def stepped_model(name, grid):
 
 class TestStreamedDraws:
     # simulate draws each block of 256 steps inside its stepping loop and
-    # holds no draw matrix; a path re-derives its draws from its sampler
+    # holds no draw matrix; a step's draws are a function of its stream and index
 
     @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 600])
     @pytest.mark.parametrize("name,kind", STEPPED_PAIRS)
@@ -528,11 +513,9 @@ class TestStreamedDraws:
         ref = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=matrix)
         assert np.array_equal(consumed, matrix)
         assert np.array_equal(p.states, ref.states)
-        assert np.array_equal(p.draws, consumed) and np.array_equal(ref.draws, consumed)
         for i in sorted({0, n_steps // 2, min(255, n_steps - 1), n_steps - 1}):
-            inc = p.increment(i)
-            assert np.array_equal(inc.per_mode, consumed[i])
-            assert np.array_equal(inc.field.coef, ref.increment(i).field.coef)
+            # a step's draws read on their own are the row the run consumed
+            assert np.array_equal(sampler.draws_block(i, 1)[0] * np.sqrt(dt), consumed[i])
 
     @pytest.mark.parametrize("n_steps", [0, 1, 255, 256, 257, 600])
     @pytest.mark.parametrize("name,kind", STEPPED_PAIRS)
@@ -576,27 +559,22 @@ class TestStreamedDraws:
 
     def test_step_blocks_checks_at_the_call(self):
         g = TorusGrid(4)
+        scheme = SchemeSpec("euler_maruyama", 1e-4)
         with pytest.raises(ValueError, match="exact_ou"):
             step_blocks(TransportHeat(g, (1.0,)), SchemeSpec("exact_ou", 1e-4), cos_field(g), 0.01)
+        # four intensities on K = 1: the grid draws 2K+1 = 3 channels
+        g1 = TorusGrid(1)
+        with pytest.raises(ValueError, match="2K\\+1 = 3"):
+            step_blocks(TransportHeat(g1, (0.1,) * 4), scheme, cos_field(g1), 0.01)
+        for T in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                step_blocks(TransportHeat(g, (1.0,)), scheme, cos_field(g), T)
 
-    def test_matrix_lane_keeps_the_callers_array(self):
+    def test_noise_free_path_steps_zero_increments(self):
         g = TorusGrid(4)
-        m = TransportHeat(g, (1.0,))
-        scaled = NoiseSampler(CovarianceSpec.white(g), 3).scaled_block(0, 300, 1e-4)
-        p = simulate(m, SchemeSpec("euler_maruyama", 1e-4), cos_field(g), 0.03,
-                     scaled_draws=scaled)
-        assert p.scaled is scaled and p.sampler is None
-        assert np.shares_memory(p.draws, scaled)
-
-    def test_noise_free_path_carries_no_matrix(self):
-        g = TorusGrid(4)
-        p = simulate(TransportHeat(g, (1.0,)), SchemeSpec("euler_maruyama", 1e-4),
-                     cos_field(g), 0.03)
-        assert p.scaled is None and p.sampler is None
-        assert p.draws.shape == (300, 9) and not np.any(p.draws)
-        assert not np.any(p.increment(299).per_mode)
-        with pytest.raises(IndexError):
-            p.increment(300)
+        run = (TransportHeat(g, (1.0,)), SchemeSpec("euler_maruyama", 1e-4), cos_field(g), 0.03)
+        zero = simulate(*run, scaled_draws=np.zeros((300, 9)))
+        assert np.array_equal(simulate(*run).states, zero.states)
 
     @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 600])
     def test_one_stream_call_per_block(self, monkeypatch, n_steps):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cos_field, make_random_field, sampled_increment, sin_field
+from reference import diffusion_apply, increment_from_scaled
 from spdekit.models import (
     AdditiveHeat,
     Burgers,
@@ -11,14 +12,13 @@ from spdekit.models import (
     ReactionDiffusion,
     TransportHeat,
     coercivity_check,
-    diffusion_apply,
     diffusion_hs_norm_sq,
     drift,
     growth_check,
     monotonicity_check,
     nonlinear_quad_points,
 )
-from spdekit.noise import CovarianceSpec, increment_from_scaled
+from spdekit.noise import CovarianceSpec
 from spdekit.spectral import (
     TorusGrid,
     derivative,
