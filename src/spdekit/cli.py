@@ -557,11 +557,13 @@ def _phi_weights(cfg):
     count = cfg.get_int("experiment", "phi_count", 16)
     if phi_kind == "single_mode":
         return np.array([1.0]), np.array([1.0])
+    if phi_kind not in ("inverse_k", "white"):
+        raise ConfigError("experiment.phi must be single_mode|inverse_k|white")
+    if count < 1:
+        raise ConfigError(f"experiment.phi_count must be at least 1, got {count}")
     if phi_kind == "inverse_k":
         return 1.0 / np.arange(1, count + 1), np.ones(count)
-    if phi_kind == "white":
-        return np.ones(2 * count + 1), np.ones(2 * count + 1)
-    raise ConfigError("experiment.phi must be single_mode|inverse_k|white")
+    return np.ones(2 * count + 1), np.ones(2 * count + 1)
 
 
 def _check_ito_isometry(cfg, grid, seed):
@@ -640,7 +642,10 @@ def _check_ou_exactness(cfg, grid, seed):
     _mc_config(cfg, seed)
     spec = build_noise(cfg, grid)
     dt = cfg.get_float("scheme", "dt", required=True)
-    modes = [int(k) for k in cfg.get_floats("experiment", "ou_modes", [0, 1, 8])]
+    values = cfg.get_floats("experiment", "ou_modes", [0, 1, 8])
+    modes = [int(k) for k in values]
+    if modes != values or len(set(modes)) < len(modes):
+        raise ConfigError(f"experiment.ou_modes must be distinct integers, got {values}")
     try:
         return verify_mod.ou_variance_stats(spec, dt, modes)
     except ValueError as exc:

@@ -191,6 +191,8 @@ def stream_normals(seed: int, streams, cols: int, chunk: int = 0) -> np.ndarray:
     ``(seed, streams[i])`` at counter ``[0, 0, 0, chunk]``, i.e. of
     ``Generator(Philox(key=[seed, streams[i]], counter=[0, 0, 0, chunk]))
     .standard_normal(cols)``.  This is the one place a Philox key is chosen.
+    One generator draws every row, re-keyed from a plain-int copy of its
+    fresh state.
     """
     bitgen = np.random.Philox(
         key=np.array([seed, 0], dtype=np.uint64),
@@ -198,8 +200,11 @@ def stream_normals(seed: int, streams, cols: int, chunk: int = 0) -> np.ndarray:
     )
     gen = np.random.Generator(bitgen)
     # a Philox stream is fixed by its key and counter alone, so one generator
-    # re-keyed from its fresh state draws what a new generator per row would
+    # re-keyed from its fresh state draws what a new generator per row would;
+    # the state setter reads plain ints faster than ndarray elements
     fresh = bitgen.state
+    fresh["state"] = {name: arr.tolist() for name, arr in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     out = np.empty((len(streams), cols))
     for row, stream in zip(out, streams):

@@ -135,7 +135,7 @@ class StatReport:
         return "pass" if self.passed else "fail"
 
 
-_MC_ROWS = 256  # rows per chunk of the Monte Carlo pass: about 1 MB of normals at 514 columns
+_MC_ROWS = 256  # rows per chunk of the Monte Carlo pass: about 0.5 MB of normals at 259 columns
 
 
 def mc_normals(seed: int, rows: range | int, cols: int) -> np.ndarray:
@@ -157,8 +157,9 @@ def mc_normals(seed: int, rows: range | int, cols: int) -> np.ndarray:
 class McStatistic:
     """One Monte Carlo report, split for the streamed pass of :func:`mc_pass`.
 
-    ``per_row`` maps unit normals of shape (rows, ``cols``) to one sample per
-    row; the report is the mean of the ``n_paths`` samples against ``target``.
+    ``cols`` is one past the last column ``per_row`` reads, and ``per_row``
+    maps unit normals of shape (rows, ``cols``) to one sample per row; the
+    report is the mean of the ``n_paths`` samples against ``target``.
     """
 
     name: str
@@ -172,9 +173,10 @@ class McStatistic:
 def mc_pass(stats: list[McStatistic], cfg: McConfig) -> list[np.ndarray]:
     """The ``cfg.n_paths`` samples of each statistic, from one pass over row chunks.
 
-    Rows are drawn once, ``_MC_ROWS`` at a time and at the widest width the
-    statistics read; each statistic sees the leading columns of each chunk.
-    Memory grows with the chunk and the sample vectors, not with the draws.
+    Rows are drawn once, ``_MC_ROWS`` at a time, each up to the last column
+    any statistic reads (the largest ``cols``); each statistic sees the
+    leading ``cols`` columns of each chunk.  Memory grows with the chunk and
+    the sample vectors, not with the draws.
     """
     if not stats:
         return []
@@ -396,22 +398,26 @@ def wiener_covariance_stat(
 
     The first 2K+1 columns drive W at the earlier time, the next 2K+1 its
     increment to the later one; each pairing is the draws times the channel
-    weights of its test field.
+    weights of its test field.  The increment block is read only up to the
+    last channel that ``h`` or ``g`` weighs; the channels past it carry zero
+    weight.
     """
     if s < 0 or t < 0:
         raise ValueError("times must be nonnegative")
     lo, hi = (s, t) if s <= t else (t, s)
     ch = spec.n_channels
     weights = np.stack([channel_weights(spec, h), channel_weights(spec, g)], axis=1)
+    weighed = np.flatnonzero(np.any(weights != 0.0, axis=1))
+    read = int(weighed[-1]) + 1 if weighed.size else 0
 
     def per_row(z):
         at_lo = np.sqrt(lo) * (z[:, :ch] @ weights)  # columns <W_lo, h>, <W_lo, g>
-        at_hi = at_lo + np.sqrt(hi - lo) * (z[:, ch:] @ weights)
+        at_hi = at_lo + np.sqrt(hi - lo) * (z[:, ch : ch + read] @ weights[:read])
         at_t, at_s = (at_hi, at_lo) if t >= s else (at_lo, at_hi)
         return at_t[:, 0] * at_s[:, 1]
 
     target = float(min(s, t) * covariance_pairing(spec, h, g))
-    return McStatistic("wiener_covariance", 2 * ch, per_row, target, metadata={"s": s, "t": t})
+    return McStatistic("wiener_covariance", ch + read, per_row, target, metadata={"s": s, "t": t})
 
 
 
@@ -638,8 +644,8 @@ def ou_variance_stats(q: CovarianceSpec, dt: float, modes) -> list[McStatistic]:
 
     Targets lambda_k (1 - e^{-2 mu_k dt}) / (2 mu_k), the k = 0 mode being
     pure Brownian with variance lambda_0 dt.  Mode k reads only its own
-    channels (:func:`~spdekit.noise.mode_channels`): its sample is the mean
-    of their variance-weighted squares.
+    channels (:func:`~spdekit.noise.mode_channels`), the last of which is
+    column 2k: its sample is the mean of their variance-weighted squares.
     """
     var = ou_channel_variances(q, dt)
     stats = []
@@ -652,7 +658,7 @@ def ou_variance_stats(q: CovarianceSpec, dt: float, modes) -> list[McStatistic]:
         stats.append(
             McStatistic(
                 f"ou_variance_mode{k}",
-                q.n_channels,
+                ch.stop,
                 lambda z, ch=ch, v=v: (z[:, ch] * z[:, ch]) @ v / v.size,
                 float(v[0]),
                 metadata={"dt": dt, "mode": k},

@@ -752,7 +752,7 @@ class TestWidestBlockFirst:
     WIDTHS = {
         "ito_isometry": 1,
         "trace_identity": 2 * 8 + 1,
-        "wiener_covariance": 2 * (2 * 8 + 1),
+        "wiener_covariance": 2 * 8 + 3,  # h = g = cos at mode 1: channel 1 of the increment
         "gaussian_moment": 2 * 8 + 1,
         "ou_exactness": 2 * 8 + 1,
     }
@@ -780,7 +780,7 @@ class TestWidestBlockFirst:
         n_paths = 2 * verify._MC_ROWS + 37
         cfg = all_checks_config(tmp_path, MC_CHECK_NAMES, n_paths=n_paths)
         assert cli.main(["verify", "--config", cfg]) in (0, 1)
-        self.assert_each_row_once(draws, n_paths, 2 * (2 * 8 + 1))
+        self.assert_each_row_once(draws, n_paths, 2 * 8 + 3)
         assert len(draws) == 3
         assert len(report_rows(tmp_path)) == 7
 
@@ -826,10 +826,35 @@ class TestWidestBlockFirst:
         assert len(report_rows(tmp_path)) == 7
         assert peak < 8e6
 
-    def test_mode_outside_the_grid_is_config_error(self, tmp_path, capsys):
-        cfg = all_checks_config(tmp_path, "ou_exactness", n_paths=50, extra="ou_modes = 0, 9")
+    @pytest.mark.parametrize("modes", ["0, 9", "1.5", "1, 1", "0, 1e0, 0"])
+    def test_bad_ou_modes_are_config_errors(self, tmp_path, capsys, modes):
+        # a mode outside the grid, a fraction int() would truncate, a repeat
+        cfg = all_checks_config(tmp_path, "ou_exactness", n_paths=50, extra=f"ou_modes = {modes}")
         assert cli.main(["verify", "--config", cfg]) == 2
-        assert "experiment.ou_modes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "experiment.ou_modes" in err
+
+    def test_integral_float_ou_mode_is_valid(self, tmp_path):
+        cfg = all_checks_config(tmp_path, "ou_exactness", n_paths=50, extra="ou_modes = 1e0, 2")
+        assert cli.main(["verify", "--config", cfg]) in (0, 1)
+        assert [row["name"] for row in report_rows(tmp_path)] == [
+            "ou_variance_mode1",
+            "ou_variance_mode2",
+        ]
+
+    @pytest.mark.parametrize("phi", ["inverse_k", "white"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_phi_count_below_one_is_config_error(self, tmp_path, capsys, phi, count):
+        extra = f"phi = {phi}\nphi_count = {count}"
+        cfg = all_checks_config(tmp_path, "ito_isometry", n_paths=50, extra=extra)
+        assert cli.main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "experiment.phi_count" in err
+
+    def test_single_mode_ignores_phi_count(self, tmp_path, draws):
+        cfg = all_checks_config(tmp_path, "ito_isometry", n_paths=50, extra="phi_count = 0")
+        assert cli.main(["verify", "--config", cfg]) in (0, 1)
+        self.assert_each_row_once(draws, 50, 1)
 
 
 def stepping_error_config(tmp_path, case):

@@ -239,10 +239,15 @@ class TestRandomnessContract:
             assert block.shape == (n_steps, width)
             assert np.array_equal(block, chunks[step0 : step0 + n_steps])
 
-    def test_stream_normals_rows_are_keyed_streams(self):
-        rows = stream_normals(2**64 - 1, [3, 2**40, 3], 10, chunk=4)
-        for row, stream in zip(rows, (3, 2**40, 3)):
-            assert np.array_equal(row, self.philox_normals(2**64 - 1, stream, 4, 10))
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("chunk", [0, 4, 2**64 - 1])
+    def test_stream_normals_rows_are_keyed_streams(self, seed, chunk):
+        # one generator is re-keyed per row: every key word and counter word
+        # over the whole uint64 range, a stream repeated out of order
+        streams = [3, 2**64 - 1, 0, 2**40, 3, 0]
+        rows = stream_normals(seed, streams, 10, chunk=chunk)
+        for row, stream in zip(rows, streams):
+            assert np.array_equal(row, self.philox_normals(seed, stream, chunk, 10))
         assert stream_normals(1, [], 5).shape == (0, 5)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from conftest import cos_field, make_random_field
+from conftest import cos_field, make_random_field, sin_field
 from spdekit.integrators import SchemeSpec, simulate
 from spdekit.models import AdditiveHeat, Burgers, TransportHeat
 from spdekit import verify
-from spdekit.noise import CovarianceSpec, NoiseSampler, pack_draws, stream_normals
+from spdekit.noise import (
+    CovarianceSpec,
+    NoiseSampler,
+    channel_weights,
+    pack_draws,
+    stream_normals,
+)
 from spdekit.spectral import TorusGrid, field_from_modes, l2_sq_rows, zero_field
 from spdekit.verify import (
     McConfig,
@@ -218,6 +224,60 @@ class TestStreamedPass:
         monkeypatch.setattr(verify, "mc_normals", None)  # a draw would raise
         assert mc_pass([], McConfig(10, 1)) == []
         assert mc_reports([], McConfig(10, 1)) == []
+
+
+def cli_field(grid, kind, mode):
+    """(field, one past its weighted channel) of a command-line field kind at ``mode``."""
+    if mode == "K":
+        mode = grid.n_modes
+    if kind == "zero":
+        return zero_field(grid), 0
+    if kind == "cos":
+        return cos_field(grid, 0.7, mode), 2 * mode
+    return sin_field(grid, 0.7, mode), 2 * mode + 1
+
+
+class TestColumnsRead:
+    # a statistic's rows are drawn only up to the last column it reads, and
+    # its samples are bitwise those of the full-width block
+
+    N = verify._MC_ROWS + 37
+    FIELDS = [("cos", 1), ("cos", "K"), ("sin", 1), ("sin", "K"), ("zero", 1)]
+
+    @staticmethod
+    def full_width_wiener(spec, h, g, s, t, z):
+        """<W_t, h> <W_s, g> per row, both pairings over all 2(2K+1) columns of ``z``."""
+        ch = spec.n_channels
+        weights = np.stack([channel_weights(spec, h), channel_weights(spec, g)], axis=1)
+        lo, hi = min(s, t), max(s, t)
+        at_lo = np.sqrt(lo) * (z[:, :ch] @ weights)
+        at_hi = at_lo + np.sqrt(hi - lo) * (z[:, ch:] @ weights)
+        at_t, at_s = (at_hi, at_lo) if t >= s else (at_lo, at_hi)
+        return at_t[:, 0] * at_s[:, 1]
+
+    @pytest.mark.parametrize("K", [8, 128])
+    @pytest.mark.parametrize("h_kind, h_mode", FIELDS)
+    @pytest.mark.parametrize("g_kind, g_mode", FIELDS)
+    def test_wiener_covariance(self, K, h_kind, h_mode, g_kind, g_mode):
+        spec = CovarianceSpec.power(TorusGrid(K), 0.7)
+        h, h_read = cli_field(spec.grid, h_kind, h_mode)
+        g, g_read = cli_field(spec.grid, g_kind, g_mode)
+        st = wiener_covariance_stat(spec, h, g, 0.8, 0.3)
+        assert st.cols == spec.n_channels + max(h_read, g_read)
+        cfg = McConfig(self.N, 47)
+        full = stream_normals(cfg.base_seed, range(self.N), 2 * spec.n_channels)
+        expected = self.full_width_wiener(spec, h, g, 0.8, 0.3, full)
+        assert np.array_equal(mc_pass([st], cfg)[0], expected)  # bitwise
+
+    @pytest.mark.parametrize("K", [8, 128])
+    def test_ou_variance(self, K):
+        spec = CovarianceSpec.power(TorusGrid(K), 0.7)
+        cfg = McConfig(self.N, 53)
+        full = stream_normals(cfg.base_seed, range(self.N), spec.n_channels)
+        for k in (0, 1, K):
+            (st,) = ou_variance_stats(spec, 0.01, [k])
+            assert st.cols == 2 * k + 1
+            assert np.array_equal(mc_pass([st], cfg)[0], st.per_row(full))  # bitwise
 
 
 def packed_report(samples):
