@@ -11,19 +11,18 @@ diffusion pairs and the coercivity/monotonicity/growth checkers),
 """
 
 from .spectral import (
-    SobolevIndex,
     SpectralField,
     TorusGrid,
     dealias,
     derivative,
     field_from_modes,
-    from_physical,
+    field_from_samples,
     h_inner,
     heat_semigroup,
     laplacian,
     lp_norm,
+    physical_samples,
     sobolev_norm,
-    to_physical,
     zero_field,
 )
 from .noise import (

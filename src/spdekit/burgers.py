@@ -40,7 +40,7 @@ import numpy as np
 from .integrators import SamplePath, SchemeSpec, _resolve_steps, simulate, step_blocks
 from .models import AdditiveHeat, Burgers, nonlinear_quad_points
 from .noise import CovarianceSpec, NoiseSampler
-from .spectral import SpectralField, TorusGrid, _coef_to_samples, l2_sq_rows, zero_field
+from .spectral import SpectralField, TorusGrid, _coef_to_samples, _lp_of_squares, zero_field
 from .verify import StatReport
 
 __all__ = [
@@ -139,32 +139,6 @@ def _linear_run(problem: BurgersProblem):
 def sample_linear_part(problem: BurgersProblem, sampler: NoiseSampler) -> SamplePath:
     """Distributionally exact OU path of the linear equation, v(0) = 0."""
     return simulate(*_linear_run(problem), sampler=sampler)
-
-
-def _lp_of_squares(sq: np.ndarray, p: float) -> np.ndarray:
-    """L^p norm per row from squared real samples; overwrites ``sq``.
-
-    (s*s)**(p/2) is |s|**p for real s, and numpy squares in place at p = 4.
-    """
-    sq **= p / 2
-    return np.mean(sq, axis=-1) ** (1.0 / p)
-
-
-_LP_ROWS = 256  # rows per transform in _lp_rows: bounds its sample buffer
-
-
-def _lp_rows(coef: np.ndarray, p: float, n_points: int) -> np.ndarray:
-    """L^p norm per row of a batch of half spectra, ``_LP_ROWS`` rows per irfft."""
-    out = np.empty(coef.shape[:-1])
-    for r0 in range(0, coef.shape[0], _LP_ROWS):
-        samples = _coef_to_samples(coef[r0 : r0 + _LP_ROWS], n_points)
-        samples *= samples
-        out[r0 : r0 + _LP_ROWS] = _lp_of_squares(samples, p)
-    return out
-
-
-def _halpha_rows(coef: np.ndarray, grid: TorusGrid, alpha: float) -> np.ndarray:
-    return np.sqrt(l2_sq_rows(coef, grid.sobolev_weights**alpha))
 
 
 def _decay_powers(decay: np.ndarray, n_rows: int) -> np.ndarray:
@@ -370,8 +344,9 @@ def apriori_report(problem: BurgersProblem, w_lp: np.ndarray, v_halpha: np.ndarr
     """Empirical a priori ratio sup_t |w|_{L^p} / (|w_0|_{L^p} + sup_t |v|_{H^alpha}).
 
     ``w_lp`` and ``v_halpha`` are the per-row norms of the two paths, row 0
-    at t = 0 (the ``w_lp`` of :class:`PicardWindow`, or ``_lp_rows`` and
-    ``_halpha_rows`` of the states).  The theory bounds the numerator by a
+    at t = 0 (the ``w_lp`` of :class:`PicardWindow`, or
+    :func:`~spdekit.spectral.lp_rows` and :func:`~spdekit.spectral.halpha_rows`
+    of the states).  The theory bounds the numerator by a
     constant times the denominator with an abstract constant, so the ratio
     is reported, not gated.
     """

@@ -46,7 +46,8 @@ from .models import (
     TransportHeat,
 )
 from .noise import CovarianceSpec, NoiseSampler
-from .spectral import SpectralField, TorusGrid, field_from_modes, l2_sq_rows, zero_field
+from .spectral import SpectralField, TorusGrid, field_from_modes, halpha_rows, l2_sq_rows
+from .spectral import lp_rows, zero_field
 
 __all__ = ["main", "ConfigError", "RunConfig", "load_config"]
 
@@ -70,7 +71,7 @@ class RunConfig:
     def __init__(self, sections: dict[str, dict[str, str]]):
         self.sections = sections
 
-    def _raw(self, section: str, key: str, default=None, required=False):
+    def get_str(self, section: str, key: str, default=None, required=False):
         value = self.sections.get(section, {}).get(key)
         if value is None:
             if required:
@@ -78,11 +79,8 @@ class RunConfig:
             return default
         return value
 
-    def get_str(self, section, key, default=None, required=False):
-        return self._raw(section, key, default, required)
-
     def get_float(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, None, required)
+        raw = self.get_str(section, key, None, required)
         if raw is None:
             return default
         try:
@@ -94,7 +92,7 @@ class RunConfig:
         return value
 
     def get_int(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, None, required)
+        raw = self.get_str(section, key, None, required)
         if raw is None:
             return default
         try:
@@ -103,7 +101,7 @@ class RunConfig:
             raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from exc
 
     def get_list(self, section, key, default=None):
-        raw = self._raw(section, key)
+        raw = self.get_str(section, key)
         if raw is None:
             return default if default is not None else []
         return [item.strip() for item in raw.split(",") if item.strip()]
@@ -508,6 +506,14 @@ def _n_paths(cfg: RunConfig) -> int:
     return n_paths
 
 
+def _time(cfg: RunConfig, key: str, default=None) -> float:
+    """``experiment.<key>``, a time (required without a ``default``): a number >= 0."""
+    value = cfg.get_float("experiment", key, default, required=default is None)
+    if value < 0:
+        raise ConfigError(f"experiment.{key} must be nonnegative, got {value}")
+    return value
+
+
 def _worst(reports) -> verify_mod.StatReport:
     """The report furthest above its target, the first of equals: a check's worst path."""
     return max(reports, key=lambda r: r.estimate - r.target)
@@ -568,25 +574,19 @@ def _phi_weights(cfg):
 
 def _check_ito_isometry(cfg, grid, seed):
     _mc_config(cfg, seed)
-    T = cfg.get_float("experiment", "t", required=True)
-    return [verify_mod.ito_isometry_stat(*_phi_weights(cfg), T)]
+    return [verify_mod.ito_isometry_stat(*_phi_weights(cfg), _time(cfg, "t"))]
 
 
 def _check_trace_identity(cfg, grid, seed):
     _mc_config(cfg, seed)
     spec = build_noise(cfg, grid)
-    T = cfg.get_float("experiment", "t", required=True)
-    return [verify_mod.trace_identity_stat(spec, T)]
+    return [verify_mod.trace_identity_stat(spec, _time(cfg, "t"))]
 
 
 def _check_wiener_covariance(cfg, grid, seed):
     _mc_config(cfg, seed)
     spec = build_noise(cfg, grid)
-    s = cfg.get_float("experiment", "s", 0.3)
-    t = cfg.get_float("experiment", "t", required=True)
-    for key, value in (("s", s), ("t", t)):
-        if value < 0:
-            raise ConfigError(f"experiment.{key} must be nonnegative, got {value}")
+    s, t = _time(cfg, "s", 0.3), _time(cfg, "t")
     h = build_initial_field(cfg, grid, key="h")
     g = build_initial_field(cfg, grid, key="g")
     return [verify_mod.wiener_covariance_stat(spec, h, g, s, t)]
@@ -594,10 +594,14 @@ def _check_wiener_covariance(cfg, grid, seed):
 
 def _check_quadratic_variation(cfg, grid, seed):
     mc = _mc_config(cfg, seed)
-    T = cfg.get_float("experiment", "t", required=True)
+    T = _time(cfg, "t")
     n_int = cfg.get_int("experiment", "qv_intervals", 2**14)
     rel_tol = cfg.get_float("experiment", "rel_tol", 0.05)
     levels = [max(1, n_int // 16), max(1, n_int // 4), n_int]
+    if n_int < 1 or any(n_int % level for level in levels):
+        raise ConfigError(
+            f"experiment.qv_intervals must be a positive multiple of {levels[:2]}, got {n_int}"
+        )
     hit = 0
     for i in range(mc.n_paths):
         values = verify_mod.brownian_scalar_path(seed, n_int, T, stream_id=i)
@@ -623,7 +627,7 @@ def _check_ito_strat(cfg, grid, seed):
     mc = _mc_config(cfg, seed)
     # the ladder, not [scheme], sets the steps here
     model = build_model(cfg, grid)
-    T = cfg.get_float("experiment", "t", required=True)
+    T = _time(cfg, "t")
     u0 = build_initial_field(cfg, grid)
     _require_transport(model, "ito_strat")
     ladder = cfg.get_floats("experiment", "dt_ladder", [1e-3, 2.5e-4, 6.25e-5])
@@ -642,6 +646,8 @@ def _check_ou_exactness(cfg, grid, seed):
     _mc_config(cfg, seed)
     spec = build_noise(cfg, grid)
     dt = cfg.get_float("scheme", "dt", required=True)
+    if dt <= 0:
+        raise ConfigError(f"scheme.dt must be positive, got {dt}")
     values = cfg.get_floats("experiment", "ou_modes", [0, 1, 8])
     modes = [int(k) for k in values]
     if modes != values or len(set(modes)) < len(modes):
@@ -655,7 +661,7 @@ def _check_ou_exactness(cfg, grid, seed):
 def _holder_report(cfg: RunConfig, grid: TorusGrid, alpha: float) -> verify_mod.StatReport:
     """The Hoelder-exponent fit at ``alpha`` over ``experiment.lags`` and ``base_time``."""
     lags = cfg.get_floats("experiment", "lags", [2.0**-e for e in range(8, 15)])
-    base_time = cfg.get_float("experiment", "base_time", 0.5)
+    base_time = _time(cfg, "base_time", 0.5)
     try:
         return verify_mod.holder_exponent_fit(alpha, grid.n_modes, lags, base_time)
     except ValueError as exc:
@@ -704,7 +710,7 @@ def _burgers_seed(problem, seed: int, i: int, seed_file: Path) -> list:
     series["t"] = np.arange(n_steps + 1) * problem.dt
 
     def reduce_rows(rows, v, w, w_lp, iters, residual):
-        rows["v_halpha"] = burgers_mod._halpha_rows(v, problem.grid, problem.alpha)
+        rows["v_halpha"] = halpha_rows(v, problem.grid, problem.alpha)
         rows["w_lp"] = w_lp
         rows["u_l2"] = np.sqrt(l2_sq_rows(v + w))
         rows["picard_iters"] = iters
@@ -717,7 +723,7 @@ def _burgers_seed(problem, seed: int, i: int, seed_file: Path) -> list:
         reduce_rows(rows, win.v[k:], win.w[k:], win.w_lp[k:], win.iters, win.residual)
     if n_steps == 0:  # no window: the one row is the initial state, 0 iterations, residual 0
         w0 = problem.w0.coef[None]
-        w0_lp = burgers_mod._lp_rows(w0, problem.p, problem.quad_points)
+        w0_lp = lp_rows(w0, problem.p, problem.quad_points)
         reduce_rows(series, np.zeros_like(w0), w0, w0_lp, 0, 0.0)
     write_csv(seed_file, BURGERS_HEADER, series)
     rep = burgers_mod.apriori_report(problem, series["w_lp"], series["v_halpha"])

@@ -149,10 +149,6 @@ class HypothesisReport:
     def margin(self) -> float:
         return self.bound - self.lhs
 
-    @property
-    def satisfied(self) -> bool:
-        return self.margin >= 0.0
-
 
 def _nonlinear_degree(model: ModelSpec) -> int:
     if isinstance(model, (ReactionDiffusion, PorousMedium)):

@@ -243,12 +243,6 @@ class NoiseSampler:
             i += take
         return out
 
-    def scaled_block(self, step0: int, n_steps: int, dt: float) -> np.ndarray:
-        """Brownian channel increments N(0, dt), shape (n_steps, 2K+1)."""
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        return self.draws_block(step0, n_steps) * np.sqrt(dt)
-
 
 def coarsen_increments(scaled: np.ndarray, factor: int) -> np.ndarray:
     """Sum consecutive fine increments into coarse ones (Brownian-consistent)."""

@@ -31,11 +31,8 @@ TWO_PI = 2.0 * np.pi
 __all__ = [
     "TorusGrid",
     "SpectralField",
-    "SobolevIndex",
     "field_from_modes",
     "zero_field",
-    "to_physical",
-    "from_physical",
     "physical_samples",
     "field_from_samples",
     "laplacian",
@@ -44,6 +41,8 @@ __all__ = [
     "sobolev_norm",
     "mode_sum",
     "l2_sq_rows",
+    "lp_rows",
+    "halpha_rows",
     "lp_norm",
     "h_inner",
     "dealias",
@@ -156,21 +155,6 @@ class SpectralField:
         """Spatial mean, i.e. the k = 0 amplitude."""
         return float(self.coef[0].real)
 
-    def l2_norm_sq(self) -> float:
-        return float(l2_sq_rows(self.coef))
-
-
-@dataclass(frozen=True)
-class SobolevIndex:
-    """Regularity/integrability index (alpha, p) of a Bessel-potential norm."""
-
-    alpha: float
-    p: float = 2.0
-
-    def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"integrability exponent must satisfy p > 1, got {self.p}")
-
 
 def _check_same_grid(f: SpectralField, g: SpectralField) -> None:
     if f.grid != g.grid:
@@ -234,25 +218,14 @@ def _coef_to_samples(
 
 def physical_samples(f: SpectralField, n_points: int | None = None) -> np.ndarray:
     """Evaluate the field at j/n (n >= 2K+1), default the grid's quadrature."""
-    n = f.grid.n_points if n_points is None else int(n_points)
-    if n < 2 * f.grid.n_modes + 1:
-        raise ValueError(f"{n} sample points alias a K={f.grid.n_modes} field")
-    return _coef_to_samples(f.coef, n)
+    return _coef_to_samples(f.coef, _sample_count(f.grid, n_points))
 
 
-def to_physical(f: SpectralField) -> np.ndarray:
-    """Real samples at the grid's M quadrature points."""
-    return physical_samples(f, f.grid.n_points)
-
-
-def from_physical(grid: TorusGrid, samples) -> SpectralField:
-    """Inverse of :func:`to_physical`; requires exactly M real samples."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (grid.n_points,):
-        raise ValueError(
-            f"expected {grid.n_points} samples for this grid, got {samples.shape}"
-        )
-    return SpectralField(grid, _samples_to_coef(samples, grid.n_modes))
+def _sample_count(grid: TorusGrid, n_points: int | None) -> int:
+    n = grid.n_points if n_points is None else int(n_points)
+    if n < 2 * grid.n_modes + 1:
+        raise ValueError(f"{n} sample points alias a K={grid.n_modes} field")
+    return n
 
 
 def field_from_samples(grid: TorusGrid, samples) -> SpectralField:
@@ -287,7 +260,15 @@ def mode_sum(x: np.ndarray) -> np.ndarray:
     return x[..., 0] + 2.0 * np.sum(x[..., 1:], axis=-1)
 
 
-_SQ_ROWS = 256  # rows per squared-modulus temporary in l2_sq_rows
+_ROWS = 256  # rows per chunk of a row norm: bounds its temporaries
+
+
+def _by_chunks(reduce, coef: np.ndarray, *args) -> np.ndarray:
+    """``reduce(rows, *args)`` of each ``_ROWS`` rows of ``coef``, one value per row."""
+    out = np.empty(coef.shape[:-1])
+    for r0 in range(0, coef.shape[0], _ROWS):
+        out[r0 : r0 + _ROWS] = reduce(coef[r0 : r0 + _ROWS], *args)
+    return out
 
 
 def l2_sq_rows(coef: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -295,15 +276,12 @@ def l2_sq_rows(coef: np.ndarray, weights: np.ndarray | None = None) -> np.ndarra
 
     With mode weights w_k this is w_0 c_0^2 + 2 sum_{k>=1} w_k |c_k|^2, and
     w = 1 without ``weights``.  The imaginary part of the k = 0 amplitude is
-    ignored, as for a real field.  A batch is squared ``_SQ_ROWS`` rows of
-    its first axis at a time, so the float temporary stays one chunk.
+    ignored, as for a real field.  A batch is squared ``_ROWS`` rows of its
+    first axis at a time, so the float temporary stays one chunk.
     """
     if coef.ndim < 2:
         return _l2_sq(coef, weights)
-    out = np.empty(coef.shape[:-1])
-    for r0 in range(0, coef.shape[0], _SQ_ROWS):
-        out[r0 : r0 + _SQ_ROWS] = _l2_sq(coef[r0 : r0 + _SQ_ROWS], weights)
-    return out
+    return _by_chunks(_l2_sq, coef, weights)
 
 
 def _l2_sq(coef: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
@@ -315,25 +293,45 @@ def _l2_sq(coef: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
     return mode_sum(sq)
 
 
-def sobolev_norm(f: SpectralField, idx: SobolevIndex | float) -> float:
-    """H^alpha norm (sum_k w_k^alpha |amp(k)|^2)^(1/2), w_k = 1 + (2 pi k)^2."""
-    if not isinstance(idx, SobolevIndex):
-        idx = SobolevIndex(float(idx))
-    if idx.p != 2.0:
-        raise ValueError("sobolev_norm covers the Hilbert case p = 2 only; use lp_norm")
-    return float(np.sqrt(l2_sq_rows(f.coef, f.grid.sobolev_weights**idx.alpha)))
+def halpha_rows(coef: np.ndarray, grid: TorusGrid, alpha: float) -> np.ndarray:
+    """H^alpha norm (sum_k w_k^alpha |amp(k)|^2)^(1/2) of each row, w_k = 1 + (2 pi k)^2."""
+    return np.sqrt(l2_sq_rows(coef, grid.sobolev_weights**alpha))
+
+
+def _lp_of_squares(sq: np.ndarray, p: float) -> np.ndarray:
+    """L^p norm per row from squared real samples; overwrites ``sq``.
+
+    (s*s)**(p/2) is |s|**p for real s, and numpy squares in place at p = 4.
+    """
+    sq **= p / 2
+    return np.mean(sq, axis=-1) ** (1.0 / p)
+
+
+def _lp_chunk(coef: np.ndarray, p: float, n_points: int) -> np.ndarray:
+    samples = _coef_to_samples(coef, n_points)
+    samples *= samples
+    return _lp_of_squares(samples, p)
+
+
+def lp_rows(coef: np.ndarray, p: float, n_points: int) -> np.ndarray:
+    """L^p norm of each half spectrum on ``n_points`` samples, one irfft per ``_ROWS`` rows."""
+    return _by_chunks(_lp_chunk, coef, p, n_points)
+
+
+def sobolev_norm(f: SpectralField, alpha: float) -> float:
+    """H^alpha norm of ``f``: the one-row :func:`halpha_rows`."""
+    return float(halpha_rows(f.coef[None], f.grid, float(alpha))[0])
 
 
 def lp_norm(f: SpectralField, p: float, quad_points: int | None = None) -> float:
-    """L^p norm by rectangle-rule quadrature on ``quad_points`` samples.
+    """L^p norm on ``quad_points`` samples (default M): the one-row :func:`lp_rows`.
 
     The rectangle rule is spectrally accurate for smooth periodic integrands;
     for p > 2 pass enough points to resolve |u|^p (p*K/2 rule of thumb).
     """
     if p < 1:
         raise ValueError(f"lp_norm needs p >= 1, got {p}")
-    u = physical_samples(f, quad_points)
-    return float(np.mean(np.abs(u) ** p) ** (1.0 / p))
+    return float(lp_rows(f.coef[None], p, _sample_count(f.grid, quad_points))[0])
 
 
 def h_inner(f: SpectralField, g: SpectralField, space: str = "l2") -> float:

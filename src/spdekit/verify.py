@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .integrators import SchemeSpec, noise_spec, ou_channel_variances, ou_tau, path_norms
-from .integrators import step_blocks
+from .integrators import _resolve_steps, step_blocks
 from .models import ModelSpec, TransportHeat
 from .noise import (
     CovarianceSpec,
@@ -128,12 +128,6 @@ class StatReport:
             return True
         return evaluate_pass(self.estimate, self.target, self.se, self.tol_kind, self.tolerance)
 
-    @property
-    def status(self) -> str:
-        if self.skipped:
-            return "skipped"
-        return "pass" if self.passed else "fail"
-
 
 _MC_ROWS = 256  # rows per chunk of the Monte Carlo pass: about 0.5 MB of normals at 259 columns
 
@@ -211,18 +205,25 @@ def mc_reports(stats: list[McStatistic], cfg: McConfig) -> list[StatReport]:
 def _ladder_draws(spec: CovarianceSpec, seed: int, stream_id: int, dts, T: float):
     """Yield ``(dt, scaled draws)`` coarse to fine, all block sums of one fine path.
 
-    The fine path is the stream ``(seed, stream_id)`` at the smallest dt;
-    every rung must be an integer multiple of it.
+    The fine path is the stream ``(seed, stream_id)`` at the smallest dt.
+    ValueError unless the ladder has two or more distinct rungs, every rung
+    is positive and an integer multiple of the finest, and the finest
+    divides ``T``.
     """
     dts = sorted(float(d) for d in dts)
+    if len(dts) < 2 or len(set(dts)) < len(dts):
+        raise ValueError(f"need two or more distinct rungs, got {dts}")
     dt_fine = dts[0]
+    if dt_fine <= 0:
+        raise ValueError(f"rungs must be positive, got {dt_fine:g}")
     factors = [int(round(dt / dt_fine)) for dt in dts]
     for factor, dt in zip(factors, dts):
         if abs(factor * dt_fine - dt) > 1e-9 * dt:
             raise ValueError(
                 f"ladder dts must be integer multiples of the finest ({dt_fine:g}), got {dt:g}"
             )
-    fine = NoiseSampler(spec, seed, stream_id).scaled_block(0, int(round(T / dt_fine)), dt_fine)
+    fine = NoiseSampler(spec, seed, stream_id).draws_block(0, _resolve_steps(T, dt_fine))
+    fine *= np.sqrt(dt_fine)
     for factor, dt in zip(reversed(factors), reversed(dts)):
         yield dt, fine if factor == 1 else coarsen_increments(fine, factor)
 
@@ -597,12 +598,12 @@ def ito_strat_compare(
     ensemble-mean distances must additionally decrease at every rung.
     """
     model = TransportHeat(u0.grid, tuple(np.atleast_1d(sigma)))
-    ladder = sorted((float(d) for d in dt_ladder), reverse=True)
     ok = 0
-    mean_dist = np.zeros(len(ladder))
+    mean_dist = 0.0
     for path_idx in range(cfg.n_paths):
-        dists = []
-        for dt, scaled in _ladder_draws(noise_spec(model), cfg.base_seed, path_idx, ladder, T):
+        dists, ladder = [], []
+        for dt, scaled in _ladder_draws(noise_spec(model), cfg.base_seed, path_idx, dt_ladder, T):
+            ladder.append(dt)
             ito = _final_state(model, SchemeSpec("euler_maruyama", dt), u0, T, scaled)
             diff = ito - _final_state(model, SchemeSpec("heun_stratonovich", dt), u0, T, scaled)
             dists.append(float(np.sqrt(l2_sq_rows(diff))))

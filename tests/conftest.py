@@ -40,4 +40,4 @@ def sin_field(grid, amplitude=1.0, mode=1):
 def sampled_increment(spec, seed, dt, stream=0, step=0):
     """The increment of step ``step`` of the noise stream (seed, stream)."""
     sampler = NoiseSampler(spec, seed, stream)
-    return increment_from_scaled(spec, sampler.scaled_block(step, 1, dt)[0], dt)
+    return increment_from_scaled(spec, sampler.draws_block(step, 1)[0] * np.sqrt(dt), dt)

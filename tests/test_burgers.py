@@ -9,9 +9,6 @@ from spdekit.burgers import (
     BurgersProblem,
     PicardError,
     _decay_powers,
-    _halpha_rows,
-    _lp_of_squares,
-    _lp_rows,
     _semigroup_scan,
     apriori_report,
     compose,
@@ -24,8 +21,11 @@ from spdekit.noise import CovarianceSpec, NoiseSampler
 from spdekit.spectral import (
     TorusGrid,
     _coef_to_samples,
+    _lp_of_squares,
     _samples_to_coef,
+    halpha_rows,
     lp_norm,
+    lp_rows,
     zero_field,
 )
 
@@ -33,8 +33,8 @@ from spdekit.spectral import (
 def row_norms(prob, w_path, v_path):
     """(w_lp, v_halpha): the per-row norms that apriori_report reads."""
     return (
-        _lp_rows(w_path.states, prob.p, prob.quad_points),
-        _halpha_rows(v_path.states, prob.grid, prob.alpha),
+        lp_rows(w_path.states, prob.p, prob.quad_points),
+        halpha_rows(v_path.states, prob.grid, prob.alpha),
     )
 
 
@@ -365,7 +365,7 @@ class TestMemory:
         assert coef.shape[0] == 2001
         samples = _coef_to_samples(coef, prob.quad_points)
         samples *= samples
-        assert np.array_equal(_lp_rows(coef, prob.p, prob.quad_points),
+        assert np.array_equal(lp_rows(coef, prob.p, prob.quad_points),
                               _lp_of_squares(samples, prob.p))
 
     def test_burgers_command_holds_one_seed_at_a_time(self, tmp_path):

@@ -247,11 +247,9 @@ class TestCsvTables:
         # the command reduces each window as it is solved; its series and
         # summary are bit for bit those of the held paths of solve_split
         from conftest import sin_field
-        from spdekit.burgers import (
-            BurgersProblem, _halpha_rows, _lp_rows, apriori_report, solve_split,
-        )
+        from spdekit.burgers import BurgersProblem, apriori_report, solve_split
         from spdekit.noise import CovarianceSpec
-        from spdekit.spectral import TorusGrid
+        from spdekit.spectral import TorusGrid, halpha_rows, lp_rows
 
         text = BURGERS_TEMPLATE.format(
             noise="mean_free_white", amp="0.5", n=2, maxit=25, out=tmp_path / "o"
@@ -268,8 +266,8 @@ class TestCsvTables:
         summary = []
         for i in range(2):
             split = solve_split(prob, 3, i)
-            v_ha = _halpha_rows(split.v_path.states, g, prob.alpha)
-            w_lp = _lp_rows(split.w_path.states, prob.p, prob.quad_points)
+            v_ha = halpha_rows(split.v_path.states, g, prob.alpha)
+            w_lp = lp_rows(split.w_path.states, prob.p, prob.quad_points)
             u_l2 = np.sqrt(split.u_path.norms()["l2_sq"])
             iters, residuals = split.picard_iters or [0], split.residuals or [0.0]
             rows = []
@@ -857,9 +855,35 @@ class TestWidestBlockFirst:
         self.assert_each_row_once(draws, 50, 1)
 
 
+# (checks, key, value): a value of an [experiment] or [scheme] key that a
+# verify check, or the regularity command, rejects before it draws anything
+BAD_CHECK_VALUES = {
+    "verify_dt_ladder_zero_rung": ("ito_strat", "dt_ladder", "0, 1e-3"),
+    "verify_dt_ladder_one_rung": ("ito_strat", "dt_ladder", "1e-3"),
+    "verify_dt_ladder_repeated_rung": ("ito_strat", "dt_ladder", "1e-3, 1e-3"),
+    "verify_qv_intervals_zero": ("quadratic_variation", "qv_intervals", "0"),
+    "verify_qv_intervals_negative": ("quadratic_variation", "qv_intervals", "-4"),
+    "verify_qv_intervals_unaligned": ("quadratic_variation", "qv_intervals", "17"),
+    "verify_ito_isometry_t_negative": ("ito_isometry", "t", "-1.0"),
+    "verify_trace_identity_t_negative": ("trace_identity", "t", "-1.0"),
+    "verify_quadratic_variation_t_negative": ("quadratic_variation", "t", "-1.0"),
+    "verify_ou_exactness_dt_zero": ("ou_exactness", "dt", "0"),
+    "verify_ou_exactness_dt_negative": ("ou_exactness", "dt", "-1e-3"),
+    "verify_holder_exponent_base_time_negative": ("holder_exponent", "base_time", "-0.5"),
+    "regularity_base_time_negative": ("", "base_time", "-0.5"),
+}
+
+
 def stepping_error_config(tmp_path, case):
     """(command, config path) of a configuration the stepping layer rejects."""
     out = tmp_path / "o"
+    if case in BAD_CHECK_VALUES:
+        checks, key, value = BAD_CHECK_VALUES[case]
+        text = Path(all_checks_config(tmp_path, checks)).read_text()
+        text, found = re.subn(rf"\n{key} = [^\n]*", f"\n{key} = {value}", text)
+        if not found:  # a key the template leaves out joins [experiment]
+            text = text.replace("\nchecks = ", f"\n{key} = {value}\nchecks = ")
+        return case.partition("_")[0], write_config(tmp_path / "c.ini", text)
     sim = BASE_SIM.format(out=out)
     transport = "kind = transport_heat\nsigma = 1.0"
     if case == "simulate_transport_exact_ou":
@@ -903,8 +927,9 @@ def stepping_error_config(tmp_path, case):
 
 class TestSteppingConfigErrors:
     # a scheme that cannot step the model, a dt that does not divide the
-    # horizon, a non-finite horizon or step, or more transport intensities
-    # than noise channels is a configuration error naming its key, whatever
+    # horizon, a non-finite horizon or step, more transport intensities
+    # than noise channels, or a ladder, partition count, time or step a
+    # check cannot use is a configuration error naming its key, whatever
     # the command
 
     @pytest.mark.parametrize(
@@ -929,6 +954,19 @@ class TestSteppingConfigErrors:
             ("simulate_too_many_channels", "model.sigma"),
             ("verify_mass_conservation_too_many_channels", "model.sigma"),
             ("verify_ito_strat_too_many_channels", "model.sigma"),
+            ("verify_dt_ladder_zero_rung", "experiment.dt_ladder"),
+            ("verify_dt_ladder_one_rung", "experiment.dt_ladder"),
+            ("verify_dt_ladder_repeated_rung", "experiment.dt_ladder"),
+            ("verify_qv_intervals_zero", "experiment.qv_intervals"),
+            ("verify_qv_intervals_negative", "experiment.qv_intervals"),
+            ("verify_qv_intervals_unaligned", "experiment.qv_intervals"),
+            ("verify_ito_isometry_t_negative", "experiment.t"),
+            ("verify_trace_identity_t_negative", "experiment.t"),
+            ("verify_quadratic_variation_t_negative", "experiment.t"),
+            ("verify_ou_exactness_dt_zero", "scheme.dt"),
+            ("verify_ou_exactness_dt_negative", "scheme.dt"),
+            ("verify_holder_exponent_base_time_negative", "experiment.base_time"),
+            ("regularity_base_time_negative", "experiment.base_time"),
         ],
     )
     def test_exit_two_naming_the_key(self, tmp_path, capsys, case, key):
@@ -1026,16 +1064,15 @@ class TestBurgers:
 
         from conftest import sin_field
         from spdekit.burgers import BurgersProblem, sample_linear_part, solve_remainder
-        from spdekit.burgers import _lp_rows
         from spdekit.noise import CovarianceSpec, NoiseSampler
-        from spdekit.spectral import TorusGrid
+        from spdekit.spectral import TorusGrid, lp_rows
 
         g = TorusGrid(32)
         q = CovarianceSpec.from_eigenvalues(g, np.zeros(33))
         prob = BurgersProblem(g, 0.05, 1e-3, sin_field(g, 0.5), q=q)
         v = sample_linear_part(prob, NoiseSampler(q, 3, 0))
         w, _, _, _ = solve_remainder(prob, v)
-        ref = _lp_rows(w.states, prob.p, prob.quad_points)
+        ref = lp_rows(w.states, prob.p, prob.quad_points)
         assert np.allclose(w_col, ref, rtol=1e-12, atol=1e-15)
 
     def test_picard_failure_names_the_window_of_solve_split(self, tmp_path, capsys):

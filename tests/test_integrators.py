@@ -270,7 +270,7 @@ class TestSimulate:
         spec = CovarianceSpec.white(g)
         scheme = SchemeSpec("euler_maruyama", 1e-4)
         via_sampler = simulate(m, scheme, cos_field(g), 0.01, sampler=NoiseSampler(spec, 5, 1))
-        draws = NoiseSampler(spec, 5, 1).scaled_block(0, 100, 1e-4)
+        draws = NoiseSampler(spec, 5, 1).draws_block(0, 100) * np.sqrt(1e-4)
         via_draws = simulate(m, scheme, cos_field(g), 0.01, scaled_draws=draws)
         assert np.array_equal(via_sampler.states, via_draws.states)
 
@@ -314,7 +314,7 @@ class TestDiagonalLanes:
         u0 = field_from_modes(g, [(0, 0.2), (1, 0.5), (3, 0.1 + 0.2j), (8, 0.05)])
         dt = 1e-4
         n_steps = BLOCK_STEPS + 44  # crosses a block boundary
-        scaled = NoiseSampler(spec, 3, 1).scaled_block(0, n_steps, dt)
+        scaled = NoiseSampler(spec, 3, 1).draws_block(0, n_steps) * np.sqrt(dt)
         p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=scaled)
         ref = reference_states(m, kind, u0, scaled, spec, dt)
         np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=0)
@@ -327,7 +327,7 @@ class TestDiagonalLanes:
         u0 = cos_field(g)
         dt = 1e-4
         n_steps = BLOCK_STEPS + 44  # crosses a block boundary
-        scaled = NoiseSampler(q, 4, 2).scaled_block(0, n_steps, dt)
+        scaled = NoiseSampler(q, 4, 2).draws_block(0, n_steps) * np.sqrt(dt)
         p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=scaled)
         ref = reference_states(m, kind, u0, scaled, q, dt)
         np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=0)
@@ -338,12 +338,12 @@ class TestDiagonalLanes:
         def reference_blow_up_step(m, u0, white, scaled, dt, err):
             u, n = u0, 0
             with np.errstate(over="ignore", invalid="ignore"):
-                while np.all(np.isfinite(u.coef)) and u.l2_norm_sq() <= BLOW_UP_NORM**2:
+                while np.all(np.isfinite(u.coef)) and l2_sq_rows(u.coef) <= BLOW_UP_NORM**2:
                     u = em_step(m, u, increment_from_scaled(white, scaled[n], dt))
                     n += 1
                 assert err.step == n
                 assert err.mode == int(np.argmax(np.abs(u.coef)))
-                assert err.norm == pytest.approx(np.sqrt(u.l2_norm_sq()), rel=1e-12)
+                assert err.norm == pytest.approx(np.sqrt(l2_sq_rows(u.coef)), rel=1e-12)
             return n
 
         # explicit EM far beyond the stability limit of the top mode
@@ -351,7 +351,7 @@ class TestDiagonalLanes:
         white = CovarianceSpec.white(g)
         u0 = SpectralField(g, np.ones(33, dtype=np.complex128))
         dt = 1e-2
-        scaled = NoiseSampler(white, 1).scaled_block(0, 100, dt)
+        scaled = NoiseSampler(white, 1).draws_block(0, 100) * np.sqrt(dt)
         for m in (TransportHeat(g, (0.0,)), AdditiveHeat(white)):
             with pytest.raises(BlowUpError) as err:
                 simulate(m, SchemeSpec("euler_maruyama", dt), u0, 1.0, scaled_draws=scaled)
@@ -366,7 +366,7 @@ class TestDiagonalLanes:
         u0 = cos_field(g)
         dt = 1e-4
         n_steps = BLOCK_STEPS + 8
-        draws = NoiseSampler(white, 2).scaled_block(0, n_steps, dt)
+        draws = NoiseSampler(white, 2).draws_block(0, n_steps) * np.sqrt(dt)
         models = (TransportHeat(g, (1.0,)), AdditiveHeat(white), ReactionDiffusion(1.0, 3, white))
         for row in (BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1):
             scaled = draws.copy()
@@ -419,7 +419,7 @@ class TestNonlinearLane:
             u0 = u0 + field_from_modes(g, [(0, 0.1)])
         dt = 5e-5
         n_steps = BLOCK_STEPS + 44  # crosses a noise-packing block boundary
-        scaled = NoiseSampler(m.q, 8, 3).scaled_block(0, n_steps, dt)
+        scaled = NoiseSampler(m.q, 8, 3).draws_block(0, n_steps) * np.sqrt(dt)
         p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=scaled)
         ref = reference_states(m, kind, u0, scaled, m.q, dt)
         # entries that cancel to a few units of the field's scale are held to
@@ -509,7 +509,7 @@ class TestStreamedDraws:
         p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, sampler=sampler)
         consumed = np.concatenate(consumed)
         monkeypatch.undo()
-        matrix = sampler.scaled_block(0, n_steps, dt)
+        matrix = sampler.draws_block(0, n_steps) * np.sqrt(dt)
         ref = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=matrix)
         assert np.array_equal(consumed, matrix)
         assert np.array_equal(p.states, ref.states)
@@ -552,7 +552,7 @@ class TestStreamedDraws:
         assert table.dtype.names == ("t", "l2_sq", "h1_sq", "mode0")
         assert table.shape == (n_steps + 1,)
         assert table.tobytes() == simulate(*run, sampler=sampler).norms().tobytes()
-        matrix = sampler.scaled_block(0, n_steps, dt)
+        matrix = sampler.draws_block(0, n_steps) * np.sqrt(dt)
         by_matrix = path_norms(*run, scaled_draws=matrix)
         assert by_matrix.tobytes() == simulate(*run, scaled_draws=matrix).norms().tobytes()
         assert by_matrix.tobytes() == table.tobytes()
@@ -646,9 +646,8 @@ class TestSchemeRelations:
         n_seeds = 24
         errs = np.zeros(len(dts))
         for seed in range(n_seeds):
-            fine = NoiseSampler(CovarianceSpec.white(g), 3000, seed).scaled_block(
-                0, 2**14, dt_ref
-            )
+            fine = NoiseSampler(CovarianceSpec.white(g), 3000, seed).draws_block(0, 2**14)
+            fine *= np.sqrt(dt_ref)
             ref = simulate(m, SchemeSpec("euler_maruyama", dt_ref), u0, T, scaled_draws=fine)
             for j, dt in enumerate(dts):
                 scaled = coarsen_increments(fine, int(round(dt / dt_ref)))
@@ -706,9 +705,8 @@ class TestSchemeRelations:
         n_seeds = 16
         dist = np.zeros(3)
         for seed in range(n_seeds):
-            fine = NoiseSampler(CovarianceSpec.white(g), 4000, seed).scaled_block(
-                0, int(T / dts[-1]), dts[-1]
-            )
+            fine = NoiseSampler(CovarianceSpec.white(g), 4000, seed).draws_block(0, int(T / dts[-1]))
+            fine *= np.sqrt(dts[-1])
             for j, dt in enumerate(dts):
                 scaled = coarsen_increments(fine, int(round(dt / dts[-1])))
                 a = simulate(m, SchemeSpec("euler_maruyama", dt), u0, T, scaled_draws=scaled)

@@ -102,11 +102,6 @@ class TestCovariancePairing:
 
 
 class TestSampling:
-    def test_dt_validation(self):
-        sampler = NoiseSampler(CovarianceSpec.white(TorusGrid(2)), 1)
-        with pytest.raises(ValueError, match="positive"):
-            sampler.scaled_block(0, 1, 0.0)
-
     def test_zero_spectrum_gives_zero_field(self):
         spec = CovarianceSpec.from_eigenvalues(TorusGrid(4), np.zeros(5))
         inc = sampled_increment(spec, 1, 0.1)
@@ -197,7 +192,7 @@ class TestSampling:
 
     def test_coarsen_increments(self):
         spec = CovarianceSpec.white(TorusGrid(2))
-        fine = NoiseSampler(spec, 31).scaled_block(0, 12, 0.25)
+        fine = NoiseSampler(spec, 31).draws_block(0, 12) * np.sqrt(0.25)
         coarse = coarsen_increments(fine, 4)
         assert coarse.shape == (3, 5)
         assert np.allclose(coarse[0], fine[:4].sum(axis=0))

@@ -7,6 +7,7 @@ from conftest import cos_field, make_random_field, sin_field
 from spdekit.integrators import SchemeSpec, simulate
 from spdekit.models import AdditiveHeat, Burgers, TransportHeat
 from spdekit import verify
+from spdekit.cli import report_row
 from spdekit.noise import (
     CovarianceSpec,
     NoiseSampler,
@@ -60,7 +61,7 @@ class TestStatReport:
 
     def test_skipped_status(self):
         rep = StatReport("s", float("nan"), 0.0, 0.0, 0, "abs", 0.0, skipped=True, note="n/a")
-        assert rep.status == "skipped"
+        assert report_row(rep, 0)[5] == "skipped"
         assert rep.passed
 
     def test_mc_config_validation(self):
