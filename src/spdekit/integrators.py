@@ -232,20 +232,19 @@ def simulate(
     u0: SpectralField,
     T: float,
     sampler: NoiseSampler | None = None,
-    scaled_draws: np.ndarray | None = None,
 ) -> SamplePath:
     """Run the scheme from u0 to time T and hold every state of the path.
 
-    Noise comes from ``sampler`` (steps 0..n_steps-1 of its stream
-    (seed, stream_id), under the covariance ``noise_spec(model)``, drawn one
-    counter block at a time) or from a pre-scaled draw matrix of shape
-    (n_steps, 2K+1) -- the latter lets refinement studies drive several dt
-    levels with one Brownian path.  With neither, the increments are zero
-    (deterministic run).  The path is the blocks of :func:`step_blocks`,
-    collected.  Raises :class:`BlowUpError` at the time of the first state
-    that is non-finite or has L2 norm above ``BLOW_UP_NORM``.
+    Noise comes from ``sampler``: a noise source, with the ``spec``
+    ``noise_spec(model)``, whose ``increments(step0, n, dt)`` are the
+    increments of steps step0..step0+n-1 for the loop to read (a
+    :class:`NoiseSampler`, or a ladder's fine path in ``verify``).  With
+    none, the increments are zero (deterministic run).  The path is the
+    blocks of :func:`step_blocks`, collected.  Raises :class:`BlowUpError`
+    at the time of the first state that is non-finite or has L2 norm above
+    ``BLOW_UP_NORM``.
     """
-    blocks = step_blocks(model, scheme, u0, T, sampler, scaled_draws)
+    blocks = step_blocks(model, scheme, u0, T, sampler)
     n_steps = _resolve_steps(T, scheme.dt)
     states = np.empty((n_steps + 1, model.grid.n_modes + 1), dtype=np.complex128)
     states[0] = u0.coef
@@ -260,7 +259,6 @@ def step_blocks(
     u0: SpectralField,
     T: float,
     sampler: NoiseSampler | None = None,
-    scaled_draws: np.ndarray | None = None,
 ):
     """Step u0 to time T, yielding each block once stepped.
 
@@ -273,45 +271,6 @@ def step_blocks(
     last row is carried to row 0), so it is valid until the next block is
     asked for, and a run holds one block of states and one of draws.  Raises
     :class:`BlowUpError` as :func:`simulate` does.
-    """
-    n_steps, sampler, scaled_draws = _check_run(model, scheme, u0, T, sampler, scaled_draws)
-    rows = np.empty((min(n_steps, BLOCK_STEPS) + 1, model.grid.n_modes + 1), dtype=np.complex128)
-    rows[0] = u0.coef
-    return _blocks(model, scheme, rows, n_steps, sampler, scaled_draws)
-
-
-def path_norms(
-    model: ModelSpec,
-    scheme: SchemeSpec,
-    u0: SpectralField,
-    T: float,
-    sampler: NoiseSampler | None = None,
-    scaled_draws: np.ndarray | None = None,
-) -> np.ndarray:
-    """The norm table of the path :func:`simulate` steps, bit for bit its ``norms()``.
-
-    The path is stepped through :func:`step_blocks` and each block reduced
-    to its table rows as it comes, so the run holds one block and the table.
-    """
-    blocks = step_blocks(model, scheme, u0, T, sampler, scaled_draws)
-    table = norm_table(np.arange(_resolve_steps(T, scheme.dt) + 1) * scheme.dt)
-    write_norms(table, 0, u0.coef[None], model.grid)
-    for step0, rows, l2_sq in blocks:
-        write_norms(table, step0 + 1, rows[1:], model.grid, l2_sq)
-    return table
-
-
-def _check_run(
-    model: ModelSpec,
-    scheme: SchemeSpec,
-    u0: SpectralField,
-    T: float,
-    sampler: NoiseSampler | None,
-    scaled_draws: np.ndarray | None,
-) -> tuple[int, NoiseSampler | None, np.ndarray | None]:
-    """(n_steps, sampler, scaled_draws) of a checked run: ValueError on bad arguments.
-
-    A draw matrix takes the place of the sampler, which is then None.
     """
     grid = model.grid
     if u0.grid != grid:
@@ -327,15 +286,29 @@ def _check_run(
                 f"sampler covariance ({sampler.spec.kind}) is not the noise covariance "
                 f"of {type(model).__name__} ({spec.kind})"
             )
-    if scaled_draws is not None:
-        scaled_draws = np.asarray(scaled_draws, dtype=float)
-        if scaled_draws.shape != (n_steps, spec.n_channels):
-            raise ValueError(
-                f"scaled_draws must have shape {(n_steps, spec.n_channels)}, "
-                f"got {scaled_draws.shape}"
-            )
-        sampler = None
-    return n_steps, sampler, scaled_draws
+    rows = np.empty((min(n_steps, BLOCK_STEPS) + 1, grid.n_modes + 1), dtype=np.complex128)
+    rows[0] = u0.coef
+    return _blocks(model, scheme, rows, n_steps, sampler)
+
+
+def path_norms(
+    model: ModelSpec,
+    scheme: SchemeSpec,
+    u0: SpectralField,
+    T: float,
+    sampler: NoiseSampler | None = None,
+) -> np.ndarray:
+    """The norm table of the path :func:`simulate` steps, bit for bit its ``norms()``.
+
+    The path is stepped through :func:`step_blocks` and each block reduced
+    to its table rows as it comes, so the run holds one block and the table.
+    """
+    blocks = step_blocks(model, scheme, u0, T, sampler)
+    table = norm_table(np.arange(_resolve_steps(T, scheme.dt) + 1) * scheme.dt)
+    write_norms(table, 0, u0.coef[None], model.grid)
+    for step0, rows, l2_sq in blocks:
+        write_norms(table, step0 + 1, rows[1:], model.grid, l2_sq)
+    return table
 
 
 def _blocks(
@@ -344,7 +317,6 @@ def _blocks(
     buf: np.ndarray,
     n_steps: int,
     sampler: NoiseSampler | None,
-    scaled_draws: np.ndarray | None,
 ):
     """The block loop: fill, scan and yield ``(step0, rows, l2_sq)`` per block.
 
@@ -353,17 +325,13 @@ def _blocks(
     """
     spec = noise_spec(model)
     dt = scheme.dt
-    root = np.sqrt(dt)
     fill = _block_filler(model, scheme, spec)
     for b0 in range(0, n_steps, BLOCK_STEPS):
         b1 = min(b0 + BLOCK_STEPS, n_steps)
-        if scaled_draws is not None:
-            scaled = scaled_draws[b0:b1]
-        elif sampler is not None:  # one counter block of the stream, scaled in place
-            scaled = sampler.draws_block(b0, b1 - b0)
-            scaled *= root
-        else:
+        if sampler is None:
             scaled = np.zeros((b1 - b0, spec.n_channels))
+        else:  # a sampler reads one counter block of its stream
+            scaled = sampler.increments(b0, b1 - b0, dt)
         rows = buf[: b1 - b0 + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             fill(rows, scaled)

@@ -243,6 +243,15 @@ class NoiseSampler:
             i += take
         return out
 
+    def increments(self, step0: int, n_steps: int, dt: float) -> np.ndarray:
+        """The N(0, dt) increments of those steps: :meth:`draws_block` scaled in place.
+
+        The block loop of ``integrators`` reads its noise through this method.
+        """
+        out = self.draws_block(step0, n_steps)
+        out *= np.sqrt(dt)
+        return out
+
 
 def coarsen_increments(scaled: np.ndarray, factor: int) -> np.ndarray:
     """Sum consecutive fine increments into coarse ones (Brownian-consistent)."""

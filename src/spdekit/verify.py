@@ -10,7 +10,9 @@ pathwise checks carry explicit absolute or relative slacks.
 A Monte Carlo check is an :class:`McStatistic` and runs one way, through
 :func:`mc_reports`: every statistic of a call shares one streamed pass over
 the rows.  The pathwise checks of the transport equation read a path's norm
-table (``integrators.path_norms``), so one stepped path serves them all.
+table (``integrators.path_norms``), so one stepped path serves them all.  The
+ladder checks step every rung of a dt ladder in lockstep off one fine path
+(:func:`ladder_blocks`), holding a few of its counter blocks and no table.
 
 Covered identities:
 
@@ -33,10 +35,11 @@ from typing import Callable
 
 import numpy as np
 
-from .integrators import SchemeSpec, noise_spec, ou_channel_variances, ou_tau, path_norms
-from .integrators import _resolve_steps, step_blocks
+from .integrators import SchemeSpec, _resolve_steps, noise_spec, ou_channel_variances, ou_tau
+from .integrators import step_blocks
 from .models import ModelSpec, TransportHeat
 from .noise import (
+    BLOCK_STEPS,
     CovarianceSpec,
     NoiseSampler,
     channel_weights,
@@ -59,11 +62,13 @@ __all__ = [
     "mc_reports",
     "energy_identity_residual",
     "energy_identity_refinement",
+    "ladder_blocks",
     "gronwall_check",
     "mass_conservation_check",
     "ito_isometry_stat",
     "wiener_covariance_stat",
     "quadratic_variation_partition",
+    "smooth_quadratic_variation",
     "brownian_scalar_path",
     "she_increment_structure",
     "holder_exponent_fit",
@@ -87,6 +92,8 @@ class McConfig:
             raise ValueError("n_paths must be at least 2")
         if not 0 <= self.base_seed < 2**64:
             raise ValueError(f"base_seed must lie in [0, 2^64), got {self.base_seed}")
+        if not self.tolerance_multiplier > 0:
+            raise ValueError(f"tolerance_multiplier must be > 0, got {self.tolerance_multiplier}")
 
 
 def evaluate_pass(estimate, target, se, tol_kind, tolerance) -> bool:
@@ -202,30 +209,64 @@ def mc_reports(stats: list[McStatistic], cfg: McConfig) -> list[StatReport]:
     ]
 
 
-def _ladder_draws(spec: CovarianceSpec, seed: int, stream_id: int, dts, T: float):
-    """Yield ``(dt, scaled draws)`` coarse to fine, all block sums of one fine path.
+def ladder_blocks(
+    model: ModelSpec, u0: SpectralField, T: float, dts, kinds, seed: int, stream_id: int = 0
+):
+    """Step every scheme of ``kinds`` at every rung of ``dts`` in lockstep off one fine path.
 
-    The fine path is the stream ``(seed, stream_id)`` at the smallest dt.
-    ValueError unless the ladder has two or more distinct rungs, every rung
-    is positive and an integer multiple of the finest, and the finest
-    divides ``T``.
+    Yields ``(lane, step0, rows, l2_sq)`` per block as ``step_blocks`` does;
+    lanes go rung by rung, coarse to fine, ``kinds`` innermost.  The fine
+    path is the stream ``(seed, stream_id)`` at the smallest dt, and the lane
+    furthest behind in it steps next, so about f_max + 1 of its counter
+    blocks are held, whatever T is.  ValueError unless there are two or more
+    distinct rungs, positive integer multiples of the finest, which divides T.
     """
-    dts = sorted(float(d) for d in dts)
+    dts = sorted((float(dt) for dt in dts), reverse=True)
     if len(dts) < 2 or len(set(dts)) < len(dts):
-        raise ValueError(f"need two or more distinct rungs, got {dts}")
-    dt_fine = dts[0]
-    if dt_fine <= 0:
-        raise ValueError(f"rungs must be positive, got {dt_fine:g}")
-    factors = [int(round(dt / dt_fine)) for dt in dts]
-    for factor, dt in zip(factors, dts):
-        if abs(factor * dt_fine - dt) > 1e-9 * dt:
-            raise ValueError(
-                f"ladder dts must be integer multiples of the finest ({dt_fine:g}), got {dt:g}"
-            )
-    fine = NoiseSampler(spec, seed, stream_id).draws_block(0, _resolve_steps(T, dt_fine))
-    fine *= np.sqrt(dt_fine)
-    for factor, dt in zip(reversed(factors), reversed(dts)):
-        yield dt, fine if factor == 1 else coarsen_increments(fine, factor)
+        raise ValueError(f"need two or more distinct rungs, got {dts[::-1]}")
+    if dts[-1] <= 0:
+        raise ValueError(f"rungs must be positive, got {dts[-1]:g}")
+    lanes = [(SchemeSpec(kind, dt), int(round(dt / dts[-1]))) for dt in dts for kind in kinds]
+    if any(abs(f * dts[-1] - s.dt) > 1e-9 * s.dt for s, f in lanes):
+        raise ValueError(f"ladder dts must be integer multiples of the finest, got {dts[::-1]}")
+    fine = _FineStream(NoiseSampler(noise_spec(model), seed, stream_id), dts[-1], T)
+    runs = [step_blocks(model, scheme, u0, T, fine) for scheme, _ in lanes]
+    done = [0] * len(lanes)  # fine steps each lane has stepped
+    while min(done) < fine.n_steps:
+        lane = done.index(min(done))
+        step0, rows, l2_sq = next(runs[lane])
+        done[lane] = (step0 + rows.shape[0] - 1) * lanes[lane][1]
+        fine.drop_before(min(done))
+        yield lane, step0, rows, l2_sq
+
+
+class _FineStream:
+    """The noise source of a ladder's lanes: one fine path, held a counter block at a time.
+
+    A lane at dt steps sums of dt / dt_fine fine increments (``coarsen_increments``).
+    A block is drawn when a lane first reads it and held until :meth:`drop_before`.
+    """
+
+    def __init__(self, sampler: NoiseSampler, dt: float, T: float):
+        self.sampler, self.spec, self.dt = sampler, sampler.spec, dt
+        self.n_steps, self.held = _resolve_steps(T, dt), {}  # counter block -> increments
+
+    def increments(self, step0: int, n_steps: int, dt: float) -> np.ndarray:
+        factor = int(round(dt / self.dt))
+        lo, hi = step0 * factor, (step0 + n_steps) * factor
+        blocks = range(lo // BLOCK_STEPS, -(-hi // BLOCK_STEPS))
+        for c in blocks:
+            if c not in self.held:
+                n = min(BLOCK_STEPS, self.n_steps - c * BLOCK_STEPS)
+                self.held[c] = self.sampler.increments(c * BLOCK_STEPS, n, self.dt)
+        if factor == 1:  # a lane at the fine dt reads one held block
+            return self.held[blocks[0]]
+        return coarsen_increments(np.concatenate([self.held[c] for c in blocks]), factor)
+
+    def drop_before(self, step: int) -> None:
+        """Drop the blocks that end at or before fine step ``step``: every lane is past them."""
+        for c in [c for c in self.held if (c + 1) * BLOCK_STEPS <= step]:
+            del self.held[c]
 
 
 def _weighted_sq_rows(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -233,11 +274,14 @@ def _weighted_sq_rows(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij,j->i", z, z, weights)
 
 
-def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty_like(y)
-    out[0] = 0.0
-    np.cumsum(0.5 * dt * (y[1:] + y[:-1]), out=out[1:])
-    return out
+def _trapz_run(y: np.ndarray, start: float, dt: float) -> np.ndarray:
+    """Trapezoidal integrals at the rows y[1:], going on from ``start`` at y[0].
+
+    ``np.cumsum`` adds in order: block by block, a series has the bits of a whole one.
+    """
+    out = 0.5 * dt * (y[1:] + y[:-1])
+    out[:1] += start
+    return np.cumsum(out, out=out)
 
 
 def _uniform_dt(times: np.ndarray) -> float:
@@ -249,17 +293,48 @@ def _uniform_dt(times: np.ndarray) -> float:
     return float(steps[0])
 
 
-def _energy_terms(norms: np.ndarray, sigma):
-    """(sigma, dt, |u_t|^2, |u_t|^2 + (2-sigma) int_0^t |u|_{H^1}^2) along a norm table."""
-    sig = float(np.sum(np.atleast_1d(sigma)))
-    dt = _uniform_dt(norms["t"])
-    l2 = norms["l2_sq"]
-    return sig, dt, l2, l2 + (2.0 - sig) * _cumtrapz(norms["h1_sq"], dt)
-
-
 # ---------------------------------------------------------------------------
 # pathwise identities of the transport equation
 # ---------------------------------------------------------------------------
+
+
+class _EnergyBalance:
+    """The worst residual of the transport energy balance, fed a path's rows in time order.
+
+    ``first`` is (|u_0|^2, |u_0|^2_{H^1}); :meth:`add` takes the next rows' pair.
+    """
+
+    def __init__(self, sigma, dt: float, first):
+        self.sig, self.dt, self.l2_0 = float(np.sum(np.atleast_1d(sigma))), dt, first[0]
+        self.rows, self.ints, self.worst = [first], (0.0, 0.0), 0.0  # rows[0]: balanced
+
+    def add(self, l2: np.ndarray, h1: np.ndarray) -> None:
+        self.rows.append((l2, h1))
+        if len(self.rows) > 16:  # balance a few thousand rows at a time
+            self._balance()
+
+    def _balance(self) -> None:
+        l2, h1 = (np.hstack(col) for col in zip(*self.rows))
+        if l2.size > 1:
+            ints = [_trapz_run(y, start, self.dt) for y, start in zip((l2, h1), self.ints)]
+            k = 2.0 - self.sig
+            residual = np.max(np.abs(l2[1:] + k * ints[1] - (self.l2_0 + k * ints[0])))
+            self.worst = float(np.maximum(self.worst, residual))
+            self.rows, self.ints = [(l2[-1], h1[-1])], (ints[0][-1], ints[1][-1])
+
+    def report(self, rel_tol: float) -> StatReport:
+        self._balance()
+        scale = float(self.l2_0) if self.l2_0 > 0 else 1.0
+        return StatReport(
+            name="energy_identity",
+            estimate=self.worst,
+            target=0.0,
+            se=0.0,
+            n=1,
+            tol_kind="abs",
+            tolerance=rel_tol * scale,
+            metadata={"relative_residual": self.worst / scale, "sigma": self.sig, "dt": self.dt},
+        )
 
 
 def energy_identity_residual(norms: np.ndarray, sigma, rel_tol: float = 0.05) -> StatReport:
@@ -270,20 +345,10 @@ def energy_identity_residual(norms: np.ndarray, sigma, rel_tol: float = 0.05) ->
     time quadrature; the report carries the worst time residual, gated
     relative to |u_0|^2.
     """
-    sig, dt, l2, lhs = _energy_terms(norms, sigma)
-    rhs = l2[0] + (2.0 - sig) * _cumtrapz(l2, dt)
-    residual = float(np.max(np.abs(lhs - rhs)))
-    scale = float(l2[0]) if l2[0] > 0 else 1.0
-    return StatReport(
-        name="energy_identity",
-        estimate=residual,
-        target=0.0,
-        se=0.0,
-        n=1,
-        tol_kind="abs",
-        tolerance=rel_tol * scale,
-        metadata={"relative_residual": residual / scale, "sigma": sig, "dt": dt},
-    )
+    l2, h1 = norms["l2_sq"], norms["h1_sq"]
+    balance = _EnergyBalance(sigma, _uniform_dt(norms["t"]), (l2[0], h1[0]))
+    balance.add(l2[1:], h1[1:])
+    return balance.report(rel_tol)
 
 
 def energy_identity_refinement(
@@ -303,15 +368,16 @@ def energy_identity_refinement(
     statement.  Reports come coarse to fine; each carries the decay ratio to
     its predecessor.
     """
-    reports = []
-    prev = None
-    for dt, scaled in _ladder_draws(noise_spec(model), seed, stream_id, dts, T):
-        norms = path_norms(model, SchemeSpec(kind, dt), u0, T, scaled_draws=scaled)
-        rep = energy_identity_residual(norms, model.sigma_seq, rel_tol)
-        ratio = prev / rep.estimate if (prev is not None and rep.estimate > 0) else np.inf
-        rep = replace(rep, metadata={**rep.metadata, "decay_from_previous": ratio})
-        reports.append(rep)
-        prev = rep.estimate
+    dts = sorted((float(dt) for dt in dts), reverse=True)
+    h1 = model.grid.sobolev_weights
+    first = (l2_sq_rows(u0.coef[None])[0], l2_sq_rows(u0.coef[None], h1)[0])
+    balances = [_EnergyBalance(model.sigma_seq, dt, first) for dt in dts]
+    for lane, _, rows, l2_sq in ladder_blocks(model, u0, T, dts, [kind], seed, stream_id):
+        balances[lane].add(l2_sq, l2_sq_rows(rows[1:], h1))
+    reports = [balance.report(rel_tol) for balance in balances]
+    for i, rep in enumerate(reports):
+        ratio = reports[i - 1].estimate / rep.estimate if i and rep.estimate > 0 else np.inf
+        reports[i] = replace(rep, metadata={**rep.metadata, "decay_from_previous": ratio})
     return reports
 
 
@@ -325,7 +391,10 @@ def gronwall_check(norms: np.ndarray, sigma, slack: float = 0.05) -> StatReport:
     at every grid time (equality at t = 0), reporting the worst ratio of
     left to right side; pass iff that ratio stays below 1 + slack.
     """
-    sig, _, l2, lhs = _energy_terms(norms, sigma)
+    sig = float(np.sum(np.atleast_1d(sigma)))
+    l2 = norms["l2_sq"]
+    h1_int = _trapz_run(norms["h1_sq"], 0.0, _uniform_dt(norms["t"]))
+    lhs = l2 + (2.0 - sig) * np.concatenate(([0.0], h1_int))
     if sig >= 2.0:
         raise ValueError(
             f"gronwall bound undefined: requires (2 - sigma) > 0, got sigma = {sig}"
@@ -499,6 +568,39 @@ def quadratic_variation_partition(
     )
 
 
+_QV_SMOOTH = 2**21  # intervals of the finite-variation path
+_QV_CHUNK = 2**16  # of them built and summed at a time
+
+
+def smooth_quadratic_variation(T: float) -> StatReport:
+    """The partition sum of s + 0.1 sin(2 pi s / T) on [0, T], a finite-variation path: 0.
+
+    The ``_QV_SMOOTH`` intervals are built and summed ``_QV_CHUNK`` at a time
+    (both powers of two) and the chunk sums added pairwise, as ``np.sum``
+    adds a whole path, so the sum has its bits.
+    """
+    if not T > 0:
+        raise ValueError(f"horizon must be positive, got {T}")
+    n, sums = _QV_SMOOTH, []
+    for lo in range(0, n, _QV_CHUNK):
+        s = np.arange(lo, lo + _QV_CHUNK + 1) / n * T
+        sums.append(np.sum(np.diff(s + 0.1 * np.sin(2 * np.pi * s / T)) ** 2))
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    estimate = float(sums[0])
+    return StatReport(
+        name="quadratic_variation_smooth",
+        estimate=estimate,
+        target=0.0,
+        se=0.0,
+        n=n,
+        tol_kind="abs",
+        tolerance=1e-6,
+        metadata={"partition_sums": {n: estimate}},
+        note="finite-variation path: partition sums vanish under refinement",
+    )
+
+
 # ---------------------------------------------------------------------------
 # stochastic heat equation: increment structure and Hoelder exponent
 # ---------------------------------------------------------------------------
@@ -545,8 +647,8 @@ def holder_exponent_fit(
             f"alpha = {alpha} >= 1/2: the H^alpha structure sum diverges as K grows"
         )
     lags = np.asarray(sorted(float(h) for h in lags))
-    if np.any(lags <= 0):
-        raise ValueError("lags must be positive")
+    if np.any(lags <= 0) or np.unique(lags).size < 2:
+        raise ValueError(f"lags must be positive, two or more distinct, got {lags.tolist()}")
     values = np.array(
         [she_increment_structure(alpha, n_modes, base_time, base_time + h) for h in lags]
     )
@@ -575,14 +677,6 @@ def holder_exponent_fit(
 # ---------------------------------------------------------------------------
 
 
-def _final_state(model, scheme: SchemeSpec, u0: SpectralField, T: float, scaled) -> np.ndarray:
-    """The state at T of the path ``simulate`` steps from the draws ``scaled``, one block held."""
-    final = u0.coef
-    for _, rows, _ in step_blocks(model, scheme, u0, T, scaled_draws=scaled):
-        final = rows[-1]
-    return final
-
-
 def ito_strat_compare(
     sigma, u0: SpectralField, dt_ladder, T: float, cfg: McConfig
 ) -> StatReport:
@@ -600,14 +694,14 @@ def ito_strat_compare(
     model = TransportHeat(u0.grid, tuple(np.atleast_1d(sigma)))
     ok = 0
     mean_dist = 0.0
+    ladder = sorted((float(dt) for dt in dt_ladder), reverse=True)
+    kinds = ("euler_maruyama", "heun_stratonovich")
     for path_idx in range(cfg.n_paths):
-        dists, ladder = [], []
-        for dt, scaled in _ladder_draws(noise_spec(model), cfg.base_seed, path_idx, dt_ladder, T):
-            ladder.append(dt)
-            ito = _final_state(model, SchemeSpec("euler_maruyama", dt), u0, T, scaled)
-            diff = ito - _final_state(model, SchemeSpec("heun_stratonovich", dt), u0, T, scaled)
-            dists.append(float(np.sqrt(l2_sq_rows(diff))))
-        dists = np.asarray(dists)
+        final = [u0.coef] * len(kinds) * len(ladder)
+        lanes = ladder_blocks(model, u0, T, ladder, kinds, cfg.base_seed, path_idx)
+        for lane, _, rows, _ in lanes:
+            final[lane] = rows[-1].copy()
+        dists = np.sqrt([l2_sq_rows(ito - strat) for ito, strat in zip(final[::2], final[1::2])])
         mean_dist += dists
         if np.all(dists == 0.0):
             ok += 1

@@ -5,6 +5,7 @@ Each scheme of ``integrators.SCHEME_KINDS`` is a function ``(model, u, inc)
 loop of them checks every block update.  An increment is a
 :class:`NoiseIncrement`, the N(0, dt) channel draws of one step and the
 field they pack to, and ``diffusion_apply`` is the realized noise term B(u) dW.
+:class:`MatrixNoise` drives the block loop from a held matrix of increments.
 """
 
 from __future__ import annotations
@@ -49,6 +50,24 @@ class NoiseIncrement:
                 f"{count} scalar channels requested, only {self.per_mode.shape[-1]} drawn"
             )
         return self.per_mode[:count]
+
+
+class MatrixNoise:
+    """A noise source whose increments are the rows of a held matrix.
+
+    ``matrix`` has one row of scaled channel increments per step (shape
+    (n_steps, 2K+1)); the block loop of ``spdekit.integrators`` reads rows
+    step0..step0+n-1 through ``increments``, as it reads a ``NoiseSampler``.
+    """
+
+    def __init__(self, spec: CovarianceSpec, matrix: np.ndarray):
+        self.spec = spec
+        self.matrix = np.asarray(matrix, dtype=float)
+
+    def increments(self, step0: int, n_steps: int, dt: float) -> np.ndarray:
+        if self.matrix.shape[1:] != (self.spec.n_channels,) or step0 + n_steps > len(self.matrix):
+            raise ValueError(f"no rows {step0}..{step0 + n_steps - 1} in {self.matrix.shape}")
+        return self.matrix[step0 : step0 + n_steps]
 
 
 def increment_from_scaled(

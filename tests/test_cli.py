@@ -855,6 +855,66 @@ class TestWidestBlockFirst:
         self.assert_each_row_once(draws, 50, 1)
 
 
+# the benchmark's transport_paths command: K = 32, 1400 steps at dt and two paths
+TRANSPORT_PATHS = """
+[model]
+kind = transport_heat
+sigma = 1.0
+[grid]
+modes = 32
+[scheme]
+kind = heun_stratonovich
+dt = 2.5e-06
+[noise]
+kind = white
+[experiment]
+t = 0.0035
+u0 = cos
+n_paths = 2
+base_seed = 11
+checks = mass_conservation, energy_identity, gronwall
+[output]
+prefix = transport
+"""
+
+
+class TestStreamCalls:
+    # a path reads each Philox counter block of its stream once: the shared
+    # mass_conservation/gronwall path at dt, the energy ladder's fine path at
+    # dt/2, and one Monte Carlo chunk
+
+    def count_calls(self, monkeypatch, tmp_path, config, draws=True):
+        """The command's stream_normals calls; zeros in place of the draws unless ``draws``."""
+        from spdekit import noise
+
+        calls = []
+        stream_normals = noise.stream_normals
+
+        def counted(seed, streams, cols, chunk=0):
+            calls.append((seed, tuple(streams), cols, chunk))
+            if draws:
+                return stream_normals(seed, streams, cols, chunk)
+            return np.zeros((len(streams), cols))
+
+        monkeypatch.setattr(noise, "stream_normals", counted)
+        monkeypatch.setattr(verify, "stream_normals", counted)
+        code = cli.main(["verify", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 0 if draws else code in (0, 1)
+        return len(calls)
+
+    def test_transport_paths_command(self, monkeypatch, tmp_path):
+        config = write_config(tmp_path / "c.ini", TRANSPORT_PATHS)
+        # per path: 6 blocks of 1400 steps, 11 of the ladder's 2800 fine steps
+        assert self.count_calls(monkeypatch, tmp_path, config) == 2 * (6 + 11) == 34
+
+    def test_transport_verify_config(self, monkeypatch, tmp_path):
+        # the count does not depend on the values drawn, so zeros keep this short
+        config = ROOT / "configs" / "transport_verify.ini"
+        # per path: 79 blocks of 2 * 10^4 steps, 157 of 4 * 10^4; one chunk of 50 rows
+        count = self.count_calls(monkeypatch, tmp_path, config, draws=False)
+        assert count == 50 * (79 + 157) + 1 == 11_801
+
+
 # (checks, key, value): a value of an [experiment] or [scheme] key that a
 # verify check, or the regularity command, rejects before it draws anything
 BAD_CHECK_VALUES = {
@@ -871,6 +931,12 @@ BAD_CHECK_VALUES = {
     "verify_ou_exactness_dt_negative": ("ou_exactness", "dt", "-1e-3"),
     "verify_holder_exponent_base_time_negative": ("holder_exponent", "base_time", "-0.5"),
     "regularity_base_time_negative": ("", "base_time", "-0.5"),
+    "verify_quadratic_variation_t_zero": ("quadratic_variation", "t", "0.0"),
+    "verify_holder_exponent_one_lag": ("holder_exponent", "lags", "0.01"),
+    "verify_holder_exponent_repeated_lag": ("holder_exponent", "lags", "0.01, 0.01"),
+    "regularity_one_lag": ("", "lags", "0.01"),
+    "verify_tolerance_multiplier_negative": ("trace_identity", "tolerance_multiplier", "-3"),
+    "verify_tolerance_multiplier_zero": ("ito_isometry", "tolerance_multiplier", "0"),
 }
 
 
@@ -967,6 +1033,12 @@ class TestSteppingConfigErrors:
             ("verify_ou_exactness_dt_negative", "scheme.dt"),
             ("verify_holder_exponent_base_time_negative", "experiment.base_time"),
             ("regularity_base_time_negative", "experiment.base_time"),
+            ("verify_quadratic_variation_t_zero", "experiment.t"),
+            ("verify_holder_exponent_one_lag", "experiment.lags"),
+            ("verify_holder_exponent_repeated_lag", "experiment.lags"),
+            ("regularity_one_lag", "experiment.lags"),
+            ("verify_tolerance_multiplier_negative", "experiment.tolerance_multiplier"),
+            ("verify_tolerance_multiplier_zero", "experiment.tolerance_multiplier"),
         ],
     )
     def test_exit_two_naming_the_key(self, tmp_path, capsys, case, key):

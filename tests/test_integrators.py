@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import cos_field, make_random_field, sampled_increment, sin_field
-from reference import em_step, exact_ou_step, exp_euler_step, heun_strat_step, increment_from_scaled
+from reference import (
+    MatrixNoise,
+    em_step,
+    exact_ou_step,
+    exp_euler_step,
+    heun_strat_step,
+    increment_from_scaled,
+)
 from spdekit.integrators import (
     BLOW_UP_NORM,
     BlowUpError,
@@ -271,7 +278,7 @@ class TestSimulate:
         scheme = SchemeSpec("euler_maruyama", 1e-4)
         via_sampler = simulate(m, scheme, cos_field(g), 0.01, sampler=NoiseSampler(spec, 5, 1))
         draws = NoiseSampler(spec, 5, 1).draws_block(0, 100) * np.sqrt(1e-4)
-        via_draws = simulate(m, scheme, cos_field(g), 0.01, scaled_draws=draws)
+        via_draws = simulate(m, scheme, cos_field(g), 0.01, MatrixNoise(spec, draws))
         assert np.array_equal(via_sampler.states, via_draws.states)
 
     def test_path_invariants(self):
@@ -315,7 +322,7 @@ class TestDiagonalLanes:
         dt = 1e-4
         n_steps = BLOCK_STEPS + 44  # crosses a block boundary
         scaled = NoiseSampler(spec, 3, 1).draws_block(0, n_steps) * np.sqrt(dt)
-        p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=scaled)
+        p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, MatrixNoise(spec, scaled))
         ref = reference_states(m, kind, u0, scaled, spec, dt)
         np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=0)
 
@@ -328,7 +335,7 @@ class TestDiagonalLanes:
         dt = 1e-4
         n_steps = BLOCK_STEPS + 44  # crosses a block boundary
         scaled = NoiseSampler(q, 4, 2).draws_block(0, n_steps) * np.sqrt(dt)
-        p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=scaled)
+        p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, MatrixNoise(q, scaled))
         ref = reference_states(m, kind, u0, scaled, q, dt)
         np.testing.assert_allclose(p.states, ref, rtol=1e-12, atol=0)
 
@@ -354,7 +361,7 @@ class TestDiagonalLanes:
         scaled = NoiseSampler(white, 1).draws_block(0, 100) * np.sqrt(dt)
         for m in (TransportHeat(g, (0.0,)), AdditiveHeat(white)):
             with pytest.raises(BlowUpError) as err:
-                simulate(m, SchemeSpec("euler_maruyama", dt), u0, 1.0, scaled_draws=scaled)
+                simulate(m, SchemeSpec("euler_maruyama", dt), u0, 1.0, MatrixNoise(white, scaled))
             n = reference_blow_up_step(m, u0, white, scaled, dt, err.value)
             assert 0 < n < 100
             assert err.value.time == n * dt
@@ -374,7 +381,7 @@ class TestDiagonalLanes:
             for m in models:
                 with pytest.raises(BlowUpError) as err:
                     simulate(m, SchemeSpec("euler_maruyama", dt), u0, n_steps * dt,
-                             scaled_draws=scaled)
+                             MatrixNoise(white, scaled))
                 assert reference_blow_up_step(m, u0, white, scaled, dt, err.value) == row + 1
                 assert err.value.time == (row + 1) * dt
 
@@ -420,7 +427,7 @@ class TestNonlinearLane:
         dt = 5e-5
         n_steps = BLOCK_STEPS + 44  # crosses a noise-packing block boundary
         scaled = NoiseSampler(m.q, 8, 3).draws_block(0, n_steps) * np.sqrt(dt)
-        p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=scaled)
+        p = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, MatrixNoise(m.q, scaled))
         ref = reference_states(m, kind, u0, scaled, m.q, dt)
         # entries that cancel to a few units of the field's scale are held to
         # an absolute floor of one rounding unit of that scale
@@ -510,7 +517,8 @@ class TestStreamedDraws:
         consumed = np.concatenate(consumed)
         monkeypatch.undo()
         matrix = sampler.draws_block(0, n_steps) * np.sqrt(dt)
-        ref = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, scaled_draws=matrix)
+        source = MatrixNoise(sampler.spec, matrix)
+        ref = simulate(m, SchemeSpec(kind, dt), u0, n_steps * dt, source)
         assert np.array_equal(consumed, matrix)
         assert np.array_equal(p.states, ref.states)
         for i in sorted({0, n_steps // 2, min(255, n_steps - 1), n_steps - 1}):
@@ -552,9 +560,9 @@ class TestStreamedDraws:
         assert table.dtype.names == ("t", "l2_sq", "h1_sq", "mode0")
         assert table.shape == (n_steps + 1,)
         assert table.tobytes() == simulate(*run, sampler=sampler).norms().tobytes()
-        matrix = sampler.draws_block(0, n_steps) * np.sqrt(dt)
-        by_matrix = path_norms(*run, scaled_draws=matrix)
-        assert by_matrix.tobytes() == simulate(*run, scaled_draws=matrix).norms().tobytes()
+        matrix = MatrixNoise(sampler.spec, sampler.draws_block(0, n_steps) * np.sqrt(dt))
+        by_matrix = path_norms(*run, matrix)
+        assert by_matrix.tobytes() == simulate(*run, matrix).norms().tobytes()
         assert by_matrix.tobytes() == table.tobytes()
 
     def test_step_blocks_checks_at_the_call(self):
@@ -573,7 +581,7 @@ class TestStreamedDraws:
     def test_noise_free_path_steps_zero_increments(self):
         g = TorusGrid(4)
         run = (TransportHeat(g, (1.0,)), SchemeSpec("euler_maruyama", 1e-4), cos_field(g), 0.03)
-        zero = simulate(*run, scaled_draws=np.zeros((300, 9)))
+        zero = simulate(*run, MatrixNoise(CovarianceSpec.white(g), np.zeros((300, 9))))
         assert np.array_equal(simulate(*run).states, zero.states)
 
     @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 600])
@@ -643,15 +651,17 @@ class TestSchemeRelations:
         T = 0.02
         dt_ref = T / 2**14
         dts = [T / 2**8, T / 2**9, T / 2**10]
+        white = CovarianceSpec.white(g)
         n_seeds = 24
         errs = np.zeros(len(dts))
         for seed in range(n_seeds):
-            fine = NoiseSampler(CovarianceSpec.white(g), 3000, seed).draws_block(0, 2**14)
+            fine = NoiseSampler(white, 3000, seed).draws_block(0, 2**14)
             fine *= np.sqrt(dt_ref)
-            ref = simulate(m, SchemeSpec("euler_maruyama", dt_ref), u0, T, scaled_draws=fine)
+            ref = simulate(m, SchemeSpec("euler_maruyama", dt_ref), u0, T,
+                           MatrixNoise(white, fine))
             for j, dt in enumerate(dts):
-                scaled = coarsen_increments(fine, int(round(dt / dt_ref)))
-                p = simulate(m, SchemeSpec("euler_maruyama", dt), u0, T, scaled_draws=scaled)
+                coarse = MatrixNoise(white, coarsen_increments(fine, int(round(dt / dt_ref))))
+                p = simulate(m, SchemeSpec("euler_maruyama", dt), u0, T, coarse)
                 errs[j] += l2_dist(p.states[-1], ref.states[-1]) ** 2
         rms = np.sqrt(errs / n_seeds)
         slope = np.polyfit(np.log(dts), np.log(rms), 1)[0]
@@ -702,15 +712,16 @@ class TestSchemeRelations:
         u0 = cos_field(g)
         T = 0.05
         dts = [1e-3, 2.5e-4, 6.25e-5]
+        white = CovarianceSpec.white(g)
         n_seeds = 16
         dist = np.zeros(3)
         for seed in range(n_seeds):
-            fine = NoiseSampler(CovarianceSpec.white(g), 4000, seed).draws_block(0, int(T / dts[-1]))
+            fine = NoiseSampler(white, 4000, seed).draws_block(0, int(T / dts[-1]))
             fine *= np.sqrt(dts[-1])
             for j, dt in enumerate(dts):
-                scaled = coarsen_increments(fine, int(round(dt / dts[-1])))
-                a = simulate(m, SchemeSpec("euler_maruyama", dt), u0, T, scaled_draws=scaled)
-                b = simulate(m, SchemeSpec("heun_stratonovich", dt), u0, T, scaled_draws=scaled)
+                coarse = MatrixNoise(white, coarsen_increments(fine, int(round(dt / dts[-1]))))
+                a = simulate(m, SchemeSpec("euler_maruyama", dt), u0, T, coarse)
+                b = simulate(m, SchemeSpec("heun_stratonovich", dt), u0, T, coarse)
                 dist[j] += l2_dist(a.states[-1], b.states[-1]) ** 2
         rms = np.sqrt(dist / n_seeds)
         assert rms[0] / rms[1] >= 1.7

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import cos_field, make_random_field, sin_field
-from spdekit.integrators import SchemeSpec, simulate
+from reference import MatrixNoise
+from spdekit import noise
+from spdekit.integrators import SchemeSpec, path_norms, simulate
 from spdekit.models import AdditiveHeat, Burgers, TransportHeat
 from spdekit import verify
 from spdekit.cli import report_row
 from spdekit.noise import (
+    BLOCK_STEPS,
     CovarianceSpec,
     NoiseSampler,
     channel_weights,
+    coarsen_increments,
     pack_draws,
     stream_normals,
 )
@@ -28,6 +32,7 @@ from spdekit.verify import (
     holder_exponent_fit,
     ito_isometry_stat,
     ito_strat_compare,
+    ladder_blocks,
     mass_conservation_check,
     mc_normals,
     mc_pass,
@@ -35,6 +40,7 @@ from spdekit.verify import (
     ou_variance_stats,
     quadratic_variation_partition,
     she_increment_structure,
+    smooth_quadratic_variation,
     trace_identity_stat,
     wiener_covariance_stat,
 )
@@ -616,6 +622,141 @@ class TestItoStratCompare:
         g = TorusGrid(8)
         rep = ito_strat_compare(1.0, zero_field(g), [1e-3, 5e-4], 0.01, McConfig(5, 3))
         assert rep.estimate == 1.0
+
+
+def counted_stream_normals(monkeypatch):
+    """Record the (seed, streams, cols, chunk) of every stream_normals call."""
+    calls = []
+
+    def counted(seed, streams, cols, chunk=0):
+        calls.append((seed, tuple(streams), cols, chunk))
+        return stream_normals(seed, streams, cols, chunk)
+
+    monkeypatch.setattr(noise, "stream_normals", counted)
+    monkeypatch.setattr(verify, "stream_normals", counted)
+    return calls
+
+
+KINDS = ("euler_maruyama", "heun_stratonovich")
+
+
+class TestLadder:
+    # the ladder runner steps every lane off one fine path, block-summed per
+    # rung; a run driven by the whole fine draw matrix is the reference
+
+    def matrix_lanes(self, model, u0, T, dts, seed, stream):
+        """Each lane's states, driven by coarse sums of the held fine draw matrix."""
+        white = CovarianceSpec.white(model.grid)
+        dts = sorted(dts, reverse=True)
+        n_fine = int(round(T / dts[-1]))
+        fine = NoiseSampler(white, seed, stream).draws_block(0, n_fine)
+        fine *= np.sqrt(dts[-1])
+        states = []
+        for dt in dts:
+            coarse = MatrixNoise(white, coarsen_increments(fine, int(round(dt / dts[-1]))))
+            states += [simulate(model, SchemeSpec(k, dt), u0, T, coarse).states for k in KINDS]
+        return states
+
+    @pytest.mark.parametrize("dts", [(3e-5, 2e-5, 1e-5), (1.6e-4, 4e-5, 1e-5), (4e-4, 1e-4, 1e-5)])
+    def test_lanes_are_the_matrix_driven_runs(self, dts):
+        # factors 3 and 2 do not divide each other; 16 and 4, 40 and 10 do
+        g = TorusGrid(8)
+        model = TransportHeat(g, (0.6, 0.4))
+        u0 = field_from_modes(g, [(1, 0.4 - 0.1j), (3, 0.05j)])
+        T = 0.0312  # 3120 fine steps: 13 counter blocks, the last one partial
+        states = [[u0.coef] for _ in range(2 * len(dts))]
+        for lane, step0, rows, _ in ladder_blocks(model, u0, T, dts, KINDS, 4, 2):
+            assert step0 == len(states[lane]) - 1
+            states[lane].extend(rows[1:].copy())
+        for got, ref in zip(states, self.matrix_lanes(model, u0, T, dts, 4, 2)):
+            assert np.array(got).tobytes() == ref.tobytes()
+
+    def test_reports_are_the_matrix_driven_reports(self):
+        g = TorusGrid(8)
+        model = TransportHeat(g, (0.6, 0.4))
+        u0 = cos_field(g)
+        T, dts = 0.0312, [3e-5, 2e-5, 1e-5]
+        white = CovarianceSpec.white(g)
+        for kind in KINDS:
+            reps = energy_identity_refinement(model, u0, T, dts, 9, 1, kind=kind)
+            fine = NoiseSampler(white, 9, 1).draws_block(0, 3120) * np.sqrt(1e-5)
+            for rep, dt in zip(reps, dts):
+                coarse = MatrixNoise(white, coarsen_increments(fine, int(round(dt / 1e-5))))
+                norms = path_norms(model, SchemeSpec(kind, dt), u0, T, coarse)
+                ref = energy_identity_residual(norms, model.sigma_seq)
+                assert rep.estimate == ref.estimate and rep.tolerance == ref.tolerance
+                assert rep.metadata["relative_residual"] == ref.metadata["relative_residual"]
+        # ito_strat: the terminal distances of each path, matrix-driven
+        rep = ito_strat_compare((0.6, 0.4), u0, dts, T, McConfig(3, 5))
+        dists = np.zeros(3)
+        for path in range(3):
+            final = [states[-1] for states in self.matrix_lanes(model, u0, T, dts, 5, path)]
+            dists += np.sqrt([l2_sq_rows(a - b) for a, b in zip(final[::2], final[1::2])])
+        assert rep.metadata["mean_distances"] == (dists / 3).tolist()
+
+    @pytest.mark.parametrize("dts", [(3e-5, 2e-5, 1e-5), (4e-4, 1e-4, 1e-5)])
+    def test_each_fine_block_drawn_once_and_few_held(self, monkeypatch, dts):
+        calls = counted_stream_normals(monkeypatch)
+        held = []
+        increments = verify._FineStream.increments
+
+        def holding(self, *args):
+            out = increments(self, *args)
+            held.append(len(self.held))
+            return out
+
+        monkeypatch.setattr(verify._FineStream, "increments", holding)
+        g = TorusGrid(4)
+        model = TransportHeat(g, (1.0,))
+        for _ in ladder_blocks(model, cos_field(g), 0.06, dts, KINDS, 3, 7):
+            pass
+        blocks = -(-6000 // BLOCK_STEPS)
+        assert sorted(c[3] for c in calls) == list(range(blocks))
+        assert {c[:3] for c in calls} == {(3, (7,), BLOCK_STEPS * (2 * g.n_modes + 1))}
+        f_max = int(round(dts[0] / dts[-1]))
+        assert max(held) <= f_max + 1
+
+    def test_ito_strat_draws_one_fine_pass_per_path(self, monkeypatch):
+        calls = counted_stream_normals(monkeypatch)
+        g = TorusGrid(8)
+        ito_strat_compare(1.0, cos_field(g), [1e-3, 2.5e-4, 6.25e-5], 0.05, McConfig(4, 3))
+        # 800 fine steps per path: counter blocks 0..3 of each path's stream, once
+        assert sorted((c[1], c[3]) for c in calls) == [((p,), c) for p in range(4) for c in range(4)]
+
+    def test_energy_refinement_memory_does_not_grow_with_the_horizon(self):
+        # K = 32: a held fine draw matrix at 4T would be 65 floats per step, 5.3 MB
+        import tracemalloc
+
+        g = TorusGrid(32)
+        model = TransportHeat(g, (1.0,))
+        energy_identity_refinement(model, cos_field(g), 2.56e-3, [2e-5, 1e-5], 1)  # warm up
+        peaks = []
+        for T in (0.0256, 0.1024):
+            tracemalloc.start()
+            try:
+                energy_identity_refinement(model, cos_field(g), T, [2e-5, 1e-5], 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
+
+
+class TestSmoothQuadraticVariation:
+    @pytest.mark.parametrize("T", [0.05, 0.5, 1.0, 3.7])
+    def test_chunked_sum_has_the_bits_of_the_whole_path(self, monkeypatch, T):
+        n = 2**21
+        s = np.arange(n + 1) / n * T
+        whole = quadratic_variation_partition(s + 0.1 * np.sin(2 * np.pi * s / T), [n], 0.0, 1e-6)
+        for chunk in (2**13, 2**15, 2**16, 2**18):
+            monkeypatch.setattr(verify, "_QV_CHUNK", chunk)
+            rep = smooth_quadratic_variation(T)
+            assert rep.estimate == whole.estimate
+            assert (rep.target, rep.n, rep.tol_kind, rep.tolerance) == (0.0, n, "abs", 1e-6)
+        assert rep.name == "quadratic_variation_smooth"
+
+    def test_zero_horizon_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            smooth_quadratic_variation(0.0)
 
 
 class TestGaussianMoments:
