@@ -35,8 +35,8 @@ import numpy as np
 
 from . import burgers as burgers_mod
 from . import verify as verify_mod
-from .integrators import BlowUpError, SchemeSpec, check_scheme, noise_spec, norm_table
-from .integrators import _resolve_steps, path_norms, step_blocks, write_norms
+from .integrators import BlowUpError, SchemeSpec, _resolve_steps, block_norms, check_scheme
+from .integrators import noise_spec, step_blocks
 from .models import (
     AdditiveHeat,
     Burgers,
@@ -357,52 +357,50 @@ SPECTRA_HEADER = ["t", "k", "re", "im"]
 def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
     """Step one path and write its norm series (and spectra) block by block.
 
-    Each stepped block is reduced to its rows of the norm table, and its
-    spectra are appended to the spectra CSV, before the next block is
-    stepped: the command holds one block of states and the norm table (its
-    norms are written as square roots), never the path.  A failure (a
-    blow-up) removes the partial spectra file.
+    Each stepped block is reduced to its norm rows (the norms written as
+    square roots) and its spectra, and they are appended to the CSVs before
+    the next block is stepped: the command holds one block of states, never
+    the path.  A failure (a blow-up) removes the partial files.
     """
     grid = build_grid(cfg)
     model, scheme, T, u0 = _path_run(cfg, grid)
     blocks = step_blocks(model, scheme, u0, T, sampler=NoiseSampler(noise_spec(model), seed, 0))
-    norms = norm_table(np.arange(_resolve_steps(T, scheme.dt) + 1) * scheme.dt)
     n_k = grid.n_modes + 1
 
     prefix = output_prefix(cfg)
-    norms_file = out / f"{prefix}_norms.csv"
-    spec_file = out / f"{prefix}_spectra.csv"
+    files = {out / f"{prefix}_norms.csv": NORMS_HEADER}
     save_spectra = (cfg.get_str("experiment", "save_spectra", "false") or "").lower()
-    spectra = _open_new(spec_file) if save_spectra in ("1", "true", "yes") else None
+    if save_spectra in ("1", "true", "yes"):
+        files[out / f"{prefix}_spectra.csv"] = SPECTRA_HEADER
+    handles = []
 
-    def emit(step0: int, rows: np.ndarray, l2_sq: np.ndarray | None = None) -> None:
-        """Reduce the states of steps step0, step0 + 1, ... to their table rows."""
-        write_norms(norms, step0, rows, grid, l2_sq)
-        if spectra is not None:
-            t = norms["t"][step0 : step0 + rows.shape[0]]
+    def emit(times: np.ndarray, rows: np.ndarray, l2_sq: np.ndarray | None = None) -> None:
+        """Append the norm rows (and spectra) of the states ``rows`` at ``times``."""
+        norms = block_norms(times, rows, grid, l2_sq)
+        for name in ("l2_sq", "h1_sq"):
+            np.sqrt(norms[name], out=norms[name])
+        _write_table(handles[0], norms)
+        if len(handles) > 1:
             coef = rows.ravel()
             k = np.tile(np.arange(n_k), rows.shape[0])
-            _write_table(spectra, np.rec.fromarrays([np.repeat(t, n_k), k, coef.real, coef.imag]))
+            spectra = np.rec.fromarrays([np.repeat(times, n_k), k, coef.real, coef.imag])
+            _write_table(handles[1], spectra)
 
     try:
-        if spectra is not None:
-            csv.writer(spectra).writerow(SPECTRA_HEADER)
-        emit(0, u0.coef[None])
+        for path, header in files.items():
+            handles.append(_open_new(path))
+            csv.writer(handles[-1]).writerow(header)
+        emit(np.zeros(1), u0.coef[None])
         for step0, rows, l2_sq in blocks:
-            emit(step0 + 1, rows[1:], l2_sq)
+            emit(np.arange(step0 + 1, step0 + rows.shape[0]) * scheme.dt, rows[1:], l2_sq)
     except BaseException:
-        if spectra is not None:
-            spectra.close()
-            spec_file.unlink()
+        for fh, path in zip(handles, files):
+            fh.close()
+            path.unlink()
         raise
-    if spectra is not None:
-        spectra.close()
-
-    for name in ("l2_sq", "h1_sq"):
-        np.sqrt(norms[name], out=norms[name])
-    write_csv(norms_file, NORMS_HEADER, norms)
-    outputs = [norms_file.name] + ([spec_file.name] if spectra is not None else [])
-    write_manifest(out / f"{prefix}_manifest.json", cfg, "simulate", seed, outputs)
+    for fh in handles:
+        fh.close()
+    write_manifest(out / f"{prefix}_manifest.json", cfg, "simulate", seed, [p.name for p in files])
     return 0
 
 
@@ -430,13 +428,19 @@ def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
 
 
 def _pathwise_reports(cfg: RunConfig, grid: TorusGrid, seed: int, checks) -> list:
-    """Each check's worst report over the norm tables of paths 0 .. experiment.n_paths - 1."""
+    """Each check's worst report over paths 0 .. n_paths - 1, each stepped into a PathBalance."""
     model, scheme, T, u0 = _path_run(cfg, grid)
-    tables = (
-        path_norms(model, scheme, u0, T, sampler=NoiseSampler(noise_spec(model), seed, i))
-        for i in range(_n_paths(cfg))
-    )
-    return [_worst(reports) for reports in zip(*([check(t) for check in checks] for t in tables))]
+    sigma = model.sigma_seq if isinstance(model, TransportHeat) else 0.0
+    first = block_norms(np.zeros(1), u0.coef[None], grid)
+    reports = []
+    for i in range(_n_paths(cfg)):
+        balance = verify_mod.PathBalance(sigma, scheme.dt, first)
+        sampler = NoiseSampler(noise_spec(model), seed, i)
+        for step0, rows, l2_sq in step_blocks(model, scheme, u0, T, sampler):
+            times = np.arange(step0 + 1, step0 + rows.shape[0]) * scheme.dt
+            balance.add(block_norms(times, rows[1:], grid, l2_sq))
+        reports.append([check(balance) for check in checks])
+    return [_worst(path_reports) for path_reports in zip(*reports)]
 
 
 def _write_reports(cfg: RunConfig, out: Path, seed: int, command: str, reports, outputs=()) -> int:
@@ -451,7 +455,7 @@ def _write_reports(cfg: RunConfig, out: Path, seed: int, command: str, reports, 
 
 # ---------------------------------------------------------------------------
 # verify checks: one function per config name, (cfg, grid, seed) -> reports,
-# Monte Carlo statistics or norm-table checks
+# Monte Carlo statistics or functions of a path's PathBalance
 # ---------------------------------------------------------------------------
 
 
@@ -533,7 +537,7 @@ def _check_mass_conservation(cfg, grid, seed):
         return _skipped(
             "mass_conservation", "inapplicable: mean mode is a Brownian motion for additive noise"
         )
-    return [verify_mod.mass_conservation_check]
+    return [verify_mod.PathBalance.mass_report]
 
 
 def _check_energy_identity(cfg, grid, seed):
@@ -553,7 +557,7 @@ def _check_gronwall(cfg, grid, seed):
     if model.sigma_total >= 2.0:
         note = f"sigma >= 2 (sigma = {model.sigma_total:g}); bound undefined"
         return _skipped("gronwall", note, "upper", slack, float("nan"))
-    return [lambda norms: verify_mod.gronwall_check(norms, model.sigma_seq, slack)]
+    return [lambda balance: balance.gronwall_report(slack)]
 
 
 def _phi_weights(cfg):
@@ -625,6 +629,8 @@ def _check_ito_strat(cfg, grid, seed):
     # the ladder, not [scheme], sets the steps here
     model = build_model(cfg, grid)
     T = _time(cfg, "t")
+    if T == 0:
+        raise ConfigError("experiment.t must be positive for ito_strat, got 0")
     u0 = build_initial_field(cfg, grid)
     _require_transport(model, "ito_strat")
     ladder = cfg.get_floats("experiment", "dt_ladder", [1e-3, 2.5e-4, 6.25e-5])

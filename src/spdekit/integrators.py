@@ -22,9 +22,9 @@ Philox counter block each: each block's draws are made, the block is filled
 by the model's block update on raw coefficient rows, then scanned for
 blow-up, so a diverging path stops at its first blown block.
 ``step_blocks`` yields each block from one reused buffer once it is
-scanned, so a caller that reduces the states as they come (``path_norms``,
-to the norm table that ``spdekit simulate`` and the pathwise checks read)
-holds one block of states, never the path; ``simulate`` collects the
+scanned, so a caller that reduces the states as they come (to their
+``block_norms``, which ``spdekit simulate`` writes and the pathwise checks
+fold) holds one block of states, never the path; ``simulate`` collects the
 blocks into a :class:`SamplePath`.  TransportHeat's update
 is a running product of mode factors, AdditiveHeat's the recursion
 c' = decay * c + eta, and the nonlinear models' (ReactionDiffusion,
@@ -56,9 +56,7 @@ __all__ = [
     "BLOW_UP_NORM",
     "simulate",
     "step_blocks",
-    "path_norms",
-    "norm_table",
-    "write_norms",
+    "block_norms",
     "noise_spec",
     "ou_channel_variances",
     "ou_tau",
@@ -139,35 +137,24 @@ class SamplePath:
         return self.state(self.n_steps)
 
     def norms(self) -> np.ndarray:
-        """The path's norm table (see :func:`norm_table`)."""
-        table = norm_table(self.times)
-        write_norms(table, 0, self.states, self.grid)
-        return table
+        """The norm rows of every state of the path (see :func:`block_norms`)."""
+        return block_norms(self.times, self.states, self.grid)
 
 
-def norm_table(times: np.ndarray) -> np.ndarray:
-    """A table of rows (t, |u|^2, |u|^2_{H^1}, Re u_0) at ``times``, only t filled yet."""
-    table = np.empty(len(times), [(name, float) for name in ("t", "l2_sq", "h1_sq", "mode0")])
-    table["t"] = times
-    return table
-
-
-def write_norms(
-    table: np.ndarray,
-    step0: int,
-    rows: np.ndarray,
-    grid: TorusGrid,
-    l2_sq: np.ndarray | None = None,
-) -> None:
-    """Write the norms of the states ``rows`` into table rows step0, step0 + 1, ...
+def block_norms(
+    times: np.ndarray, rows: np.ndarray, grid: TorusGrid, l2_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """The norm rows (t, |u|^2, |u|^2_{H^1}, Re u_0) of the states ``rows`` at ``times``.
 
     ``l2_sq`` is ``l2_sq_rows(rows)`` when the caller has it already (the
     row sums a stepped block yields); it is computed here otherwise.
     """
-    s = slice(step0, step0 + rows.shape[0])
-    table["l2_sq"][s] = l2_sq_rows(rows) if l2_sq is None else l2_sq
-    table["h1_sq"][s] = l2_sq_rows(rows, grid.sobolev_weights)
-    table["mode0"][s] = rows[:, 0].real
+    norms = np.empty(len(times), [(name, float) for name in ("t", "l2_sq", "h1_sq", "mode0")])
+    norms["t"] = times
+    norms["l2_sq"] = l2_sq_rows(rows) if l2_sq is None else l2_sq
+    norms["h1_sq"] = l2_sq_rows(rows, grid.sobolev_weights)
+    norms["mode0"] = rows[:, 0].real
+    return norms
 
 
 def ou_tau(mu: np.ndarray, t: float) -> np.ndarray:
@@ -266,7 +253,7 @@ def step_blocks(
     Each block of up to ``BLOCK_STEPS`` steps is yielded as
     ``(step0, rows, l2_sq)`` after its blow-up scan: ``rows[0]`` is the state
     at step ``step0`` and ``rows[i]`` the state at step ``step0 + i``, and
-    ``l2_sq`` is the scan's ``l2_sq_rows(rows[1:])``, for :func:`write_norms`.
+    ``l2_sq`` is the scan's ``l2_sq_rows(rows[1:])``, for :func:`block_norms`.
     ``rows`` is one (BLOCK_STEPS + 1, K+1) buffer reused by every block (its
     last row is carried to row 0), so it is valid until the next block is
     asked for, and a run holds one block of states and one of draws.  Raises
@@ -289,26 +276,6 @@ def step_blocks(
     rows = np.empty((min(n_steps, BLOCK_STEPS) + 1, grid.n_modes + 1), dtype=np.complex128)
     rows[0] = u0.coef
     return _blocks(model, scheme, rows, n_steps, sampler)
-
-
-def path_norms(
-    model: ModelSpec,
-    scheme: SchemeSpec,
-    u0: SpectralField,
-    T: float,
-    sampler: NoiseSampler | None = None,
-) -> np.ndarray:
-    """The norm table of the path :func:`simulate` steps, bit for bit its ``norms()``.
-
-    The path is stepped through :func:`step_blocks` and each block reduced
-    to its table rows as it comes, so the run holds one block and the table.
-    """
-    blocks = step_blocks(model, scheme, u0, T, sampler)
-    table = norm_table(np.arange(_resolve_steps(T, scheme.dt) + 1) * scheme.dt)
-    write_norms(table, 0, u0.coef[None], model.grid)
-    for step0, rows, l2_sq in blocks:
-        write_norms(table, step0 + 1, rows[1:], model.grid, l2_sq)
-    return table
 
 
 def _blocks(

@@ -9,10 +9,11 @@ pathwise checks carry explicit absolute or relative slacks.
 
 A Monte Carlo check is an :class:`McStatistic` and runs one way, through
 :func:`mc_reports`: every statistic of a call shares one streamed pass over
-the rows.  The pathwise checks of the transport equation read a path's norm
-table (``integrators.path_norms``), so one stepped path serves them all.  The
+the rows.  The pathwise checks of the transport equation are reports of one
+:class:`PathBalance`, which folds a path's norm rows block by block as they are
+stepped, so one stepped path serves them all and no norm table is held.  The
 ladder checks step every rung of a dt ladder in lockstep off one fine path
-(:func:`ladder_blocks`), holding a few of its counter blocks and no table.
+(:func:`ladder_blocks`), holding a few of its counter blocks.
 
 Covered identities:
 
@@ -35,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .integrators import SchemeSpec, _resolve_steps, noise_spec, ou_channel_variances, ou_tau
-from .integrators import step_blocks
+from .integrators import SchemeSpec, _resolve_steps, block_norms, noise_spec, ou_channel_variances
+from .integrators import ou_tau, step_blocks
 from .models import ModelSpec, TransportHeat
 from .noise import (
     BLOCK_STEPS,
@@ -60,6 +61,7 @@ __all__ = [
     "mc_normals",
     "mc_pass",
     "mc_reports",
+    "PathBalance",
     "energy_identity_residual",
     "energy_identity_refinement",
     "ladder_blocks",
@@ -284,57 +286,110 @@ def _trapz_run(y: np.ndarray, start: float, dt: float) -> np.ndarray:
     return np.cumsum(out, out=out)
 
 
-def _uniform_dt(times: np.ndarray) -> float:
-    steps = np.diff(times)
-    if steps.size == 0:
-        return 0.0
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("energy checks expect a uniform time grid")
-    return float(steps[0])
-
-
 # ---------------------------------------------------------------------------
 # pathwise identities of the transport equation
 # ---------------------------------------------------------------------------
 
 
-class _EnergyBalance:
-    """The worst residual of the transport energy balance, fed a path's rows in time order.
+class PathBalance:
+    """A transport path's pathwise balances, fed its norm rows in time order.
 
-    ``first`` is (|u_0|^2, |u_0|^2_{H^1}); :meth:`add` takes the next rows' pair.
+    ``first`` is the one-row norm table of u_0 and :meth:`add` takes the next
+    rows (see ``integrators.block_norms``).  One running trapezoid integral
+    per column (:func:`_trapz_run`) carries int |u|^2 and int |u|^2_{H^1};
+    from them each fold keeps the worst energy residual, the worst Groenwall
+    ratio and the worst deviation of the mean mode, which
+    :meth:`energy_report`, :meth:`gronwall_report` and :meth:`mass_report`
+    give.  The extremes do not depend on how the rows are split into blocks.
     """
 
-    def __init__(self, sigma, dt: float, first):
-        self.sig, self.dt, self.l2_0 = float(np.sum(np.atleast_1d(sigma))), dt, first[0]
-        self.rows, self.ints, self.worst = [first], (0.0, 0.0), 0.0  # rows[0]: balanced
+    def __init__(self, sigma, dt: float, first: np.ndarray):
+        self.sig, self.dt = float(np.sum(np.atleast_1d(sigma))), dt
+        self.k, self.l2_0, self.mode0_0 = 2.0 - self.sig, first["l2_sq"][0], first["mode0"][0]
+        self.rows, self.ints = [first], (0.0, 0.0)  # rows[0]: folded
+        self.residual, self.deviation = 0.0, 0.0
+        # the Groenwall ratio is defined for sigma < 2 and |u_0| > 0; it is 1 at t = 0
+        self.bounded = self.k > 0 and self.l2_0 > 0
+        self.ratio = 1.0 if self.bounded else 0.0
 
-    def add(self, l2: np.ndarray, h1: np.ndarray) -> None:
-        self.rows.append((l2, h1))
-        if len(self.rows) > 16:  # balance a few thousand rows at a time
-            self._balance()
+    def add(self, norm_rows: np.ndarray) -> None:
+        if norm_rows.size:
+            self.rows.append(norm_rows)
+        if len(self.rows) > 16:  # fold a few thousand rows at a time
+            self._fold()
 
-    def _balance(self) -> None:
-        l2, h1 = (np.hstack(col) for col in zip(*self.rows))
+    def _fold(self) -> None:
+        # column by column: joining structured blocks costs a field promotion per block
+        columns = ("t", "l2_sq", "h1_sq", "mode0")
+        t, l2, h1, mode0 = (np.concatenate([r[c] for r in self.rows]) for c in columns)
         if l2.size > 1:
             ints = [_trapz_run(y, start, self.dt) for y, start in zip((l2, h1), self.ints)]
-            k = 2.0 - self.sig
-            residual = np.max(np.abs(l2[1:] + k * ints[1] - (self.l2_0 + k * ints[0])))
-            self.worst = float(np.maximum(self.worst, residual))
-            self.rows, self.ints = [(l2[-1], h1[-1])], (ints[0][-1], ints[1][-1])
+            lhs = l2[1:] + self.k * ints[1]  # |u_t|^2 + (2-sigma) int_0^t |u|^2_{H^1}
+            residual = np.max(np.abs(lhs - (self.l2_0 + self.k * ints[0])))
+            self.residual = float(np.maximum(self.residual, residual))
+            if self.bounded:
+                ratio = np.max(lhs / (self.l2_0 * np.exp(self.k * t[1:])))
+                self.ratio = float(np.maximum(self.ratio, ratio))
+            deviation = np.max(np.abs(mode0[1:] - self.mode0_0))
+            self.deviation = float(np.maximum(self.deviation, deviation))
+            self.rows, self.ints = [self.rows[-1][-1:]], (ints[0][-1], ints[1][-1])
 
-    def report(self, rel_tol: float) -> StatReport:
-        self._balance()
+    def energy_report(self, rel_tol: float = 0.05) -> StatReport:
+        """The worst energy residual (see :func:`energy_identity_residual`)."""
+        self._fold()
         scale = float(self.l2_0) if self.l2_0 > 0 else 1.0
         return StatReport(
             name="energy_identity",
-            estimate=self.worst,
+            estimate=self.residual,
             target=0.0,
             se=0.0,
             n=1,
             tol_kind="abs",
             tolerance=rel_tol * scale,
-            metadata={"relative_residual": self.worst / scale, "sigma": self.sig, "dt": self.dt},
+            metadata={"relative_residual": self.residual / scale, "sigma": self.sig, "dt": self.dt},
         )
+
+    def gronwall_report(self, slack: float = 0.05) -> StatReport:
+        """The worst Groenwall ratio (see :func:`gronwall_check`); ValueError unless sigma < 2."""
+        if self.sig >= 2.0:
+            raise ValueError(
+                f"gronwall bound undefined: requires (2 - sigma) > 0, got sigma = {self.sig}"
+            )
+        self._fold()
+        return StatReport(
+            name="gronwall",
+            estimate=self.ratio,
+            target=1.0 + slack,
+            se=0.0,
+            n=1,
+            tol_kind="upper",
+            tolerance=slack,
+            metadata={"sigma": self.sig, "T": float(self.rows[0]["t"][-1])},
+        )
+
+    def mass_report(self, tol: float = 1e-10) -> StatReport:
+        """The worst |Re u_0(t) - Re u_0(0)| (see :func:`mass_conservation_check`)."""
+        self._fold()
+        return StatReport(
+            name="mass_conservation",
+            estimate=self.deviation,
+            target=0.0,
+            se=0.0,
+            n=1,
+            tol_kind="abs",
+            tolerance=tol,
+            metadata={"initial_mean": float(self.mode0_0)},
+        )
+
+
+def _table_balance(norms: np.ndarray, sigma) -> PathBalance:
+    """The :class:`PathBalance` of a whole norm table; ValueError unless its times are uniform."""
+    steps = np.diff(norms["t"])
+    if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("pathwise checks expect a uniform time grid")
+    balance = PathBalance(sigma, float(steps[0]) if steps.size else 0.0, norms[:1])
+    balance.add(norms[1:])
+    return balance
 
 
 def energy_identity_residual(norms: np.ndarray, sigma, rel_tol: float = 0.05) -> StatReport:
@@ -345,10 +400,7 @@ def energy_identity_residual(norms: np.ndarray, sigma, rel_tol: float = 0.05) ->
     time quadrature; the report carries the worst time residual, gated
     relative to |u_0|^2.
     """
-    l2, h1 = norms["l2_sq"], norms["h1_sq"]
-    balance = _EnergyBalance(sigma, _uniform_dt(norms["t"]), (l2[0], h1[0]))
-    balance.add(l2[1:], h1[1:])
-    return balance.report(rel_tol)
+    return _table_balance(norms, sigma).energy_report(rel_tol)
 
 
 def energy_identity_refinement(
@@ -369,12 +421,12 @@ def energy_identity_refinement(
     its predecessor.
     """
     dts = sorted((float(dt) for dt in dts), reverse=True)
-    h1 = model.grid.sobolev_weights
-    first = (l2_sq_rows(u0.coef[None])[0], l2_sq_rows(u0.coef[None], h1)[0])
-    balances = [_EnergyBalance(model.sigma_seq, dt, first) for dt in dts]
-    for lane, _, rows, l2_sq in ladder_blocks(model, u0, T, dts, [kind], seed, stream_id):
-        balances[lane].add(l2_sq, l2_sq_rows(rows[1:], h1))
-    reports = [balance.report(rel_tol) for balance in balances]
+    first = block_norms(np.zeros(1), u0.coef[None], model.grid)
+    balances = [PathBalance(model.sigma_seq, dt, first) for dt in dts]
+    for lane, step0, rows, l2_sq in ladder_blocks(model, u0, T, dts, [kind], seed, stream_id):
+        times = np.arange(step0 + 1, step0 + rows.shape[0]) * dts[lane]
+        balances[lane].add(block_norms(times, rows[1:], model.grid, l2_sq))
+    reports = [balance.energy_report(rel_tol) for balance in balances]
     for i, rep in enumerate(reports):
         ratio = reports[i - 1].estimate / rep.estimate if i and rep.estimate > 0 else np.inf
         reports[i] = replace(rep, metadata={**rep.metadata, "decay_from_previous": ratio})
@@ -391,26 +443,7 @@ def gronwall_check(norms: np.ndarray, sigma, slack: float = 0.05) -> StatReport:
     at every grid time (equality at t = 0), reporting the worst ratio of
     left to right side; pass iff that ratio stays below 1 + slack.
     """
-    sig = float(np.sum(np.atleast_1d(sigma)))
-    l2 = norms["l2_sq"]
-    h1_int = _trapz_run(norms["h1_sq"], 0.0, _uniform_dt(norms["t"]))
-    lhs = l2 + (2.0 - sig) * np.concatenate(([0.0], h1_int))
-    if sig >= 2.0:
-        raise ValueError(
-            f"gronwall bound undefined: requires (2 - sigma) > 0, got sigma = {sig}"
-        )
-    bound = l2[0] * np.exp((2.0 - sig) * norms["t"])
-    worst = float(np.max(lhs / bound)) if l2[0] > 0 else 0.0
-    return StatReport(
-        name="gronwall",
-        estimate=worst,
-        target=1.0 + slack,
-        se=0.0,
-        n=1,
-        tol_kind="upper",
-        tolerance=slack,
-        metadata={"sigma": sig, "T": float(norms["t"][-1])},
-    )
+    return _table_balance(norms, sigma).gronwall_report(slack)
 
 
 def mass_conservation_check(norms: np.ndarray, tol: float = 1e-10) -> StatReport:
@@ -421,18 +454,7 @@ def mass_conservation_check(norms: np.ndarray, tol: float = 1e-10) -> StatReport
     derivative is identically zero, so the discrete analogue holds exactly at
     every dt and no refinement study is required.
     """
-    mode0 = norms["mode0"]
-    deviation = float(np.max(np.abs(mode0 - mode0[0]))) if mode0.size else 0.0
-    return StatReport(
-        name="mass_conservation",
-        estimate=deviation,
-        target=0.0,
-        se=0.0,
-        n=1,
-        tol_kind="abs",
-        tolerance=tol,
-        metadata={"initial_mean": float(mode0[0])},
-    )
+    return _table_balance(norms, 0.0).mass_report(tol)
 
 
 # ---------------------------------------------------------------------------

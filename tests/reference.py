@@ -6,6 +6,9 @@ loop of them checks every block update.  An increment is a
 :class:`NoiseIncrement`, the N(0, dt) channel draws of one step and the
 field they pack to, and ``diffusion_apply`` is the realized noise term B(u) dW.
 :class:`MatrixNoise` drives the block loop from a held matrix of increments.
+``energy_table``, ``gronwall_table`` and ``mass_table`` are the pathwise
+transport checks computed on a whole norm table at once, the reference for
+``verify.PathBalance``, which folds the rows block by block.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from spdekit.models import (
 )
 from spdekit.noise import CovarianceSpec, pack_draws
 from spdekit.spectral import SpectralField, derivative, heat_semigroup
+from spdekit.verify import StatReport
 
 
 @dataclass(frozen=True)
@@ -166,3 +170,69 @@ def exp_euler_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> S
         return SpectralField(u.grid, propagated.coef + eta)
     # remaining additive-noise models: semigroup image of the plain increment
     return heat_semigroup(u + nl * inc.dt + inc.field, inc.dt)
+
+
+def _trapz(y: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoidal integrals of the series y from its first row to each later one."""
+    return np.cumsum(0.5 * dt * (y[1:] + y[:-1]))
+
+
+def _table_terms(norms: np.ndarray, sigma):
+    """(sigma, dt, l2, h1) of a norm table on a uniform time grid."""
+    t = norms["t"]
+    dt = float(t[1] - t[0]) if t.size > 1 else 0.0
+    return float(np.sum(np.atleast_1d(sigma))), dt, norms["l2_sq"], norms["h1_sq"]
+
+
+def energy_table(norms: np.ndarray, sigma, rel_tol: float = 0.05) -> StatReport:
+    """The worst residual of |u_t|^2 + (2-sigma) int |u|^2_{H^1} = |u_0|^2 + (2-sigma) int |u|^2."""
+    sig, dt, l2, h1 = _table_terms(norms, sigma)
+    k = 2.0 - sig
+    residual = np.abs(l2[1:] + k * _trapz(h1, dt) - (l2[0] + k * _trapz(l2, dt)))
+    worst = float(np.max(residual)) if residual.size else 0.0
+    scale = float(l2[0]) if l2[0] > 0 else 1.0
+    return StatReport(
+        name="energy_identity",
+        estimate=worst,
+        target=0.0,
+        se=0.0,
+        n=1,
+        tol_kind="abs",
+        tolerance=rel_tol * scale,
+        metadata={"relative_residual": worst / scale, "sigma": sig, "dt": dt},
+    )
+
+
+def gronwall_table(norms: np.ndarray, sigma, slack: float = 0.05) -> StatReport:
+    """The worst ratio of |u_t|^2 + (2-sigma) int |u|^2_{H^1} to |u_0|^2 e^{(2-sigma) t}."""
+    sig, dt, l2, h1 = _table_terms(norms, sigma)
+    if sig >= 2.0:
+        raise ValueError(f"gronwall bound undefined: requires (2 - sigma) > 0, got sigma = {sig}")
+    lhs = l2 + (2.0 - sig) * np.concatenate(([0.0], _trapz(h1, dt)))
+    bound = l2[0] * np.exp((2.0 - sig) * norms["t"])
+    worst = float(np.max(lhs / bound)) if l2[0] > 0 else 0.0
+    return StatReport(
+        name="gronwall",
+        estimate=worst,
+        target=1.0 + slack,
+        se=0.0,
+        n=1,
+        tol_kind="upper",
+        tolerance=slack,
+        metadata={"sigma": sig, "T": float(norms["t"][-1])},
+    )
+
+
+def mass_table(norms: np.ndarray, tol: float = 1e-10) -> StatReport:
+    """The worst deviation of the mean mode from its initial value."""
+    mode0 = norms["mode0"]
+    return StatReport(
+        name="mass_conservation",
+        estimate=float(np.max(np.abs(mode0 - mode0[0]))),
+        target=0.0,
+        se=0.0,
+        n=1,
+        tol_kind="abs",
+        tolerance=tol,
+        metadata={"initial_mean": float(mode0[0])},
+    )

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import gronwall_table, mass_table
 from spdekit import cli, verify
 from spdekit.verify import energy_identity_refinement
 
@@ -673,8 +674,8 @@ class TestCheckTable:
 
 
 class TestPathwiseChecks:
-    # one verify command steps each path once, into its norm table, and every
-    # listed pathwise check reads that table
+    # one verify command steps each path once, folding its blocks into one
+    # PathBalance, and every listed pathwise check reads that balance
 
     @staticmethod
     def config(tmp_path, n_steps, n_paths, modes=8, dt=1e-5):
@@ -706,7 +707,7 @@ class TestPathwiseChecks:
         assert path_runs == (list(range(n_paths)) if n_steps else [])
         assert len(streams) == n_paths * -(-n_steps // 256)
 
-        # the reference: each check's worst report over held paths
+        # the reference: each check's worst whole-table report over held paths
         cfg = cli.load_config(cfg_file)
         model, scheme, T, u0 = cli._path_run(cfg, cli.build_grid(cfg))
         tables = [
@@ -716,8 +717,8 @@ class TestPathwiseChecks:
         worst = [
             max(reports, key=lambda r: r.estimate - r.target)
             for reports in (
-                [verify.mass_conservation_check(t) for t in tables],
-                [verify.gronwall_check(t, model.sigma_seq, 0.05) for t in tables],
+                [mass_table(t) for t in tables],
+                [gronwall_table(t, model.sigma_seq, 0.05) for t in tables],
             )
         ]
         ref = tmp_path / "ref.csv"
@@ -725,17 +726,23 @@ class TestPathwiseChecks:
         assert (tmp_path / "o" / "v_reports.csv").read_bytes() == ref.read_bytes()
 
     def test_peak_memory_holds_no_path(self, tmp_path):
-        # K = 32 and 2 * 10^4 Heun steps: a held path is 5.3 MB of states;
-        # the command holds one block and a 32-byte table row per step
-        cfg = self.config(tmp_path, 20_000, 2, modes=32, dt=2.5e-6)
-        tracemalloc.start()
-        try:
-            assert cli.main(["verify", "--config", cfg]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert [row["name"] for row in report_rows(tmp_path)] == ["mass_conservation", "gronwall"]
-        assert peak < 4e6
+        # K = 32 and 2 * 10^4 Heun steps: a held path is 5.3 MB of states, and
+        # a norm table 32 bytes per step; the command holds one block per path.
+        # An untraced one-step run first imports what the command loads lazily.
+        assert cli.main(["verify", "--config", self.config(tmp_path, 1, 2, modes=32)]) == 0
+        peaks = {}
+        for n_steps in (20_000, 80_000):
+            cfg = self.config(tmp_path, n_steps, 2, modes=32, dt=2.5e-6)
+            tracemalloc.start()
+            try:
+                assert cli.main(["verify", "--config", cfg]) == 0
+                _, peaks[n_steps] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            names = [row["name"] for row in report_rows(tmp_path)]
+            assert names == ["mass_conservation", "gronwall"]
+        assert peaks[20_000] < 4e6
+        assert abs(peaks[80_000] - peaks[20_000]) < 0.5e6, peaks
 
 
 MC_CHECK_NAMES = "ito_isometry, trace_identity, wiener_covariance, gaussian_moment, ou_exactness"
@@ -932,6 +939,7 @@ BAD_CHECK_VALUES = {
     "verify_holder_exponent_base_time_negative": ("holder_exponent", "base_time", "-0.5"),
     "regularity_base_time_negative": ("", "base_time", "-0.5"),
     "verify_quadratic_variation_t_zero": ("quadratic_variation", "t", "0.0"),
+    "verify_ito_strat_t_zero": ("ito_strat", "t", "0.0"),
     "verify_holder_exponent_one_lag": ("holder_exponent", "lags", "0.01"),
     "verify_holder_exponent_repeated_lag": ("holder_exponent", "lags", "0.01, 0.01"),
     "regularity_one_lag": ("", "lags", "0.01"),
@@ -1034,6 +1042,7 @@ class TestSteppingConfigErrors:
             ("verify_holder_exponent_base_time_negative", "experiment.base_time"),
             ("regularity_base_time_negative", "experiment.base_time"),
             ("verify_quadratic_variation_t_zero", "experiment.t"),
+            ("verify_ito_strat_t_zero", "experiment.t"),
             ("verify_holder_exponent_one_lag", "experiment.lags"),
             ("verify_holder_exponent_repeated_lag", "experiment.lags"),
             ("regularity_one_lag", "experiment.lags"),

@@ -16,8 +16,8 @@ from spdekit.integrators import (
     BLOW_UP_NORM,
     BlowUpError,
     SchemeSpec,
+    block_norms,
     noise_spec,
-    path_norms,
     simulate,
     step_blocks,
 )
@@ -546,8 +546,8 @@ class TestStreamedDraws:
 
     @pytest.mark.parametrize("n_steps", [0, 1, 256, 600])
     @pytest.mark.parametrize("name,kind", STEPPED_PAIRS)
-    def test_path_norms_are_the_held_paths(self, name, kind, n_steps):
-        # the norm table stepped block by block is bit for bit the held path's
+    def test_block_norms_are_the_held_paths(self, name, kind, n_steps):
+        # the norm rows of the stepped blocks are bit for bit the held path's
         g = TorusGrid(4)
         m = stepped_model(name, g)
         u0 = field_from_modes(g, [(0, 0.1), (1, 0.4 - 0.2j), (3, 0.05j)])
@@ -556,14 +556,17 @@ class TestStreamedDraws:
         dt = 1e-5
         run = (m, SchemeSpec(kind, dt), u0, n_steps * dt)
         sampler = NoiseSampler(noise_spec(m), 12, 5)
-        table = path_norms(*run, sampler=sampler)
+        matrix = MatrixNoise(sampler.spec, sampler.draws_block(0, n_steps) * np.sqrt(dt))
+        table = simulate(*run, sampler=sampler).norms()
         assert table.dtype.names == ("t", "l2_sq", "h1_sq", "mode0")
         assert table.shape == (n_steps + 1,)
-        assert table.tobytes() == simulate(*run, sampler=sampler).norms().tobytes()
-        matrix = MatrixNoise(sampler.spec, sampler.draws_block(0, n_steps) * np.sqrt(dt))
-        by_matrix = path_norms(*run, matrix)
-        assert by_matrix.tobytes() == simulate(*run, matrix).norms().tobytes()
-        assert by_matrix.tobytes() == table.tobytes()
+        for source in (sampler, matrix):
+            rows = [block_norms(np.zeros(1), u0.coef[None], g)]
+            for step0, block, l2_sq in step_blocks(*run, source):
+                times = np.arange(step0 + 1, step0 + block.shape[0]) * dt
+                rows.append(block_norms(times, block[1:], g, l2_sq))
+            assert np.concatenate(rows).tobytes() == table.tobytes()
+            assert simulate(*run, source).norms().tobytes() == table.tobytes()
 
     def test_step_blocks_checks_at_the_call(self):
         g = TorusGrid(4)

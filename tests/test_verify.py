@@ -1,12 +1,14 @@
 """Statistical verifiers: report plumbing and the identity checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import cos_field, make_random_field, sin_field
-from reference import MatrixNoise
+from reference import MatrixNoise, energy_table, gronwall_table, mass_table
 from spdekit import noise
-from spdekit.integrators import SchemeSpec, path_norms, simulate
+from spdekit.integrators import SchemeSpec, block_norms, simulate, step_blocks
 from spdekit.models import AdditiveHeat, Burgers, TransportHeat
 from spdekit import verify
 from spdekit.cli import report_row
@@ -455,6 +457,74 @@ class TestMassConservation:
         assert mass_conservation_check(p.norms()).estimate < 1e-10
 
 
+class TestPathBalance:
+    # the streamed balance of a path, fed block by block or in any split, and
+    # the one-table views give the whole-table reports bit for bit
+
+    @staticmethod
+    def reports(balance):
+        return [balance.energy_report(), balance.gronwall_report(), balance.mass_report()]
+
+    @staticmethod
+    def table_reports(norms, sigma):
+        return [
+            energy_identity_residual(norms, sigma),
+            gronwall_check(norms, sigma),
+            mass_conservation_check(norms),
+        ]
+
+    @staticmethod
+    def chunked(norms, sigma, size):
+        balance = verify.PathBalance(sigma, float(norms["t"][1] - norms["t"][0]), norms[:1])
+        for lo in range(1, len(norms), size):
+            balance.add(norms[lo : lo + size])
+        return balance
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("kind", ["euler_maruyama", "heun_stratonovich", "exponential_euler"])
+    def test_streamed_and_table_reports_are_the_whole_table_reports(self, kind, n_steps):
+        g = TorusGrid(8)
+        model = TransportHeat(g, (0.6, 0.4))
+        u0 = field_from_modes(g, [(0, 0.3), (1, 0.4 - 0.1j), (3, 0.05j)])
+        dt = 1e-5
+        run = (model, SchemeSpec(kind, dt), u0, n_steps * dt)
+        sampler = NoiseSampler(CovarianceSpec.white(g), 21, 3)
+        norms = simulate(*run, sampler=sampler).norms()
+        ref = [energy_table(norms, model.sigma_seq), gronwall_table(norms, model.sigma_seq),
+               mass_table(norms)]
+        assert self.table_reports(norms, model.sigma_seq) == ref
+        if n_steps == 0:  # a one-row table has no step to read dt from
+            ref[0] = dataclasses.replace(ref[0], metadata={**ref[0].metadata, "dt": dt})
+        streamed = verify.PathBalance(model.sigma_seq, dt, norms[:1])
+        for step0, rows, l2_sq in step_blocks(*run, sampler=sampler):
+            times = np.arange(step0 + 1, step0 + rows.shape[0]) * dt
+            streamed.add(block_norms(times, rows[1:], g, l2_sq))
+        assert self.reports(streamed) == ref
+        if n_steps > 1:  # split so that the balance folds several times
+            assert self.reports(self.chunked(norms, model.sigma_seq, 7)) == ref
+
+    @pytest.mark.parametrize("n_rows", [2, 3, 17, 200])
+    def test_any_split_of_a_table_gives_its_reports(self, n_rows):
+        # random rows move every column, the mean mode too
+        rng = np.random.default_rng(n_rows)
+        norms = np.empty(n_rows, [(c, float) for c in ("t", "l2_sq", "h1_sq", "mode0")])
+        norms["t"] = np.arange(n_rows) * 1e-3
+        norms["l2_sq"], norms["h1_sq"] = rng.uniform(0.5, 2.0, (2, n_rows))
+        norms["mode0"] = rng.normal(size=n_rows)
+        ref = [energy_table(norms, 1.2), gronwall_table(norms, 1.2), mass_table(norms)]
+        assert self.table_reports(norms, 1.2) == ref
+        for size in (1, 2, 5, n_rows):
+            assert self.reports(self.chunked(norms, 1.2, size)) == ref
+
+    def test_gronwall_needs_sigma_below_two(self):
+        g = TorusGrid(8)
+        norms = block_norms(np.zeros(1), cos_field(g).coef[None], g)
+        balance = verify.PathBalance(2.5, 1e-4, norms)
+        assert balance.energy_report().estimate == 0.0
+        with pytest.raises(ValueError, match="sigma = 2.5"):
+            balance.gronwall_report()
+
+
 class TestItoIsometry:
     def test_single_mode_brownian_variance(self):
         rep = mc_reports([ito_isometry_stat([1.0], [1.0], 0.7)], McConfig(2000, 3))[0]
@@ -682,8 +752,8 @@ class TestLadder:
             fine = NoiseSampler(white, 9, 1).draws_block(0, 3120) * np.sqrt(1e-5)
             for rep, dt in zip(reps, dts):
                 coarse = MatrixNoise(white, coarsen_increments(fine, int(round(dt / 1e-5))))
-                norms = path_norms(model, SchemeSpec(kind, dt), u0, T, coarse)
-                ref = energy_identity_residual(norms, model.sigma_seq)
+                norms = simulate(model, SchemeSpec(kind, dt), u0, T, coarse).norms()
+                ref = energy_table(norms, model.sigma_seq)
                 assert rep.estimate == ref.estimate and rep.tolerance == ref.tolerance
                 assert rep.metadata["relative_residual"] == ref.metadata["relative_residual"]
         # ito_strat: the terminal distances of each path, matrix-driven
