@@ -58,9 +58,6 @@ from .burgers import (
     PicardWindow,
     SplitSolution,
     apriori_report,
-    compose,
-    sample_linear_part,
-    solve_remainder,
     solve_split,
     split_windows,
 )

@@ -13,12 +13,12 @@ The solution of du = (u_xx + (u^2)_x) dt + dW is built as u = v + w:
   by Picard iteration on time windows, discretized with left-endpoint
   exponential-Euler quadrature (exact semigroup weights).
 
-One generator, :func:`split_windows`, solves the windows in turn: it reads
-v from the stepped blocks of the linear part as each window needs it and
-yields the window's rows of v and w with its diagnostics.
-:func:`solve_remainder` and :func:`solve_split` collect the windows into
-paths, and ``spdekit burgers`` reduces each to its output rows before the
-next is solved, so the command holds one window, never a path.
+One generator, :func:`split_windows`, solves the windows in turn: it steps
+v as each window needs it and yields the window's rows of v and w with its
+diagnostics.  ``spdekit burgers`` reduces each window to its output rows
+before the next is solved, so the command holds one window, never a path;
+:func:`solve_split` is the held view, the windows collected into the paths
+of v, w and u = v + w.
 
 The iteration diagnostics (counts, contraction ratios, mild-equation
 residual) are part of the product: they witness the contraction that the
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .integrators import SamplePath, SchemeSpec, _resolve_steps, simulate, step_blocks
+from .integrators import SamplePath, SchemeSpec, _resolve_steps, step_blocks
 from .models import AdditiveHeat, Burgers, nonlinear_quad_points
 from .noise import CovarianceSpec, NoiseSampler
 from .spectral import SpectralField, TorusGrid, _coef_to_samples, _lp_of_squares, zero_field
@@ -48,10 +48,7 @@ __all__ = [
     "SplitSolution",
     "PicardError",
     "PicardWindow",
-    "sample_linear_part",
     "split_windows",
-    "solve_remainder",
-    "compose",
     "apriori_report",
     "solve_split",
 ]
@@ -91,6 +88,8 @@ class BurgersProblem:
             raise ValueError("picard_tol must be positive")
         if self.picard_maxit < 1:
             raise ValueError("picard_maxit must be at least 1")
+        if not self.window > 0:
+            raise ValueError(f"window must be positive, got {self.window}")
         if self.w0.grid != self.grid:
             raise ValueError("w0 grid does not match problem grid")
         if self.q is None:
@@ -116,7 +115,7 @@ class BurgersProblem:
 
 @dataclass(frozen=True)
 class SplitSolution:
-    """v, w and the composed u on one time grid, plus iteration diagnostics."""
+    """v, w and u = v + w on one time grid, plus iteration diagnostics."""
 
     v_path: SamplePath
     w_path: SamplePath
@@ -128,17 +127,6 @@ class SplitSolution:
     @property
     def residual(self) -> float:
         return max(self.residuals) if self.residuals else 0.0
-
-
-def _linear_run(problem: BurgersProblem):
-    """(model, scheme, v0, T) of the linear part: exact OU steps from v(0) = 0."""
-    scheme = SchemeSpec("exact_ou", problem.dt)
-    return AdditiveHeat(problem.q), scheme, zero_field(problem.grid), problem.T
-
-
-def sample_linear_part(problem: BurgersProblem, sampler: NoiseSampler) -> SamplePath:
-    """Distributionally exact OU path of the linear equation, v(0) = 0."""
-    return simulate(*_linear_run(problem), sampler=sampler)
 
 
 def _decay_powers(decay: np.ndarray, n_rows: int) -> np.ndarray:
@@ -183,19 +171,6 @@ class PicardWindow(NamedTuple):
     distances: list[float]
 
 
-def split_windows(problem: BurgersProblem, sampler: NoiseSampler):
-    """Solve the split window by window: v stepped as it is needed, w by Picard.
-
-    v is the path :func:`sample_linear_part` steps from ``sampler``, read
-    from :func:`~spdekit.integrators.step_blocks` one window at a time, so a
-    run holds one window of v and w and one block of v's steps.  Yields a
-    :class:`PicardWindow` per window; raises :class:`PicardError` as
-    :func:`solve_remainder` does.
-    """
-    blocks = step_blocks(*_linear_run(problem), sampler=sampler)
-    return _picard_windows(problem, (rows for _, rows, _ in blocks))
-
-
 def _windows_of(blocks, n_steps: int, steps_per_window: int):
     """Regroup consecutive blocks of states into windows of ``steps_per_window`` steps.
 
@@ -224,8 +199,14 @@ def _windows_of(blocks, n_steps: int, steps_per_window: int):
                 n0, filled = n0 + want, 0
 
 
-def _picard_windows(problem: BurgersProblem, v_blocks):
-    """The windowed Picard loop over the linear part's blocks of states ``v_blocks``.
+def split_windows(problem: BurgersProblem, sampler: NoiseSampler):
+    """Solve the split window by window: v stepped as it is needed, w by Picard.
+
+    v is the exact OU path of the linear part from v(0) = 0, driven by
+    ``sampler`` and read from :func:`~spdekit.integrators.step_blocks` one
+    window at a time, so a run holds one window of v and w and one block of
+    v's steps.  Yields a :class:`PicardWindow` per window; raises
+    :class:`PicardError` in the first window that exceeds the iteration cap.
 
     Each window carries the iterates as physical samples: the forcing
     ((w + v)^2)_x is squared from samples(w) + samples(v), and the distances
@@ -268,6 +249,8 @@ def _picard_windows(problem: BurgersProblem, v_blocks):
         diff = np.subtract(new, old, out=scratch)
         return float(np.max(_lp_of_squares(np.multiply(diff, diff, out=diff), p)))
 
+    linear = AdditiveHeat(problem.q), SchemeSpec("exact_ou", dt), zero_field(grid), problem.T
+    v_blocks = (rows for _, rows, _ in step_blocks(*linear, sampler=sampler))
     windows = _windows_of(v_blocks, n_steps, steps_per_window)
     for window_index, (n0, v) in enumerate(windows):
         rows = v.shape[0]
@@ -293,51 +276,6 @@ def _picard_windows(problem: BurgersProblem, v_blocks):
         residual = sup_lp_distance(sweep(old, spare), old)
         yield PicardWindow(window_index, n0, v, w, w_lp, len(dists), residual, dists)
         start = w[-1].copy()
-
-
-def _collect(problem: BurgersProblem, windows, v: np.ndarray | None = None):
-    """(w_path, iters, residuals, distance_log) of the windows, their v rows into ``v``."""
-    w = np.empty((problem.n_steps + 1, problem.grid.n_modes + 1), dtype=np.complex128)
-    w[0] = problem.w0.coef
-    iters: list[int] = []
-    residuals: list[float] = []
-    distance_log: list[list[float]] = []
-    for win in windows:
-        rows = slice(win.step0, win.step0 + win.w.shape[0])
-        w[rows] = win.w
-        if v is not None:
-            v[rows] = win.v
-        iters.append(win.iters)
-        residuals.append(win.residual)
-        distance_log.append(win.distances)
-    times = np.arange(problem.n_steps + 1) * problem.dt
-    return SamplePath(problem.grid, times, w), iters, residuals, distance_log
-
-
-def solve_remainder(problem: BurgersProblem, v_path: SamplePath):
-    """Windowed Picard iteration for the remainder w given the linear part.
-
-    Returns ``(w_path, iters, residuals, distance_log)``: the converged
-    remainder, iteration counts and mild-equation residuals per window, and
-    the successive-iterate distances (contraction witnesses).  The windows
-    are those :func:`split_windows` solves, collected into a path.
-    """
-    if v_path.grid != problem.grid:
-        raise ValueError("v path lives on a different grid")
-    if v_path.n_steps != problem.n_steps:
-        raise ValueError("v path does not match the problem's time grid")
-    return _collect(problem, _picard_windows(problem, [v_path.states]))
-
-
-def compose(v_path: SamplePath, w_path: SamplePath) -> SamplePath:
-    """u = v + w snapshot by snapshot on the shared time grid."""
-    if v_path.grid != w_path.grid:
-        raise ValueError("paths live on different grids")
-    if v_path.times.shape != w_path.times.shape or not np.array_equal(
-        v_path.times, w_path.times
-    ):
-        raise ValueError("paths live on different time grids")
-    return SamplePath(v_path.grid, v_path.times, v_path.states + w_path.states)
 
 
 def apriori_report(problem: BurgersProblem, w_lp: np.ndarray, v_halpha: np.ndarray) -> StatReport:
@@ -375,9 +313,17 @@ def apriori_report(problem: BurgersProblem, w_lp: np.ndarray, v_halpha: np.ndarr
 
 
 def solve_split(problem: BurgersProblem, seed: int, stream_id: int = 0) -> SplitSolution:
-    """Full pipeline for one seed: v, w and u = v + w as paths, from :func:`split_windows`."""
-    windows = split_windows(problem, NoiseSampler(problem.q, seed, stream_id))
+    """One seed's windows of :func:`split_windows` collected into the paths v, w and u = v + w."""
     v = np.zeros((problem.n_steps + 1, problem.grid.n_modes + 1), dtype=np.complex128)
-    w_path, iters, residuals, dist_log = _collect(problem, windows, v)
-    v_path = SamplePath(problem.grid, w_path.times, v)
-    return SplitSolution(v_path, w_path, compose(v_path, w_path), iters, residuals, dist_log)
+    w = np.empty_like(v)
+    w[0] = problem.w0.coef
+    iters, residuals, distance_log = [], [], []
+    for win in split_windows(problem, NoiseSampler(problem.q, seed, stream_id)):
+        rows = slice(win.step0, win.step0 + win.v.shape[0])
+        v[rows], w[rows] = win.v, win.w
+        iters.append(win.iters)
+        residuals.append(win.residual)
+        distance_log.append(win.distances)
+    times = np.arange(problem.n_steps + 1) * problem.dt
+    v_path, w_path, u_path = (SamplePath(problem.grid, times, x) for x in (v, w, v + w))
+    return SplitSolution(v_path, w_path, u_path, iters, residuals, distance_log)

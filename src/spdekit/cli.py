@@ -369,8 +369,12 @@ def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
 
     prefix = output_prefix(cfg)
     files = {out / f"{prefix}_norms.csv": NORMS_HEADER}
-    save_spectra = (cfg.get_str("experiment", "save_spectra", "false") or "").lower()
-    if save_spectra in ("1", "true", "yes"):
+    raw = cfg.get_str("experiment", "save_spectra", "false")
+    flags = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+    save_spectra = flags.get(raw.lower())
+    if save_spectra is None:
+        raise ConfigError(f"experiment.save_spectra must be one of {'|'.join(flags)}, got {raw!r}")
+    if save_spectra:
         files[out / f"{prefix}_spectra.csv"] = SPECTRA_HEADER
     handles = []
 
@@ -406,6 +410,8 @@ def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
 
 def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
     checks = cfg.get_list("experiment", "checks")
+    if not checks:
+        raise ConfigError(f"experiment.checks names no check; known: {', '.join(CHECKS)}")
     for name in checks:
         if name not in CHECKS:
             raise ConfigError(

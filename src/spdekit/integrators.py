@@ -136,10 +136,6 @@ class SamplePath:
     def final(self) -> SpectralField:
         return self.state(self.n_steps)
 
-    def norms(self) -> np.ndarray:
-        """The norm rows of every state of the path (see :func:`block_norms`)."""
-        return block_norms(self.times, self.states, self.grid)
-
 
 def block_norms(
     times: np.ndarray, rows: np.ndarray, grid: TorusGrid, l2_sq: np.ndarray | None = None

@@ -16,9 +16,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cos_field, make_random_field, sin_field
+from conftest import cos_field, make_random_field, sin_field, stepped_balance
 from spdekit.burgers import BurgersProblem, solve_split
-from spdekit.integrators import SchemeSpec, simulate
+from spdekit.integrators import SchemeSpec, block_norms, simulate
 from spdekit.models import (
     Burgers,
     PorousMedium,
@@ -33,14 +33,13 @@ from spdekit.noise import CovarianceSpec, NoiseSampler
 from spdekit.spectral import TorusGrid, h_inner, lp_norm, zero_field
 from spdekit.verify import (
     McConfig,
+    PathBalance,
     brownian_scalar_path,
     energy_identity_refinement,
     gaussian_moment_stat,
-    gronwall_check,
     holder_exponent_fit,
     ito_isometry_stat,
     ito_strat_compare,
-    mass_conservation_check,
     mc_reports,
     ou_variance_stats,
     quadratic_variation_partition,
@@ -118,8 +117,8 @@ def test_c03_gronwall_bound():
         model = TransportHeat(grid, (sigma,))
         for i in range(100):
             sampler = NoiseSampler(CovarianceSpec.white(grid), SEED + 7, i)
-            path = simulate(model, SchemeSpec("heun_stratonovich", dt), u0, T, sampler=sampler)
-            rep = gronwall_check(path.norms(), sigma, slack=0.05)
+            balance = stepped_balance(model, SchemeSpec("heun_stratonovich", dt), u0, T, sampler)
+            rep = balance.gronwall_report(slack=0.05)
             worst = max(worst, rep.estimate)
             ok &= rep.passed
     elapsed = time.monotonic() - t0
@@ -140,21 +139,24 @@ def test_c04_mass_conservation_everywhere():
         coef[9:] = 0.0
         u0 = low.with_coef(coef)
         sampler = NoiseSampler(CovarianceSpec.white(grid), SEED + 9, i)
-        path = simulate(model, SchemeSpec(scheme, 1e-5), u0, 0.02, sampler=sampler)
-        worst = max(worst, mass_conservation_check(path.norms()).estimate)
+        balance = stepped_balance(model, SchemeSpec(scheme, 1e-5), u0, 0.02, sampler)
+        worst = max(worst, balance.mass_report().estimate)
     gb = TorusGrid(64)
     for i in range(5):
         prob = BurgersProblem(gb, 0.05, 2.5e-4, sin_field(gb))
         split = solve_split(prob, SEED + 11, i)
-        worst = max(worst, mass_conservation_check(split.u_path.norms()).estimate)
-        direct = simulate(
+        u = block_norms(split.u_path.times, split.u_path.states, gb)
+        composed = PathBalance(0.0, prob.dt, u[:1])
+        composed.add(u[1:])
+        worst = max(worst, composed.mass_report().estimate)
+        direct = stepped_balance(
             Burgers(prob.q),
             SchemeSpec("exponential_euler", 2.5e-4),
             sin_field(gb),
             0.05,
-            sampler=NoiseSampler(prob.q, SEED + 11, i),
+            NoiseSampler(prob.q, SEED + 11, i),
         )
-        worst = max(worst, mass_conservation_check(direct.norms()).estimate)
+        worst = max(worst, direct.mass_report().estimate)
     ok = worst < 1e-10
     assert announce(4, ok, f"max mode-0 deviation {worst:.2e} < 1e-10 over 30 paths")
 

@@ -11,9 +11,6 @@ from spdekit.burgers import (
     _decay_powers,
     _semigroup_scan,
     apriori_report,
-    compose,
-    sample_linear_part,
-    solve_remainder,
     solve_split,
     split_windows,
 )
@@ -24,7 +21,6 @@ from spdekit.spectral import (
     _lp_of_squares,
     _samples_to_coef,
     halpha_rows,
-    lp_norm,
     lp_rows,
     zero_field,
 )
@@ -55,6 +51,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="picard_tol"):
             BurgersProblem(g, 0.1, 1e-3, zero_field(g), picard_tol=0.0)
 
+    @pytest.mark.parametrize("window", [0.0, -0.05, float("nan")])
+    def test_window_must_be_positive(self, window):
+        g = TorusGrid(8)
+        with pytest.raises(ValueError, match="window must be positive"):
+            BurgersProblem(g, 0.1, 1e-3, zero_field(g), window=window)
+
     def test_default_noise_is_mean_free(self):
         g = TorusGrid(8)
         prob = BurgersProblem(g, 0.1, 1e-3, zero_field(g))
@@ -66,13 +68,13 @@ class TestLinearPart:
     def test_dead_spec_gives_zero(self):
         g = TorusGrid(16)
         prob = BurgersProblem(g, 0.05, 1e-3, zero_field(g), q=dead_noise(g))
-        v = sample_linear_part(prob, NoiseSampler(prob.q, 1))
+        v = solve_split(prob, 1).v_path
         assert np.all(v.states == 0)
 
     def test_starts_at_zero(self):
         g = TorusGrid(16)
         prob = BurgersProblem(g, 0.05, 1e-3, zero_field(g))
-        v = sample_linear_part(prob, NoiseSampler(prob.q, 2))
+        v = solve_split(prob, 2).v_path
         assert np.all(v.states[0] == 0)
 
     def test_single_mode_variance_against_closed_form(self):
@@ -88,7 +90,7 @@ class TestLinearPart:
         mu = g.laplacian_eigs[1]
         samples = np.empty(n)
         for i in range(n):
-            v = sample_linear_part(prob, NoiseSampler(q, 50, i))
+            v = solve_split(prob, 50, i).v_path
             samples[i] = abs(v.states[t_idx, 1]) ** 2
         target = (1 - np.exp(-2 * mu * t)) / (2 * mu)
         se = np.std(samples, ddof=1) / np.sqrt(n)
@@ -112,7 +114,7 @@ def row_recurrence(x, decay):
 
 
 def reference_solve_remainder(problem, v_path):
-    """The per-row, four-transform Picard loop that ``solve_remainder`` replaced."""
+    """The per-row, four-transform Picard loop that ``split_windows`` replaced."""
     grid = problem.grid
     n_steps = problem.n_steps
     dt = problem.dt
@@ -196,10 +198,9 @@ class TestRemainder:
     def test_zero_data_zero_noise_one_iteration(self):
         g = TorusGrid(16)
         prob = BurgersProblem(g, 0.05, 1e-3, zero_field(g), q=dead_noise(g))
-        v = sample_linear_part(prob, NoiseSampler(prob.q, 1))
-        w, iters, residuals, _ = solve_remainder(prob, v)
-        assert np.all(w.states == 0)
-        assert all(i == 1 for i in iters)
+        split = solve_split(prob, 1)
+        assert np.all(split.w_path.states == 0)
+        assert all(i == 1 for i in split.picard_iters)
 
     def test_deterministic_self_convergence(self):
         # v = 0, w0 = 0.1 sin: converged w matches a fine-dt reference
@@ -208,9 +209,7 @@ class TestRemainder:
         stats = {}
         for dt in (1e-3, 1e-3 / 16):
             prob = BurgersProblem(g, 0.2, dt, w0, q=dead_noise(g), picard_tol=1e-12)
-            v = sample_linear_part(prob, NoiseSampler(prob.q, 1))
-            w, _, _, _ = solve_remainder(prob, v)
-            stats[dt] = w.states[-1]
+            stats[dt] = solve_split(prob, 1).w_path.states[-1]
         err = l2_dist(stats[1e-3], stats[1e-3 / 16])
         ref_norm = np.sqrt(
             stats[1e-3 / 16][0].real ** 2 + 2 * np.sum(np.abs(stats[1e-3 / 16][1:]) ** 2)
@@ -230,16 +229,15 @@ class TestRemainder:
         prob = BurgersProblem(
             g, 0.05, 1e-3, sin_field(g, amplitude=8.0), picard_maxit=1, picard_tol=1e-14
         )
-        v = sample_linear_part(prob, NoiseSampler(prob.q, 3))
         with pytest.raises(PicardError, match="window 0"):
-            solve_remainder(prob, v)
+            solve_split(prob, 3)
 
     def test_mean_conservation(self):
         g = TorusGrid(32)
         prob = BurgersProblem(g, 0.1, 5e-4, sin_field(g))
         split = solve_split(prob, seed=11)
-        assert np.max(np.abs(split.w_path.norms()["mode0"])) < 1e-10
-        assert np.max(np.abs(split.v_path.norms()["mode0"])) == 0.0  # mean-free noise
+        assert np.max(np.abs(split.w_path.states[:, 0].real)) < 1e-10
+        assert np.max(np.abs(split.v_path.states[:, 0].real)) == 0.0  # mean-free noise
 
 
 class TestAgainstReferenceLoop:
@@ -249,9 +247,11 @@ class TestAgainstReferenceLoop:
         g = TorusGrid(32)
         # amplitude 2 puts sup |w|_{L^4} above 1, so the distance scale is exercised
         prob = BurgersProblem(g, 0.1, 5e-4, sin_field(g, amplitude=2.0), window=window)
-        v = sample_linear_part(prob, NoiseSampler(prob.q, seed))
-        w, iters, residuals, dists = solve_remainder(prob, v)
-        ref_w, ref_iters, ref_residuals, ref_dists = reference_solve_remainder(prob, v)
+        split = solve_split(prob, seed)
+        w, iters, residuals, dists = (
+            split.w_path, split.picard_iters, split.residuals, split.iterate_distances
+        )
+        ref_w, ref_iters, ref_residuals, ref_dists = reference_solve_remainder(prob, split.v_path)
         assert iters == ref_iters
         # entries far below the field's scale (top modes early in a window) are
         # sums of cancelling terms: one rounding unit of max |w| is their floor
@@ -267,19 +267,15 @@ class TestCompose:
     def test_zero_remainder(self):
         g = TorusGrid(16)
         prob = BurgersProblem(g, 0.02, 1e-3, zero_field(g))
-        v = sample_linear_part(prob, NoiseSampler(prob.q, 7))
-        w, _, _, _ = solve_remainder(prob, v)
-        u = compose(v, w)
+        split = solve_split(prob, 7)
         # with zero initial remainder w is driven only by v; composing adds them
-        assert np.allclose(u.states, v.states + w.states)
+        assert np.array_equal(split.u_path.states, split.v_path.states + split.w_path.states)
 
     def test_zero_linear_part(self):
         g = TorusGrid(16)
         prob = BurgersProblem(g, 0.02, 1e-3, sin_field(g), q=dead_noise(g))
-        v = sample_linear_part(prob, NoiseSampler(prob.q, 7))
-        w, _, _, _ = solve_remainder(prob, v)
-        u = compose(v, w)
-        assert np.array_equal(u.states, w.states)
+        split = solve_split(prob, 7)
+        assert np.array_equal(split.u_path.states, split.w_path.states)
 
     def test_subtracting_recovers(self):
         g = TorusGrid(16)
@@ -288,32 +284,21 @@ class TestCompose:
         back = split.u_path.states - split.v_path.states
         assert np.max(np.abs(back - split.w_path.states)) < 1e-14
 
-    def test_time_grid_mismatch(self):
-        g = TorusGrid(16)
-        p1 = BurgersProblem(g, 0.02, 1e-3, zero_field(g))
-        p2 = BurgersProblem(g, 0.04, 1e-3, zero_field(g))
-        v1 = sample_linear_part(p1, NoiseSampler(p1.q, 1))
-        v2 = sample_linear_part(p2, NoiseSampler(p2.q, 1))
-        with pytest.raises(ValueError, match="time grids"):
-            compose(v1, v2)
-
 
 class TestAprioriReport:
     def test_zero_remainder_ratio(self):
         g = TorusGrid(16)
         prob = BurgersProblem(g, 0.02, 1e-3, zero_field(g), q=dead_noise(g))
-        v = sample_linear_part(prob, NoiseSampler(prob.q, 1))
-        w, _, _, _ = solve_remainder(prob, v)
-        rep = apriori_report(prob, *row_norms(prob, w, v))
+        split = solve_split(prob, 1)
+        rep = apriori_report(prob, *row_norms(prob, split.w_path, split.v_path))
         assert rep.estimate == 0.0
 
     def test_deterministic_decay_ratio_below_one(self):
         # zero noise, p = 2: dissipativity gives sup_t |w| <= |w_0|
         g = TorusGrid(32)
         prob = BurgersProblem(g, 0.1, 5e-4, sin_field(g), p=2.0, q=dead_noise(g))
-        v = sample_linear_part(prob, NoiseSampler(prob.q, 1))
-        w, _, _, _ = solve_remainder(prob, v)
-        rep = apriori_report(prob, *row_norms(prob, w, v))
+        split = solve_split(prob, 1)
+        rep = apriori_report(prob, *row_norms(prob, split.w_path, split.v_path))
         assert rep.metadata["sup_w_lp"] <= rep.metadata["w0_lp"] * (1 + 1e-12)
         assert rep.estimate <= 1.0
 

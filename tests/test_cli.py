@@ -11,6 +11,7 @@ import pytest
 
 from reference import gronwall_table, mass_table
 from spdekit import cli, verify
+from spdekit.integrators import block_norms
 from spdekit.verify import energy_identity_refinement
 
 
@@ -134,6 +135,26 @@ class TestSimulate:
         assert lines[0] == "t,k,re,im"
         assert len(lines) == 1 + 101 * 17
 
+    @pytest.mark.parametrize("value", ["TRUE", "Yes", "1", "no", "False", "0"])
+    def test_save_spectra_values_are_case_insensitive(self, tmp_path, value):
+        text = BASE_SIM.format(out=tmp_path / "o").replace(
+            "u0 = cos", f"u0 = cos\nsave_spectra = {value}"
+        )
+        assert cli.main(["simulate", "--config", write_config(tmp_path / "c.ini", text)]) == 0
+        wanted = value.lower() in ("true", "yes", "1")
+        assert (tmp_path / "o" / "run_spectra.csv").exists() == wanted
+
+    @pytest.mark.parametrize("value", ["ture", "", "on"])
+    def test_unrecognised_save_spectra_is_config_error(self, tmp_path, capsys, value):
+        # an unrecognised flag used to mean false: exit 0 and no spectra file
+        text = BASE_SIM.format(out=tmp_path / "o").replace(
+            "u0 = cos", f"u0 = cos\nsave_spectra = {value}"
+        )
+        assert cli.main(["simulate", "--config", write_config(tmp_path / "c.ini", text)]) == 2
+        err = capsys.readouterr().err
+        assert "experiment.save_spectra" in err and repr(value) in err
+        assert not (tmp_path / "o" / "run_norms.csv").exists()
+
     def test_blow_up_exits_three(self, tmp_path, capsys):
         text = """
 [model]
@@ -222,7 +243,7 @@ class TestCsvTables:
         u0 = field_from_modes(g, [(1, 0.5)])
         path = simulate(ReactionDiffusion(-1.0, 3, q), SchemeSpec("euler_maruyama", 1e-4), u0,
                         0.01, sampler=NoiseSampler(q, 7, 0))
-        table = path.norms()
+        table = block_norms(path.times, path.states, g)
         norms = zip(table["t"], np.sqrt(table["l2_sq"]), np.sqrt(table["h1_sq"]), table["mode0"])
         spectra = [[t, k, c.real, c.imag] for t, row in zip(path.times, path.states)
                    for k, c in enumerate(row)]
@@ -250,7 +271,7 @@ class TestCsvTables:
         from conftest import sin_field
         from spdekit.burgers import BurgersProblem, apriori_report, solve_split
         from spdekit.noise import CovarianceSpec
-        from spdekit.spectral import TorusGrid, halpha_rows, lp_rows
+        from spdekit.spectral import TorusGrid, halpha_rows, l2_sq_rows, lp_rows
 
         text = BURGERS_TEMPLATE.format(
             noise="mean_free_white", amp="0.5", n=2, maxit=25, out=tmp_path / "o"
@@ -269,7 +290,7 @@ class TestCsvTables:
             split = solve_split(prob, 3, i)
             v_ha = halpha_rows(split.v_path.states, g, prob.alpha)
             w_lp = lp_rows(split.w_path.states, prob.p, prob.quad_points)
-            u_l2 = np.sqrt(split.u_path.norms()["l2_sq"])
+            u_l2 = np.sqrt(l2_sq_rows(split.u_path.states))
             iters, residuals = split.picard_iters or [0], split.residuals or [0.0]
             rows = []
             for j, time_j in enumerate(split.u_path.times):
@@ -354,7 +375,7 @@ class TestStreamedSimulate:
         assert cli.main(["simulate", "--config", cfg]) == 0
         path = full_path(cfg)
         assert path.n_steps == n_steps
-        table = path.norms()
+        table = block_norms(path.times, path.states, path.grid)
         norms = zip(table["t"], np.sqrt(table["l2_sq"]), np.sqrt(table["h1_sq"]), table["mode0"])
         spectra = [[t, k, c.real, c.imag] for t, row in zip(path.times, path.states)
                    for k, c in enumerate(row)]
@@ -483,14 +504,15 @@ class TestVerify:
         assert rows[0]["pass"] == "skipped"
         assert "Brownian" in rows[0]["note"]
 
-    def test_empty_check_list_header_only(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.ini",
-            VERIFY_TEMPLATE.format(sigma="1.0", checks="", out=tmp_path / "o"),
-        )
-        assert cli.main(["verify", "--config", cfg]) == 0
-        lines = (tmp_path / "o" / "v_reports.csv").read_text().strip().splitlines()
-        assert len(lines) == 1
+    @pytest.mark.parametrize("checks", ["checks = ", "checks = ,", ""])  # empty, or no key
+    def test_empty_check_list_is_config_error(self, tmp_path, capsys, checks):
+        # a run with no check would pass vacuously with a header-only report
+        text = VERIFY_TEMPLATE.format(sigma="1.0", checks="", out=tmp_path / "o")
+        cfg = write_config(tmp_path / "c.ini", text.replace("checks = \n", checks + "\n"))
+        assert cli.main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "experiment.checks" in err and ", ".join(cli.CHECKS) in err
+        assert not (tmp_path / "o" / "v_reports.csv").exists()
 
     def test_unknown_check_is_config_error(self, tmp_path, capsys):
         cfg = write_config(
@@ -710,10 +732,11 @@ class TestPathwiseChecks:
         # the reference: each check's worst whole-table report over held paths
         cfg = cli.load_config(cfg_file)
         model, scheme, T, u0 = cli._path_run(cfg, cli.build_grid(cfg))
-        tables = [
-            simulate(model, scheme, u0, T, sampler=NoiseSampler(noise_spec(model), 5, i)).norms()
+        paths = [
+            simulate(model, scheme, u0, T, sampler=NoiseSampler(noise_spec(model), 5, i))
             for i in range(n_paths)
         ]
+        tables = [block_norms(p.times, p.states, p.grid) for p in paths]
         worst = [
             max(reports, key=lambda r: r.estimate - r.target)
             for reports in (
@@ -1132,6 +1155,17 @@ class TestBurgers:
         err = capsys.readouterr().err
         assert "experiment.n_paths must be at least 1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("window", ["0", "-0.05"])
+    def test_nonpositive_window_is_config_error(self, tmp_path, capsys, window):
+        # a window <= 0 used to run one-step Picard windows and exit 0
+        text = BURGERS_TEMPLATE.format(
+            noise="mean_free_white", amp="0.5", n=1, maxit=25, out=tmp_path / "o"
+        ).replace("picard_maxit", f"window = {window}\npicard_maxit")
+        assert cli.main(["burgers", "--config", write_config(tmp_path / "c.ini", text)]) == 2
+        err = capsys.readouterr().err
+        assert "window must be positive" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "b_seed000.csv").exists()
+
     def test_zero_noise_matches_reference(self, tmp_path):
         # the w column of a zero-noise run equals a directly computed remainder
         cfg = write_config(
@@ -1144,15 +1178,14 @@ class TestBurgers:
         w_col = np.array([float(line.split(",")[2]) for line in lines])
 
         from conftest import sin_field
-        from spdekit.burgers import BurgersProblem, sample_linear_part, solve_remainder
-        from spdekit.noise import CovarianceSpec, NoiseSampler
+        from spdekit.burgers import BurgersProblem, solve_split
+        from spdekit.noise import CovarianceSpec
         from spdekit.spectral import TorusGrid, lp_rows
 
         g = TorusGrid(32)
         q = CovarianceSpec.from_eigenvalues(g, np.zeros(33))
         prob = BurgersProblem(g, 0.05, 1e-3, sin_field(g, 0.5), q=q)
-        v = sample_linear_part(prob, NoiseSampler(q, 3, 0))
-        w, _, _, _ = solve_remainder(prob, v)
+        w = solve_split(prob, 3, 0).w_path
         ref = lp_rows(w.states, prob.p, prob.quad_points)
         assert np.allclose(w_col, ref, rtol=1e-12, atol=1e-15)
 

@@ -135,7 +135,7 @@ class TestExpEulerStep:
         coarse = simulate(m, SchemeSpec("exponential_euler", 1e-3), u0, T)
         ref = simulate(m, SchemeSpec("exponential_euler", 1e-3 / 64), u0, T)
         err = l2_dist(coarse.states[-1], ref.states[-1])
-        assert err / np.sqrt(ref.norms()["l2_sq"][-1]) < 1e-3
+        assert err / np.sqrt(l2_sq_rows(ref.states[-1])) < 1e-3
 
 
 class TestExactOu:
@@ -227,14 +227,14 @@ class TestSimulate:
         u0 = make_random_field(gt, 13, mean_zero=False)
         st = NoiseSampler(CovarianceSpec.white(gt), 7, 0)
         pt = simulate(mt, SchemeSpec("euler_maruyama", 1e-5), u0, 0.005, sampler=st)
-        assert np.max(np.abs(pt.norms()["mode0"] - u0.mean)) < 1e-12
+        assert np.max(np.abs(pt.states[:, 0].real - u0.mean)) < 1e-12
 
         gb = TorusGrid(32)
         mb = Burgers(CovarianceSpec.mean_free_white(gb))
         w0 = sin_field(gb) + field_from_modes(gb, [(0, 0.3)])
         sb = NoiseSampler(mb.q, 11, 0)
         pb = simulate(mb, SchemeSpec("exponential_euler", 1e-4), w0, 0.02, sampler=sb)
-        assert np.max(np.abs(pb.norms()["mode0"] - 0.3)) < 1e-12
+        assert np.max(np.abs(pb.states[:, 0].real - 0.3)) < 1e-12
 
     def test_blow_up_reported_with_time(self):
         g = TorusGrid(16)
@@ -557,7 +557,8 @@ class TestStreamedDraws:
         run = (m, SchemeSpec(kind, dt), u0, n_steps * dt)
         sampler = NoiseSampler(noise_spec(m), 12, 5)
         matrix = MatrixNoise(sampler.spec, sampler.draws_block(0, n_steps) * np.sqrt(dt))
-        table = simulate(*run, sampler=sampler).norms()
+        path = simulate(*run, sampler=sampler)
+        table = block_norms(path.times, path.states, g)
         assert table.dtype.names == ("t", "l2_sq", "h1_sq", "mode0")
         assert table.shape == (n_steps + 1,)
         for source in (sampler, matrix):
@@ -566,7 +567,7 @@ class TestStreamedDraws:
                 times = np.arange(step0 + 1, step0 + block.shape[0]) * dt
                 rows.append(block_norms(times, block[1:], g, l2_sq))
             assert np.concatenate(rows).tobytes() == table.tobytes()
-            assert simulate(*run, source).norms().tobytes() == table.tobytes()
+            assert simulate(*run, source).states.tobytes() == path.states.tobytes()
 
     def test_step_blocks_checks_at_the_call(self):
         g = TorusGrid(4)

@@ -5,11 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import cos_field, make_random_field, sin_field
+from conftest import cos_field, make_random_field, sin_field, stepped_balance
 from reference import MatrixNoise, energy_table, gronwall_table, mass_table
 from spdekit import noise
 from spdekit.integrators import SchemeSpec, block_norms, simulate, step_blocks
-from spdekit.models import AdditiveHeat, Burgers, TransportHeat
+from spdekit.models import Burgers, TransportHeat
 from spdekit import verify
 from spdekit.cli import report_row
 from spdekit.noise import (
@@ -27,15 +27,12 @@ from spdekit.verify import (
     StatReport,
     brownian_scalar_path,
     energy_identity_refinement,
-    energy_identity_residual,
     evaluate_pass,
     gaussian_moment_stat,
-    gronwall_check,
     holder_exponent_fit,
     ito_isometry_stat,
     ito_strat_compare,
     ladder_blocks,
-    mass_conservation_check,
     mc_normals,
     mc_pass,
     mc_reports,
@@ -373,8 +370,8 @@ class TestEnergyIdentity:
         # sigma = 0: exponential Euler is the exact heat flow
         g = TorusGrid(32)
         m = TransportHeat(g, (0.0,))
-        p = simulate(m, SchemeSpec("exponential_euler", 1e-5), cos_field(g), 0.05)
-        rep = energy_identity_residual(p.norms(), 0.0)
+        balance = stepped_balance(m, SchemeSpec("exponential_euler", 1e-5), cos_field(g), 0.05)
+        rep = balance.energy_report()
         assert rep.estimate < 1e-6
         assert rep.passed
 
@@ -382,9 +379,8 @@ class TestEnergyIdentity:
         g = TorusGrid(8)
         m = TransportHeat(g, (1.3,))
         s = NoiseSampler(CovarianceSpec.white(g), 3)
-        p = simulate(m, SchemeSpec("euler_maruyama", 1e-4), zero_field(g), 0.01, sampler=s)
-        rep = energy_identity_residual(p.norms(), 1.3)
-        assert rep.estimate == 0.0
+        balance = stepped_balance(m, SchemeSpec("euler_maruyama", 1e-4), zero_field(g), 0.01, s)
+        assert balance.energy_report().estimate == 0.0
 
     def test_sign_flip_invariance(self):
         # quadratic functional composed with the odd symmetry of the equation
@@ -393,8 +389,8 @@ class TestEnergyIdentity:
         u0 = cos_field(g)
         for sign in (1.0, -1.0):
             s = NoiseSampler(CovarianceSpec.white(g), 17, 0)
-            p = simulate(m, SchemeSpec("euler_maruyama", 1e-4), sign * u0, 0.02, sampler=s)
-            rep = energy_identity_residual(p.norms(), 1.0)
+            balance = stepped_balance(m, SchemeSpec("euler_maruyama", 1e-4), sign * u0, 0.02, s)
+            rep = balance.energy_report()
             if sign == 1.0:
                 base = rep.estimate
             else:
@@ -414,8 +410,8 @@ class TestEnergyIdentity:
         g = TorusGrid(16)
         m = TransportHeat(g, (0.5, 0.3, 0.2))
         s = NoiseSampler(CovarianceSpec.white(g), 19)
-        p = simulate(m, SchemeSpec("euler_maruyama", 2e-6), cos_field(g), 0.01, sampler=s)
-        rep = energy_identity_residual(p.norms(), m.sigma_seq)
+        balance = stepped_balance(m, SchemeSpec("euler_maruyama", 2e-6), cos_field(g), 0.01, s)
+        rep = balance.energy_report()
         assert rep.metadata["sigma"] == pytest.approx(1.0)
         assert rep.metadata["relative_residual"] < 0.02
 
@@ -424,17 +420,17 @@ class TestGronwall:
     def test_deterministic_flow_saturates_at_t0(self):
         g = TorusGrid(16)
         m = TransportHeat(g, (0.0,))
-        p = simulate(m, SchemeSpec("exponential_euler", 1e-4), cos_field(g), 0.05)
-        rep = gronwall_check(p.norms(), 0.0)
+        balance = stepped_balance(m, SchemeSpec("exponential_euler", 1e-4), cos_field(g), 0.05)
+        rep = balance.gronwall_report()
         assert rep.passed
         assert rep.estimate == pytest.approx(1.0, abs=1e-3)  # equality at t = 0
 
     def test_sigma_at_threshold_rejected(self):
         g = TorusGrid(8)
         m = TransportHeat(g, (2.0,))
-        p = simulate(m, SchemeSpec("exponential_euler", 1e-3), cos_field(g), 0.01)
+        balance = stepped_balance(m, SchemeSpec("exponential_euler", 1e-3), cos_field(g), 0.01)
         with pytest.raises(ValueError, match="sigma"):
-            gronwall_check(p.norms(), 2.0)
+            balance.gronwall_report()
 
 
 class TestMassConservation:
@@ -443,8 +439,7 @@ class TestMassConservation:
         m = TransportHeat(g, (1.0,))
         s = NoiseSampler(CovarianceSpec.white(g), 5)
         u0 = field_from_modes(g, [(0, 0.7), (1, 0.25)])
-        p = simulate(m, SchemeSpec("euler_maruyama", 1e-4), u0, 0.02, sampler=s)
-        rep = mass_conservation_check(p.norms())
+        rep = stepped_balance(m, SchemeSpec("euler_maruyama", 1e-4), u0, 0.02, s).mass_report()
         assert rep.estimate == 0.0
         assert rep.passed
 
@@ -453,25 +448,17 @@ class TestMassConservation:
         m = Burgers(CovarianceSpec.mean_free_white(g))
         s = NoiseSampler(m.q, 7)
         u0 = field_from_modes(g, [(1, 0.5 / 1j)])
-        p = simulate(m, SchemeSpec("exponential_euler", 1e-4), u0, 0.02, sampler=s)
-        assert mass_conservation_check(p.norms()).estimate < 1e-10
+        balance = stepped_balance(m, SchemeSpec("exponential_euler", 1e-4), u0, 0.02, s)
+        assert balance.mass_report().estimate < 1e-10
 
 
 class TestPathBalance:
-    # the streamed balance of a path, fed block by block or in any split, and
-    # the one-table views give the whole-table reports bit for bit
+    # the streamed balance of a path, fed block by block or in any split of
+    # its norm table, gives the whole-table reports bit for bit
 
     @staticmethod
     def reports(balance):
         return [balance.energy_report(), balance.gronwall_report(), balance.mass_report()]
-
-    @staticmethod
-    def table_reports(norms, sigma):
-        return [
-            energy_identity_residual(norms, sigma),
-            gronwall_check(norms, sigma),
-            mass_conservation_check(norms),
-        ]
 
     @staticmethod
     def chunked(norms, sigma, size):
@@ -489,10 +476,10 @@ class TestPathBalance:
         dt = 1e-5
         run = (model, SchemeSpec(kind, dt), u0, n_steps * dt)
         sampler = NoiseSampler(CovarianceSpec.white(g), 21, 3)
-        norms = simulate(*run, sampler=sampler).norms()
+        path = simulate(*run, sampler=sampler)
+        norms = block_norms(path.times, path.states, g)
         ref = [energy_table(norms, model.sigma_seq), gronwall_table(norms, model.sigma_seq),
                mass_table(norms)]
-        assert self.table_reports(norms, model.sigma_seq) == ref
         if n_steps == 0:  # a one-row table has no step to read dt from
             ref[0] = dataclasses.replace(ref[0], metadata={**ref[0].metadata, "dt": dt})
         streamed = verify.PathBalance(model.sigma_seq, dt, norms[:1])
@@ -512,7 +499,6 @@ class TestPathBalance:
         norms["l2_sq"], norms["h1_sq"] = rng.uniform(0.5, 2.0, (2, n_rows))
         norms["mode0"] = rng.normal(size=n_rows)
         ref = [energy_table(norms, 1.2), gronwall_table(norms, 1.2), mass_table(norms)]
-        assert self.table_reports(norms, 1.2) == ref
         for size in (1, 2, 5, n_rows):
             assert self.reports(self.chunked(norms, 1.2, size)) == ref
 
@@ -752,7 +738,8 @@ class TestLadder:
             fine = NoiseSampler(white, 9, 1).draws_block(0, 3120) * np.sqrt(1e-5)
             for rep, dt in zip(reps, dts):
                 coarse = MatrixNoise(white, coarsen_increments(fine, int(round(dt / 1e-5))))
-                norms = simulate(model, SchemeSpec(kind, dt), u0, T, coarse).norms()
+                path = simulate(model, SchemeSpec(kind, dt), u0, T, coarse)
+                norms = block_norms(path.times, path.states, g)
                 ref = energy_table(norms, model.sigma_seq)
                 assert rep.estimate == ref.estimate and rep.tolerance == ref.tolerance
                 assert rep.metadata["relative_residual"] == ref.metadata["relative_residual"]
@@ -821,8 +808,29 @@ class TestSmoothQuadraticVariation:
             monkeypatch.setattr(verify, "_QV_CHUNK", chunk)
             rep = smooth_quadratic_variation(T)
             assert rep.estimate == whole.estimate
-            assert (rep.target, rep.n, rep.tol_kind, rep.tolerance) == (0.0, n, "abs", 1e-6)
+            assert (rep.target, rep.n, rep.tol_kind) == (0.0, n, "abs")
         assert rep.name == "quadratic_variation_smooth"
+
+    @pytest.mark.parametrize("T", [0.05, 1.0, 2.0, 10.0])
+    def test_gate_is_the_paths_own_partition_sum(self, T):
+        # (T/n) int_0^T |g'|^2 = (T^2 + 0.02 pi^2) / n: above 1e-6 once T >= 1.4
+        n = 2**21
+        bound = (T * T + 0.02 * np.pi**2) / n
+        rep = smooth_quadratic_variation(T)
+        assert rep.passed
+        assert rep.tolerance == pytest.approx(bound, rel=1e-8) and rep.tolerance >= bound
+        assert abs(rep.estimate - bound) <= 1e-11 * bound
+
+    @pytest.mark.parametrize("T", [2.0, 10.0])
+    def test_gate_fails_for_nonzero_quadratic_variation(self, T):
+        # the same partition of a Brownian path sums to about T, and a sum
+        # one part in 10^6 above the smooth path's is rejected too
+        rep = smooth_quadratic_variation(T)
+        n = rep.n
+        brownian = quadratic_variation_partition(brownian_scalar_path(3, n, T), [n], T)
+        assert brownian.estimate == pytest.approx(T, rel=0.01)
+        for estimate in (brownian.estimate, rep.estimate * (1 + 1e-6)):
+            assert not dataclasses.replace(rep, estimate=estimate).passed
 
     def test_zero_horizon_rejected(self):
         with pytest.raises(ValueError, match="positive"):
