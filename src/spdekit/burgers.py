@@ -53,6 +53,8 @@ __all__ = [
     "solve_split",
 ]
 
+_CHUNK = 64  # rows per forcing rfft of a window
+
 
 class PicardError(RuntimeError):
     """Iteration cap exceeded: the window left the contraction ball."""
@@ -88,8 +90,10 @@ class BurgersProblem:
             raise ValueError("picard_tol must be positive")
         if self.picard_maxit < 1:
             raise ValueError("picard_maxit must be at least 1")
-        if not self.window > 0:
-            raise ValueError(f"window must be positive, got {self.window}")
+        if not 0 < self.window < np.inf:
+            raise ValueError(f"window must be positive and finite, got {self.window}")
+        if self.steps_per_window < 1:
+            raise ValueError(f"window = {self.window} rounds to zero steps of dt = {self.dt}")
         if self.w0.grid != self.grid:
             raise ValueError("w0 grid does not match problem grid")
         if self.q is None:
@@ -105,7 +109,7 @@ class BurgersProblem:
     @property
     def steps_per_window(self) -> int:
         """Steps in one Picard window: ``window / dt`` rounded, at least one."""
-        return max(1, int(round(self.window / self.dt)))
+        return int(round(self.window / self.dt))
 
     @property
     def quad_points(self) -> int:
@@ -213,7 +217,8 @@ def split_windows(problem: BurgersProblem, sampler: NoiseSampler):
     are L^p norms of sample differences, so one Picard iteration costs one
     rfft (the forcing) and one irfft (the new iterate). The Duhamel
     recurrence runs as a log-depth scan over the window's rows.  The window
-    buffers are allocated once; the last window may use a leading part.
+    buffers are allocated once (the last window may use a leading part); the
+    forcing rfft goes ``_CHUNK`` rows at a time, and the norms use spent iterates.
     """
     grid = problem.grid
     n_steps = problem.n_steps
@@ -229,24 +234,27 @@ def split_windows(problem: BurgersProblem, sampler: NoiseSampler):
     size = min(steps_per_window, n_steps) + 1
     coef_buf = np.empty((size, n_modes + 1), dtype=np.complex128)
     w_buf = np.empty_like(coef_buf)
-    spec_buf = np.empty((size - 1, n_pts // 2 + 1), dtype=np.complex128)
-    sample_bufs = np.empty((4, size, n_pts))  # v, scratch and two iterates
+    sample_bufs = np.empty((3, size, n_pts))  # v and two iterates
+    spec = np.empty((min(_CHUNK, size), n_pts // 2 + 1), dtype=np.complex128)
     start = problem.w0.coef  # the remainder at the window's first row
 
     # the window views below are bound afresh at the top of every window
     def sweep(old: np.ndarray, out: np.ndarray) -> np.ndarray:
         """One application of the discrete Duhamel map: coefficients into
-        ``coef``, samples into ``out``."""
-        total = np.add(old[:-1], v_samples, out=scratch[:-1])
+        ``coef``, samples into ``out`` (which holds (old + v)^2 until then)."""
+        total = np.add(old[:-1], v_samples, out=out[:-1])
         total *= total
-        np.fft.rfft(total, norm="forward", out=spec)
-        np.multiply(spec[:, : n_modes + 1], gain, out=coef[1:])
+        for r0 in range(0, total.shape[0], _CHUNK):  # rfft acts row by row
+            part = total[r0 : r0 + _CHUNK]
+            band = np.fft.rfft(part, norm="forward", out=spec[: part.shape[0]])
+            np.multiply(band[:, : n_modes + 1], gain, out=coef[1:][r0 : r0 + _CHUNK])
         coef[0] = start
         _semigroup_scan(coef, powers)
         return _coef_to_samples(coef, n_pts, out=out)
 
     def sup_lp_distance(new: np.ndarray, old: np.ndarray) -> float:
-        diff = np.subtract(new, old, out=scratch)
+        """Largest row L^p norm of new - old, formed in ``old``, which it overwrites."""
+        diff = np.subtract(new, old, out=old)
         return float(np.max(_lp_of_squares(np.multiply(diff, diff, out=diff), p)))
 
     linear = AdditiveHeat(problem.q), SchemeSpec("exact_ou", dt), zero_field(grid), problem.T
@@ -254,8 +262,8 @@ def split_windows(problem: BurgersProblem, sampler: NoiseSampler):
     windows = _windows_of(v_blocks, n_steps, steps_per_window)
     for window_index, (n0, v) in enumerate(windows):
         rows = v.shape[0]
-        coef, w, spec = coef_buf[:rows], w_buf[:rows], spec_buf[: rows - 1]
-        scratch, old, spare = sample_bufs[1:, :rows]
+        coef, w = coef_buf[:rows], w_buf[:rows]
+        old, spare = sample_bufs[1:, :rows]
         v_samples = _coef_to_samples(v[:-1], n_pts, out=sample_bufs[0, : rows - 1])
         # first guess: free heat evolution of the window's initial state
         coef[0] = start
@@ -264,9 +272,10 @@ def split_windows(problem: BurgersProblem, sampler: NoiseSampler):
         dists: list[float] = []
         for _ in range(problem.picard_maxit):
             new = sweep(old, spare)
-            w_lp = _lp_of_squares(np.multiply(new, new, out=scratch), p)
+            distance = sup_lp_distance(new, old)  # old is spent: the next sweep writes it
+            w_lp = _lp_of_squares(np.multiply(new, new, out=old), p)
             scale = max(1.0, float(np.max(w_lp)))
-            dists.append(sup_lp_distance(new, old) / scale)
+            dists.append(distance / scale)
             old, spare = new, old
             if dists[-1] <= problem.picard_tol:
                 break

@@ -288,7 +288,7 @@ def _blocks(
     """
     spec = noise_spec(model)
     dt = scheme.dt
-    fill = _block_filler(model, scheme, spec)
+    fill = _block_filler(model, scheme, spec, buf.shape[0] - 1)
     for b0 in range(0, n_steps, BLOCK_STEPS):
         b1 = min(b0 + BLOCK_STEPS, n_steps)
         if sampler is None:
@@ -307,11 +307,11 @@ def _blocks(
         buf[0] = rows[-1]
 
 
-def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec):
+def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec, n_rows: int):
     """The block update ``fill(rows, scaled)`` of ``model`` under ``scheme``.
 
     ``fill`` writes ``rows[1:]`` from ``rows[0]`` and the block's channel
-    draws ``scaled`` (one row per step):
+    draws ``scaled`` (one row per step, at most ``n_rows``):
 
     * TransportHeat: each mode is multiplied by its step factor, so the
       block is a running product of :func:`_transport_factors`;
@@ -322,9 +322,11 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec):
       exponential Euler c' = e^{-mu dt} (c + N(c) dt + eta), where N = 0 for
       the porous medium at m = 2 (its drift is the Laplacian).
 
-    A step allocates no field objects.  Mode 0 stays exactly real: every
-    multiplier of it is real (or 0j for Burgers), so its imaginary part
-    stays +0.0 while the state is finite.
+    A step allocates no field objects and writes its row in place; the
+    packed (and rescaled) draws go to buffers the lane allocates once, never
+    to the source's array.  Mode 0 stays exactly real: every multiplier of
+    it is real (or 0j for Burgers), so its imaginary part stays +0.0 while
+    the state is finite.
     """
     dt = scheme.dt
     if isinstance(model, TransportHeat):
@@ -336,34 +338,42 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec):
         return fill
 
     mu = model.grid.laplacian_eigs
-    rescale = 1.0
+    rescale = None
     if isinstance(model, AdditiveHeat):
         if scheme.kind == "euler_maruyama":
             decay = 1.0 - mu * dt
         else:  # exponential Euler and exact OU share the exact-convolution increment
             decay, rescale = np.exp(-mu * dt), _ou_rescale(spec, dt)
 
-        def step(c, eta):
-            return decay * c + eta
+        def step(c, eta, out):
+            np.multiply(decay, c, out=out)
+            out += eta
 
-    elif scheme.kind == "exponential_euler":
-        decay = np.exp(-mu * dt)
-        porous = isinstance(model, PorousMedium)
-        nonlinear = (lambda c: 0.0) if porous else DriftKernel(model).nonlinear
+    else:  # c + A(c) dt + eta, or (c + N(c) dt + eta) e^{-mu dt} for exponential Euler
+        decay, drift = None, DriftKernel(model)
+        if scheme.kind == "exponential_euler":
+            decay = np.exp(-mu * dt)
+            porous = isinstance(model, PorousMedium)  # at m = 2 its drift is the Laplacian
+            drift = (lambda c, out: out.fill(0.0)) if porous else drift.nonlinear
 
-        def step(c, eta):
-            return (c + nonlinear(c) * dt + eta) * decay
+        def step(c, eta, out):
+            drift(c, out)
+            out *= dt
+            np.add(c, out, out=out)
+            out += eta
+            if decay is not None:
+                out *= decay
 
-    else:
-        kernel = DriftKernel(model)
-
-        def step(c, eta):
-            return c + kernel(c) * dt + eta
+    eta_buf = np.empty((n_rows, spec.grid.n_modes + 1), dtype=np.complex128)
+    ou_buf = None if rescale is None else np.empty((n_rows, spec.n_channels))
 
     def fill(rows, scaled):
-        eta = pack_draws(spec, scaled * rescale)
-        for n in range(scaled.shape[0]):
-            rows[n + 1] = step(rows[n], eta[n])
+        n_steps = scaled.shape[0]
+        if rescale is not None:
+            scaled = np.multiply(scaled, rescale, out=ou_buf[:n_steps])
+        eta = pack_draws(spec, scaled, out=eta_buf[:n_steps])
+        for n in range(n_steps):
+            step(rows[n], eta[n], rows[n + 1])
 
     return fill
 

@@ -204,9 +204,10 @@ class DriftKernel:
         self._modulus = np.empty(self.n_points)
         self._spectrum = np.empty(self.n_points // 2 + 1, dtype=np.complex128)
         self._band = self._spectrum[: grid.n_modes + 1]
+        self._lin_c = np.empty(grid.n_modes + 1, dtype=np.complex128)
 
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        """outer * P_K F(samples of c): the drift without its lin*c term."""
+    def nonlinear(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """outer * P_K F(samples of c): the drift without its lin*c term, into ``out``."""
         s = np.fft.irfft(c, self.n_points, norm="forward", out=self._samples)
         if self._power is None:
             s *= s
@@ -215,11 +216,14 @@ class DriftKernel:
             t **= self._power
             s *= t
         np.fft.rfft(s, out=self._spectrum)
-        return self.outer * (self._band / self.n_points)
+        band = np.divide(self._band, self.n_points, out=self._band)
+        return np.multiply(self.outer, band, out=out)
 
-    def __call__(self, c: np.ndarray) -> np.ndarray:
-        nl = self.nonlinear(c)
-        return nl if self.lin is None else self.lin * c + nl
+    def __call__(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        nl = self.nonlinear(c, out)
+        if self.lin is None:
+            return nl
+        return np.add(np.multiply(self.lin, c, out=self._lin_c), nl, out=nl)
 
 
 def _check_grid(model: ModelSpec, u: SpectralField) -> None:

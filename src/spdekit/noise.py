@@ -151,20 +151,27 @@ def covariance_pairing(spec: CovarianceSpec, h: SpectralField, g: SpectralField)
     return float(mode_sum(spec.lam * (h.coef * np.conj(g.coef)).real))
 
 
-def pack_draws(spec: CovarianceSpec, scaled: np.ndarray) -> np.ndarray:
+def pack_draws(
+    spec: CovarianceSpec, scaled: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Hermitian half spectrum from per-channel draws (already scaled).
 
     ``scaled[..., ch]`` are the real channel increments; the cosine/sine
     pair of mode k >= 1 lands in amp(k) = sqrt(lam_k/2) * (cos - i sin)
     relative to unit-variance channels, i.e. each channel contributes
-    variance lam_k*dt/2 to the complex amplitude.
+    variance lam_k*dt/2 to the complex amplitude.  The products are formed
+    in the band of ``out`` (a new array without it): no block-sized temporary.
     """
     root = np.sqrt(spec.lam)
-    coef = np.empty(scaled.shape[:-1] + (spec.grid.n_modes + 1,), dtype=np.complex128)
-    coef[..., 0] = root[0] * scaled[..., 0]
+    if out is None:
+        out = np.empty(scaled.shape[:-1] + (spec.grid.n_modes + 1,), dtype=np.complex128)
+    out[..., 0] = root[0] * scaled[..., 0]
     half = root[1:] / np.sqrt(2.0)
-    coef[..., 1:] = half * (scaled[..., 1::2] - 1j * scaled[..., 2::2])
-    return coef
+    band = out[..., 1:]  # half * (cos - 1j * sin), one product at a time
+    np.multiply(1j, scaled[..., 2::2], out=band)
+    np.subtract(scaled[..., 1::2], band, out=band)
+    np.multiply(half, band, out=band)
+    return out
 
 
 def channel_weights(spec: CovarianceSpec, h: SpectralField) -> np.ndarray:
@@ -231,17 +238,19 @@ class NoiseSampler:
         self.stream_id = int(stream_id)
 
     def draws_block(self, step0: int, n_steps: int) -> np.ndarray:
-        """Unit-variance draws for steps step0..step0+n_steps-1, shape (n_steps, 2K+1)."""
-        width = self.spec.n_channels
-        out = np.empty((n_steps, width))
-        i = 0
-        while i < n_steps:
-            chunk, lo = divmod(step0 + i, BLOCK_STEPS)
-            take = min(BLOCK_STEPS - lo, n_steps - i)
-            block = stream_normals(self.seed, [self.stream_id], BLOCK_STEPS * width, chunk)
-            out[i : i + take] = block.reshape(BLOCK_STEPS, width)[lo : lo + take]
-            i += take
-        return out
+        """Unit-variance draws for steps step0..step0+n_steps-1, shape (n_steps, 2K+1).
+
+        A block's normals come in order, so it is drawn up to the last row
+        read; a request inside one block is a view of its draws, not a copy.
+        """
+        width, parts, step, end = self.spec.n_channels, [], step0, step0 + n_steps
+        while step < end or not parts:
+            chunk, lo = divmod(step, BLOCK_STEPS)
+            hi = min(BLOCK_STEPS, lo + end - step)  # the block's rows up to the last one read
+            block = stream_normals(self.seed, [self.stream_id], hi * width, chunk)
+            parts.append(block.reshape(hi, width)[lo:])
+            step += hi - lo
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def increments(self, step0: int, n_steps: int, dt: float) -> np.ndarray:
         """The N(0, dt) increments of those steps: :meth:`draws_block` scaled in place.

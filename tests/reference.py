@@ -6,6 +6,9 @@ loop of them checks every block update.  An increment is a
 :class:`NoiseIncrement`, the N(0, dt) channel draws of one step and the
 field they pack to, and ``diffusion_apply`` is the realized noise term B(u) dW.
 :class:`MatrixNoise` drives the block loop from a held matrix of increments.
+:func:`pack_reference` is the Hermitian packing written as one expression
+per band, the reference for ``noise.pack_draws``, which forms its products
+in its output buffer.
 ``energy_table``, ``gronwall_table`` and ``mass_table`` are the pathwise
 transport checks computed on a whole norm table at once, the reference for
 ``verify.PathBalance``, which folds the rows block by block.
@@ -72,6 +75,16 @@ class MatrixNoise:
         if self.matrix.shape[1:] != (self.spec.n_channels,) or step0 + n_steps > len(self.matrix):
             raise ValueError(f"no rows {step0}..{step0 + n_steps - 1} in {self.matrix.shape}")
         return self.matrix[step0 : step0 + n_steps]
+
+
+def pack_reference(spec: CovarianceSpec, scaled: np.ndarray) -> np.ndarray:
+    """amp(0) = sqrt(lam_0) z_0 and amp(k) = sqrt(lam_k / 2) (z_cos - i z_sin) for k >= 1."""
+    root = np.sqrt(spec.lam)
+    coef = np.empty(scaled.shape[:-1] + (spec.grid.n_modes + 1,), dtype=np.complex128)
+    coef[..., 0] = root[0] * scaled[..., 0]
+    half = root[1:] / np.sqrt(2.0)
+    coef[..., 1:] = half * (scaled[..., 1::2] - 1j * scaled[..., 2::2])
+    return coef
 
 
 def increment_from_scaled(

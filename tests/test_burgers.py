@@ -51,11 +51,20 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="picard_tol"):
             BurgersProblem(g, 0.1, 1e-3, zero_field(g), picard_tol=0.0)
 
-    @pytest.mark.parametrize("window", [0.0, -0.05, float("nan")])
+    @pytest.mark.parametrize("window", [0.0, -0.05, float("nan"), float("inf")])
     def test_window_must_be_positive(self, window):
         g = TorusGrid(8)
         with pytest.raises(ValueError, match="window must be positive"):
             BurgersProblem(g, 0.1, 1e-3, zero_field(g), window=window)
+
+    @pytest.mark.parametrize("window", [1e-4, 5e-4])
+    def test_window_of_zero_steps_is_rejected(self, window):
+        # window / dt rounds to 0 up to dt / 2; such a window used to run
+        # one-step windows, ten times the requested length at 1e-4
+        g = TorusGrid(8)
+        with pytest.raises(ValueError, match=f"window = {window} rounds to zero steps of dt = 0.001"):
+            BurgersProblem(g, 0.1, 1e-3, zero_field(g), window=window)
+        assert BurgersProblem(g, 0.1, 1e-3, zero_field(g), window=5.1e-4).steps_per_window == 1
 
     def test_default_noise_is_mean_free(self):
         g = TorusGrid(8)
@@ -352,6 +361,33 @@ class TestMemory:
         samples *= samples
         assert np.array_equal(lp_rows(coef, prob.p, prob.quad_points),
                               _lp_of_squares(samples, prob.p))
+
+    def test_split_windows_holds_no_window_sized_temporary(self):
+        # K = 64 and 200-step windows: a window holds v's samples and the two
+        # iterates (3 x 201 x 256 doubles, 1.2 MB) and two coefficient buffers
+        # (0.4 MB); a step_blocks block holds its rows, draws and packed
+        # increments.  The traced peak of a two-window run was 4114.5 kB with
+        # a window-sized sample scratch and forcing spectrum, a block-sized
+        # copy of the draws and three complex packing temporaries; it is
+        # 3338.0 kB with the forcing rfft in 64-row chunks, the norms formed
+        # in spent iterates and the lane's own packing buffers.
+        import tracemalloc
+
+        g = TorusGrid(64)
+        prob = BurgersProblem(g, 0.1, 2.5e-4, sin_field(g), window=0.05)
+        assert prob.steps_per_window == 200
+
+        def run():
+            return [win.residual for win in split_windows(prob, NoiseSampler(prob.q, 3))]
+
+        first = run()  # first-call allocations
+        tracemalloc.start()
+        try:
+            assert run() == first
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3700 * 2**10, peak
 
     def test_burgers_command_holds_one_seed_at_a_time(self, tmp_path):
         # one seed's solution (v, w and u states, K = 32, 2000 steps) is

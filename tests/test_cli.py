@@ -1166,6 +1166,17 @@ class TestBurgers:
         assert "window must be positive" in err and "Traceback" not in err
         assert not (tmp_path / "o" / "b_seed000.csv").exists()
 
+    def test_window_of_zero_steps_is_config_error(self, tmp_path, capsys):
+        # window = 1e-4 at dt = 1e-3 used to run one-step windows and exit 0
+        text = BURGERS_TEMPLATE.format(
+            noise="mean_free_white", amp="0.5", n=1, maxit=25, out=tmp_path / "o"
+        ).replace("picard_maxit", "window = 1e-4\npicard_maxit")
+        assert "dt = 1e-3" in text
+        assert cli.main(["burgers", "--config", write_config(tmp_path / "c.ini", text)]) == 2
+        err = capsys.readouterr().err
+        assert "window = 0.0001 rounds to zero steps of dt = 0.001" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "b_seed000.csv").exists()
+
     def test_zero_noise_matches_reference(self, tmp_path):
         # the w column of a zero-noise run equals a directly computed remainder
         cfg = write_config(

@@ -569,6 +569,22 @@ class TestStreamedDraws:
             assert np.concatenate(rows).tobytes() == table.tobytes()
             assert simulate(*run, source).states.tobytes() == path.states.tobytes()
 
+    @pytest.mark.parametrize("name,kind", STEPPED_PAIRS)
+    def test_lanes_leave_the_source_unchanged(self, name, kind):
+        # a lane rescales and packs its draws into its own buffers: the array a
+        # noise source hands out (here views of a held matrix) is never written
+        g = TorusGrid(4)
+        m = stepped_model(name, g)
+        u0 = field_from_modes(g, [(1, 0.4 - 0.2j), (3, 0.05j)])
+        dt, n_steps = 1e-5, 600
+        matrix = NoiseSampler(noise_spec(m), 12, 5).draws_block(0, n_steps) * np.sqrt(dt)
+        kept = matrix.copy()
+        source = MatrixNoise(noise_spec(m), matrix)
+        assert source.matrix is matrix
+        for _ in step_blocks(m, SchemeSpec(kind, dt), u0, n_steps * dt, source):
+            pass
+        assert matrix.tobytes() == kept.tobytes()
+
     def test_step_blocks_checks_at_the_call(self):
         g = TorusGrid(4)
         scheme = SchemeSpec("euler_maruyama", 1e-4)

@@ -8,6 +8,7 @@ from reference import diffusion_apply, increment_from_scaled
 from spdekit.models import (
     AdditiveHeat,
     Burgers,
+    DriftKernel,
     PorousMedium,
     ReactionDiffusion,
     TransportHeat,
@@ -105,6 +106,22 @@ class TestDrift:
         ref = laplacian(u).coef + derivative(square).coef
         got = drift(m, u).coef
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("name", ["rd_m3", "rd_m5", "pm_m2", "pm_m3", "burgers"])
+    def test_kernel_writes_out_with_the_bits_of_a_new_array(self, name):
+        # the stepping lanes evaluate the drift into their state rows
+        g = TorusGrid(12)
+        q = CovarianceSpec.power(g, 1.0)
+        m = {"rd_m3": ReactionDiffusion(-1.0, 3, q), "rd_m5": ReactionDiffusion(2.0, 5, q),
+             "pm_m2": PorousMedium(2, q), "pm_m3": PorousMedium(3, q), "burgers": Burgers(q)}[name]
+        c = make_random_field(g, 5, decay=1.0).coef
+        kernel = DriftKernel(m)
+        for evaluate in (kernel, kernel.nonlinear):
+            want = evaluate(c.copy())
+            out = np.full_like(c, np.nan)
+            assert evaluate(c, out) is out
+            assert out.tobytes() == want.tobytes()
+            assert evaluate(c).tobytes() == want.tobytes()  # the kernel's buffers carry nothing
 
     def test_grid_mismatch(self):
         m = TransportHeat(TorusGrid(8), (1.0,))

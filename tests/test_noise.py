@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import cos_field, make_random_field, sampled_increment, sin_field
+from reference import pack_reference
+from spdekit import noise
 from spdekit.noise import (
+    BLOCK_STEPS,
     CovarianceSpec,
     NoiseSampler,
     coarsen_increments,
     covariance_pairing,
     hs_norm_sq,
+    pack_draws,
     stream_normals,
     trace,
 )
@@ -199,6 +203,33 @@ class TestSampling:
         with pytest.raises(ValueError, match="group"):
             coarsen_increments(fine, 5)
 
+    @pytest.mark.parametrize(
+        "kind", ["white", "power", "mean_free_white", "zero_modes", "from_eigenvalues"]
+    )
+    def test_pack_draws_has_the_bits_of_the_reference(self, kind):
+        # products formed in the output buffer, in the reference's order: equal
+        # bits, signed zeros of zero-variance modes included
+        g = TorusGrid(6)
+        spec = {
+            "white": lambda: CovarianceSpec.white(g),
+            "power": lambda: CovarianceSpec.power(g, 1.5),
+            "mean_free_white": lambda: CovarianceSpec.mean_free_white(g),
+            "zero_modes": lambda: CovarianceSpec.from_eigenvalues(g, [0, 1, 0, 2, 0, 0, 0.5]),
+            "from_eigenvalues": lambda: CovarianceSpec.from_eigenvalues(g, np.linspace(2, 0.1, 7)),
+        }[kind]()
+        z = NoiseSampler(spec, 41, 2).draws_block(0, 300) * np.sqrt(1e-3)
+        z[:3] = np.array([[-0.0], [0.0], [-1.0]])  # signed zeros and a negative row
+        ref = pack_reference(spec, z)
+        out = np.full(ref.shape, np.nan, dtype=np.complex128)
+        for got in (pack_draws(spec, z), pack_draws(spec, z, out=out), pack_draws(spec, z[7])):
+            want = ref if got.ndim == 2 else ref[7]
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        assert np.array_equal(out, ref)
+        if spec.lam[0] == 0.0:  # the mean of a negative draw is -0.0, as in the reference
+            assert np.signbit(out[2, 0].real)
+
     def test_scalar_increments_bounds(self):
         spec = CovarianceSpec.white(TorusGrid(2))
         inc = sampled_increment(spec, 37, 0.1)
@@ -233,6 +264,43 @@ class TestRandomnessContract:
             block = sampler.draws_block(step0, n_steps)
             assert block.shape == (n_steps, width)
             assert np.array_equal(block, chunks[step0 : step0 + n_steps])
+
+    @pytest.mark.parametrize("modes", [0, 5])
+    def test_requests_are_slices_of_stream_normals_blocks(self, monkeypatch, modes):
+        # aligned, prefix and unaligned requests read the leading rows of a
+        # counter block: only rows up to the last one read are drawn, and a
+        # request inside one block is a view of what was drawn
+        spec = CovarianceSpec.white(TorusGrid(modes))
+        width = spec.n_channels
+        blocks = [
+            stream_normals(9, [4], BLOCK_STEPS * width, chunk).reshape(BLOCK_STEPS, width)
+            for chunk in range(3)
+        ]
+        full = np.concatenate(blocks)
+        drawn = []
+
+        def recording(seed, streams, cols, chunk=0):
+            drawn.append((chunk, cols, stream_normals(seed, streams, cols, chunk)))
+            return drawn[-1][2]
+
+        monkeypatch.setattr(noise, "stream_normals", recording)
+        sampler = NoiseSampler(spec, 9, 4)
+        cases = [  # (step0, n_steps), then (chunk, rows drawn) per block drawn
+            ((0, 256), [(0, 256)]),  # aligned: one whole block
+            ((256, 100), [(1, 100)]),  # prefix: the leading rows of a block
+            ((300, 50), [(1, 94)]),  # unaligned, inside one block
+            ((250, 20), [(0, 256), (1, 14)]),  # across a block boundary
+            ((100, 600), [(0, 256), (1, 256), (2, 188)]),
+        ]
+        for (step0, n_steps), want in cases:
+            drawn.clear()
+            got = sampler.draws_block(step0, n_steps)
+            assert np.array_equal(got, full[step0 : step0 + n_steps])
+            assert [(c, cols // width) for c, cols, _ in drawn] == want
+            chunk, lo = divmod(step0, BLOCK_STEPS)
+            if lo + n_steps <= BLOCK_STEPS:
+                assert np.array_equal(got, blocks[chunk][lo : lo + n_steps])
+                assert np.shares_memory(got, drawn[0][2])
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("chunk", [0, 4, 2**64 - 1])

@@ -9,7 +9,7 @@ from conftest import cos_field, make_random_field, sin_field, stepped_balance
 from reference import MatrixNoise, energy_table, gronwall_table, mass_table
 from spdekit import noise
 from spdekit.integrators import SchemeSpec, block_norms, simulate, step_blocks
-from spdekit.models import Burgers, TransportHeat
+from spdekit.models import AdditiveHeat, Burgers, TransportHeat
 from spdekit import verify
 from spdekit.cli import report_row
 from spdekit.noise import (
@@ -694,6 +694,7 @@ def counted_stream_normals(monkeypatch):
 
 
 KINDS = ("euler_maruyama", "heun_stratonovich")
+OU_KINDS = ("euler_maruyama", "exponential_euler", "exact_ou")
 
 
 class TestLadder:
@@ -769,9 +770,36 @@ class TestLadder:
             pass
         blocks = -(-6000 // BLOCK_STEPS)
         assert sorted(c[3] for c in calls) == list(range(blocks))
-        assert {c[:3] for c in calls} == {(3, (7,), BLOCK_STEPS * (2 * g.n_modes + 1))}
+        # each block draws the rows the path reads: all 256, and 112 of the last
+        rows = [min(BLOCK_STEPS, 6000 - c * BLOCK_STEPS) for c in range(blocks)]
+        width = 2 * g.n_modes + 1
+        assert sorted((c[3], c[2]) for c in calls) == [(c, n * width) for c, n in enumerate(rows)]
+        assert {c[:2] for c in calls} == {(3, (7,))}
         f_max = int(round(dts[0] / dts[-1]))
         assert max(held) <= f_max + 1
+
+    @pytest.mark.parametrize("additive", [False, True])
+    def test_lanes_leave_the_fine_blocks_unchanged(self, monkeypatch, additive):
+        # the finest lanes all read the one held block: a lane that rescaled
+        # or packed into it would change the draws of the lanes after it
+        handed = []
+        increments = NoiseSampler.increments
+
+        def keeping(self, *args):
+            out = increments(self, *args)
+            handed.append((out, out.copy()))
+            return out
+
+        monkeypatch.setattr(NoiseSampler, "increments", keeping)
+        g = TorusGrid(4)
+        if additive:
+            model, kinds = AdditiveHeat(CovarianceSpec.power(g, 1.0)), OU_KINDS
+        else:
+            model, kinds = TransportHeat(g, (1.0,)), KINDS
+        for _ in ladder_blocks(model, cos_field(g), 0.006, (2e-5, 1e-5), kinds, 3, 7):
+            pass
+        assert len(handed) == -(-600 // BLOCK_STEPS)
+        assert all(out.tobytes() == kept.tobytes() for out, kept in handed)
 
     def test_ito_strat_draws_one_fine_pass_per_path(self, monkeypatch):
         calls = counted_stream_normals(monkeypatch)
