@@ -436,15 +436,12 @@ def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
 def _pathwise_reports(cfg: RunConfig, grid: TorusGrid, seed: int, checks) -> list:
     """Each check's worst report over paths 0 .. n_paths - 1, each stepped into a PathBalance."""
     model, scheme, T, u0 = _path_run(cfg, grid)
-    sigma = model.sigma_seq if isinstance(model, TransportHeat) else 0.0
-    first = block_norms(np.zeros(1), u0.coef[None], grid)
     reports = []
     for i in range(_n_paths(cfg)):
-        balance = verify_mod.PathBalance(sigma, scheme.dt, first)
+        balance = verify_mod.PathBalance(model, scheme.dt, u0)
         sampler = NoiseSampler(noise_spec(model), seed, i)
-        for step0, rows, l2_sq in step_blocks(model, scheme, u0, T, sampler):
-            times = np.arange(step0 + 1, step0 + rows.shape[0]) * scheme.dt
-            balance.add(block_norms(times, rows[1:], grid, l2_sq))
+        for block in step_blocks(model, scheme, u0, T, sampler):
+            balance.add(*block)
         reports.append([check(balance) for check in checks])
     return [_worst(path_reports) for path_reports in zip(*reports)]
 
@@ -523,6 +520,14 @@ def _time(cfg: RunConfig, key: str, default=None) -> float:
     return value
 
 
+def _rel_tol(cfg: RunConfig) -> float:
+    """``experiment.rel_tol`` of the energy and quadratic-variation gates: a number > 0."""
+    rel_tol = cfg.get_float("experiment", "rel_tol", 0.05)
+    if rel_tol <= 0:
+        raise ConfigError(f"experiment.rel_tol must be positive, got {rel_tol}")
+    return rel_tol
+
+
 def _worst(reports) -> verify_mod.StatReport:
     """The report furthest above its target, the first of equals: a check's worst path."""
     return max(reports, key=lambda r: r.estimate - r.target)
@@ -549,7 +554,7 @@ def _check_mass_conservation(cfg, grid, seed):
 def _check_energy_identity(cfg, grid, seed):
     model, scheme, T, u0 = _path_run(cfg, grid, "energy_identity")
     _require_transport(model, "energy_identity")
-    rel_tol = cfg.get_float("experiment", "rel_tol", 0.05)
+    rel_tol = _rel_tol(cfg)
     dts, n_paths = [scheme.dt, scheme.dt / 2.0], _n_paths(cfg)
     refine = verify_mod.energy_identity_refinement  # a path's report is its finest rung
     finest = (refine(model, u0, T, dts, seed, i, rel_tol, scheme.kind)[-1] for i in range(n_paths))
@@ -560,6 +565,8 @@ def _check_gronwall(cfg, grid, seed):
     model, scheme, T, u0 = _path_run(cfg, grid, "gronwall")
     _require_transport(model, "gronwall")
     slack = cfg.get_float("experiment", "slack", 0.05)
+    if slack < 0:
+        raise ConfigError(f"experiment.slack must be nonnegative, got {slack}")
     if model.sigma_total >= 2.0:
         note = f"sigma >= 2 (sigma = {model.sigma_total:g}); bound undefined"
         return _skipped("gronwall", note, "upper", slack, float("nan"))
@@ -607,7 +614,7 @@ def _check_quadratic_variation(cfg, grid, seed):
     if T == 0:
         raise ConfigError("experiment.t must be positive for quadratic_variation, got 0")
     n_int = cfg.get_int("experiment", "qv_intervals", 2**14)
-    rel_tol = cfg.get_float("experiment", "rel_tol", 0.05)
+    rel_tol = _rel_tol(cfg)
     levels = [max(1, n_int // 16), max(1, n_int // 4), n_int]
     if n_int < 1 or any(n_int % level for level in levels):
         raise ConfigError(
@@ -641,7 +648,7 @@ def _check_ito_strat(cfg, grid, seed):
     _require_transport(model, "ito_strat")
     ladder = cfg.get_floats("experiment", "dt_ladder", [1e-3, 2.5e-4, 6.25e-5])
     try:
-        return [verify_mod.ito_strat_compare(model.sigma_seq, u0, ladder, T, mc)]
+        return [verify_mod.ito_strat_compare(model, u0, ladder, T, mc)]
     except ValueError as exc:
         raise ConfigError(f"experiment.dt_ladder invalid: {exc}") from exc
 

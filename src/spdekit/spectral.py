@@ -298,13 +298,26 @@ def halpha_rows(coef: np.ndarray, grid: TorusGrid, alpha: float) -> np.ndarray:
     return np.sqrt(l2_sq_rows(coef, grid.sobolev_weights**alpha))
 
 
+_LP_FLOOR = np.finfo(float).tiny / np.finfo(float).eps  # below it a p-th power loses digits
+
+
 def _lp_of_squares(sq: np.ndarray, p: float) -> np.ndarray:
     """L^p norm per row from squared real samples; overwrites ``sq``.
 
     (s*s)**(p/2) is |s|**p for real s, and numpy squares in place at p = 4.
+    A nonzero row whose largest power m^p (m^2 = max s^2) falls below
+    ``_LP_FLOOR`` or overflows, as at large p, is formed as
+    m * mean((s^2 / m^2)^(p/2))^(1/p); every other row as mean(|s|^p)^(1/p).
     """
-    sq **= p / 2
-    return np.mean(sq, axis=-1) ** (1.0 / p)
+    m_sq = np.max(sq, axis=-1)
+    with np.errstate(over="ignore", under="ignore"):
+        top = m_sq ** (p / 2)
+        scaled = ((top < _LP_FLOOR) | np.isinf(top)) & (m_sq > 0) & np.isfinite(m_sq)
+        if scaled.any():
+            np.divide(sq, m_sq[..., None], out=sq, where=scaled[..., None])
+        sq **= p / 2
+        norms = np.mean(sq, axis=-1) ** (1.0 / p)
+    return np.multiply(norms, np.sqrt(m_sq), out=norms, where=scaled)
 
 
 def _lp_chunk(coef: np.ndarray, p: float, n_points: int) -> np.ndarray:

@@ -10,11 +10,11 @@ pathwise checks carry explicit absolute or relative slacks.
 A Monte Carlo check is an :class:`McStatistic` and runs one way, through
 :func:`mc_reports`: every statistic of a call shares one streamed pass over
 the rows.  The pathwise checks of the transport equation are the reports of
-one :class:`PathBalance`, which folds a path's norm rows block by block as
-``integrators.step_blocks`` steps them, so one stepped path serves them all
-and no norm table is held.  The ladder checks step every rung of a dt
-ladder in lockstep off one fine path (:func:`ladder_blocks`), holding a few
-of its counter blocks.
+one :class:`PathBalance`, which takes a path's blocks as
+``integrators.step_blocks`` yields them, ``balance.add(*block)``, and folds
+their norm rows, so one stepped path serves them all and no norm table is
+held.  The ladder checks step every rung of a dt ladder in lockstep off one
+fine path (:func:`ladder_blocks`), holding a few of its counter blocks.
 
 Covered identities:
 
@@ -290,21 +290,23 @@ def _trapz_run(y: np.ndarray, start: float, dt: float) -> np.ndarray:
 
 
 class PathBalance:
-    """A transport path's pathwise balances, fed its norm rows in time order.
+    """A path's pathwise balances, fed its blocks in time order.
 
-    ``first`` is the one-row norm table of u_0 and :meth:`add` takes the next
-    rows, as ``integrators.block_norms`` makes them from the blocks of
-    ``integrators.step_blocks``, on the uniform time grid of step ``dt``.
+    The path starts at ``u0`` and steps by ``dt``; sigma is the summed
+    intensity of a :class:`~spdekit.models.TransportHeat` model, 0 for any
+    other.  :meth:`add` takes each block as ``integrators.step_blocks`` or
+    :func:`ladder_blocks` yields it and keeps its ``block_norms`` rows.
     One running trapezoid integral per column (:func:`_trapz_run`) carries
     int |u|^2 and int |u|^2_{H^1}; from them each fold keeps the worst
     energy residual, the worst Groenwall ratio and the worst deviation of
     the mean mode, which :meth:`energy_report`, :meth:`gronwall_report` and
-    :meth:`mass_report` give.  The extremes do not depend on how the rows
-    are split into blocks.
+    :meth:`mass_report` give.  The extremes do not depend on where the blocks end.
     """
 
-    def __init__(self, sigma, dt: float, first: np.ndarray):
-        self.sig, self.dt = float(np.sum(np.atleast_1d(sigma))), dt
+    def __init__(self, model: ModelSpec, dt: float, u0: SpectralField):
+        transport = isinstance(model, TransportHeat)  # no other noise enters the balances
+        self.sig, self.dt, self.grid = model.sigma_total if transport else 0.0, dt, u0.grid
+        first = block_norms(np.zeros(1), u0.coef[None], self.grid)
         self.k, self.l2_0, self.mode0_0 = 2.0 - self.sig, first["l2_sq"][0], first["mode0"][0]
         self.rows, self.ints = [first], (0.0, 0.0)  # rows[0]: folded
         self.residual, self.deviation = 0.0, 0.0
@@ -312,9 +314,11 @@ class PathBalance:
         self.bounded = self.k > 0 and self.l2_0 > 0
         self.ratio = 1.0 if self.bounded else 0.0
 
-    def add(self, norm_rows: np.ndarray) -> None:
-        if norm_rows.size:
-            self.rows.append(norm_rows)
+    def add(self, step0: int, rows: np.ndarray, l2_sq: np.ndarray) -> None:
+        """Take the states ``rows[1:]`` at steps ``step0 + 1, ...``, with ``l2_sq`` their L^2 rows."""
+        if rows.shape[0] > 1:
+            times = np.arange(step0 + 1, step0 + rows.shape[0]) * self.dt
+            self.rows.append(block_norms(times, rows[1:], self.grid, l2_sq))
         if len(self.rows) > 16:  # fold a few thousand rows at a time
             self._fold()
 
@@ -415,11 +419,9 @@ def energy_identity_refinement(
     its predecessor.
     """
     dts = sorted((float(dt) for dt in dts), reverse=True)
-    first = block_norms(np.zeros(1), u0.coef[None], model.grid)
-    balances = [PathBalance(model.sigma_seq, dt, first) for dt in dts]
-    for lane, step0, rows, l2_sq in ladder_blocks(model, u0, T, dts, [kind], seed, stream_id):
-        times = np.arange(step0 + 1, step0 + rows.shape[0]) * dts[lane]
-        balances[lane].add(block_norms(times, rows[1:], model.grid, l2_sq))
+    balances = [PathBalance(model, dt, u0) for dt in dts]
+    for lane, *block in ladder_blocks(model, u0, T, dts, [kind], seed, stream_id):
+        balances[lane].add(*block)
     reports = [balance.energy_report(rel_tol) for balance in balances]
     for i, rep in enumerate(reports):
         ratio = reports[i - 1].estimate / rep.estimate if i and rep.estimate > 0 else np.inf
@@ -676,9 +678,9 @@ def holder_exponent_fit(
 
 
 def ito_strat_compare(
-    sigma, u0: SpectralField, dt_ladder, T: float, cfg: McConfig
+    model: TransportHeat, u0: SpectralField, dt_ladder, T: float, cfg: McConfig
 ) -> StatReport:
-    """Common-path distance between the Ito and Stratonovich schemes.
+    """Common-path distance between the Ito and Stratonovich schemes of a transport model.
 
     For each seed the same Brownian increments (block-summed per level)
     drive Euler-Maruyama on the Ito form and Heun on the Stratonovich form;
@@ -689,7 +691,6 @@ def ito_strat_compare(
     the coarsest and stays below 10 x coarsest x sqrt(dt ratio), and the
     ensemble-mean distances must additionally decrease at every rung.
     """
-    model = TransportHeat(u0.grid, tuple(np.atleast_1d(sigma)))
     ok = 0
     mean_dist = 0.0
     ladder = sorted((float(dt) for dt in dt_ladder), reverse=True)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from reference import increment_from_scaled
-from spdekit.integrators import block_norms, step_blocks
-from spdekit.models import TransportHeat
+from spdekit.integrators import step_blocks
 from spdekit.noise import NoiseSampler
 from spdekit.spectral import SpectralField, TorusGrid, field_from_modes
 from spdekit.verify import PathBalance
@@ -48,9 +47,7 @@ def sampled_increment(spec, seed, dt, stream=0, step=0):
 
 def stepped_balance(model, scheme, u0, T, sampler=None):
     """The PathBalance of one path, each block folded in as step_blocks yields it."""
-    sigma = model.sigma_seq if isinstance(model, TransportHeat) else 0.0
-    balance = PathBalance(sigma, scheme.dt, block_norms(np.zeros(1), u0.coef[None], u0.grid))
-    for step0, rows, l2_sq in step_blocks(model, scheme, u0, T, sampler):
-        times = np.arange(step0 + 1, step0 + rows.shape[0]) * scheme.dt
-        balance.add(block_norms(times, rows[1:], u0.grid, l2_sq))
+    balance = PathBalance(model, scheme.dt, u0)
+    for block in step_blocks(model, scheme, u0, T, sampler):
+        balance.add(*block)
     return balance

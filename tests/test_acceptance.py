@@ -18,7 +18,7 @@ import pytest
 
 from conftest import cos_field, make_random_field, sin_field, stepped_balance
 from spdekit.burgers import BurgersProblem, solve_split
-from spdekit.integrators import SchemeSpec, block_norms, simulate
+from spdekit.integrators import SchemeSpec, simulate
 from spdekit.models import (
     Burgers,
     PorousMedium,
@@ -30,7 +30,7 @@ from spdekit.models import (
     nonlinear_quad_points,
 )
 from spdekit.noise import CovarianceSpec, NoiseSampler
-from spdekit.spectral import TorusGrid, h_inner, lp_norm, zero_field
+from spdekit.spectral import SpectralField, TorusGrid, h_inner, l2_sq_rows, lp_norm, zero_field
 from spdekit.verify import (
     McConfig,
     PathBalance,
@@ -145,9 +145,9 @@ def test_c04_mass_conservation_everywhere():
     for i in range(5):
         prob = BurgersProblem(gb, 0.05, 2.5e-4, sin_field(gb))
         split = solve_split(prob, SEED + 11, i)
-        u = block_norms(split.u_path.times, split.u_path.states, gb)
-        composed = PathBalance(0.0, prob.dt, u[:1])
-        composed.add(u[1:])
+        states = split.u_path.states  # the held u path, fed as one block
+        composed = PathBalance(Burgers(prob.q), prob.dt, SpectralField(gb, states[0]))
+        composed.add(0, states, l2_sq_rows(states[1:]))
         worst = max(worst, composed.mass_report().estimate)
         direct = stepped_balance(
             Burgers(prob.q),
@@ -256,7 +256,11 @@ def test_c10_ito_stratonovich_equivalence():
     grid = TorusGrid(32)
     u0 = cos_field(grid)
     rep = ito_strat_compare(
-        1.0, u0, [1e-3, 2.5e-4, 6.25e-5], 0.05, McConfig(n_paths=100, base_seed=SEED + 29)
+        TransportHeat(grid, (1.0,)),
+        u0,
+        [1e-3, 2.5e-4, 6.25e-5],
+        0.05,
+        McConfig(n_paths=100, base_seed=SEED + 29),
     )
     elapsed = time.monotonic() - t0
     ok = rep.passed and rep.metadata["ensemble_monotone"] and elapsed < 180.0

@@ -233,6 +233,17 @@ class TestRemainder:
         ratios = [dists[i + 1] / dists[i] for i in range(len(dists) - 1) if dists[i] > 0]
         assert all(r < 1.0 for r in ratios[1:])
 
+    def test_large_p_distances_do_not_underflow(self):
+        # at p = 64 the p-th powers of the late Picard distances are below the
+        # smallest double: the distances must not vanish before convergence
+        g = TorusGrid(64)
+        split = {p: solve_split(BurgersProblem(g, 0.05, 2.5e-4, sin_field(g), p=p), 3)
+                 for p in (4.0, 64.0)}
+        assert split[64.0].picard_iters == split[4.0].picard_iters
+        assert min(split[64.0].iterate_distances[0]) > 0.0
+        assert split[64.0].residuals[0] > 0.0
+        assert np.array_equal(split[64.0].w_path.states, split[4.0].w_path.states)
+
     def test_maxit_exceeded_names_window(self):
         g = TorusGrid(32)
         prob = BurgersProblem(

@@ -968,6 +968,10 @@ BAD_CHECK_VALUES = {
     "regularity_one_lag": ("", "lags", "0.01"),
     "verify_tolerance_multiplier_negative": ("trace_identity", "tolerance_multiplier", "-3"),
     "verify_tolerance_multiplier_zero": ("ito_isometry", "tolerance_multiplier", "0"),
+    "verify_energy_identity_rel_tol_negative": ("energy_identity", "rel_tol", "-1"),
+    "verify_energy_identity_rel_tol_zero": ("energy_identity", "rel_tol", "0"),
+    "verify_quadratic_variation_rel_tol_negative": ("quadratic_variation", "rel_tol", "-1"),
+    "verify_gronwall_slack_negative": ("gronwall", "slack", "-1"),
 }
 
 
@@ -1025,9 +1029,9 @@ def stepping_error_config(tmp_path, case):
 class TestSteppingConfigErrors:
     # a scheme that cannot step the model, a dt that does not divide the
     # horizon, a non-finite horizon or step, more transport intensities
-    # than noise channels, or a ladder, partition count, time or step a
-    # check cannot use is a configuration error naming its key, whatever
-    # the command
+    # than noise channels, or a ladder, partition count, time, step or
+    # tolerance a check cannot use is a configuration error naming its key,
+    # whatever the command
 
     @pytest.mark.parametrize(
         "case, key",
@@ -1071,6 +1075,10 @@ class TestSteppingConfigErrors:
             ("regularity_one_lag", "experiment.lags"),
             ("verify_tolerance_multiplier_negative", "experiment.tolerance_multiplier"),
             ("verify_tolerance_multiplier_zero", "experiment.tolerance_multiplier"),
+            ("verify_energy_identity_rel_tol_negative", "experiment.rel_tol"),
+            ("verify_energy_identity_rel_tol_zero", "experiment.rel_tol"),
+            ("verify_quadratic_variation_rel_tol_negative", "experiment.rel_tol"),
+            ("verify_gronwall_slack_negative", "experiment.slack"),
         ],
     )
     def test_exit_two_naming_the_key(self, tmp_path, capsys, case, key):

@@ -203,6 +203,16 @@ class TestNorms:
         assert lp_norm(cos_field(g), 4) == pytest.approx(oracle, rel=1e-8)
         assert lp_norm(cos_field(g), 4) == pytest.approx((3.0 / 8.0) ** 0.25, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [32.0, 64.0])
+    @pytest.mark.parametrize("c", [1e-20, 1e20])
+    def test_lp_is_homogeneous_where_powers_under_or_overflow(self, c, p):
+        # |c u|^p is below the smallest or above the largest double here
+        g = TorusGrid(16)
+        f = make_random_field(g, 5)
+        assert lp_norm(f.with_coef(c * f.coef), p) / c == pytest.approx(lp_norm(f, p), rel=1e-14)
+        assert lp_norm(f.with_coef(0 * f.coef), p) == 0.0
+
     def test_lp_rejects_small_p(self):
         g = TorusGrid(4)
         with pytest.raises(ValueError, match="p >= 1"):

@@ -8,7 +8,7 @@ import pytest
 from conftest import cos_field, make_random_field, sin_field, stepped_balance
 from reference import MatrixNoise, energy_table, gronwall_table, mass_table
 from spdekit import noise
-from spdekit.integrators import SchemeSpec, block_norms, simulate, step_blocks
+from spdekit.integrators import SchemeSpec, block_norms, simulate
 from spdekit.models import AdditiveHeat, Burgers, TransportHeat
 from spdekit import verify
 from spdekit.cli import report_row
@@ -21,7 +21,7 @@ from spdekit.noise import (
     pack_draws,
     stream_normals,
 )
-from spdekit.spectral import TorusGrid, field_from_modes, l2_sq_rows, zero_field
+from spdekit.spectral import SpectralField, TorusGrid, field_from_modes, l2_sq_rows, zero_field
 from spdekit.verify import (
     McConfig,
     StatReport,
@@ -453,23 +453,25 @@ class TestMassConservation:
 
 
 class TestPathBalance:
-    # the streamed balance of a path, fed block by block or in any split of
-    # its norm table, gives the whole-table reports bit for bit
+    # the balance of a path, fed its blocks as step_blocks yields them or in
+    # any cut of its held states, gives the whole-table reports bit for bit
 
     @staticmethod
     def reports(balance):
         return [balance.energy_report(), balance.gronwall_report(), balance.mass_report()]
 
     @staticmethod
-    def chunked(norms, sigma, size):
-        balance = verify.PathBalance(sigma, float(norms["t"][1] - norms["t"][0]), norms[:1])
-        for lo in range(1, len(norms), size):
-            balance.add(norms[lo : lo + size])
+    def cut(model, dt, states, size):
+        """The balance of the held states, fed ``size`` steps a block."""
+        balance = verify.PathBalance(model, dt, SpectralField(model.grid, states[0]))
+        for lo in range(0, len(states) - 1, size):
+            rows = states[lo : lo + size + 1]
+            balance.add(lo, rows, l2_sq_rows(rows[1:]))
         return balance
 
     @pytest.mark.parametrize("n_steps", [0, 1, 255, 256, 257, 600])
     @pytest.mark.parametrize("kind", ["euler_maruyama", "heun_stratonovich", "exponential_euler"])
-    def test_streamed_and_table_reports_are_the_whole_table_reports(self, kind, n_steps):
+    def test_stepped_and_cut_paths_give_the_whole_table_reports(self, kind, n_steps):
         g = TorusGrid(8)
         model = TransportHeat(g, (0.6, 0.4))
         u0 = field_from_modes(g, [(0, 0.3), (1, 0.4 - 0.1j), (3, 0.05j)])
@@ -482,30 +484,33 @@ class TestPathBalance:
                mass_table(norms)]
         if n_steps == 0:  # a one-row table has no step to read dt from
             ref[0] = dataclasses.replace(ref[0], metadata={**ref[0].metadata, "dt": dt})
-        streamed = verify.PathBalance(model.sigma_seq, dt, norms[:1])
-        for step0, rows, l2_sq in step_blocks(*run, sampler=sampler):
-            times = np.arange(step0 + 1, step0 + rows.shape[0]) * dt
-            streamed.add(block_norms(times, rows[1:], g, l2_sq))
-        assert self.reports(streamed) == ref
-        if n_steps > 1:  # split so that the balance folds several times
-            assert self.reports(self.chunked(norms, model.sigma_seq, 7)) == ref
+        assert self.reports(stepped_balance(*run, sampler)) == ref
+        for size in (7, n_steps):  # 7 folds several times; n_steps is one block
+            assert self.reports(self.cut(model, dt, path.states, max(size, 1))) == ref
 
     @pytest.mark.parametrize("n_rows", [2, 3, 17, 200])
-    def test_any_split_of_a_table_gives_its_reports(self, n_rows):
-        # random rows move every column, the mean mode too
+    def test_any_cut_of_a_path_gives_its_reports(self, n_rows):
+        # random states move every column, the mean mode too
+        g = TorusGrid(8)
+        model = TransportHeat(g, (0.7, 0.5))
         rng = np.random.default_rng(n_rows)
-        norms = np.empty(n_rows, [(c, float) for c in ("t", "l2_sq", "h1_sq", "mode0")])
-        norms["t"] = np.arange(n_rows) * 1e-3
-        norms["l2_sq"], norms["h1_sq"] = rng.uniform(0.5, 2.0, (2, n_rows))
-        norms["mode0"] = rng.normal(size=n_rows)
-        ref = [energy_table(norms, 1.2), gronwall_table(norms, 1.2), mass_table(norms)]
+        states = rng.normal(size=(n_rows, 9)) + 1j * rng.normal(size=(n_rows, 9))
+        norms = block_norms(np.arange(n_rows) * 1e-3, states, g)
+        ref = [energy_table(norms, model.sigma_seq), gronwall_table(norms, model.sigma_seq),
+               mass_table(norms)]
         for size in (1, 2, 5, n_rows):
-            assert self.reports(self.chunked(norms, 1.2, size)) == ref
+            assert self.reports(self.cut(model, 1e-3, states, size)) == ref
+
+    def test_sigma_is_the_summed_transport_intensity(self):
+        g = TorusGrid(8)
+        transport = verify.PathBalance(TransportHeat(g, (0.6, 0.4)), 1e-4, cos_field(g))
+        additive = verify.PathBalance(AdditiveHeat(CovarianceSpec.white(g)), 1e-4, cos_field(g))
+        assert transport.energy_report().metadata["sigma"] == 1.0
+        assert additive.energy_report().metadata["sigma"] == 0.0
 
     def test_gronwall_needs_sigma_below_two(self):
         g = TorusGrid(8)
-        norms = block_norms(np.zeros(1), cos_field(g).coef[None], g)
-        balance = verify.PathBalance(2.5, 1e-4, norms)
+        balance = verify.PathBalance(TransportHeat(g, (2.5,)), 1e-4, cos_field(g))
         assert balance.energy_report().estimate == 0.0
         with pytest.raises(ValueError, match="sigma = 2.5"):
             balance.gronwall_report()
@@ -671,13 +676,22 @@ class TestHolderFit:
 class TestItoStratCompare:
     def test_sigma_zero_all_pass(self):
         g = TorusGrid(8)
-        rep = ito_strat_compare(0.0, cos_field(g), [1e-3, 5e-4], 0.01, McConfig(5, 3))
+        model = TransportHeat(g, (0.0,))
+        rep = ito_strat_compare(model, cos_field(g), [1e-3, 5e-4], 0.01, McConfig(5, 3))
         assert rep.estimate == 1.0
 
     def test_zero_initial_data(self):
         g = TorusGrid(8)
-        rep = ito_strat_compare(1.0, zero_field(g), [1e-3, 5e-4], 0.01, McConfig(5, 3))
+        model = TransportHeat(g, (1.0,))
+        rep = ito_strat_compare(model, zero_field(g), [1e-3, 5e-4], 0.01, McConfig(5, 3))
         assert rep.estimate == 1.0
+
+    def test_needs_a_transport_model(self):
+        # Heun steps the Stratonovich form of transport noise only
+        g = TorusGrid(8)
+        model = AdditiveHeat(CovarianceSpec.white(g))
+        with pytest.raises(ValueError, match="TransportHeat"):
+            ito_strat_compare(model, cos_field(g), [1e-3, 5e-4], 0.01, McConfig(5, 3))
 
 
 def counted_stream_normals(monkeypatch):
@@ -745,7 +759,7 @@ class TestLadder:
                 assert rep.estimate == ref.estimate and rep.tolerance == ref.tolerance
                 assert rep.metadata["relative_residual"] == ref.metadata["relative_residual"]
         # ito_strat: the terminal distances of each path, matrix-driven
-        rep = ito_strat_compare((0.6, 0.4), u0, dts, T, McConfig(3, 5))
+        rep = ito_strat_compare(model, u0, dts, T, McConfig(3, 5))
         dists = np.zeros(3)
         for path in range(3):
             final = [states[-1] for states in self.matrix_lanes(model, u0, T, dts, 5, path)]
@@ -804,7 +818,8 @@ class TestLadder:
     def test_ito_strat_draws_one_fine_pass_per_path(self, monkeypatch):
         calls = counted_stream_normals(monkeypatch)
         g = TorusGrid(8)
-        ito_strat_compare(1.0, cos_field(g), [1e-3, 2.5e-4, 6.25e-5], 0.05, McConfig(4, 3))
+        model = TransportHeat(g, (1.0,))
+        ito_strat_compare(model, cos_field(g), [1e-3, 2.5e-4, 6.25e-5], 0.05, McConfig(4, 3))
         # 800 fine steps per path: counter blocks 0..3 of each path's stream, once
         assert sorted((c[1], c[3]) for c in calls) == [((p,), c) for p in range(4) for c in range(4)]
 
