@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .integrators import SamplePath, SchemeSpec, _resolve_steps, step_blocks
+from .integrators import PicardError, SamplePath, SchemeSpec, _resolve_steps, step_blocks
 from .models import AdditiveHeat, Burgers, nonlinear_quad_points
 from .noise import CovarianceSpec, NoiseSampler
 from .spectral import SpectralField, TorusGrid, _coef_to_samples, _lp_of_squares, zero_field
@@ -54,18 +54,6 @@ __all__ = [
 ]
 
 _CHUNK = 64  # rows per forcing rfft of a window
-
-
-class PicardError(RuntimeError):
-    """Iteration cap exceeded: the window left the contraction ball."""
-
-    def __init__(self, window_index: int, distance: float, maxit: int):
-        self.window_index = window_index
-        self.distance = distance
-        super().__init__(
-            f"Picard iteration did not converge in window {window_index}: "
-            f"distance {distance:.3e} after {maxit} iterations"
-        )
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import burgers as burgers_mod
-from . import verify as verify_mod
-from .integrators import BlowUpError, SchemeSpec, _resolve_steps, block_norms, check_scheme
-from .integrators import noise_spec, step_blocks
+from .integrators import BlowUpError, PicardError, SchemeSpec, _resolve_steps, block_norms
+from .integrators import check_scheme, noise_spec, step_blocks
 from .models import (
     AdditiveHeat,
     Burgers,
@@ -47,6 +45,9 @@ from .models import (
 from .noise import CovarianceSpec, NoiseSampler
 from .spectral import SpectralField, TorusGrid, field_from_modes, halpha_rows, l2_sq_rows
 from .spectral import lp_rows, zero_field
+
+# ``verify`` and ``burgers`` are imported, as ``verify_mod`` and ``burgers_mod``,
+# by the runners that use them, so a command loads only the modules it runs.
 
 __all__ = ["main", "ConfigError", "RunConfig", "load_config"]
 
@@ -409,6 +410,9 @@ def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
 
 
 def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
+    global verify_mod
+    from . import verify as verify_mod
+
     checks = cfg.get_list("experiment", "checks")
     if not checks:
         raise ConfigError(f"experiment.checks names no check; known: {', '.join(CHECKS)}")
@@ -692,8 +696,9 @@ def _check_holder_exponent(cfg, grid, seed):
 # builders and the ``verify`` checkers as module attributes when it runs, so
 # wrappers installed on those attributes (timers, tracers) see it.  A Monte
 # Carlo check returns its statistics, which ``run_verify`` streams in one
-# pass, and a pathwise check its check of a norm table, which ``run_verify``
-# applies to every path it steps; the other checks return their reports.
+# pass, and a pathwise check a function from a path's ``PathBalance`` to its
+# report, which ``run_verify`` calls on the balance of every path it steps
+# (``_pathwise_reports``); the other checks return their reports.
 CHECKS: dict[str, Callable[[RunConfig, TorusGrid, int], list]] = {
     "mass_conservation": _check_mass_conservation,
     "energy_identity": _check_energy_identity,
@@ -755,6 +760,9 @@ def _burgers_seed(problem, seed: int, i: int, seed_file: Path) -> list:
 
 
 def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
+    global burgers_mod
+    from . import burgers as burgers_mod
+
     kind = cfg.get_str("model", "kind", required=True)
     if kind != "burgers":
         raise ConfigError(f"burgers command requires model.kind = burgers, got {kind!r}")
@@ -799,6 +807,9 @@ def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
 
 
 def run_regularity(cfg: RunConfig, out: Path, seed: int) -> int:
+    global verify_mod
+    from . import verify as verify_mod
+
     grid = build_grid(cfg)
     reports = [_holder_report(cfg, grid, a) for a in cfg.get_floats("experiment", "alpha", [-0.25])]
     curve_rows = [
@@ -842,7 +853,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (BlowUpError, burgers_mod.PicardError) as exc:
+    except (BlowUpError, PicardError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

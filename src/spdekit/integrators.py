@@ -51,6 +51,7 @@ __all__ = [
     "SamplePath",
     "SchemeSpec",
     "BlowUpError",
+    "PicardError",
     "SCHEME_KINDS",
     "check_scheme",
     "BLOW_UP_NORM",
@@ -82,6 +83,23 @@ class BlowUpError(RuntimeError):
         super().__init__(
             f"solution blew up at t = {time:.6g} (step {step}, L2 norm {norm:.3e}, "
             f"largest amplitude at mode k = {mode})"
+        )
+
+
+class PicardError(RuntimeError):
+    """Iteration cap exceeded: a Burgers Picard window left the contraction ball.
+
+    Raised by :mod:`spdekit.burgers`; it lives here, next to
+    :class:`BlowUpError`, so that a caller can catch both numerical failures
+    without loading that module.
+    """
+
+    def __init__(self, window_index: int, distance: float, maxit: int):
+        self.window_index = window_index
+        self.distance = distance
+        super().__init__(
+            f"Picard iteration did not converge in window {window_index}: "
+            f"distance {distance:.3e} after {maxit} iterations"
         )
 
 
@@ -298,6 +316,7 @@ def _blocks(
         rows = buf[: b1 - b0 + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             fill(rows, scaled)
+            del scaled  # spent: the next block is drawn without it
             l2_sq = l2_sq_rows(rows[1:])
             blown = np.flatnonzero(_blown_rows(rows[1:], l2_sq))
         if blown.size:
@@ -322,9 +341,11 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec, n_
       exponential Euler c' = e^{-mu dt} (c + N(c) dt + eta), where N = 0 for
       the porous medium at m = 2 (its drift is the Laplacian).
 
-    A step allocates no field objects and writes its row in place; the
-    packed (and rescaled) draws go to buffers the lane allocates once, never
-    to the source's array.  Mode 0 stays exactly real: every multiplier of
+    The block's draws are packed straight into ``rows[1:]``, and each step
+    adds its update to the packed increment in place, through one row-sized
+    scratch: no field objects and no block-sized buffer of increments.  The
+    exact-OU rescaling goes to a buffer the lane allocates once, never to
+    the source's array.  Mode 0 stays exactly real: every multiplier of
     it is real (or 0j for Burgers), so its imaginary part stays +0.0 while
     the state is finite.
     """
@@ -338,6 +359,7 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec, n_
         return fill
 
     mu = model.grid.laplacian_eigs
+    scratch = np.empty(model.grid.n_modes + 1, dtype=np.complex128)
     rescale = None
     if isinstance(model, AdditiveHeat):
         if scheme.kind == "euler_maruyama":
@@ -345,9 +367,8 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec, n_
         else:  # exponential Euler and exact OU share the exact-convolution increment
             decay, rescale = np.exp(-mu * dt), _ou_rescale(spec, dt)
 
-        def step(c, eta, out):
-            np.multiply(decay, c, out=out)
-            out += eta
+        def step(c, out):  # out holds eta: eta + decay * c
+            out += np.multiply(decay, c, out=scratch)
 
     else:  # c + A(c) dt + eta, or (c + N(c) dt + eta) e^{-mu dt} for exponential Euler
         decay, drift = None, DriftKernel(model)
@@ -356,24 +377,23 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec, n_
             porous = isinstance(model, PorousMedium)  # at m = 2 its drift is the Laplacian
             drift = (lambda c, out: out.fill(0.0)) if porous else drift.nonlinear
 
-        def step(c, eta, out):
-            drift(c, out)
-            out *= dt
-            np.add(c, out, out=out)
-            out += eta
+        def step(c, out):  # out holds eta: eta + (c + A(c) dt)
+            drift(c, scratch)
+            np.multiply(scratch, dt, out=scratch)
+            out += np.add(c, scratch, out=scratch)
             if decay is not None:
                 out *= decay
 
-    eta_buf = np.empty((n_rows, spec.grid.n_modes + 1), dtype=np.complex128)
+    # a ladder's factor-1 lanes share the drawn block, so it is rescaled into a copy
     ou_buf = None if rescale is None else np.empty((n_rows, spec.n_channels))
 
     def fill(rows, scaled):
         n_steps = scaled.shape[0]
         if rescale is not None:
             scaled = np.multiply(scaled, rescale, out=ou_buf[:n_steps])
-        eta = pack_draws(spec, scaled, out=eta_buf[:n_steps])
+        pack_draws(spec, scaled, out=rows[1:])
         for n in range(n_steps):
-            step(rows[n], eta[n], rows[n + 1])
+            step(rows[n], rows[n + 1])
 
     return fill
 

@@ -151,6 +151,9 @@ def covariance_pairing(spec: CovarianceSpec, h: SpectralField, g: SpectralField)
     return float(mode_sum(spec.lam * (h.coef * np.conj(g.coef)).real))
 
 
+_PACK_BUFSIZE = 1024  # elements per ufunc buffer in pack_draws
+
+
 def pack_draws(
     spec: CovarianceSpec, scaled: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -161,6 +164,9 @@ def pack_draws(
     relative to unit-variance channels, i.e. each channel contributes
     variance lam_k*dt/2 to the complex amplitude.  The products are formed
     in the band of ``out`` (a new array without it): no block-sized temporary.
+    numpy buffers each strided or cast operand of these products in up to
+    bufsize elements (by default 8192, 128 kB per complex operand), so they
+    run with ``_PACK_BUFSIZE``, and their buffers stay small too.
     """
     root = np.sqrt(spec.lam)
     if out is None:
@@ -168,9 +174,11 @@ def pack_draws(
     out[..., 0] = root[0] * scaled[..., 0]
     half = root[1:] / np.sqrt(2.0)
     band = out[..., 1:]  # half * (cos - 1j * sin), one product at a time
-    np.multiply(1j, scaled[..., 2::2], out=band)
-    np.subtract(scaled[..., 1::2], band, out=band)
-    np.multiply(half, band, out=band)
+    with np.errstate():  # which restores the buffer size at exit
+        np.setbufsize(_PACK_BUFSIZE)
+        np.multiply(1j, scaled[..., 2::2], out=band)
+        np.subtract(scaled[..., 1::2], band, out=band)
+        np.multiply(half, band, out=band)
     return out
 
 

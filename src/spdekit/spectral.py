@@ -308,16 +308,29 @@ def _lp_of_squares(sq: np.ndarray, p: float) -> np.ndarray:
     A nonzero row whose largest power m^p (m^2 = max s^2) falls below
     ``_LP_FLOOR`` or overflows, as at large p, is formed as
     m * mean((s^2 / m^2)^(p/2))^(1/p); every other row as mean(|s|^p)^(1/p).
+    As m^2 lies in [sum / n, sum] of a row's n squares, the row sum settles
+    almost every row: an all-zero row, or one whose bounds, widened by a
+    factor 2 for the rounding of the sum, keep m^p in [_LP_FLOOR, inf).
+    The max is taken only over the rows the sum leaves in doubt.
     """
-    m_sq = np.max(sq, axis=-1)
+    n = sq.shape[-1]
     with np.errstate(over="ignore", under="ignore"):
-        top = m_sq ** (p / 2)
-        scaled = ((top < _LP_FLOOR) | np.isinf(top)) & (m_sq > 0) & np.isfinite(m_sq)
+        low = 2.0 * n * _LP_FLOOR ** (2.0 / p)  # a sum above it puts m^p above _LP_FLOOR
+        high = 0.5 * np.finfo(float).max ** (2.0 / p)  # a sum below it keeps m^p finite
+        total = np.einsum("...i->...", sq)
+        scaled = ~(((total == 0.0) | (total >= low)) & (total <= high))  # the rows in doubt
         if scaled.any():
-            np.divide(sq, m_sq[..., None], out=sq, where=scaled[..., None])
+            m_sq = np.max(sq[scaled], axis=-1)
+            top = m_sq ** (p / 2)
+            need = ((top < _LP_FLOOR) | np.isinf(top)) & (m_sq > 0) & np.isfinite(m_sq)
+            scaled[scaled] = need  # narrowed to the rows that need scaling
+            m_sq = m_sq[need]
+            sq[scaled] /= m_sq[:, None]
         sq **= p / 2
         norms = np.mean(sq, axis=-1) ** (1.0 / p)
-    return np.multiply(norms, np.sqrt(m_sq), out=norms, where=scaled)
+    if scaled.any():
+        norms[scaled] *= np.sqrt(m_sq)
+    return norms
 
 
 def _lp_chunk(coef: np.ndarray, p: float, n_points: int) -> np.ndarray:

@@ -188,6 +188,7 @@ def mc_pass(stats: list[McStatistic], cfg: McConfig) -> list[np.ndarray]:
         z = mc_normals(cfg.base_seed, rows, cols)
         for st, out in zip(stats, samples):
             out[rows.start : rows.stop] = st.per_row(z[:, : st.cols])
+        del z  # spent: the next chunk is drawn without it
     return samples
 
 

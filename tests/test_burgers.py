@@ -376,12 +376,13 @@ class TestMemory:
     def test_split_windows_holds_no_window_sized_temporary(self):
         # K = 64 and 200-step windows: a window holds v's samples and the two
         # iterates (3 x 201 x 256 doubles, 1.2 MB) and two coefficient buffers
-        # (0.4 MB); a step_blocks block holds its rows, draws and packed
-        # increments.  The traced peak of a two-window run was 4114.5 kB with
-        # a window-sized sample scratch and forcing spectrum, a block-sized
-        # copy of the draws and three complex packing temporaries; it is
-        # 3338.0 kB with the forcing rfft in 64-row chunks, the norms formed
-        # in spent iterates and the lane's own packing buffers.
+        # (0.4 MB); a step_blocks block holds its rows and draws.  The traced
+        # peak of a two-window run was 4114.5 kB with a window-sized sample
+        # scratch and forcing spectrum, a block-sized copy of the draws and
+        # three complex packing temporaries; 3338.0 kB with the forcing rfft
+        # in 64-row chunks, the norms formed in spent iterates and the lane's
+        # own packing buffers; it is 2823.5 kB with the noise packed into the
+        # block's rows and pack_draws' ufunc buffers at 1024 elements.
         import tracemalloc
 
         g = TorusGrid(64)

@@ -649,6 +649,37 @@ class TestStreamedDraws:
         assert extra[20_000] - extra[2_000] < 18_000 * 8 * 8
         assert extra[20_000] < 4 * 2**20
 
+    def test_lane_holds_its_rows_and_one_draw_block(self):
+        # K = 64 reaction-diffusion over two blocks: the lane packs each block's
+        # noise straight into the rows it steps, and the spent draws go before
+        # the next block is drawn.  So the traced peak is the rows, one draw
+        # block and small buffers (600 kB here).  With a block-sized buffer of
+        # packed increments (266 kB), the spent draws held while the next block
+        # was drawn, and numpy's default 128 kB ufunc buffers in pack_draws, it
+        # was 1,209 kB.
+        import tracemalloc
+
+        g = TorusGrid(64)
+        m = ReactionDiffusion(-1.0, 3, CovarianceSpec.power(g, 1.0))
+        dt = 1e-5
+        run = (m, SchemeSpec("euler_maruyama", dt), cos_field(g), 2 * BLOCK_STEPS * dt)
+
+        def last_rows():
+            sampler = NoiseSampler(noise_spec(m), 3)
+            return [rows[-1].copy() for _, rows, _ in step_blocks(*run, sampler)]
+
+        first = last_rows()  # first-call allocations
+        tracemalloc.start()
+        try:
+            again = last_rows()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 2 and np.array_equal(first, again)
+        rows = (BLOCK_STEPS + 1) * (g.n_modes + 1) * 16
+        draws = BLOCK_STEPS * noise_spec(m).n_channels * 8
+        assert peak < rows + draws + 2**17, (peak, rows + draws)
+
 
 class TestSchemeRelations:
     def test_exp_euler_equals_exact_ou_on_additive_heat(self):

@@ -23,6 +23,7 @@ from spdekit.spectral import (
     sobolev_norm,
     zero_field,
 )
+from spdekit.spectral import _LP_FLOOR, _lp_of_squares
 
 TWO_PI = 2.0 * np.pi
 
@@ -212,6 +213,37 @@ class TestNorms:
         f = make_random_field(g, 5)
         assert lp_norm(f.with_coef(c * f.coef), p) / c == pytest.approx(lp_norm(f, p), rel=1e-14)
         assert lp_norm(f.with_coef(0 * f.coef), p) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 7.0, 64.0, 400.0])
+    def test_lp_row_sum_prescreen_is_the_exact_max_formula(self, p):
+        # the row sum settles most rows without their max; each norm must be
+        # bit for bit the formula that takes every row's exact max
+        def exact(sq):
+            m_sq = np.max(sq, axis=-1)
+            with np.errstate(over="ignore", under="ignore"):
+                top = m_sq ** (p / 2)
+                scaled = ((top < _LP_FLOOR) | np.isinf(top)) & (m_sq > 0) & np.isfinite(m_sq)
+                np.divide(sq, m_sq[..., None], out=sq, where=scaled[..., None])
+                sq **= p / 2
+                norms = np.mean(sq, axis=-1) ** (1.0 / p)
+            return np.multiply(norms, np.sqrt(m_sq), out=norms, where=scaled)
+
+        rng = np.random.default_rng(17)
+        with np.errstate(over="ignore", under="ignore"):
+            # row sums across the double range, and at the prescreen's two bounds
+            edges = [_LP_FLOOR ** (2.0 / p), np.finfo(float).max ** (2.0 / p)]
+            sums = [*10.0 ** np.arange(-320.0, 309.0, 7.3), *np.outer(edges, [0.3, 1, 3]).flat]
+            for total in filter(lambda x: 0 < x < np.inf, sums):
+                sq = rng.standard_normal((6, 64)) ** 2
+                sq[1, 1:] = 0.0  # the max is the sum
+                sq[2] = 1.0  # the max is the sum over n
+                sq /= sq.sum(axis=-1, keepdims=True)
+                sq *= total
+                sq[3] = 0.0
+                sq[4, 5], sq[5, 3] = np.inf, np.nan
+                ref = exact(sq.copy())
+                assert _lp_of_squares(sq, p).tobytes() == ref.tobytes(), total
 
     def test_lp_rejects_small_p(self):
         g = TorusGrid(4)

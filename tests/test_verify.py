@@ -226,6 +226,27 @@ class TestStreamedPass:
         ]
         assert mc_reports(stats, cfg) == expected
 
+    def test_pass_holds_one_chunk_of_draws(self):
+        # a spent chunk goes before the next is drawn: the traced peak is one
+        # chunk (1,028 kB at K = 128), the sample vectors and small per-row
+        # temporaries (1,207 kB here), where holding the spent chunk while
+        # drawing the next read 2,115 kB
+        import tracemalloc
+
+        stats = self.statistics(128)
+        cfg = McConfig(4 * verify._MC_ROWS, 41)
+        first = mc_pass(stats, cfg)  # first-call allocations
+        tracemalloc.start()
+        try:
+            again = mc_pass(stats, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        chunk = verify._MC_ROWS * max(st.cols for st in stats) * 8
+        samples = len(stats) * cfg.n_paths * 8
+        assert peak < chunk + samples + 2**18, (peak, chunk)
+
     def test_no_statistic_draws_nothing(self, monkeypatch):
         monkeypatch.setattr(verify, "mc_normals", None)  # a draw would raise
         assert mc_pass([], McConfig(10, 1)) == []
