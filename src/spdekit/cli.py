@@ -100,15 +100,13 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from exc
 
-    def get_list(self, section, key, default=None):
-        raw = self.get_str(section, key)
-        if raw is None:
-            return default if default is not None else []
+    def get_list(self, section, key):
+        raw = self.get_str(section, key, "")
         return [item.strip() for item in raw.split(",") if item.strip()]
 
     def get_floats(self, section, key, default=None):
-        items = self.get_list(section, key, None)
-        if items is None or not items:
+        items = self.get_list(section, key)
+        if not items:
             return default if default is not None else []
         try:
             values = [float(item) for item in items]
@@ -410,44 +408,56 @@ def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
 
 
 def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
+    """Plan every listed check, then run the plan: every key is read before anything is drawn.
+
+    A ``CHECKS`` entry validates its keys and returns its units in report order:
+    a report, a ``verify.McStatistic``, a pathwise unit ``(scheme, report)``
+    whose ``report`` reads the ``verify.PathBalance`` of a path stepped with
+    ``scheme``, or a zero-argument function returning a report.  Then the
+    statistics share one streamed pass, each path is stepped once per
+    distinct scheme, and the functions are called.  Checks look ``verify``
+    names up on the module, so wrappers installed there (tracers) see them.
+    """
     global verify_mod
     from . import verify as verify_mod
 
     checks = cfg.get_list("experiment", "checks")
-    if not checks:
-        raise ConfigError(f"experiment.checks names no check; known: {', '.join(CHECKS)}")
-    for name in checks:
-        if name not in CHECKS:
-            raise ConfigError(
-                f"experiment.checks names unknown check {name!r}; known: {', '.join(CHECKS)}"
-            )
+    unknown = [repr(name) for name in checks if name not in CHECKS]
+    if unknown or not checks:  # a run with no check would pass vacuously
+        what = f"unknown check {unknown[0]}" if unknown else "no check"
+        raise ConfigError(f"experiment.checks names {what}; known: {', '.join(CHECKS)}")
     grid = build_grid(cfg)
-    items = [item for name in checks for item in CHECKS[name](cfg, grid, seed)]
-    # the Monte Carlo statistics of every listed check share one streamed pass,
-    # and the pathwise checks one stepping of each path
-    stats = [item for item in items if isinstance(item, verify_mod.McStatistic)]
-    on_path = [item for item in items if callable(item)]
-    streamed = iter(verify_mod.mc_reports(stats, _mc_config(cfg, seed)) if stats else ())
-    worst = iter(_pathwise_reports(cfg, grid, seed, on_path) if on_path else ())
+    units = [unit for name in checks for unit in CHECKS[name](cfg, grid, seed)]
+    stats = [unit for unit in units if isinstance(unit, verify_mod.McStatistic)]
+    on_path = [unit for unit in units if isinstance(unit, tuple)]
+    mc = _mc_config(cfg, seed) if stats else None
+    n_paths = _n_paths(cfg) if on_path else 0
+    streamed = iter(verify_mod.mc_reports(stats, mc) if stats else ())
+    worst = iter(_pathwise_reports(cfg, grid, seed, n_paths, on_path) if on_path else ())
     reports = [
-        next(streamed) if isinstance(item, verify_mod.McStatistic)
-        else next(worst) if callable(item) else item
-        for item in items
+        next(streamed) if isinstance(unit, verify_mod.McStatistic)
+        else next(worst) if isinstance(unit, tuple)
+        else unit() if callable(unit) else unit
+        for unit in units
     ]
     return _write_reports(cfg, out, seed, "verify", reports)
 
 
-def _pathwise_reports(cfg: RunConfig, grid: TorusGrid, seed: int, checks) -> list:
-    """Each check's worst report over paths 0 .. n_paths - 1, each stepped into a PathBalance."""
-    model, scheme, T, u0 = _path_run(cfg, grid)
-    reports = []
-    for i in range(_n_paths(cfg)):
-        balance = verify_mod.PathBalance(model, scheme.dt, u0)
+def _pathwise_reports(cfg: RunConfig, grid: TorusGrid, seed: int, n_paths: int, units) -> list:
+    """Each ``(scheme, report)`` unit's worst report over paths 0 .. n_paths - 1.
+
+    A path is stepped once per distinct scheme and reduced to reports before the next.
+    """
+    model, _, T, u0 = _path_run(cfg, grid)
+    per_path = []
+    for i in range(n_paths):
         sampler = NoiseSampler(noise_spec(model), seed, i)
-        for block in step_blocks(model, scheme, u0, T, sampler):
-            balance.add(*block)
-        reports.append([check(balance) for check in checks])
-    return [_worst(path_reports) for path_reports in zip(*reports)]
+        balances = {scheme: verify_mod.PathBalance(model, scheme.dt, u0) for scheme, _ in units}
+        for scheme, balance in balances.items():
+            for block in step_blocks(model, scheme, u0, T, sampler):
+                balance.add(*block)
+        per_path.append([report(balances[scheme]) for scheme, report in units])
+    return [_worst(reports) for reports in zip(*per_path)]
 
 
 def _write_reports(cfg: RunConfig, out: Path, seed: int, command: str, reports, outputs=()) -> int:
@@ -461,13 +471,12 @@ def _write_reports(cfg: RunConfig, out: Path, seed: int, command: str, reports, 
 
 
 # ---------------------------------------------------------------------------
-# verify checks: one function per config name, (cfg, grid, seed) -> reports,
-# Monte Carlo statistics or functions of a path's PathBalance
+# verify checks: one function per config name, (cfg, grid, seed) -> plan units
 # ---------------------------------------------------------------------------
 
 
 def _mc_config(cfg: RunConfig, seed: int) -> verify_mod.McConfig:
-    """The Monte Carlo budget; each Monte Carlo check reads it before its other keys."""
+    """The Monte Carlo budget: ``experiment.n_paths`` and ``tolerance_multiplier`` at ``seed``."""
     try:
         return verify_mod.McConfig(
             n_paths=cfg.get_int("experiment", "n_paths", 100),
@@ -516,11 +525,13 @@ def _n_paths(cfg: RunConfig) -> int:
     return n_paths
 
 
-def _time(cfg: RunConfig, key: str, default=None) -> float:
-    """``experiment.<key>``, a time (required without a ``default``): a number >= 0."""
+def _time(cfg: RunConfig, key: str, default=None, positive_for: str = "") -> float:
+    """``experiment.<key>``, a time >= 0 (> 0 for ``positive_for``), required without a default."""
     value = cfg.get_float("experiment", key, default, required=default is None)
     if value < 0:
         raise ConfigError(f"experiment.{key} must be nonnegative, got {value}")
+    if positive_for and value == 0:
+        raise ConfigError(f"experiment.{key} must be positive for {positive_for}, got 0")
     return value
 
 
@@ -552,17 +563,15 @@ def _check_mass_conservation(cfg, grid, seed):
         return _skipped(
             "mass_conservation", "inapplicable: mean mode is a Brownian motion for additive noise"
         )
-    return [verify_mod.PathBalance.mass_report]
+    return [(scheme, verify_mod.PathBalance.mass_report)]
 
 
 def _check_energy_identity(cfg, grid, seed):
     model, scheme, T, u0 = _path_run(cfg, grid, "energy_identity")
     _require_transport(model, "energy_identity")
-    rel_tol = _rel_tol(cfg)
-    dts, n_paths = [scheme.dt, scheme.dt / 2.0], _n_paths(cfg)
-    refine = verify_mod.energy_identity_refinement  # a path's report is its finest rung
-    finest = (refine(model, u0, T, dts, seed, i, rel_tol, scheme.kind)[-1] for i in range(n_paths))
-    return [_worst(finest)]
+    # the finest rung of the dt, dt/2 ladder of verify.energy_identity_refinement
+    fine, rel_tol = SchemeSpec(scheme.kind, scheme.dt / 2.0), _rel_tol(cfg)
+    return [(fine, lambda balance: balance.energy_report(rel_tol))]
 
 
 def _check_gronwall(cfg, grid, seed):
@@ -574,7 +583,7 @@ def _check_gronwall(cfg, grid, seed):
     if model.sigma_total >= 2.0:
         note = f"sigma >= 2 (sigma = {model.sigma_total:g}); bound undefined"
         return _skipped("gronwall", note, "upper", slack, float("nan"))
-    return [lambda balance: balance.gronwall_report(slack)]
+    return [(scheme, lambda balance: balance.gronwall_report(slack))]
 
 
 def _phi_weights(cfg):
@@ -593,18 +602,15 @@ def _phi_weights(cfg):
 
 
 def _check_ito_isometry(cfg, grid, seed):
-    _mc_config(cfg, seed)
     return [verify_mod.ito_isometry_stat(*_phi_weights(cfg), _time(cfg, "t"))]
 
 
 def _check_trace_identity(cfg, grid, seed):
-    _mc_config(cfg, seed)
     spec = build_noise(cfg, grid)
     return [verify_mod.trace_identity_stat(spec, _time(cfg, "t"))]
 
 
 def _check_wiener_covariance(cfg, grid, seed):
-    _mc_config(cfg, seed)
     spec = build_noise(cfg, grid)
     s, t = _time(cfg, "s", 0.3), _time(cfg, "t")
     h = build_initial_field(cfg, grid, key="h")
@@ -614,9 +620,7 @@ def _check_wiener_covariance(cfg, grid, seed):
 
 def _check_quadratic_variation(cfg, grid, seed):
     mc = _mc_config(cfg, seed)
-    T = _time(cfg, "t")
-    if T == 0:
-        raise ConfigError("experiment.t must be positive for quadratic_variation, got 0")
+    T = _time(cfg, "t", positive_for="quadratic_variation")
     n_int = cfg.get_int("experiment", "qv_intervals", 2**14)
     rel_tol = _rel_tol(cfg)
     levels = [max(1, n_int // 16), max(1, n_int // 4), n_int]
@@ -624,46 +628,37 @@ def _check_quadratic_variation(cfg, grid, seed):
         raise ConfigError(
             f"experiment.qv_intervals must be a positive multiple of {levels[:2]}, got {n_int}"
         )
-    hit = 0
-    for i in range(mc.n_paths):
-        values = verify_mod.brownian_scalar_path(seed, n_int, T, stream_id=i)
-        hit += verify_mod.quadratic_variation_partition(values, levels, T, rel_tol).passed
-    frac = verify_mod.StatReport(
-        name="quadratic_variation",
-        estimate=hit / mc.n_paths,
-        target=0.9,
-        se=0.0,
-        n=mc.n_paths,
-        tol_kind="lower",
-        tolerance=0.0,
-        metadata={"intervals": n_int},
-    )
-    return [frac, verify_mod.smooth_quadratic_variation(T)]
+
+    def fraction():
+        hit = 0
+        for i in range(mc.n_paths):
+            values = verify_mod.brownian_scalar_path(seed, n_int, T, stream_id=i)
+            hit += verify_mod.quadratic_variation_partition(values, levels, T, rel_tol).passed
+        return verify_mod.fraction_report("quadratic_variation", hit, mc.n_paths, intervals=n_int)
+
+    return [fraction, lambda: verify_mod.smooth_quadratic_variation(T)]
 
 
 def _check_ito_strat(cfg, grid, seed):
     mc = _mc_config(cfg, seed)
     # the ladder, not [scheme], sets the steps here
     model = build_model(cfg, grid)
-    T = _time(cfg, "t")
-    if T == 0:
-        raise ConfigError("experiment.t must be positive for ito_strat, got 0")
+    T = _time(cfg, "t", positive_for="ito_strat")
     u0 = build_initial_field(cfg, grid)
     _require_transport(model, "ito_strat")
     ladder = cfg.get_floats("experiment", "dt_ladder", [1e-3, 2.5e-4, 6.25e-5])
     try:
-        return [verify_mod.ito_strat_compare(model, u0, ladder, T, mc)]
+        verify_mod.ladder_rungs(ladder, T)
     except ValueError as exc:
         raise ConfigError(f"experiment.dt_ladder invalid: {exc}") from exc
+    return [lambda: verify_mod.ito_strat_compare(model, u0, ladder, T, mc)]
 
 
 def _check_gaussian_moment(cfg, grid, seed):
-    _mc_config(cfg, seed)
     return [verify_mod.gaussian_moment_stat(build_noise(cfg, grid))]
 
 
 def _check_ou_exactness(cfg, grid, seed):
-    _mc_config(cfg, seed)
     spec = build_noise(cfg, grid)
     dt = cfg.get_float("scheme", "dt", required=True)
     if dt <= 0:
@@ -692,13 +687,7 @@ def _check_holder_exponent(cfg, grid, seed):
     return [_holder_report(cfg, grid, cfg.get_float("experiment", "alpha", -0.25))]
 
 
-# The verify checks by config name, in README order.  Each entry looks up the
-# builders and the ``verify`` checkers as module attributes when it runs, so
-# wrappers installed on those attributes (timers, tracers) see it.  A Monte
-# Carlo check returns its statistics, which ``run_verify`` streams in one
-# pass, and a pathwise check a function from a path's ``PathBalance`` to its
-# report, which ``run_verify`` calls on the balance of every path it steps
-# (``_pathwise_reports``); the other checks return their reports.
+# The verify checks by config name, in README order; run_verify says what they return.
 CHECKS: dict[str, Callable[[RunConfig, TorusGrid, int], list]] = {
     "mass_conservation": _check_mass_conservation,
     "energy_identity": _check_energy_identity,

@@ -9,12 +9,12 @@ pathwise checks carry explicit absolute or relative slacks.
 
 A Monte Carlo check is an :class:`McStatistic` and runs one way, through
 :func:`mc_reports`: every statistic of a call shares one streamed pass over
-the rows.  The pathwise checks of the transport equation are the reports of
-one :class:`PathBalance`, which takes a path's blocks as
-``integrators.step_blocks`` yields them, ``balance.add(*block)``, and folds
-their norm rows, so one stepped path serves them all and no norm table is
-held.  The ladder checks step every rung of a dt ladder in lockstep off one
-fine path (:func:`ladder_blocks`), holding a few of its counter blocks.
+the rows.  The pathwise checks of the transport equation are reports of a
+path's :class:`PathBalance`, which folds the blocks ``step_blocks`` yields
+(``balance.add(*block)``), so no norm table is held.  :func:`ladder_blocks`
+steps a dt ladder off one fine path, holding a few of its counter blocks,
+for :func:`ito_strat_compare` and :func:`energy_identity_refinement`;
+:func:`ladder_rungs` checks a ladder without stepping.
 
 Covered identities:
 
@@ -58,12 +58,14 @@ __all__ = [
     "McConfig",
     "StatReport",
     "evaluate_pass",
+    "fraction_report",
     "McStatistic",
     "mc_normals",
     "mc_pass",
     "mc_reports",
     "PathBalance",
     "energy_identity_refinement",
+    "ladder_rungs",
     "ladder_blocks",
     "ito_isometry_stat",
     "wiener_covariance_stat",
@@ -134,6 +136,11 @@ class StatReport:
         if self.skipped:
             return True
         return evaluate_pass(self.estimate, self.target, self.se, self.tol_kind, self.tolerance)
+
+
+def fraction_report(name: str, passed: int, n_paths: int, **metadata) -> StatReport:
+    """The share of ``n_paths`` paths that pass a per-path test; it must reach 0.9."""
+    return StatReport(name, passed / n_paths, 0.9, 0.0, n_paths, "lower", 0.0, metadata=metadata)
 
 
 _MC_ROWS = 256  # rows per chunk of the Monte Carlo pass: about 0.5 MB of normals at 259 columns
@@ -210,6 +217,24 @@ def mc_reports(stats: list[McStatistic], cfg: McConfig) -> list[StatReport]:
     ]
 
 
+def ladder_rungs(dts, T: float) -> list[float]:
+    """The rungs of a dt ladder over [0, T], coarse to fine, checked without stepping.
+
+    ValueError unless there are two or more distinct rungs, positive integer
+    multiples of the finest, each of which divides T.
+    """
+    dts = sorted((float(dt) for dt in dts), reverse=True)
+    if len(dts) < 2 or len(set(dts)) < len(dts):
+        raise ValueError(f"need two or more distinct rungs, got {dts[::-1]}")
+    if dts[-1] <= 0:
+        raise ValueError(f"rungs must be positive, got {dts[-1]:g}")
+    if any(abs(round(dt / dts[-1]) * dts[-1] - dt) > 1e-9 * dt for dt in dts):
+        raise ValueError(f"ladder dts must be integer multiples of the finest, got {dts[::-1]}")
+    for dt in dts:
+        _resolve_steps(T, dt)
+    return dts
+
+
 def ladder_blocks(
     model: ModelSpec, u0: SpectralField, T: float, dts, kinds, seed: int, stream_id: int = 0
 ):
@@ -219,17 +244,10 @@ def ladder_blocks(
     lanes go rung by rung, coarse to fine, ``kinds`` innermost.  The fine
     path is the stream ``(seed, stream_id)`` at the smallest dt, and the lane
     furthest behind in it steps next, so about f_max + 1 of its counter
-    blocks are held, whatever T is.  ValueError unless there are two or more
-    distinct rungs, positive integer multiples of the finest, which divides T.
+    blocks are held, whatever T is.  ValueError as :func:`ladder_rungs`.
     """
-    dts = sorted((float(dt) for dt in dts), reverse=True)
-    if len(dts) < 2 or len(set(dts)) < len(dts):
-        raise ValueError(f"need two or more distinct rungs, got {dts[::-1]}")
-    if dts[-1] <= 0:
-        raise ValueError(f"rungs must be positive, got {dts[-1]:g}")
+    dts = ladder_rungs(dts, T)
     lanes = [(SchemeSpec(kind, dt), int(round(dt / dts[-1]))) for dt in dts for kind in kinds]
-    if any(abs(f * dts[-1] - s.dt) > 1e-9 * s.dt for s, f in lanes):
-        raise ValueError(f"ladder dts must be integer multiples of the finest, got {dts[::-1]}")
     fine = _FineStream(NoiseSampler(noise_spec(model), seed, stream_id), dts[-1], T)
     runs = [step_blocks(model, scheme, u0, T, fine) for scheme, _ in lanes]
     done = [0] * len(lanes)  # fine steps each lane has stepped
@@ -419,7 +437,7 @@ def energy_identity_refinement(
     statement.  Reports come coarse to fine; each carries the decay ratio to
     its predecessor.
     """
-    dts = sorted((float(dt) for dt in dts), reverse=True)
+    dts = ladder_rungs(dts, T)
     balances = [PathBalance(model, dt, u0) for dt in dts]
     for lane, *block in ladder_blocks(model, u0, T, dts, [kind], seed, stream_id):
         balances[lane].add(*block)
@@ -694,7 +712,7 @@ def ito_strat_compare(
     """
     ok = 0
     mean_dist = 0.0
-    ladder = sorted((float(dt) for dt in dt_ladder), reverse=True)
+    ladder = ladder_rungs(dt_ladder, T)
     kinds = ("euler_maruyama", "heun_stratonovich")
     for path_idx in range(cfg.n_paths):
         final = [u0.coef] * len(kinds) * len(ladder)
@@ -711,21 +729,14 @@ def ito_strat_compare(
             ok += bool(decreased and capped)
     mean_dist /= cfg.n_paths
     ensemble_monotone = bool(np.all(np.diff(mean_dist) < 0)) or np.all(mean_dist == 0.0)
-    fraction = (ok / cfg.n_paths) if ensemble_monotone else 0.0
-    return StatReport(
-        name="ito_strat_equivalence",
-        estimate=fraction,
-        target=0.9,
-        se=0.0,
-        n=cfg.n_paths,
-        tol_kind="lower",
-        tolerance=0.0,
-        metadata={
-            "ladder": ladder,
-            "mean_distances": mean_dist.tolist(),
-            "ensemble_monotone": ensemble_monotone,
-            "T": T,
-        },
+    return fraction_report(
+        "ito_strat_equivalence",
+        ok if ensemble_monotone else 0,
+        cfg.n_paths,
+        ladder=ladder,
+        mean_distances=mean_dist.tolist(),
+        ensemble_monotone=ensemble_monotone,
+        T=T,
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from reference import gronwall_table, mass_table
 from spdekit import cli, verify
-from spdekit.integrators import block_norms
+from spdekit.integrators import SchemeSpec, block_norms, step_blocks
 from spdekit.verify import energy_identity_refinement
 
 
@@ -670,6 +670,24 @@ class TestCheckTable:
         err = capsys.readouterr().err
         assert "experiment.dt_ladder" in err and "integer multiples of the finest" in err
 
+    def test_ito_strat_coarse_rung_off_the_horizon_is_config_error(self, tmp_path, capsys):
+        # 3e-3 is three fine steps, and t = 0.01 is ten: the plan rejects it, not the run
+        cfg = all_checks_config(tmp_path, "ito_strat", extra="dt_ladder = 3e-3, 1e-3")
+        assert cli.main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "experiment.dt_ladder" in err and "does not divide" in err
+
+    def test_monte_carlo_checks_need_no_path_keys(self, tmp_path):
+        # no [model] or [scheme]: only a pathwise unit builds the path experiment
+        text = (
+            "[grid]\nmodes = 8\n[experiment]\nt = 0.5\nn_paths = 50\n"
+            f"checks = ito_isometry, trace_identity\n[output]\ndirectory = {tmp_path / 'o'}\n"
+            "prefix = v\n"
+        )
+        cfg = write_config(tmp_path / "c.ini", text)
+        assert cli.main(["verify", "--config", cfg]) in (0, 1)
+        assert [row["name"] for row in report_rows(tmp_path)] == ["ito_isometry", "trace_identity"]
+
     def test_single_path_runs_pathwise_checks(self, tmp_path):
         cfg = all_checks_config(tmp_path, "mass_conservation, gronwall", n_paths=1)
         assert cli.main(["verify", "--config", cfg]) == 0
@@ -747,6 +765,24 @@ class TestPathwiseChecks:
         ref = tmp_path / "ref.csv"
         cli.write_csv(ref, cli.REPORT_HEADER, [cli.report_row(r, 5) for r in worst])
         assert (tmp_path / "o" / "v_reports.csv").read_bytes() == ref.read_bytes()
+
+    def test_energy_identity_steps_no_coarse_rung(self, tmp_path, monkeypatch):
+        # mass_conservation and gronwall read each path at dt, energy_identity
+        # at dt/2: the finest rung of its ladder, whose coarse rung is not stepped
+        calls = []
+
+        def recorded(model, scheme, u0, T, sampler=None):
+            calls.append((getattr(sampler, "stream_id", None), scheme))
+            return step_blocks(model, scheme, u0, T, sampler)
+
+        monkeypatch.setattr(cli, "step_blocks", recorded)
+        monkeypatch.setattr(verify, "step_blocks", recorded)
+        checks = "mass_conservation, energy_identity, gronwall"
+        cfg = all_checks_config(tmp_path, checks, scheme="heun_stratonovich", n_paths=2)
+        assert cli.main(["verify", "--config", cfg]) == 0
+        steps = [SchemeSpec("heun_stratonovich", dt) for dt in (1e-4, 5e-5)]
+        assert calls == [(i, scheme) for i in range(2) for scheme in steps]
+        assert [row["name"] for row in report_rows(tmp_path)] == checks.split(", ")
 
     def test_peak_memory_holds_no_path(self, tmp_path):
         # K = 32 and 2 * 10^4 Heun steps: a held path is 5.3 MB of states, and
@@ -908,33 +944,39 @@ prefix = transport
 """
 
 
+def recorded_stream_calls(monkeypatch, draws=True) -> list:
+    """Record each later ``stream_normals`` call; zeros in place of the draws unless ``draws``."""
+    from spdekit import noise
+
+    calls = []
+    stream_normals = noise.stream_normals
+
+    def counted(seed, streams, cols, chunk=0):
+        calls.append((seed, tuple(streams), cols, chunk))
+        if draws:
+            return stream_normals(seed, streams, cols, chunk)
+        return np.zeros((len(streams), cols))
+
+    monkeypatch.setattr(noise, "stream_normals", counted)
+    monkeypatch.setattr(verify, "stream_normals", counted)
+    return calls
+
+
 class TestStreamCalls:
-    # a path reads each Philox counter block of its stream once: the shared
-    # mass_conservation/gronwall path at dt, the energy ladder's fine path at
-    # dt/2, and one Monte Carlo chunk
+    # a path reads each Philox counter block of its stream once per step it
+    # is read at: dt for mass_conservation and gronwall, dt/2 for
+    # energy_identity; and each Monte Carlo chunk is drawn once
 
     def count_calls(self, monkeypatch, tmp_path, config, draws=True):
         """The command's stream_normals calls; zeros in place of the draws unless ``draws``."""
-        from spdekit import noise
-
-        calls = []
-        stream_normals = noise.stream_normals
-
-        def counted(seed, streams, cols, chunk=0):
-            calls.append((seed, tuple(streams), cols, chunk))
-            if draws:
-                return stream_normals(seed, streams, cols, chunk)
-            return np.zeros((len(streams), cols))
-
-        monkeypatch.setattr(noise, "stream_normals", counted)
-        monkeypatch.setattr(verify, "stream_normals", counted)
+        calls = recorded_stream_calls(monkeypatch, draws)
         code = cli.main(["verify", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 0 if draws else code in (0, 1)
         return len(calls)
 
     def test_transport_paths_command(self, monkeypatch, tmp_path):
         config = write_config(tmp_path / "c.ini", TRANSPORT_PATHS)
-        # per path: 6 blocks of 1400 steps, 11 of the ladder's 2800 fine steps
+        # per path: 6 blocks of 1400 steps at dt, 11 of 2800 steps at dt/2
         assert self.count_calls(monkeypatch, tmp_path, config) == 2 * (6 + 11) == 34
 
     def test_transport_verify_config(self, monkeypatch, tmp_path):
@@ -1086,6 +1128,36 @@ class TestSteppingConfigErrors:
         assert cli.main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and key in err
+
+
+# the checks that draw or step when they run, and which BAD_CHECK_VALUES keys they read
+DRAWING_CHECKS = "energy_identity, ito_strat, quadratic_variation"
+DRAWING_CHECK_KEYS = {"t", "dt", "dt_ladder", "qv_intervals", "rel_tol", "tolerance_multiplier"}
+
+
+class TestVerifyPlan:
+    # every listed check is built before any check runs: a bad key of a check
+    # listed after the three that draw or step stops the command before they do
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            case
+            for case, (_, key, _) in BAD_CHECK_VALUES.items()
+            if case.startswith("verify_") and key not in DRAWING_CHECK_KEYS
+        ],
+    )
+    def test_bad_key_exits_before_any_draw(self, tmp_path, capsys, monkeypatch, case):
+        checks, key, _ = BAD_CHECK_VALUES[case]
+        _, cfg = stepping_error_config(tmp_path, case)
+        listed = f"\nchecks = {DRAWING_CHECKS}, {checks}\n"
+        text = Path(cfg).read_text().replace(f"\nchecks = {checks}\n", listed)
+        assert listed in text
+        calls = recorded_stream_calls(monkeypatch)
+        assert cli.main(["verify", "--config", write_config(tmp_path / "c.ini", text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and f"experiment.{key}" in err
+        assert calls == []
 
 
 BURGERS_TEMPLATE = """

@@ -33,6 +33,7 @@ from spdekit.verify import (
     ito_isometry_stat,
     ito_strat_compare,
     ladder_blocks,
+    ladder_rungs,
     mc_normals,
     mc_pass,
     mc_reports,
@@ -843,6 +844,26 @@ class TestLadder:
         ito_strat_compare(model, cos_field(g), [1e-3, 2.5e-4, 6.25e-5], 0.05, McConfig(4, 3))
         # 800 fine steps per path: counter blocks 0..3 of each path's stream, once
         assert sorted((c[1], c[3]) for c in calls) == [((p,), c) for p in range(4) for c in range(4)]
+
+    @pytest.mark.parametrize(
+        "dts, message",
+        [
+            ((1e-3,), "two or more distinct rungs"),
+            ((1e-3, 1e-3), "two or more distinct rungs"),
+            ((0.0, 1e-3), "rungs must be positive"),
+            ((1e-3, 3e-4), "integer multiples of the finest"),
+            ((3e-3, 1e-3), "does not divide"),  # 10 fine steps, not 3 coarse
+        ],
+    )
+    def test_rungs_are_checked_without_stepping(self, monkeypatch, dts, message):
+        calls = counted_stream_normals(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            ladder_rungs(dts, 0.01)
+        g = TorusGrid(4)
+        with pytest.raises(ValueError, match=message):  # the ladder raises the same at its start
+            next(ladder_blocks(TransportHeat(g, (1.0,)), cos_field(g), 0.01, dts, KINDS, 3, 7))
+        assert calls == []
+        assert ladder_rungs((2.5e-4, 1e-3, 5e-4), 0.01) == [1e-3, 5e-4, 2.5e-4]
 
     def test_energy_refinement_memory_does_not_grow_with_the_horizon(self):
         # K = 32: a held fine draw matrix at 4T would be 65 floats per step, 5.3 MB
