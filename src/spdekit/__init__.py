@@ -65,7 +65,6 @@ _LAZY = {
     "BurgersProblem": "burgers",
     "PicardWindow": "burgers",
     "SplitSolution": "burgers",
-    "apriori_report": "burgers",
     "solve_split": "burgers",
     "split_windows": "burgers",
     "McConfig": "verify",

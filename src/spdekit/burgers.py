@@ -15,10 +15,10 @@ The solution of du = (u_xx + (u^2)_x) dt + dW is built as u = v + w:
 
 One generator, :func:`split_windows`, solves the windows in turn: it steps
 v as each window needs it and yields the window's rows of v and w with its
-diagnostics.  ``spdekit burgers`` reduces each window to its output rows
-before the next is solved, so the command holds one window, never a path;
-:func:`solve_split` is the held view, the windows collected into the paths
-of v, w and u = v + w.
+diagnostics, each row of the split in exactly one window.  ``spdekit
+burgers`` reduces each window to its output rows before the next is solved,
+so the command holds one window, never a path; :func:`solve_split` is the
+held view, the windows collected into the paths of v, w and u = v + w.
 
 The iteration diagnostics (counts, contraction ratios, mild-equation
 residual) are part of the product: they witness the contraction that the
@@ -40,8 +40,8 @@ import numpy as np
 from .integrators import PicardError, SamplePath, SchemeSpec, _resolve_steps, step_blocks
 from .models import AdditiveHeat, Burgers, nonlinear_quad_points
 from .noise import CovarianceSpec, NoiseSampler
-from .spectral import SpectralField, TorusGrid, _coef_to_samples, _lp_of_squares, zero_field
-from .verify import StatReport
+from .spectral import SpectralField, TorusGrid, _coef_to_samples, _lp_of_squares, lp_rows
+from .spectral import zero_field
 
 __all__ = [
     "BurgersProblem",
@@ -49,7 +49,6 @@ __all__ = [
     "PicardError",
     "PicardWindow",
     "split_windows",
-    "apriori_report",
     "solve_split",
 ]
 
@@ -73,22 +72,26 @@ class BurgersProblem:
 
     def __post_init__(self):
         if self.p < 2:
-            raise ValueError(f"working exponent p must be >= 2, got {self.p}")
+            raise ValueError(f"p must be >= 2, got {self.p}")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
         if self.picard_maxit < 1:
             raise ValueError("picard_maxit must be at least 1")
+        _resolve_steps(self.T, self.dt)
         if not 0 < self.window < np.inf:
             raise ValueError(f"window must be positive and finite, got {self.window}")
-        if self.steps_per_window < 1:
-            raise ValueError(f"window = {self.window} rounds to zero steps of dt = {self.dt}")
+        try:
+            steps = self.steps_per_window
+        except ValueError:
+            steps = 0
+        if steps < 1:
+            raise ValueError(f"window = {self.window} is not a whole multiple of dt = {self.dt}")
         if self.w0.grid != self.grid:
             raise ValueError("w0 grid does not match problem grid")
         if self.q is None:
             object.__setattr__(self, "q", CovarianceSpec.mean_free_white(self.grid))
         elif self.q.grid != self.grid:
             raise ValueError("covariance grid does not match problem grid")
-        _resolve_steps(self.T, self.dt)
 
     @property
     def n_steps(self) -> int:
@@ -96,8 +99,8 @@ class BurgersProblem:
 
     @property
     def steps_per_window(self) -> int:
-        """Steps in one Picard window: ``window / dt`` rounded, at least one."""
-        return int(round(self.window / self.dt))
+        """Steps in one Picard window: ``window / dt``, whole by the rule of ``T / dt``."""
+        return _resolve_steps(self.window, self.dt)
 
     @property
     def quad_points(self) -> int:
@@ -118,7 +121,7 @@ class SplitSolution:
 
     @property
     def residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
+        return max(self.residuals)
 
 
 def _decay_powers(decay: np.ndarray, n_rows: int) -> np.ndarray:
@@ -146,11 +149,13 @@ class PicardWindow(NamedTuple):
     """One converged Picard window: the split's rows ``step0 .. step0 + len(v) - 1``.
 
     ``v`` and ``w`` hold the window's states of the linear part and of the
-    remainder (row 0 is the state the window starts from, the last row of
-    the window before), ``w_lp`` the L^p norm of each row of ``w``.  The
-    three are buffers of the generator, valid until the next window is
-    asked for.  ``distances`` are the successive-iterate distances, the
-    last at most ``picard_tol``, and ``residual`` the mild-equation residual.
+    remainder, ``w_lp`` the L^p norm of each row of ``w``.  Window 0 holds
+    the initial state (v = 0, w = w0) and its steps, every later window
+    only the states of its own steps, so the windows tile the rows
+    ``0 .. n_steps`` once.  The three are views of the generator's buffers,
+    valid until the next window is asked for.  ``distances`` are the
+    successive-iterate distances, the last at most ``picard_tol``, and
+    ``residual`` the mild-equation residual.
     """
 
     index: int
@@ -199,6 +204,7 @@ def split_windows(problem: BurgersProblem, sampler: NoiseSampler):
     window at a time, so a run holds one window of v and w and one block of
     v's steps.  Yields a :class:`PicardWindow` per window; raises
     :class:`PicardError` in the first window that exceeds the iteration cap.
+    At T = 0 the one window is the initial state: 0 iterations, residual 0.
 
     Each window carries the iterates as physical samples: the forcing
     ((w + v)^2)_x is squared from samples(w) + samples(v), and the distances
@@ -213,9 +219,13 @@ def split_windows(problem: BurgersProblem, sampler: NoiseSampler):
     dt = problem.dt
     p = problem.p
     n_modes = grid.n_modes
+    n_pts = problem.quad_points
+    if n_steps == 0:
+        w0 = problem.w0.coef[None]
+        yield PicardWindow(0, 0, np.zeros_like(w0), w0, lp_rows(w0, p, n_pts), 0, 0.0, [])
+        return
     decay = np.exp(-grid.laplacian_eigs * dt)
     gain = decay * dt * (1j * grid.angular)  # spectrum of (w + v)^2 -> decay * dt * forcing
-    n_pts = problem.quad_points
     steps_per_window = problem.steps_per_window
     powers = _decay_powers(decay, steps_per_window + 1)
 
@@ -271,49 +281,17 @@ def split_windows(problem: BurgersProblem, sampler: NoiseSampler):
             raise PicardError(window_index, dists[-1], problem.picard_maxit)
         w[...] = coef
         residual = sup_lp_distance(sweep(old, spare), old)
-        yield PicardWindow(window_index, n0, v, w, w_lp, len(dists), residual, dists)
+        k = 1 if window_index else 0  # a later window's row 0 is the last of the window before
+        yield PicardWindow(
+            window_index, n0 + k, v[k:], w[k:], w_lp[k:], len(dists), residual, dists
+        )
         start = w[-1].copy()
-
-
-def apriori_report(problem: BurgersProblem, w_lp: np.ndarray, v_halpha: np.ndarray) -> StatReport:
-    """Empirical a priori ratio sup_t |w|_{L^p} / (|w_0|_{L^p} + sup_t |v|_{H^alpha}).
-
-    ``w_lp`` and ``v_halpha`` are the per-row norms of the two paths, row 0
-    at t = 0 (the ``w_lp`` of :class:`PicardWindow`, or
-    :func:`~spdekit.spectral.lp_rows` and :func:`~spdekit.spectral.halpha_rows`
-    of the states).  The theory bounds the numerator by a
-    constant times the denominator with an abstract constant, so the ratio
-    is reported, not gated.
-    """
-    sup_w = float(np.max(w_lp))
-    w0_norm = float(w_lp[0])
-    sup_v = float(np.max(v_halpha))
-    denom = w0_norm + sup_v
-    ratio = sup_w / denom if denom > 0 else 0.0
-    return StatReport(
-        name="burgers_apriori",
-        estimate=ratio,
-        target=0.0,
-        se=0.0,
-        n=len(w_lp),
-        tol_kind="abs",
-        tolerance=np.inf,
-        note="empirical constant; theoretical constant is abstract",
-        metadata={
-            "sup_w_lp": sup_w,
-            "w0_lp": w0_norm,
-            "sup_v_halpha": sup_v,
-            "p": problem.p,
-            "alpha": problem.alpha,
-        },
-    )
 
 
 def solve_split(problem: BurgersProblem, seed: int, stream_id: int = 0) -> SplitSolution:
     """One seed's windows of :func:`split_windows` collected into the paths v, w and u = v + w."""
-    v = np.zeros((problem.n_steps + 1, problem.grid.n_modes + 1), dtype=np.complex128)
+    v = np.empty((problem.n_steps + 1, problem.grid.n_modes + 1), dtype=np.complex128)
     w = np.empty_like(v)
-    w[0] = problem.w0.coef
     iters, residuals, distance_log = [], [], []
     for win in split_windows(problem, NoiseSampler(problem.q, seed, stream_id)):
         rows = slice(win.step0, win.step0 + win.v.shape[0])

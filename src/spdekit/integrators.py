@@ -192,11 +192,6 @@ def ou_channel_variances(spec: CovarianceSpec, dt: float) -> np.ndarray:
     return per_channel(spec.lam * ou_tau(spec.grid.laplacian_eigs, dt))
 
 
-def _ou_rescale(spec: CovarianceSpec, dt: float) -> np.ndarray:
-    """Factor turning N(0, dt) channel draws into exact-convolution draws."""
-    return per_channel(np.sqrt(ou_tau(spec.grid.laplacian_eigs, dt) / dt))
-
-
 def _resolve_steps(T: float, dt: float) -> int:
     """Number of steps of length ``dt`` in the horizon ``T``; ValueError unless it divides."""
     if not 0 < dt < math.inf:
@@ -306,7 +301,7 @@ def _blocks(
     """
     spec = noise_spec(model)
     dt = scheme.dt
-    fill = _block_filler(model, scheme, spec, buf.shape[0] - 1)
+    fill = _block_filler(model, scheme, spec)
     for b0 in range(0, n_steps, BLOCK_STEPS):
         b1 = min(b0 + BLOCK_STEPS, n_steps)
         if sampler is None:
@@ -326,16 +321,17 @@ def _blocks(
         buf[0] = rows[-1]
 
 
-def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec, n_rows: int):
+def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec):
     """The block update ``fill(rows, scaled)`` of ``model`` under ``scheme``.
 
     ``fill`` writes ``rows[1:]`` from ``rows[0]`` and the block's channel
-    draws ``scaled`` (one row per step, at most ``n_rows``):
+    draws ``scaled`` (one row per step):
 
     * TransportHeat: each mode is multiplied by its step factor, so the
       block is a running product of :func:`_transport_factors`;
     * AdditiveHeat: c' = decay * c + eta, with eta the packed increment,
-      rescaled to the exact convolution for exponential Euler and exact OU;
+      rescaled to the exact convolution (``pack_draws``' gain) for
+      exponential Euler and exact OU;
     * ReactionDiffusion, PorousMedium, Burgers, with A(c) = lin*c + N(c)
       the model's :class:`DriftKernel`: Euler-Maruyama c' = c + A(c) dt + eta,
       exponential Euler c' = e^{-mu dt} (c + N(c) dt + eta), where N = 0 for
@@ -343,11 +339,10 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec, n_
 
     The block's draws are packed straight into ``rows[1:]``, and each step
     adds its update to the packed increment in place, through one row-sized
-    scratch: no field objects and no block-sized buffer of increments.  The
-    exact-OU rescaling goes to a buffer the lane allocates once, never to
-    the source's array.  Mode 0 stays exactly real: every multiplier of
-    it is real (or 0j for Burgers), so its imaginary part stays +0.0 while
-    the state is finite.
+    scratch: no field objects and no block-sized buffer of increments, and
+    the source's array is only read.  Mode 0 stays exactly real: every
+    multiplier of it is real (or 0j for Burgers), so its imaginary part stays
+    +0.0 while the state is finite.
     """
     dt = scheme.dt
     if isinstance(model, TransportHeat):
@@ -364,8 +359,9 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec, n_
     if isinstance(model, AdditiveHeat):
         if scheme.kind == "euler_maruyama":
             decay = 1.0 - mu * dt
-        else:  # exponential Euler and exact OU share the exact-convolution increment
-            decay, rescale = np.exp(-mu * dt), _ou_rescale(spec, dt)
+        else:  # exponential Euler and exact OU share the exact-convolution increment,
+            # its N(0, dt) draws rescaled to variance tau(mu, dt)
+            decay, rescale = np.exp(-mu * dt), np.sqrt(ou_tau(mu, dt) / dt)
 
         def step(c, out):  # out holds eta: eta + decay * c
             out += np.multiply(decay, c, out=scratch)
@@ -384,15 +380,9 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec, n_
             if decay is not None:
                 out *= decay
 
-    # a ladder's factor-1 lanes share the drawn block, so it is rescaled into a copy
-    ou_buf = None if rescale is None else np.empty((n_rows, spec.n_channels))
-
     def fill(rows, scaled):
-        n_steps = scaled.shape[0]
-        if rescale is not None:
-            scaled = np.multiply(scaled, rescale, out=ou_buf[:n_steps])
-        pack_draws(spec, scaled, out=rows[1:])
-        for n in range(n_steps):
+        pack_draws(spec, scaled, out=rows[1:], gain=rescale)
+        for n in range(scaled.shape[0]):
             step(rows[n], rows[n + 1])
 
     return fill

@@ -155,29 +155,37 @@ _PACK_BUFSIZE = 1024  # elements per ufunc buffer in pack_draws
 
 
 def pack_draws(
-    spec: CovarianceSpec, scaled: np.ndarray, out: np.ndarray | None = None
+    spec: CovarianceSpec,
+    scaled: np.ndarray,
+    out: np.ndarray | None = None,
+    gain: np.ndarray | None = None,
 ) -> np.ndarray:
     """Hermitian half spectrum from per-channel draws (already scaled).
 
     ``scaled[..., ch]`` are the real channel increments; the cosine/sine
     pair of mode k >= 1 lands in amp(k) = sqrt(lam_k/2) * (cos - i sin)
     relative to unit-variance channels, i.e. each channel contributes
-    variance lam_k*dt/2 to the complex amplitude.  The products are formed
-    in the band of ``out`` (a new array without it): no block-sized temporary.
-    numpy buffers each strided or cast operand of these products in up to
-    bufsize elements (by default 8192, 128 kB per complex operand), so they
-    run with ``_PACK_BUFSIZE``, and their buffers stay small too.
+    variance lam_k*dt/2 to the complex amplitude.  ``gain[k]``, if given,
+    multiplies both channels of mode k; it is applied where it gives the
+    bits of packing ``scaled * per_channel(gain)``, without that copy.  The
+    products are formed in the band of ``out`` (a new array without it): no
+    block-sized temporary.  numpy buffers each strided or cast operand of
+    these products in up to bufsize elements (by default 8192, 128 kB per
+    complex operand), so they run with ``_PACK_BUFSIZE``, and their buffers
+    stay small too.
     """
     root = np.sqrt(spec.lam)
     if out is None:
         out = np.empty(scaled.shape[:-1] + (spec.grid.n_modes + 1,), dtype=np.complex128)
-    out[..., 0] = root[0] * scaled[..., 0]
+    out[..., 0] = root[0] * (scaled[..., 0] if gain is None else scaled[..., 0] * gain[0])
     half = root[1:] / np.sqrt(2.0)
     band = out[..., 1:]  # half * (cos - 1j * sin), one product at a time
     with np.errstate():  # which restores the buffer size at exit
         np.setbufsize(_PACK_BUFSIZE)
         np.multiply(1j, scaled[..., 2::2], out=band)
         np.subtract(scaled[..., 1::2], band, out=band)
+        if gain is not None:
+            np.multiply(band, gain[1:], out=band)
         np.multiply(half, band, out=band)
     return out
 

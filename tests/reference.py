@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spdekit.integrators import _ou_rescale, check_scheme
+from spdekit.integrators import check_scheme, ou_tau
 from spdekit.models import (
     AdditiveHeat,
     Burgers,
@@ -32,7 +32,7 @@ from spdekit.models import (
     _check_grid,
     drift,
 )
-from spdekit.noise import CovarianceSpec, pack_draws
+from spdekit.noise import CovarianceSpec, pack_draws, per_channel
 from spdekit.spectral import SpectralField, derivative, heat_semigroup
 from spdekit.verify import StatReport
 
@@ -178,7 +178,8 @@ def exp_euler_step(model: ModelSpec, u: SpectralField, inc: NoiseIncrement) -> S
         return heat_semigroup(forced, inc.dt)
     nl = _nonlinear_drift(model, u)
     if isinstance(model, AdditiveHeat):
-        eta = pack_draws(model.q, inc.per_mode * _ou_rescale(model.q, inc.dt))
+        rescale = np.sqrt(ou_tau(u.grid.laplacian_eigs, inc.dt) / inc.dt)  # exact convolution
+        eta = pack_draws(model.q, inc.per_mode * per_channel(rescale))
         propagated = heat_semigroup(u + nl * inc.dt, inc.dt)
         return SpectralField(u.grid, propagated.coef + eta)
     # remaining additive-noise models: semigroup image of the plain increment

@@ -10,7 +10,6 @@ from spdekit.burgers import (
     PicardError,
     _decay_powers,
     _semigroup_scan,
-    apriori_report,
     solve_split,
     split_windows,
 )
@@ -27,11 +26,18 @@ from spdekit.spectral import (
 
 
 def row_norms(prob, w_path, v_path):
-    """(w_lp, v_halpha): the per-row norms that apriori_report reads."""
+    """(w_lp, v_halpha): the per-row norms of the w and v paths."""
     return (
         lp_rows(w_path.states, prob.p, prob.quad_points),
         halpha_rows(v_path.states, prob.grid, prob.alpha),
     )
+
+
+def apriori(w_lp, v_halpha):
+    """(sup_t |w|_{L^p}, |w_0|_{L^p}, sup_t |v|_{H^alpha}) and the empirical a priori ratio
+    sup_t |w|_{L^p} / (|w_0|_{L^p} + sup_t |v|_{H^alpha}), 0 where the denominator is."""
+    sup_w, w0, sup_v = float(np.max(w_lp)), float(w_lp[0]), float(np.max(v_halpha))
+    return sup_w, w0, sup_v, sup_w / (w0 + sup_v) if w0 + sup_v > 0 else 0.0
 
 
 def dead_noise(grid):
@@ -57,14 +63,19 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="window must be positive"):
             BurgersProblem(g, 0.1, 1e-3, zero_field(g), window=window)
 
-    @pytest.mark.parametrize("window", [1e-4, 5e-4])
+    @pytest.mark.parametrize("window", [1e-4, 5e-4, 5.1e-4, 1.5e-3, 2.5e-3])
     def test_window_of_zero_steps_is_rejected(self, window):
-        # window / dt rounds to 0 up to dt / 2; such a window used to run
-        # one-step windows, ten times the requested length at 1e-4
+        # a window must be a whole number of steps, by the rule of T / dt:
+        # 1e-4 and 5e-4 used to round to zero steps, 5.1e-4 to one step (twice
+        # its length), and 1.5e-3 and 2.5e-3 both to two steps, without notice
         g = TorusGrid(8)
-        with pytest.raises(ValueError, match=f"window = {window} rounds to zero steps of dt = 0.001"):
+        with pytest.raises(
+            ValueError, match=f"window = {window} is not a whole multiple of dt = 0.001"
+        ):
             BurgersProblem(g, 0.1, 1e-3, zero_field(g), window=window)
-        assert BurgersProblem(g, 0.1, 1e-3, zero_field(g), window=5.1e-4).steps_per_window == 1
+        for whole, steps in ((1e-3, 1), (2e-3, 2), (0.05, 50), (0.1 + 1e-13, 100)):
+            prob = BurgersProblem(g, 0.1, 1e-3, zero_field(g), window=whole)
+            assert prob.steps_per_window == steps
 
     def test_default_noise_is_mean_free(self):
         g = TorusGrid(8)
@@ -305,34 +316,84 @@ class TestCompose:
         assert np.max(np.abs(back - split.w_path.states)) < 1e-14
 
 
-class TestAprioriReport:
-    def test_zero_remainder_ratio(self):
+class TestWindowRows:
+    @pytest.mark.parametrize(
+        "T, window",
+        [
+            (0.0, 0.05),  # no step: one window of the initial row
+            (0.001, 0.05),  # one step, one short window
+            (0.05, 0.05),  # one whole window
+            (0.05, 0.03),  # a short last window
+            (0.037, 0.001),  # one step per window
+            (0.1, 0.025),  # whole windows only
+        ],
+    )
+    def test_windows_tile_the_rows_once(self, T, window):
+        # window 0 starts at (0, w0) with v = 0; each later window holds only
+        # the rows of its own steps, so the rows 0 .. n_steps come once each
         g = TorusGrid(16)
-        prob = BurgersProblem(g, 0.02, 1e-3, zero_field(g), q=dead_noise(g))
-        split = solve_split(prob, 1)
-        rep = apriori_report(prob, *row_norms(prob, split.w_path, split.v_path))
-        assert rep.estimate == 0.0
+        w0 = sin_field(g, amplitude=0.5)
+        prob = BurgersProblem(g, T, 1e-3, w0, window=window)
+        tiles = []
+        for win in split_windows(prob, NoiseSampler(prob.q, 4)):
+            assert len(win.v) == len(win.w) == len(win.w_lp) > 0
+            if win.index == 0:
+                assert np.all(win.v[0] == 0) and np.array_equal(win.w[0], w0.coef)
+            tiles.append((win.step0, len(win.v)))
+        assert tiles[0][0] == 0
+        assert [s0 + n for s0, n in tiles[:-1]] == [s0 for s0, _ in tiles[1:]]
+        assert sum(n for _, n in tiles) == prob.n_steps + 1
+
+    def test_zero_horizon_window_is_the_initial_state(self):
+        g = TorusGrid(16)
+        w0 = sin_field(g, amplitude=0.5)
+        prob = BurgersProblem(g, 0.0, 1e-3, w0)
+        (win,) = split_windows(prob, NoiseSampler(prob.q, 4))
+        assert (win.index, win.step0, win.iters, win.residual, win.distances) == (0, 0, 0, 0.0, [])
+        assert win.w_lp.tobytes() == lp_rows(w0.coef[None], prob.p, prob.quad_points).tobytes()
+        split = solve_split(prob, 4)
+        assert split.picard_iters == [0] and split.residual == 0.0
+        assert np.all(split.v_path.states == 0)
+        assert np.array_equal(split.w_path.states, w0.coef[None])
+
+
+class TestAprioriRatio:
+    def test_zero_remainder_ratio(self, tmp_path):
+        # w = v = 0: the command writes a ratio of 0, not 0 / 0
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text(
+            "[model]\nkind = burgers\n[grid]\nmodes = 16\n"
+            "[scheme]\nkind = exponential_euler\ndt = 1e-3\n"
+            "[noise]\nkind = list\nvalues = 0.0\n"
+            "[experiment]\nt = 0.02\nw0 = zero\nn_paths = 1\nbase_seed = 1\n"
+            f"[output]\ndirectory = {tmp_path / 'o'}\nprefix = b\n"
+        )
+        assert cli.main(["burgers", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "o" / "b_summary.csv").read_text().splitlines()
+        assert rows[0].split(",")[1:5] == ["sup_w_lp", "w0_lp", "sup_v_halpha", "apriori_ratio"]
+        assert [float(x) for x in rows[1].split(",")[1:5]] == [0.0] * 4
 
     def test_deterministic_decay_ratio_below_one(self):
         # zero noise, p = 2: dissipativity gives sup_t |w| <= |w_0|
         g = TorusGrid(32)
         prob = BurgersProblem(g, 0.1, 5e-4, sin_field(g), p=2.0, q=dead_noise(g))
         split = solve_split(prob, 1)
-        rep = apriori_report(prob, *row_norms(prob, split.w_path, split.v_path))
-        assert rep.metadata["sup_w_lp"] <= rep.metadata["w0_lp"] * (1 + 1e-12)
-        assert rep.estimate <= 1.0
+        sup_w, w0, _, ratio = apriori(*row_norms(prob, split.w_path, split.v_path))
+        assert sup_w <= w0 * (1 + 1e-12)
+        assert ratio <= 1.0
 
     @pytest.mark.parametrize("window", [0.05, 0.03])  # 0.03 leaves a short last window
     @pytest.mark.parametrize("seed", [2, 9])
     def test_window_norms_are_the_row_norms_of_the_paths(self, seed, window):
         # the L^p norms the last Picard sweep makes are those of w's rows, so
-        # a report from the windows equals one from the held paths
+        # a ratio from the windows equals one from the held paths
         g = TorusGrid(32)
         prob = BurgersProblem(g, 0.05, 5e-4, sin_field(g, amplitude=0.5), window=window)
         split = solve_split(prob, seed=seed)
         w_lp, v_halpha = row_norms(prob, split.w_path, split.v_path)
         assert w_lp.shape == v_halpha.shape == (101,)
         n_windows = 0
+        win_lp = np.empty(101)
         for win in split_windows(prob, NoiseSampler(prob.q, seed)):
             rows = slice(win.step0, win.step0 + win.v.shape[0])
             assert win.index == n_windows and win.iters == split.picard_iters[win.index]
@@ -341,9 +402,10 @@ class TestAprioriReport:
             assert np.array_equal(win.v, split.v_path.states[rows])
             assert np.array_equal(win.w, split.w_path.states[rows])
             assert win.w_lp.tobytes() == w_lp[rows].tobytes()
+            win_lp[rows] = win.w_lp
             n_windows += 1
         assert n_windows == len(split.picard_iters)
-        assert apriori_report(prob, w_lp, v_halpha).n == 101
+        assert apriori(win_lp, v_halpha) == apriori(w_lp, v_halpha)
 
     def test_doubling_w0_monotone_trend(self):
         g = TorusGrid(32)
@@ -353,8 +415,7 @@ class TestAprioriReport:
             sup_w = 0.0
             for seed in range(5):
                 split = solve_split(prob, seed=seed)
-                rep = apriori_report(prob, *row_norms(prob, split.w_path, split.v_path))
-                sup_w += rep.metadata["sup_w_lp"]
+                sup_w += apriori(*row_norms(prob, split.w_path, split.v_path))[0]
             sups.append(sup_w / 5)
         assert sups[0] < sups[1] < sups[2]
         # doubling w0 at fixed noise does not more than double sup|w| plus offset
@@ -381,8 +442,9 @@ class TestMemory:
         # scratch and forcing spectrum, a block-sized copy of the draws and
         # three complex packing temporaries; 3338.0 kB with the forcing rfft
         # in 64-row chunks, the norms formed in spent iterates and the lane's
-        # own packing buffers; it is 2823.5 kB with the noise packed into the
-        # block's rows and pack_draws' ufunc buffers at 1024 elements.
+        # own packing buffers; 2823.5 kB with the noise packed into the block's
+        # rows and pack_draws' ufunc buffers at 1024 elements; it is 2564.7 kB
+        # with the exact-OU rescale applied as the draws are packed, not to a copy.
         import tracemalloc
 
         g = TorusGrid(64)

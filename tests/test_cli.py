@@ -269,7 +269,7 @@ class TestCsvTables:
         # the command reduces each window as it is solved; its series and
         # summary are bit for bit those of the held paths of solve_split
         from conftest import sin_field
-        from spdekit.burgers import BurgersProblem, apriori_report, solve_split
+        from spdekit.burgers import BurgersProblem, solve_split
         from spdekit.noise import CovarianceSpec
         from spdekit.spectral import TorusGrid, halpha_rows, l2_sq_rows, lp_rows
 
@@ -283,26 +283,27 @@ class TestCsvTables:
         g = TorusGrid(modes)
         prob = BurgersProblem(g, float(t), float(dt), sin_field(g, 0.5), window=float(window),
                               q=CovarianceSpec.mean_free_white(g))
-        spw = max(1, int(round(prob.window / prob.dt)))
+        spw = prob.steps_per_window
         header = ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"]
         summary = []
         for i in range(2):
             split = solve_split(prob, 3, i)
             v_ha = halpha_rows(split.v_path.states, g, prob.alpha)
             w_lp = lp_rows(split.w_path.states, prob.p, prob.quad_points)
+            assert len(w_lp) == prob.n_steps + 1
             u_l2 = np.sqrt(l2_sq_rows(split.u_path.states))
-            iters, residuals = split.picard_iters or [0], split.residuals or [0.0]
+            iters, residuals = split.picard_iters, split.residuals
             rows = []
             for j, time_j in enumerate(split.u_path.times):
                 # row 0 and the rows ending the steps of window w belong to window w
-                widx = min((j - 1) // spw if j else 0, len(iters) - 1)
+                widx = (j - 1) // spw if j else 0
                 rows.append([time_j, v_ha[j], w_lp[j], u_l2[j], iters[widx], residuals[widx]])
             assert (tmp_path / "o" / f"b_seed00{i}.csv").read_bytes() == write_rows(
                 tmp_path / "r.csv", header, rows)
-            rep = apriori_report(prob, w_lp, v_ha)
-            summary.append([i, rep.metadata["sup_w_lp"], rep.metadata["w0_lp"],
-                            rep.metadata["sup_v_halpha"], rep.estimate,
-                            max(split.picard_iters, default=0), split.residual])
+            # the empirical a priori ratio sup_t |w|_{L^p} / (|w_0|_{L^p} + sup_t |v|_{H^alpha})
+            sup_w, w0_lp, sup_v = float(np.max(w_lp)), float(w_lp[0]), float(np.max(v_ha))
+            summary.append([i, sup_w, w0_lp, sup_v, sup_w / (w0_lp + sup_v),
+                            max(split.picard_iters), split.residual])
         summary.append(["ensemble", *(max(column) for column in list(zip(*summary))[1:])])
         header = ["seed", "sup_w_lp", "w0_lp", "sup_v_halpha", "apriori_ratio", "max_iters",
                   "max_residual"]
@@ -1246,15 +1247,18 @@ class TestBurgers:
         assert "window must be positive" in err and "Traceback" not in err
         assert not (tmp_path / "o" / "b_seed000.csv").exists()
 
-    def test_window_of_zero_steps_is_config_error(self, tmp_path, capsys):
-        # window = 1e-4 at dt = 1e-3 used to run one-step windows and exit 0
+    @pytest.mark.parametrize("window", ["1e-4", "1.5e-3"])
+    def test_window_of_zero_steps_is_config_error(self, tmp_path, capsys, window):
+        # a window must be a whole number of steps: at dt = 1e-3, 1e-4 used to
+        # run one-step windows and 1.5e-3 two-step windows, and exit 0
         text = BURGERS_TEMPLATE.format(
             noise="mean_free_white", amp="0.5", n=1, maxit=25, out=tmp_path / "o"
-        ).replace("picard_maxit", "window = 1e-4\npicard_maxit")
+        ).replace("picard_maxit", f"window = {window}\npicard_maxit")
         assert "dt = 1e-3" in text
         assert cli.main(["burgers", "--config", write_config(tmp_path / "c.ini", text)]) == 2
         err = capsys.readouterr().err
-        assert "window = 0.0001 rounds to zero steps of dt = 0.001" in err and "Traceback" not in err
+        expected = f"experiment.window = {float(window)} is not a whole multiple of dt = 0.001"
+        assert expected in err and "Traceback" not in err
         assert not (tmp_path / "o" / "b_seed000.csv").exists()
 
     def test_zero_noise_matches_reference(self, tmp_path):

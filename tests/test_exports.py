@@ -130,7 +130,7 @@ def run_fresh(code, *args):
     [
         ("simulate", SIMULATE_INI, []),
         ("verify", VERIFY_INI, ["spdekit.verify"]),
-        ("burgers", BURGERS_INI, ["spdekit.burgers", "spdekit.verify"]),
+        ("burgers", BURGERS_INI, ["spdekit.burgers"]),
     ],
     ids=["simulate", "verify", "burgers"],
 )

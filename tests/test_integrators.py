@@ -649,20 +649,24 @@ class TestStreamedDraws:
         assert extra[20_000] - extra[2_000] < 18_000 * 8 * 8
         assert extra[20_000] < 4 * 2**20
 
-    def test_lane_holds_its_rows_and_one_draw_block(self):
-        # K = 64 reaction-diffusion over two blocks: the lane packs each block's
-        # noise straight into the rows it steps, and the spent draws go before
-        # the next block is drawn.  So the traced peak is the rows, one draw
-        # block and small buffers (600 kB here).  With a block-sized buffer of
+    @pytest.mark.parametrize("name,kind", [("reaction_diffusion", "euler_maruyama"),
+                                           ("additive", "exact_ou")])
+    def test_lane_holds_its_rows_and_one_draw_block(self, name, kind):
+        # K = 64 over two blocks: the lane packs each block's noise straight
+        # into the rows it steps, and the spent draws go before the next block
+        # is drawn.  So the traced peak is the rows, one draw block and small
+        # buffers (600 kB for reaction-diffusion).  With a block-sized buffer of
         # packed increments (266 kB), the spent draws held while the next block
         # was drawn, and numpy's default 128 kB ufunc buffers in pack_draws, it
-        # was 1,209 kB.
+        # was 1,209 kB.  The exact-OU lane rescales the draws as it packs them
+        # (593 kB); with a block-sized rescaled copy of the draws it was 871 kB.
         import tracemalloc
 
         g = TorusGrid(64)
-        m = ReactionDiffusion(-1.0, 3, CovarianceSpec.power(g, 1.0))
+        q = CovarianceSpec.power(g, 1.0)
+        m = ReactionDiffusion(-1.0, 3, q) if name == "reaction_diffusion" else AdditiveHeat(q)
         dt = 1e-5
-        run = (m, SchemeSpec("euler_maruyama", dt), cos_field(g), 2 * BLOCK_STEPS * dt)
+        run = (m, SchemeSpec(kind, dt), cos_field(g), 2 * BLOCK_STEPS * dt)
 
         def last_rows():
             sampler = NoiseSampler(noise_spec(m), 3)

@@ -14,9 +14,11 @@ from spdekit.noise import (
     covariance_pairing,
     hs_norm_sq,
     pack_draws,
+    per_channel,
     stream_normals,
     trace,
 )
+from spdekit.integrators import ou_tau
 from spdekit.spectral import TorusGrid, field_from_modes
 from spdekit.verify import brownian_scalar_path
 
@@ -208,7 +210,8 @@ class TestSampling:
     )
     def test_pack_draws_has_the_bits_of_the_reference(self, kind):
         # products formed in the output buffer, in the reference's order: equal
-        # bits, signed zeros of zero-variance modes included
+        # bits, signed zeros of zero-variance modes included; with a per-mode
+        # gain (the exact-OU rescale), the bits of packing the rescaled draws
         g = TorusGrid(6)
         spec = {
             "white": lambda: CovarianceSpec.white(g),
@@ -220,9 +223,16 @@ class TestSampling:
         z = NoiseSampler(spec, 41, 2).draws_block(0, 300) * np.sqrt(1e-3)
         z[:3] = np.array([[-0.0], [0.0], [-1.0]])  # signed zeros and a negative row
         ref = pack_reference(spec, z)
+        gain = np.sqrt(ou_tau(g.laplacian_eigs, 1e-3) / 1e-3)
+        gained = pack_reference(spec, z * per_channel(gain))
         out = np.full(ref.shape, np.nan, dtype=np.complex128)
-        for got in (pack_draws(spec, z), pack_draws(spec, z, out=out), pack_draws(spec, z[7])):
-            want = ref if got.ndim == 2 else ref[7]
+        for got, want in (
+            (pack_draws(spec, z), ref),
+            (pack_draws(spec, z, out=out), ref),
+            (pack_draws(spec, z[7]), ref[7]),
+            (pack_draws(spec, z, gain=gain), gained),
+            (pack_draws(spec, z[7], gain=gain), gained[7]),
+        ):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
             assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
