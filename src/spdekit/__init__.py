@@ -58,29 +58,3 @@ __version__ = "0.1.0"
 
 # Every path steps in numpy; the constant stays because run records read it.
 NUMBA_ENABLED = False
-
-# The names of ``burgers`` and ``verify`` are imported on first use (PEP 562),
-# so ``import spdekit`` and ``spdekit simulate`` never load those modules.
-_LAZY = {
-    "BurgersProblem": "burgers",
-    "PicardWindow": "burgers",
-    "SplitSolution": "burgers",
-    "solve_split": "burgers",
-    "split_windows": "burgers",
-    "McConfig": "verify",
-    "StatReport": "verify",
-}
-
-
-def __getattr__(name):
-    import importlib
-
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *_LAZY})

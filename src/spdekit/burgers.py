@@ -81,11 +81,11 @@ class BurgersProblem:
         if not 0 < self.window < np.inf:
             raise ValueError(f"window must be positive and finite, got {self.window}")
         try:
-            steps = self.steps_per_window
+            _resolve_steps(self.window, self.dt)
         except ValueError:
-            steps = 0
-        if steps < 1:
-            raise ValueError(f"window = {self.window} is not a whole multiple of dt = {self.dt}")
+            raise ValueError(
+                f"window = {self.window} is not a whole multiple of dt = {self.dt}"
+            ) from None
         if self.w0.grid != self.grid:
             raise ValueError("w0 grid does not match problem grid")
         if self.q is None:
@@ -105,7 +105,7 @@ class BurgersProblem:
     @property
     def quad_points(self) -> int:
         """Alias-free grid for the quadratic nonlinearity (>= 3K+1, power of 2)."""
-        return nonlinear_quad_points(Burgers(self.q), self.grid)
+        return nonlinear_quad_points(Burgers(self.q))
 
 
 @dataclass(frozen=True)

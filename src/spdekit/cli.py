@@ -184,12 +184,11 @@ def build_model(cfg: RunConfig, grid: TorusGrid):
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
     try:
         if kind == "transport_heat":
-            model = TransportHeat(grid, tuple(cfg.get_floats("model", "sigma", [1.0])))
+            sigma = tuple(cfg.get_floats("model", "sigma", [1.0]))
             try:
-                noise_spec(model)
+                return TransportHeat(grid, sigma)
             except ValueError as exc:
-                raise ConfigError(f"model.sigma lists too many intensities: {exc}") from exc
-            return model
+                raise ConfigError(f"model.sigma invalid: {exc}") from exc
         q = build_noise(cfg, grid)
         if kind == "additive_heat":
             return AdditiveHeat(q)

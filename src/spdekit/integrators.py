@@ -208,17 +208,10 @@ def noise_spec(model: ModelSpec) -> CovarianceSpec:
     """The covariance whose channels drive ``model``.
 
     Transport noise is built from white channels (the first ``len(sigma)``
-    of them are used; ValueError if the grid's 2K+1 channels are fewer);
-    every other model is driven by its own ``model.q``.
+    of the grid's 2K+1); every other model is driven by its own ``model.q``.
     """
     if isinstance(model, TransportHeat):
-        white = CovarianceSpec.white(model.grid)
-        if len(model.sigma_seq) > white.n_channels:
-            raise ValueError(
-                f"{len(model.sigma_seq)} transport intensities need as many noise channels, "
-                f"the grid has 2K+1 = {white.n_channels}"
-            )
-        return white
+        return CovarianceSpec.white(model.grid)
     return model.q
 
 
@@ -273,7 +266,7 @@ def step_blocks(
         raise ValueError("initial state grid does not match model grid")
     check_scheme(model, scheme.kind)
     n_steps = _resolve_steps(T, scheme.dt)
-    spec = noise_spec(model)  # checks that the model's channels fit on the grid
+    spec = noise_spec(model)
     if sampler is not None:
         if sampler.spec.grid != grid:
             raise ValueError("sampler grid does not match model grid")

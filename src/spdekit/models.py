@@ -71,6 +71,12 @@ class TransportHeat:
         seq = tuple(float(s) for s in np.atleast_1d(self.sigma_seq))
         if any(s < 0 for s in seq):
             raise ValueError("transport intensities sigma_j must be nonnegative")
+        n_channels = 2 * self.grid.n_modes + 1
+        if len(seq) > n_channels:
+            raise ValueError(
+                f"{len(seq)} transport intensities need as many noise channels, "
+                f"the grid has 2K+1 = {n_channels}"
+            )
         object.__setattr__(self, "sigma_seq", seq)
 
     @property
@@ -159,13 +165,13 @@ def _nonlinear_degree(model: ModelSpec) -> int:
     return 1
 
 
-def nonlinear_quad_points(model: ModelSpec, grid: TorusGrid | None = None) -> int:
+def nonlinear_quad_points(model: ModelSpec) -> int:
     """Physical-grid size used for the model's pointwise nonlinearity.
 
     At least max(M, m*K + 1) rounded up to a power of two, so products up to
     degree m leave the retained band alias-free.
     """
-    grid = grid or model.grid
+    grid = model.grid
     degree = _nonlinear_degree(model)
     target = max(grid.n_points, degree * grid.n_modes + 1)
     n = 1

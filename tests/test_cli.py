@@ -1050,12 +1050,13 @@ def stepping_error_config(tmp_path, case):
         return "verify", write_config(
             tmp_path / "c.ini", Path(text).read_text().replace("dt = 1e-4", "dt = 3e-3")
         )
-    if case.endswith("too_many_channels"):  # four intensities, 2K+1 = 3 channels
-        command, _, checks = case[: -len("_too_many_channels")].partition("_")
-        text = sim if command == "simulate" else Path(all_checks_config(tmp_path, checks)).read_text()
-        text = re.sub(r"\nmodes = \d+", "\nmodes = 1", text)
-        text = text.replace("sigma = 1.0", "sigma = 0.1, 0.1, 0.1, 0.1")
-        return command, write_config(tmp_path / "c.ini", text)
+    for suffix, sigma in (("_too_many_channels", "0.1, 0.1, 0.1, 0.1"), ("_negative_sigma", "-1.0")):
+        if case.endswith(suffix):  # on K = 1: four intensities for 2K+1 = 3 channels, or one < 0
+            command, _, checks = case[: -len(suffix)].partition("_")
+            text = sim if command == "simulate" else Path(all_checks_config(tmp_path, checks)).read_text()
+            text = re.sub(r"\nmodes = \d+", "\nmodes = 1", text)
+            text = text.replace("sigma = 1.0", f"sigma = {sigma}")
+            return command, write_config(tmp_path / "c.ini", text)
     burgers = (ROOT / "configs" / "burgers_ensemble.ini").read_text()
     burgers = burgers.replace("directory = out", f"directory = {out}")
     nonfinite = re.fullmatch(r"(simulate|verify|burgers)_(t|dt)_(inf|nan)", case)
@@ -1071,8 +1072,8 @@ def stepping_error_config(tmp_path, case):
 
 class TestSteppingConfigErrors:
     # a scheme that cannot step the model, a dt that does not divide the
-    # horizon, a non-finite horizon or step, more transport intensities
-    # than noise channels, or a ladder, partition count, time, step or
+    # horizon, a non-finite horizon or step, a negative transport intensity or
+    # more of them than noise channels, or a ladder, partition count, time, step or
     # tolerance a check cannot use is a configuration error naming its key,
     # whatever the command
 
@@ -1098,6 +1099,8 @@ class TestSteppingConfigErrors:
             ("simulate_too_many_channels", "model.sigma"),
             ("verify_mass_conservation_too_many_channels", "model.sigma"),
             ("verify_ito_strat_too_many_channels", "model.sigma"),
+            ("simulate_negative_sigma", "model.sigma"),
+            ("verify_mass_conservation_negative_sigma", "model.sigma"),
             ("verify_dt_ladder_zero_rung", "experiment.dt_ladder"),
             ("verify_dt_ladder_one_rung", "experiment.dt_ladder"),
             ("verify_dt_ladder_repeated_rung", "experiment.dt_ladder"),

@@ -20,14 +20,11 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 def reexports():
     """(module, name) of each name the package's ``__init__`` re-exports.
 
-    The eager ones are its ``from .module import name`` lines, the lazy ones
-    the entries of its ``_LAZY`` name -> module table.
+    They are its ``from .module import name`` lines.
     """
     for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             yield from ((node.module, alias.name) for alias in node.names)
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_LAZY"]:
-            yield from ((module, name) for name, module in ast.literal_eval(node.value).items())
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -40,7 +37,7 @@ def test_every_name_in_all_resolves(name):
 
 def test_every_top_level_export_is_a_public_name_of_its_module():
     pairs = list(reexports())
-    assert {module for module, _ in pairs} == set(MODULES) - {"cli"}
+    assert {module for module, _ in pairs} == {"spectral", "noise", "models", "integrators"}
     for module_name, name in pairs:
         module = importlib.import_module(f"spdekit.{module_name}")
         assert name in module.__all__, (module_name, name)
@@ -140,23 +137,18 @@ def test_each_command_loads_only_its_modules(tmp_path, command, config, loaded):
     assert json.loads(out) == [[], 0, loaded]
 
 
-def test_lazy_names_resolve_to_their_modules():
-    # in a fresh interpreter, so that each name goes through the package's __getattr__
+def test_public_names_are_the_reexports_and_two_constants():
+    # in a fresh interpreter, so that no other test has imported a module into the package
     code = """
-import importlib
+import json
+import types
 import spdekit
 
-assert "NUMBA_ENABLED" in vars(spdekit) and spdekit.NUMBA_ENABLED is False
-for name, module in spdekit._LAZY.items():
-    assert name not in vars(spdekit) and name in dir(spdekit), name
-    value = getattr(spdekit, name)
-    assert value is getattr(importlib.import_module(f"spdekit.{module}"), name), name
+names = [n for n in dir(spdekit) if n == "__version__" or not n.startswith("_")]
+print(json.dumps([n for n in names if not isinstance(getattr(spdekit, n), types.ModuleType)]))
+assert spdekit.NUMBA_ENABLED is False
+import spdekit.burgers
 assert spdekit.PicardError is spdekit.burgers.PicardError
-try:
-    spdekit.no_such_name
-except AttributeError as exc:
-    assert "no_such_name" in str(exc)
-else:
-    raise AssertionError("an unknown name resolved")
 """
-    run_fresh(code)
+    eager = {name for _, name in reexports()}
+    assert sorted(json.loads(run_fresh(code))) == sorted(eager | {"__version__", "NUMBA_ENABLED"})
