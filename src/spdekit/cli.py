@@ -26,6 +26,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -131,11 +132,31 @@ class RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ConfigError(f"config file {path} is not UTF-8 text: byte {byte:#04x}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path}, {_ini_error(exc)}") from exc
     return RunConfig(sections)
+
+
+def _ini_error(exc: configparser.Error) -> str:
+    """The line and the fault of a malformed INI file, on one line."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: {exc.section}.{exc.option} is given twice"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section [{exc.section}] is given twice"
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: a key before any [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        return f"line {exc.errors[0][0]}: neither a [section] header nor a key = value line"
+    if isinstance(exc, configparser.InterpolationError):
+        return f"{exc.section}.{exc.option}: {exc.message}"
+    return " ".join(str(exc).split())
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +264,22 @@ def effective_seed(cfg: RunConfig, override: int | None) -> int:
 
 
 def output_dir(cfg: RunConfig, override: str | None) -> Path:
-    raw = override or cfg.get_str("output", "directory", "out")
-    path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
+    """``--out`` if given, else ``output.directory``: made with its parents if missing."""
+    key = "--out" if override else "output.directory"
+    path = Path(override or cfg.get_str("output", "directory", "out"))
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot make directory {str(path)!r}: {exc.strerror}") from exc
     return path
 
 
 def output_prefix(cfg: RunConfig) -> str:
-    return cfg.get_str("output", "prefix", "run")
+    """``output.prefix``: a file name stem, so every output lands in the output directory."""
+    prefix = cfg.get_str("output", "prefix", "run")
+    if {os.sep, os.altsep} & set(prefix):
+        raise ConfigError(f"output.prefix must not name a directory, got {prefix!r}")
+    return prefix
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +858,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out = output_dir(cfg, args.out)
+        output_prefix(cfg)  # a bad prefix fails before the run, not at its first output
         seed = effective_seed(cfg, args.seed)
-        return runners[args.command](cfg, out, seed)
+        return runners[args.command](cfg, output_dir(cfg, args.out), seed)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -314,12 +314,13 @@ class PathBalance:
     The path starts at ``u0`` and steps by ``dt``; sigma is the summed
     intensity of a :class:`~spdekit.models.TransportHeat` model, 0 for any
     other.  :meth:`add` takes each block as ``integrators.step_blocks`` or
-    :func:`ladder_blocks` yields it and keeps its ``block_norms`` rows.
+    :func:`ladder_blocks` yields it and folds its ``block_norms`` rows at once.
     One running trapezoid integral per column (:func:`_trapz_run`) carries
-    int |u|^2 and int |u|^2_{H^1}; from them each fold keeps the worst
-    energy residual, the worst Groenwall ratio and the worst deviation of
-    the mean mode, which :meth:`energy_report`, :meth:`gronwall_report` and
-    :meth:`mass_report` give.  The extremes do not depend on where the blocks end.
+    int |u|^2 and int |u|^2_{H^1} on from the last row folded; from them the
+    fold keeps the worst energy residual, the worst Groenwall ratio and the
+    worst deviation of the mean mode, which :meth:`energy_report`,
+    :meth:`gronwall_report` and :meth:`mass_report` only read.  The extremes
+    do not depend on where the blocks end.
     """
 
     def __init__(self, model: ModelSpec, dt: float, u0: SpectralField):
@@ -327,35 +328,29 @@ class PathBalance:
         self.sig, self.dt, self.grid = model.sigma_total if transport else 0.0, dt, u0.grid
         first = block_norms(np.zeros(1), u0.coef[None], self.grid)
         self.k, self.l2_0, self.mode0_0 = 2.0 - self.sig, first["l2_sq"][0], first["mode0"][0]
-        self.rows, self.ints = [first], (0.0, 0.0)  # rows[0]: folded
+        self.last, self.ints = first[0], (0.0, 0.0)  # the last row folded and its integrals
         self.residual, self.deviation = 0.0, 0.0
         # the Groenwall ratio is defined for sigma < 2 and |u_0| > 0; it is 1 at t = 0
         self.bounded = self.k > 0 and self.l2_0 > 0
         self.ratio = 1.0 if self.bounded else 0.0
 
     def add(self, step0: int, rows: np.ndarray, l2_sq: np.ndarray) -> None:
-        """Take the states ``rows[1:]`` at steps ``step0 + 1, ...``, with ``l2_sq`` their L^2 rows."""
-        if rows.shape[0] > 1:
-            times = np.arange(step0 + 1, step0 + rows.shape[0]) * self.dt
-            self.rows.append(block_norms(times, rows[1:], self.grid, l2_sq))
-        if len(self.rows) > 16:  # fold a few thousand rows at a time
-            self._fold()
-
-    def _fold(self) -> None:
-        # column by column: joining structured blocks costs a field promotion per block
-        columns = ("t", "l2_sq", "h1_sq", "mode0")
-        t, l2, h1, mode0 = (np.concatenate([r[c] for r in self.rows]) for c in columns)
-        if l2.size > 1:
-            ints = [_trapz_run(y, start, self.dt) for y, start in zip((l2, h1), self.ints)]
-            lhs = l2[1:] + self.k * ints[1]  # |u_t|^2 + (2-sigma) int_0^t |u|^2_{H^1}
-            residual = np.max(np.abs(lhs - (self.l2_0 + self.k * ints[0])))
-            self.residual = float(np.maximum(self.residual, residual))
-            if self.bounded:
-                ratio = np.max(lhs / (self.l2_0 * np.exp(self.k * t[1:])))
-                self.ratio = float(np.maximum(self.ratio, ratio))
-            deviation = np.max(np.abs(mode0[1:] - self.mode0_0))
-            self.deviation = float(np.maximum(self.deviation, deviation))
-            self.rows, self.ints = [self.rows[-1][-1:]], (ints[0][-1], ints[1][-1])
+        """Fold the states ``rows[1:]``, at steps ``step0 + 1, ...``, with L^2 rows ``l2_sq``."""
+        if rows.shape[0] < 2:
+            return
+        times = np.arange(step0 + 1, step0 + rows.shape[0]) * self.dt
+        norms = block_norms(times, rows[1:], self.grid, l2_sq)
+        l2, h1 = (np.concatenate(([self.last[c]], norms[c])) for c in ("l2_sq", "h1_sq"))
+        ints = [_trapz_run(y, start, self.dt) for y, start in zip((l2, h1), self.ints)]
+        lhs = l2[1:] + self.k * ints[1]  # |u_t|^2 + (2-sigma) int_0^t |u|^2_{H^1}
+        residual = np.max(np.abs(lhs - (self.l2_0 + self.k * ints[0])))
+        self.residual = float(np.maximum(self.residual, residual))
+        if self.bounded:
+            ratio = np.max(lhs / (self.l2_0 * np.exp(self.k * times)))
+            self.ratio = float(np.maximum(self.ratio, ratio))
+        deviation = np.max(np.abs(norms["mode0"] - self.mode0_0))
+        self.deviation = float(np.maximum(self.deviation, deviation))
+        self.last, self.ints = norms[-1], (ints[0][-1], ints[1][-1])
 
     def energy_report(self, rel_tol: float = 0.05) -> StatReport:
         """Pathwise energy balance of the transport equation.
@@ -364,7 +359,6 @@ class PathBalance:
         = |u_0|^2 + (2-sigma) int_0^t |u|_{L^2}^2 over the rows, with
         trapezoidal time quadrature, gated at ``rel_tol`` times |u_0|^2.
         """
-        self._fold()
         scale = float(self.l2_0) if self.l2_0 > 0 else 1.0
         return StatReport(
             name="energy_identity",
@@ -388,7 +382,6 @@ class PathBalance:
             raise ValueError(
                 f"gronwall bound undefined: requires (2 - sigma) > 0, got sigma = {self.sig}"
             )
-        self._fold()
         return StatReport(
             name="gronwall",
             estimate=self.ratio,
@@ -397,7 +390,7 @@ class PathBalance:
             n=1,
             tol_kind="upper",
             tolerance=slack,
-            metadata={"sigma": self.sig, "T": float(self.rows[0]["t"][-1])},
+            metadata={"sigma": self.sig, "T": float(self.last["t"])},
         )
 
     def mass_report(self, tol: float = 1e-10) -> StatReport:
@@ -407,7 +400,6 @@ class PathBalance:
         identically zero in the truncated system, so the mean is conserved
         exactly at every dt and ``tol`` only absorbs rounding.
         """
-        self._fold()
         return StatReport(
             name="mass_conservation",
             estimate=self.deviation,

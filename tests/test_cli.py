@@ -443,6 +443,62 @@ class TestConfigHash:
         assert a.semantic_hash() != b.semantic_hash()
 
 
+class TestMalformedInput:
+    # a file that is not an INI file, or an output that cannot be written, is a
+    # configuration error (exit 2) on one line that names it, and nothing is written
+
+    @staticmethod
+    def assert_config_error(capsys, tmp_path, *names):
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+        assert all(name in err for name in names), err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda b: b.replace(b"modes = 16", b"modes = 16\nmodes = 8"), "line 8: grid.modes"),
+            (lambda b: b"modes = 8\n" + b, "line 1:"),
+            (lambda b: b.replace(b"modes = 16", b"modes 16"), "line 7:"),
+            (lambda b: b.replace(b"u0 = cos", b"u0 = cos\xe9"), "byte 0xe9"),
+            (lambda b: b + b"[grid]\n", "line 21: section [grid]"),
+            (lambda b: b.replace(b"t = 0.01", b"t = 1%"), "experiment.t: '%'"),
+        ],
+        ids=[
+            "duplicate_key",
+            "key_before_any_section",
+            "key_without_equals",
+            "non_utf8_byte",
+            "duplicate_section",
+            "lone_percent_sign",
+        ],
+    )
+    def test_malformed_file_exits_two_naming_it(self, tmp_path, capsys, edit, named):
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes(edit(BASE_SIM.format(out=tmp_path / "o").encode()))
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        self.assert_config_error(capsys, tmp_path, f"config file {cfg}", named)
+
+    @pytest.mark.parametrize("key", ["--out", "output.directory"])
+    def test_output_directory_under_a_file_exits_two(self, tmp_path, capsys, key):
+        (tmp_path / "file").write_text("")
+        below = tmp_path / "file" / "o"
+        cfg = write_config(
+            tmp_path / "c.ini", BASE_SIM.format(out=below if key == "output.directory" else "o")
+        )
+        argv = ["simulate", "--config", cfg] + (["--out", str(below)] if key == "--out" else [])
+        assert cli.main(argv) == 2
+        self.assert_config_error(capsys, tmp_path, f"{key}: cannot make directory {str(below)!r}")
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_prefix_naming_a_directory_exits_two_before_the_run(self, tmp_path, capsys, command):
+        text = VERIFY_TEMPLATE.format(sigma="1.0", checks="mass_conservation", out=tmp_path / "o")
+        cfg = write_config(tmp_path / "c.ini", text.replace("prefix = v", "prefix = sub/v"))
+        assert cli.main([command, "--config", cfg]) == 2
+        self.assert_config_error(capsys, tmp_path, "output.prefix", "'sub/v'")
+        assert not (tmp_path / "o").exists()
+
+
 VERIFY_TEMPLATE = """
 [model]
 kind = transport_heat

@@ -482,13 +482,18 @@ class TestPathBalance:
     def reports(balance):
         return [balance.energy_report(), balance.gronwall_report(), balance.mass_report()]
 
-    @staticmethod
-    def cut(model, dt, states, size):
-        """The balance of the held states, fed ``size`` steps a block."""
+    @classmethod
+    def cut(cls, model, dt, states, size, read=False):
+        """The balance of the held states, fed ``size`` steps a block.
+
+        With ``read``, the three reports are read after every block.
+        """
         balance = verify.PathBalance(model, dt, SpectralField(model.grid, states[0]))
         for lo in range(0, len(states) - 1, size):
             rows = states[lo : lo + size + 1]
             balance.add(lo, rows, l2_sq_rows(rows[1:]))
+            if read:
+                cls.reports(balance)
         return balance
 
     @pytest.mark.parametrize("n_steps", [0, 1, 255, 256, 257, 600])
@@ -522,6 +527,8 @@ class TestPathBalance:
                mass_table(norms)]
         for size in (1, 2, 5, n_rows):
             assert self.reports(self.cut(model, 1e-3, states, size)) == ref
+        # reading the reports between blocks leaves the fold as it was
+        assert self.reports(self.cut(model, 1e-3, states, 1, read=True)) == ref
 
     def test_sigma_is_the_summed_transport_intensity(self):
         g = TorusGrid(8)
