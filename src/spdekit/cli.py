@@ -263,15 +263,19 @@ def effective_seed(cfg: RunConfig, override: int | None) -> int:
     return seed
 
 
-def output_dir(cfg: RunConfig, override: str | None) -> Path:
-    """``--out`` if given, else ``output.directory``: made with its parents if missing."""
+def output_dir(cfg: RunConfig, override: str | None) -> tuple[Path, list[Path]]:
+    """``--out`` if given, else ``output.directory``: made with its parents if missing.
+
+    Returned with the directories made for it, deepest first.
+    """
     key = "--out" if override else "output.directory"
     path = Path(override or cfg.get_str("output", "directory", "out"))
+    made = [p for p in (path, *path.parents) if not p.exists()]
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"{key}: cannot make directory {str(path)!r}: {exc.strerror}") from exc
-    return path
+    return path, made
 
 
 def output_prefix(cfg: RunConfig) -> str:
@@ -860,7 +864,15 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         output_prefix(cfg)  # a bad prefix fails before the run, not at its first output
         seed = effective_seed(cfg, args.seed)
-        return runners[args.command](cfg, output_dir(cfg, args.out), seed)
+        out, made = output_dir(cfg, args.out)
+        try:
+            return runners[args.command](cfg, out, seed)
+        except ConfigError:  # stopped before its first output: take back the directories made
+            for path in made:
+                if any(path.iterdir()):
+                    break
+                path.rmdir()
+            raise
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import AdditiveHeat, DriftKernel, ModelSpec, PorousMedium, TransportHeat
-from .noise import BLOCK_STEPS, CovarianceSpec, NoiseSampler, pack_draws, per_channel
+from .noise import BLOCK_STEPS, CovarianceSpec, NoiseSampler, pack_draws
 from .spectral import SpectralField, TorusGrid, l2_sq_rows
 
 __all__ = [
@@ -59,7 +59,7 @@ __all__ = [
     "step_blocks",
     "block_norms",
     "noise_spec",
-    "ou_channel_variances",
+    "ou_gain",
     "ou_tau",
 ]
 
@@ -182,14 +182,12 @@ def ou_tau(mu: np.ndarray, t: float) -> np.ndarray:
     return np.where(mu == 0.0, t, tau)
 
 
-def ou_channel_variances(spec: CovarianceSpec, dt: float) -> np.ndarray:
-    """Per-channel variance of the exact OU transition noise over one step.
+def ou_gain(grid: TorusGrid, dt: float) -> np.ndarray:
+    """sqrt(tau(mu_k, dt) / dt) per mode (:func:`ou_tau`): the ``pack_draws`` gain of exact OU.
 
-    For mode k the stochastic-convolution increment has total variance
-    lambda_k tau(mu_k, dt) (see :func:`ou_tau`), split evenly between the
-    cosine and sine channels.
+    Exponential Euler and exact OU pack AdditiveHeat's N(0, dt) draws with it.
     """
-    return per_channel(spec.lam * ou_tau(spec.grid.laplacian_eigs, dt))
+    return np.sqrt(ou_tau(grid.laplacian_eigs, dt) / dt)
 
 
 def _resolve_steps(T: float, dt: float) -> int:
@@ -348,13 +346,13 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec):
 
     mu = model.grid.laplacian_eigs
     scratch = np.empty(model.grid.n_modes + 1, dtype=np.complex128)
-    rescale = None
+    gain = None
     if isinstance(model, AdditiveHeat):
         if scheme.kind == "euler_maruyama":
             decay = 1.0 - mu * dt
         else:  # exponential Euler and exact OU share the exact-convolution increment,
             # its N(0, dt) draws rescaled to variance tau(mu, dt)
-            decay, rescale = np.exp(-mu * dt), np.sqrt(ou_tau(mu, dt) / dt)
+            decay, gain = np.exp(-mu * dt), ou_gain(model.grid, dt)
 
         def step(c, out):  # out holds eta: eta + decay * c
             out += np.multiply(decay, c, out=scratch)
@@ -374,7 +372,7 @@ def _block_filler(model: ModelSpec, scheme: SchemeSpec, spec: CovarianceSpec):
                 out *= decay
 
     def fill(rows, scaled):
-        pack_draws(spec, scaled, out=rows[1:], gain=rescale)
+        pack_draws(spec, scaled, out=rows[1:], gain=gain)
         for n in range(scaled.shape[0]):
             step(rows[n], rows[n + 1])
 

@@ -35,9 +35,6 @@ __all__ = [
     "stream_normals",
     "covariance_pairing",
     "pack_draws",
-    "channel_weights",
-    "per_channel",
-    "mode_channels",
     "coarsen_increments",
     "BLOCK_STEPS",
 ]
@@ -101,24 +98,6 @@ class CovarianceSpec:
     def n_channels(self) -> int:
         return 2 * self.grid.n_modes + 1
 
-    def channel_variances(self) -> np.ndarray:
-        """Eigenvalue per real channel in draw order (see :func:`per_channel`)."""
-        return per_channel(self.lam)
-
-
-def per_channel(per_mode: np.ndarray) -> np.ndarray:
-    """Spread a per-mode quantity (k = 0..K) over the 2K+1 real channels.
-
-    Channel 0 is the constant mode; channels 2k-1 and 2k are the cosine and
-    sine channels of mode k, and both carry the value of mode k.
-    """
-    return np.repeat(per_mode, 2)[1:]
-
-
-def mode_channels(k: int) -> slice:
-    """The real channels of mode k (see :func:`per_channel`) as a slice."""
-    return slice(0, 1) if k == 0 else slice(2 * k - 1, 2 * k + 1)
-
 
 def trace(spec: CovarianceSpec, truncated_ok: bool = False) -> float:
     """Tr Q = sum of eigenvalues over all 2K+1 modes.
@@ -162,17 +141,19 @@ def pack_draws(
 ) -> np.ndarray:
     """Hermitian half spectrum from per-channel draws (already scaled).
 
-    ``scaled[..., ch]`` are the real channel increments; the cosine/sine
-    pair of mode k >= 1 lands in amp(k) = sqrt(lam_k/2) * (cos - i sin)
-    relative to unit-variance channels, i.e. each channel contributes
-    variance lam_k*dt/2 to the complex amplitude.  ``gain[k]``, if given,
-    multiplies both channels of mode k; it is applied where it gives the
-    bits of packing ``scaled * per_channel(gain)``, without that copy.  The
-    products are formed in the band of ``out`` (a new array without it): no
-    block-sized temporary.  numpy buffers each strided or cast operand of
-    these products in up to bufsize elements (by default 8192, 128 kB per
-    complex operand), so they run with ``_PACK_BUFSIZE``, and their buffers
-    stay small too.
+    ``scaled[..., ch]`` are the real channel increments, and this is the one
+    place their order is written: channel 0 is the constant mode, and
+    channels 2k-1 and 2k are the cosine and sine channels of mode k >= 1,
+    which land in amp(k) = sqrt(lam_k/2) * (cos - i sin) relative to
+    unit-variance channels, i.e. each channel contributes variance
+    lam_k*dt/2 to the complex amplitude.  ``gain[k]``, if given, multiplies
+    both channels of mode k; it is applied where it gives the bits of
+    packing the draws with those two channels scaled by ``gain[k]``,
+    without that copy.  The products are formed in the band of ``out`` (a
+    new array without it): no block-sized temporary.  numpy buffers each
+    strided or cast operand of these products in up to bufsize elements (by
+    default 8192, 128 kB per complex operand), so they run with
+    ``_PACK_BUFSIZE``, and their buffers stay small too.
     """
     root = np.sqrt(spec.lam)
     if out is None:
@@ -188,23 +169,6 @@ def pack_draws(
             np.multiply(band, gain[1:], out=band)
         np.multiply(half, band, out=band)
     return out
-
-
-def channel_weights(spec: CovarianceSpec, h: SpectralField) -> np.ndarray:
-    """Real weights a_h with <W, h> = z @ a_h for the unit channel draws z of W.
-
-    The L^2 pairing of the packed field with ``h``, written on the channels:
-    a_h[0] = sqrt(lam_0) Re h_0, and the cosine/sine pair of mode k >= 1
-    carries a_h[2k-1] = sqrt(2 lam_k) Re h_k and a_h[2k] = -sqrt(2 lam_k) Im h_k.
-    """
-    if h.grid != spec.grid:
-        raise ValueError("field and covariance must share one grid")
-    root = np.sqrt(2.0 * spec.lam[1:])
-    a = np.empty(spec.n_channels)
-    a[0] = np.sqrt(spec.lam[0]) * h.coef[0].real
-    a[1::2] = root * h.coef[1:].real
-    a[2::2] = -root * h.coef[1:].imag
-    return a
 
 
 def stream_normals(seed: int, streams, cols: int, chunk: int = 0) -> np.ndarray:

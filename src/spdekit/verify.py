@@ -37,18 +37,17 @@ from typing import Callable
 
 import numpy as np
 
-from .integrators import SchemeSpec, _resolve_steps, block_norms, noise_spec, ou_channel_variances
-from .integrators import ou_tau, step_blocks
+from .integrators import SchemeSpec, _resolve_steps, block_norms, noise_spec, ou_gain, ou_tau
+from .integrators import step_blocks
 from .models import ModelSpec, TransportHeat
 from .noise import (
     BLOCK_STEPS,
     CovarianceSpec,
     NoiseSampler,
-    channel_weights,
     coarsen_increments,
     covariance_pairing,
     hs_norm_sq,
-    mode_channels,
+    pack_draws,
     stream_normals,
     trace,
 )
@@ -293,6 +292,24 @@ def _weighted_sq_rows(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij,j->i", z, z, weights)
 
 
+_UNITS = 64  # unit channels packed per pack_draws call by _packed_units
+
+
+def _packed_units(spec: CovarianceSpec, reduce, scale: float = 1.0, gain=None) -> np.ndarray:
+    """Row j: ``reduce`` of ``pack_draws(spec, scale * e_j, gain=gain)``, ``_UNITS`` j at a time.
+
+    What one unit of channel j adds to a packed increment: a check weighs its
+    draws by these rows, so it reads the channel order from ``pack_draws``.
+    """
+    n, parts = spec.n_channels, []
+    for lo in range(0, n, _UNITS):
+        rows = np.arange(min(_UNITS, n - lo))
+        units = np.zeros((rows.size, n))
+        units[rows, lo + rows] = scale
+        parts.append(reduce(pack_draws(spec, units, gain=gain)))
+    return np.concatenate(parts)
+
+
 def _trapz_run(y: np.ndarray, start: float, dt: float) -> np.ndarray:
     """Trapezoidal integrals at the rows y[1:], going on from ``start`` at y[0].
 
@@ -465,23 +482,24 @@ def ito_isometry_stat(phi, lam, T: float) -> McStatistic:
     )
 
 
-
 def wiener_covariance_stat(
     spec: CovarianceSpec, h: SpectralField, g: SpectralField, s: float, t: float
 ) -> McStatistic:
     """<W_t, h> <W_s, g> per path, against (s ^ t) <Qh, g>.
 
     The first 2K+1 columns drive W at the earlier time, the next 2K+1 its
-    increment to the later one; each pairing is the draws times the channel
-    weights of its test field.  The increment block is read only up to the
-    last channel that ``h`` or ``g`` weighs; the channels past it carry zero
-    weight.
+    increment to the later one; each pairing is the draws times the weights
+    of its test field, the L^2 pairing of each packed unit channel with it.
+    The increment block is read only up to the last channel that ``h`` or
+    ``g`` weighs; the channels past it carry zero weight.
     """
     if s < 0 or t < 0:
         raise ValueError("times must be nonnegative")
+    target = float(min(s, t) * covariance_pairing(spec, h, g))  # checks the grids
     lo, hi = (s, t) if s <= t else (t, s)
     ch = spec.n_channels
-    weights = np.stack([channel_weights(spec, h), channel_weights(spec, g)], axis=1)
+    conj = np.conj(np.stack([h.coef, g.coef]))
+    weights = _packed_units(spec, lambda packed: mode_sum((packed[:, None] * conj).real))
     weighed = np.flatnonzero(np.any(weights != 0.0, axis=1))
     read = int(weighed[-1]) + 1 if weighed.size else 0
 
@@ -491,14 +509,12 @@ def wiener_covariance_stat(
         at_t, at_s = (at_hi, at_lo) if t >= s else (at_lo, at_hi)
         return at_t[:, 0] * at_s[:, 1]
 
-    target = float(min(s, t) * covariance_pairing(spec, h, g))
     return McStatistic("wiener_covariance", ch + read, per_row, target, metadata={"s": s, "t": t})
-
 
 
 def trace_identity_stat(spec: CovarianceSpec, T: float) -> McStatistic:
     """|W_T|_{L^2}^2 per path, against T Tr Q (truncated trace for white noise)."""
-    weights = T * spec.channel_variances()
+    weights = _packed_units(spec, l2_sq_rows, np.sqrt(T))  # |pack_draws(sqrt(T) e_j)|^2
     target = float(T * trace(spec, truncated_ok=True))
     note = "truncated white noise (K modes recorded)" if spec.kind == "white" else ""
     return McStatistic(
@@ -511,10 +527,9 @@ def trace_identity_stat(spec: CovarianceSpec, T: float) -> McStatistic:
     )
 
 
-
 def gaussian_moment_stat(spec: CovarianceSpec) -> McStatistic:
     """|X|^4 per path for X ~ N(0, Q), against (Tr Q)^2 + 2 Tr(Q^2)."""
-    weights = spec.channel_variances()
+    weights = _packed_units(spec, l2_sq_rows)  # |pack_draws(e_j)|^2
     tr = trace(spec, truncated_ok=True)
     return McStatistic(
         "gaussian_fourth_moment",
@@ -523,7 +538,6 @@ def gaussian_moment_stat(spec: CovarianceSpec) -> McStatistic:
         float(tr**2 + 2.0 * hs_norm_sq(spec, truncated_ok=True)),
         metadata={"trace": tr},
     )
-
 
 
 # ---------------------------------------------------------------------------
@@ -741,26 +755,30 @@ def ou_variance_stats(q: CovarianceSpec, dt: float, modes) -> list[McStatistic]:
     """Per requested mode, the squared exact OU transition noise of each path.
 
     Targets lambda_k (1 - e^{-2 mu_k dt}) / (2 mu_k), the k = 0 mode being
-    pure Brownian with variance lambda_0 dt.  Mode k reads only its own
-    channels (:func:`~spdekit.noise.mode_channels`), the last of which is
-    column 2k: its sample is the mean of their variance-weighted squares.
+    pure Brownian with variance lambda_0 dt.  The noise is the exact lane's:
+    c_k is mode k of each unit channel packed at sqrt(dt) with its gain
+    (:func:`~spdekit.integrators.ou_gain`).  Mode k's sample is |z . c_k|^2,
+    two real dot products over the columns up to the last channel with c_k != 0.
     """
-    var = ou_channel_variances(q, dt)
-    stats = []
+    modes = [int(k) for k in modes]
     for k in modes:
-        k = int(k)
         if not 0 <= k <= q.grid.n_modes:
             raise ValueError(f"mode {k} outside 0..{q.grid.n_modes}")
-        ch = mode_channels(k)
-        v = var[ch]
+    coef = _packed_units(q, lambda packed: packed[:, modes], np.sqrt(dt), ou_gain(q.grid, dt))
+    mu = q.grid.laplacian_eigs
+    stats = []
+    for k, c in zip(modes, coef.T):
+        reached = np.flatnonzero(c)
+        n = int(reached[-1]) + 1 if reached.size else 0
+        re, im = c.real[:n].copy(), c.imag[:n].copy()
+        var = dt if k == 0 else -np.expm1(-2.0 * mu[k] * dt) / (2.0 * mu[k])
         stats.append(
             McStatistic(
                 f"ou_variance_mode{k}",
-                ch.stop,
-                lambda z, ch=ch, v=v: (z[:, ch] * z[:, ch]) @ v / v.size,
-                float(v[0]),
+                n,
+                lambda z, n=n, re=re, im=im: (z[:, :n] @ re) ** 2 + (z[:, :n] @ im) ** 2,
+                float(q.lam[k] * var),
                 metadata={"dt": dt, "mode": k},
             )
         )
     return stats
-

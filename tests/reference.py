@@ -32,7 +32,7 @@ from spdekit.models import (
     _check_grid,
     drift,
 )
-from spdekit.noise import CovarianceSpec, pack_draws, per_channel
+from spdekit.noise import CovarianceSpec, pack_draws
 from spdekit.spectral import SpectralField, derivative, heat_semigroup
 from spdekit.verify import StatReport
 
@@ -75,6 +75,11 @@ class MatrixNoise:
         if self.matrix.shape[1:] != (self.spec.n_channels,) or step0 + n_steps > len(self.matrix):
             raise ValueError(f"no rows {step0}..{step0 + n_steps - 1} in {self.matrix.shape}")
         return self.matrix[step0 : step0 + n_steps]
+
+
+def per_channel(per_mode: np.ndarray) -> np.ndarray:
+    """A per-mode quantity (k = 0..K) on the 2K+1 channels: 0, then the cos/sin pair of each k."""
+    return np.repeat(per_mode, 2)[1:]
 
 
 def pack_reference(spec: CovarianceSpec, scaled: np.ndarray) -> np.ndarray:

@@ -524,6 +524,101 @@ prefix = v
 """
 
 
+MODEL_LINES = "kind = transport_heat\nsigma = 1.0"
+ADDITIVE = "kind = additive_heat"
+
+# (command, edit of BASE_SIM, what the one error line must name): each config error
+# branch of the builders and getters
+CONFIG_ERRORS = {
+    "float_not_a_number": ("simulate", ("t = 0.01", "t = soon"), "experiment.t must be a number"),
+    "int_not_an_integer": ("simulate", ("modes = 16", "modes = x"), "grid.modes must be an integer"),
+    "floats_not_a_number": (
+        "simulate", ("sigma = 1.0", "sigma = 1.0, x"), "model.sigma must be a comma list of numbers"
+    ),
+    "floats_not_finite": (
+        "simulate", ("sigma = 1.0", "sigma = nan"), "model.sigma must be a comma list of finite"
+    ),
+    "unreadable_config": ("simulate", None, "cannot read config file"),
+    "grid_points_below_2K_plus_1": (
+        "simulate", ("modes = 16", "modes = 16\npoints = 20"), "grid section invalid"
+    ),
+    "noise_list_without_values": (
+        "simulate", (MODEL_LINES, f"{ADDITIVE}\n[noise]\nkind = list"), "noise.values required"
+    ),
+    "noise_list_too_many_values": (
+        "simulate",
+        (MODEL_LINES, f"{ADDITIVE}\n[noise]\nkind = list\nvalues = {', '.join(['1'] * 18)}"),
+        "noise.values lists 18 eigenvalues",
+    ),
+    "unknown_model_kind": ("simulate", ("transport_heat", "wave"), "model.kind must be one of"),
+    "unknown_scheme_kind": (
+        "simulate", ("kind = euler_maruyama", "kind = rk4"), "scheme section invalid: unknown scheme"
+    ),
+    "u0_mode_out_of_range": (
+        "simulate", ("u0 = cos", "u0 = cos\nu0_mode = 17"), "experiment.u0_mode must lie in 1..16"
+    ),
+    "unknown_u0": ("simulate", ("u0 = cos", "u0 = gauss"), "experiment.u0 must be cos|sin|zero"),
+    "transport_check_on_another_model": (
+        "verify",
+        (f"{MODEL_LINES}\n\n[grid]", f"{ADDITIVE}\n\n[grid]", "u0 = cos", "u0 = cos\nchecks = gronwall"),
+        "gronwall check requires model.kind = transport_heat",
+    ),
+    "unknown_phi": (
+        "verify",
+        ("u0 = cos", "u0 = cos\nchecks = ito_isometry\nphi = sine"),
+        "experiment.phi must be single_mode|inverse_k|white",
+    ),
+}
+
+
+class TestConfigErrors:
+    # a configuration error exits 2 with one line naming its key, and leaves no
+    # traceback, no file and no directory behind
+
+    @staticmethod
+    def assert_nothing_left(capsys, tmp_path, named, config):
+        captured = capsys.readouterr()
+        err = captured.err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+        assert named in err and "Traceback" not in err + captured.out, err
+        assert sorted(tmp_path.rglob("*")) == ([config] if config.exists() else [])
+
+    @pytest.mark.parametrize("case", CONFIG_ERRORS)
+    def test_exit_two_naming_the_key(self, tmp_path, capsys, case):
+        command, edits, named = CONFIG_ERRORS[case]
+        text = BASE_SIM.format(out=tmp_path / "o" / "deep")
+        config = tmp_path / "c.ini"
+        if edits is not None:
+            for old, new in zip(edits[::2], edits[1::2]):
+                assert old in text
+                text = text.replace(old, new)
+            config.write_text(text)
+        assert cli.main([command, "--config", str(config)]) == 2
+        self.assert_nothing_left(capsys, tmp_path, named, config)
+
+    @pytest.mark.parametrize(
+        "command, old, new, named",
+        [
+            ("verify", "u0 = cos", "u0 = cos\nchecks = nonsense", "unknown check 'nonsense'"),
+            ("simulate", "modes = 16", "modes = x", "grid.modes must be an integer"),
+        ],
+    )
+    def test_out_made_for_the_run_is_removed(self, tmp_path, capsys, command, old, new, named):
+        # the run makes o_bad/deep before its runner reads the bad key; both go again
+        config = tmp_path / "c.ini"
+        config.write_text(BASE_SIM.format(out="unused").replace(old, new))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "o_bad" / "deep")]
+        assert cli.main(argv) == 2
+        self.assert_nothing_left(capsys, tmp_path, named, config)
+
+    def test_out_that_existed_is_kept(self, tmp_path, capsys):
+        (tmp_path / "o").mkdir()
+        config = tmp_path / "c.ini"
+        config.write_text(BASE_SIM.format(out=tmp_path / "o").replace("modes = 16", "modes = x"))
+        assert cli.main(["simulate", "--config", str(config)]) == 2
+        assert (tmp_path / "o").is_dir() and not list((tmp_path / "o").iterdir())
+
+
 class TestVerify:
     def read_rows(self, tmp_path):
         lines = (tmp_path / "o" / "v_reports.csv").read_text().strip().splitlines()

@@ -173,13 +173,14 @@ class TestExactOu:
         assert abs(np.mean(samples) - target) < 3 * se
 
     def test_brownian_small_dt_limit(self):
-        # Var eta_k -> lambda dt as dt -> 0: ratio of closed forms
-        from spdekit.integrators import ou_channel_variances
+        # Var eta_k -> lambda dt as dt -> 0: each unit channel packed with the lane's gain
+        from spdekit.integrators import ou_gain
 
         g = TorusGrid(8)
         q = CovarianceSpec.white(g)
         dt = 1e-9
-        var = ou_channel_variances(q, dt)
+        units = np.sqrt(dt) * np.eye(q.n_channels)
+        var = l2_sq_rows(pack_draws(q, units, gain=ou_gain(g, dt)))
         assert np.allclose(var, dt, rtol=1e-3)
 
 

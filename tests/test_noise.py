@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cos_field, make_random_field, sampled_increment, sin_field
-from reference import pack_reference
+from reference import pack_reference, per_channel
 from spdekit import noise
 from spdekit.noise import (
     BLOCK_STEPS,
@@ -14,12 +14,11 @@ from spdekit.noise import (
     covariance_pairing,
     hs_norm_sq,
     pack_draws,
-    per_channel,
     stream_normals,
     trace,
 )
 from spdekit.integrators import ou_tau
-from spdekit.spectral import TorusGrid, field_from_modes
+from spdekit.spectral import TorusGrid, field_from_modes, l2_sq_rows
 from spdekit.verify import brownian_scalar_path
 
 
@@ -44,8 +43,11 @@ class TestCovarianceSpec:
             CovarianceSpec.from_eigenvalues(TorusGrid(2), [1.0, -0.1, 0.0])
 
     def test_channel_variances_layout(self):
+        # channel 0 is the constant mode, channels 2k-1 and 2k the pair of mode k
         spec = CovarianceSpec.from_eigenvalues(TorusGrid(2), [3.0, 2.0, 1.0])
-        assert np.allclose(spec.channel_variances(), [3.0, 2.0, 2.0, 1.0, 1.0])
+        units = pack_draws(spec, np.eye(spec.n_channels))
+        assert np.allclose(l2_sq_rows(units), [3.0, 2.0, 2.0, 1.0, 1.0])
+        assert np.array_equal(np.flatnonzero(units[:, 2]), [3, 4])
 
 
 class TestTraceArithmetic:

@@ -1,16 +1,16 @@
-"""Property tests of cheap algebraic invariants (packing, channel weights, norms, coarsening, the Duhamel scan)."""
+"""Property tests of cheap algebraic invariants (packing, packed channel weights, norms, coarsening, the Duhamel scan)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference import per_channel
 from spdekit.burgers import _decay_powers, _semigroup_scan
-from spdekit.integrators import ou_channel_variances, ou_tau
+from spdekit.integrators import ou_gain, ou_tau
 from spdekit.models import AdditiveHeat, growth_check
 from spdekit.noise import (
     CovarianceSpec,
-    channel_weights,
     coarsen_increments,
     covariance_pairing,
     hs_norm_sq,
@@ -27,6 +27,7 @@ from spdekit.spectral import (
     mode_sum,
     sobolev_norm,
 )
+from spdekit.verify import wiener_covariance_stat
 
 # derandomized and without an example database, so a run is reproducible
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -61,25 +62,24 @@ def fields(draw):
 @given(spec_and_draws())
 def test_packed_norm_is_variance_weighted_sum_of_squares(case):
     spec, z = case
-    expected = np.sum(spec.channel_variances() * z**2, axis=-1)
+    expected = np.sum(per_channel(spec.lam) * z**2, axis=-1)
     got = l2_sq_rows(pack_draws(spec, z))
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-300)
 
 
 @PROPERTY
 @given(spec_and_draws(), st.data())
-def test_channel_weights_give_the_packed_l2_pairing(case, data):
+def test_wiener_weights_give_the_packed_l2_pairings(case, data):
+    # at s = t = 1 a row's sample is <W, h> <W, g> for the packed W of its draws
     spec, z = case
-    parts = arrays(float, spec.grid.n_modes + 1, elements=finite)
-    coef = data.draw(parts) + 1j * data.draw(parts)
-    coef[0] = coef[0].real
-    h = SpectralField(spec.grid, coef)
-    a = channel_weights(spec, h)
-    expected = np.array([h_inner(SpectralField(spec.grid, c), h) for c in pack_draws(spec, z)])
-    got = z @ a
-    # rtol 1e-12 of the pairing, or of its absolute sum where the terms cancel
-    bound = 1e-12 * (np.abs(expected) + np.abs(z) @ np.abs(a)) + 1e-300
-    assert np.all(np.abs(got - expected) <= bound)
+    h, g = field_on(data.draw, spec.grid), field_on(data.draw, spec.grid)
+    stat = wiener_covariance_stat(spec, h, g, 1.0, 1.0)
+    got = stat.per_row(np.hstack([z, np.zeros((z.shape[0], stat.cols - spec.n_channels))]))
+    packed = pack_draws(spec, z)
+    pair = [np.array([h_inner(SpectralField(spec.grid, c), f) for c in packed]) for f in (h, g)]
+    # rtol 1e-12 of each pairing, or of its absolute sum where the terms cancel
+    bound = [np.abs(p) + mode_sum(np.abs(packed) * np.abs(f.coef)) for p, f in zip(pair, (h, g))]
+    assert np.all(np.abs(got - pair[0] * pair[1]) <= 1e-12 * bound[0] * bound[1] + 1e-300)
 
 
 @PROPERTY
@@ -90,24 +90,26 @@ def test_half_spectrum_sums_agree_across_modules(case, data):
     close = dict(rtol=1e-12, atol=1e-300)
     np.testing.assert_allclose(h_inner(f, f, "l2"), l2_sq_rows(f.coef), **close)
     assert covariance_pairing(CovarianceSpec.white(spec.grid), f, g) == h_inner(f, g)
-    var = spec.channel_variances()
+    var = per_channel(spec.lam)
     np.testing.assert_allclose(trace(spec), var.sum(), **close)
     np.testing.assert_allclose(hs_norm_sq(spec), np.sum(var**2), **close)
 
 
 @PROPERTY
 @given(spec_and_draws(), st.floats(1e-6, 1.0))
-def test_ou_channel_variances_carry_the_mode_variance(case, dt):
+def test_ou_gain_carries_the_mode_variance(case, dt):
     spec, _ = case
     mu = spec.grid.laplacian_eigs
     tau = ou_tau(mu, dt)
     assert tau[0] == dt
     # 1 - e^{-x} loses about eps / x here, x = 2 mu dt >= 7.9e-5
     np.testing.assert_allclose(tau[1:], (1.0 - np.exp(-2.0 * mu[1:] * dt)) / (2.0 * mu[1:]), rtol=1e-9)
-    var = ou_channel_variances(spec, dt)
-    per_mode = np.concatenate(([var[0]], 0.5 * (var[1::2] + var[2::2])))
-    np.testing.assert_array_equal(per_mode, spec.lam * tau)
-    np.testing.assert_allclose(var.sum(), mode_sum(spec.lam * tau), rtol=1e-12, atol=1e-300)
+    # each unit channel, packed at sqrt(dt) with the gain, carries its mode's variance
+    units = np.sqrt(dt) * np.eye(spec.n_channels)
+    var = l2_sq_rows(pack_draws(spec, units, gain=ou_gain(spec.grid, dt)))
+    close = dict(rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(var, per_channel(spec.lam * tau), **close)
+    np.testing.assert_allclose(var.sum(), mode_sum(spec.lam * tau), **close)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -16,12 +16,12 @@ from spdekit.noise import (
     BLOCK_STEPS,
     CovarianceSpec,
     NoiseSampler,
-    channel_weights,
     coarsen_increments,
     pack_draws,
     stream_normals,
 )
-from spdekit.spectral import SpectralField, TorusGrid, field_from_modes, l2_sq_rows, zero_field
+from spdekit.spectral import SpectralField, TorusGrid, field_from_modes, l2_sq_rows, mode_sum
+from spdekit.spectral import zero_field
 from spdekit.verify import (
     McConfig,
     StatReport,
@@ -274,9 +274,13 @@ class TestColumnsRead:
 
     @staticmethod
     def full_width_wiener(spec, h, g, s, t, z):
-        """<W_t, h> <W_s, g> per row, both pairings over all 2(2K+1) columns of ``z``."""
+        """<W_t, h> <W_s, g> per row, both pairings over all 2(2K+1) columns of ``z``.
+
+        The weights are the L^2 pairings of the packed unit channels with h and g.
+        """
         ch = spec.n_channels
-        weights = np.stack([channel_weights(spec, h), channel_weights(spec, g)], axis=1)
+        units = pack_draws(spec, np.eye(ch))
+        weights = mode_sum((units[:, None] * np.conj(np.stack([h.coef, g.coef]))).real)
         lo, hi = min(s, t), max(s, t)
         at_lo = np.sqrt(lo) * (z[:, :ch] @ weights)
         at_hi = at_lo + np.sqrt(hi - lo) * (z[:, ch:] @ weights)
