@@ -10,7 +10,9 @@ subcommands::
     spdekit regularity --config run.ini [--seed N] [--out DIR]
 
 Exit status: 0 success, 1 a requested check failed, 2 configuration error,
-3 numerical failure (blow-up or non-convergent Picard iteration).
+3 numerical failure (blow-up or non-convergent Picard iteration).  Exit 0 or
+1 writes the outputs and then the manifest; exit 2 or 3 leaves no file that
+the run wrote and no directory that it made.
 
 All CSV bodies are deterministic functions of the configuration (17
 significant digits, fixed row order); wall-clock timestamps appear only in
@@ -27,6 +29,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -34,8 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .integrators import BlowUpError, PicardError, SchemeSpec, _resolve_steps, block_norms
-from .integrators import check_scheme, noise_spec, step_blocks
+from .integrators import BlowUpError, PicardError, SCHEME_KINDS, SchemeSpec, _resolve_steps
+from .integrators import block_norms, check_scheme, noise_spec, step_blocks
 from .models import (
     AdditiveHeat,
     Burgers,
@@ -169,8 +172,8 @@ def build_grid(cfg: RunConfig) -> TorusGrid:
     points = cfg.get_int("grid", "points", 0)
     try:
         return TorusGrid(modes, points)
-    except ValueError as exc:
-        raise ConfigError(f"grid section invalid: {exc}") from exc
+    except ValueError as exc:  # TorusGrid names n_modes and n_points: name the keys
+        raise ConfigError(re.sub(r"n_(modes|points)", r"grid.\1", str(exc))) from exc
 
 
 def build_noise(cfg: RunConfig, grid: TorusGrid) -> CovarianceSpec:
@@ -227,11 +230,13 @@ def build_model(cfg: RunConfig, grid: TorusGrid):
 
 def build_scheme(cfg: RunConfig) -> SchemeSpec:
     kind = cfg.get_str("scheme", "kind", "euler_maruyama")
+    if kind not in SCHEME_KINDS:
+        raise ConfigError(f"scheme.kind must be one of {SCHEME_KINDS}, got {kind!r}")
     dt = cfg.get_float("scheme", "dt", required=True)
     try:
         return SchemeSpec(kind, dt)
-    except ValueError as exc:
-        raise ConfigError(f"scheme section invalid: {exc}") from exc
+    except ValueError as exc:  # with a known kind, SchemeSpec names dt first
+        raise ConfigError(f"scheme.{exc}") from exc
 
 
 def build_initial_field(cfg: RunConfig, grid: TorusGrid, key="u0") -> SpectralField:
@@ -263,29 +268,6 @@ def effective_seed(cfg: RunConfig, override: int | None) -> int:
     return seed
 
 
-def output_dir(cfg: RunConfig, override: str | None) -> tuple[Path, list[Path]]:
-    """``--out`` if given, else ``output.directory``: made with its parents if missing.
-
-    Returned with the directories made for it, deepest first.
-    """
-    key = "--out" if override else "output.directory"
-    path = Path(override or cfg.get_str("output", "directory", "out"))
-    made = [p for p in (path, *path.parents) if not p.exists()]
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"{key}: cannot make directory {str(path)!r}: {exc.strerror}") from exc
-    return path, made
-
-
-def output_prefix(cfg: RunConfig) -> str:
-    """``output.prefix``: a file name stem, so every output lands in the output directory."""
-    prefix = cfg.get_str("output", "prefix", "run")
-    if {os.sep, os.altsep} & set(prefix):
-        raise ConfigError(f"output.prefix must not name a directory, got {prefix!r}")
-    return prefix
-
-
 # ---------------------------------------------------------------------------
 # CSV / manifest plumbing
 # ---------------------------------------------------------------------------
@@ -303,16 +285,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _open_new(path: Path):
-    """Open ``path`` for writing as a new file: a rerun replaces each output.
-
-    Unlinking first means a link at ``path`` is replaced, not written
-    through, and no existing file is truncated in place.
-    """
-    path.unlink(missing_ok=True)
-    return open(path, "w", newline="")
-
-
 _CSV_ROWS = 4096  # table rows formatted per chunk in _write_table
 
 
@@ -322,7 +294,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     A structured array is written by :func:`_write_table`; a list of rows
     is formatted value by value with :func:`_fmt`.
     """
-    with _open_new(path) as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         if isinstance(rows, np.ndarray):
@@ -346,17 +318,78 @@ def _write_table(fh, rows: np.ndarray) -> None:
         fh.writelines(line % row for row in rows[r0 : r0 + _CSV_ROWS].tolist())
 
 
-def write_manifest(path: Path, cfg: RunConfig, command: str, seed: int, outputs) -> None:
-    manifest = {
-        "command": command,
-        "config_hash": cfg.semantic_hash(),
-        "seed": seed,
-        "outputs": sorted(str(o) for o in outputs),
-        "created_unix": time.time(),
-    }
-    with _open_new(path) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class _Outputs:
+    """The one owner of a command's files: ``main`` makes it before the run.
+
+    It checks ``output.prefix``, a file name stem, and makes the directory
+    (``--out``, else ``output.directory``) with its parents.  Each output is
+    recorded as it is opened, and the first removes the old manifest.
+    ``main`` has the manifest written last, or on any exception the run's
+    files and directories taken back.
+    """
+
+    def __init__(self, cfg: RunConfig, override: str | None):
+        self.cfg = cfg
+        self.prefix = cfg.get_str("output", "prefix", "run")
+        if {os.sep, os.altsep} & set(self.prefix):
+            raise ConfigError(f"output.prefix must not name a directory, got {self.prefix!r}")
+        key = "--out" if override else "output.directory"
+        path = self.dir = Path(override or cfg.get_str("output", "directory", "out"))
+        self.made = [p for p in (path, *path.parents) if not p.exists()]  # deepest first
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{key}: cannot make directory {str(path)!r}: {exc.strerror}") from exc
+        self.files: list[Path] = []
+        self.handles = []
+
+    def _record(self, stem: str) -> Path:
+        """The path of ``<prefix>_<stem>``, recorded and unlinked before it is written.
+
+        So a rerun writes each output as a new file: a link at the path is
+        replaced, not written through, and no file is truncated in place.
+        """
+        if not self.files:
+            (self.dir / f"{self.prefix}_manifest.json").unlink(missing_ok=True)
+        self.files.append(self.dir / f"{self.prefix}_{stem}")
+        self.files[-1].unlink(missing_ok=True)
+        return self.files[-1]
+
+    def open(self, stem: str, header: list[str]):
+        """A streamed CSV: the header is written, the rows are appended by the caller."""
+        self.handles.append(open(self._record(stem), "w", newline=""))
+        csv.writer(self.handles[-1]).writerow(header)
+        return self.handles[-1]
+
+    def table(self, stem: str, header: list[str], rows) -> None:
+        """A whole table, through :func:`write_csv`."""
+        write_csv(self._record(stem), header, rows)
+
+    def write_manifest(self, command: str, seed: int) -> None:
+        """Close every output and list it in ``<prefix>_manifest.json``, written last."""
+        for fh in self.handles:
+            fh.close()
+        manifest = {
+            "command": command,
+            "config_hash": self.cfg.semantic_hash(),
+            "seed": seed,
+            "outputs": sorted(path.name for path in self.files),
+            "created_unix": time.time(),
+        }
+        with open(self._record("manifest.json"), "w", newline="") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    def discard(self) -> None:
+        """Close and remove every recorded file, then each directory made that is now empty."""
+        for fh in self.handles:
+            fh.close()
+        for path in self.files:
+            path.unlink(missing_ok=True)
+        for path in self.made:
+            if any(path.iterdir()):
+                break
+            path.rmdir()
 
 
 def report_row(report: verify_mod.StatReport, seed: int):
@@ -385,61 +418,46 @@ NORMS_HEADER = ["t", "l2", "h1", "mode0"]
 SPECTRA_HEADER = ["t", "k", "re", "im"]
 
 
-def run_simulate(cfg: RunConfig, out: Path, seed: int) -> int:
+def run_simulate(cfg: RunConfig, outputs: _Outputs, seed: int) -> int:
     """Step one path and write its norm series (and spectra) block by block.
 
     Each stepped block is reduced to its norm rows (the norms written as
     square roots) and its spectra, and they are appended to the CSVs before
     the next block is stepped: the command holds one block of states, never
-    the path.  A failure (a blow-up) removes the partial files.
+    the path.
     """
     grid = build_grid(cfg)
     model, scheme, T, u0 = _path_run(cfg, grid)
     blocks = step_blocks(model, scheme, u0, T, sampler=NoiseSampler(noise_spec(model), seed, 0))
     n_k = grid.n_modes + 1
 
-    prefix = output_prefix(cfg)
-    files = {out / f"{prefix}_norms.csv": NORMS_HEADER}
     raw = cfg.get_str("experiment", "save_spectra", "false")
     flags = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
     save_spectra = flags.get(raw.lower())
     if save_spectra is None:
         raise ConfigError(f"experiment.save_spectra must be one of {'|'.join(flags)}, got {raw!r}")
-    if save_spectra:
-        files[out / f"{prefix}_spectra.csv"] = SPECTRA_HEADER
-    handles = []
+    norms_fh = outputs.open("norms.csv", NORMS_HEADER)
+    spectra_fh = outputs.open("spectra.csv", SPECTRA_HEADER) if save_spectra else None
 
     def emit(times: np.ndarray, rows: np.ndarray, l2_sq: np.ndarray | None = None) -> None:
         """Append the norm rows (and spectra) of the states ``rows`` at ``times``."""
         norms = block_norms(times, rows, grid, l2_sq)
         for name in ("l2_sq", "h1_sq"):
             np.sqrt(norms[name], out=norms[name])
-        _write_table(handles[0], norms)
-        if len(handles) > 1:
+        _write_table(norms_fh, norms)
+        if spectra_fh is not None:
             coef = rows.ravel()
             k = np.tile(np.arange(n_k), rows.shape[0])
             spectra = np.rec.fromarrays([np.repeat(times, n_k), k, coef.real, coef.imag])
-            _write_table(handles[1], spectra)
+            _write_table(spectra_fh, spectra)
 
-    try:
-        for path, header in files.items():
-            handles.append(_open_new(path))
-            csv.writer(handles[-1]).writerow(header)
-        emit(np.zeros(1), u0.coef[None])
-        for step0, rows, l2_sq in blocks:
-            emit(np.arange(step0 + 1, step0 + rows.shape[0]) * scheme.dt, rows[1:], l2_sq)
-    except BaseException:
-        for fh, path in zip(handles, files):
-            fh.close()
-            path.unlink()
-        raise
-    for fh in handles:
-        fh.close()
-    write_manifest(out / f"{prefix}_manifest.json", cfg, "simulate", seed, [p.name for p in files])
+    emit(np.zeros(1), u0.coef[None])
+    for step0, rows, l2_sq in blocks:
+        emit(np.arange(step0 + 1, step0 + rows.shape[0]) * scheme.dt, rows[1:], l2_sq)
     return 0
 
 
-def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
+def run_verify(cfg: RunConfig, outputs: _Outputs, seed: int) -> int:
     """Plan every listed check, then run the plan: every key is read before anything is drawn.
 
     A ``CHECKS`` entry validates its keys and returns its units in report order:
@@ -472,7 +490,8 @@ def run_verify(cfg: RunConfig, out: Path, seed: int) -> int:
         else unit() if callable(unit) else unit
         for unit in units
     ]
-    return _write_reports(cfg, out, seed, "verify", reports)
+    outputs.table("reports.csv", REPORT_HEADER, [report_row(r, seed) for r in reports])
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _pathwise_reports(cfg: RunConfig, grid: TorusGrid, seed: int, n_paths: int, units) -> list:
@@ -490,16 +509,6 @@ def _pathwise_reports(cfg: RunConfig, grid: TorusGrid, seed: int, n_paths: int, 
                 balance.add(*block)
         per_path.append([report(balances[scheme]) for scheme, report in units])
     return [_worst(reports) for reports in zip(*per_path)]
-
-
-def _write_reports(cfg: RunConfig, out: Path, seed: int, command: str, reports, outputs=()) -> int:
-    """Write ``<prefix>_reports.csv`` and the manifest; exit 1 if a report failed."""
-    prefix = output_prefix(cfg)
-    report_file = out / f"{prefix}_reports.csv"
-    write_csv(report_file, REPORT_HEADER, [report_row(r, seed) for r in reports])
-    outputs = [*outputs, report_file.name]
-    write_manifest(out / f"{prefix}_manifest.json", cfg, command, seed, outputs)
-    return 0 if all(r.passed for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -738,8 +747,8 @@ CHECKS: dict[str, Callable[[RunConfig, TorusGrid, int], list]] = {
 BURGERS_HEADER = ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"]
 
 
-def _burgers_seed(problem, seed: int, i: int, seed_file: Path) -> list:
-    """Solve seed ``i``, write its series to ``seed_file`` and return its summary row.
+def _burgers_seed(problem, seed: int, i: int, outputs: _Outputs) -> list:
+    """Solve seed ``i``, write its series to ``<prefix>_seed<i>.csv`` and return its summary row.
 
     Each Picard window is reduced to its rows of the series before the next
     window is solved, so a ``burgers`` command holds one window of v, w and
@@ -758,7 +767,7 @@ def _burgers_seed(problem, seed: int, i: int, seed_file: Path) -> list:
         rows["u_l2"] = np.sqrt(l2_sq_rows(win.v + win.w))
         rows["picard_iters"] = win.iters
         rows["residual"] = win.residual
-    write_csv(seed_file, BURGERS_HEADER, series)
+    outputs.table(f"seed{i:03d}.csv", BURGERS_HEADER, series)
     sup_w, w0_lp = float(np.max(series["w_lp"])), float(series["w_lp"][0])
     sup_v = float(np.max(series["v_halpha"]))
     denom = w0_lp + sup_v
@@ -774,7 +783,7 @@ def _burgers_seed(problem, seed: int, i: int, seed_file: Path) -> list:
     ]
 
 
-def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
+def run_burgers(cfg: RunConfig, outputs: _Outputs, seed: int) -> int:
     global burgers_mod
     from . import burgers as burgers_mod
 
@@ -801,27 +810,17 @@ def run_burgers(cfg: RunConfig, out: Path, seed: int) -> int:
         )
     except ValueError as exc:  # BurgersProblem names the field first
         raise ConfigError(f"experiment.{exc}") from exc
-    n_seeds = _n_paths(cfg)
-    prefix = output_prefix(cfg)
-    outputs = []
-    summary_rows = []
-    for i in range(n_seeds):
-        seed_file = out / f"{prefix}_seed{i:03d}.csv"
-        summary_rows.append(_burgers_seed(problem, seed, i, seed_file))
-        outputs.append(seed_file.name)
+    summary_rows = [_burgers_seed(problem, seed, i, outputs) for i in range(_n_paths(cfg))]
     agg = ["ensemble", *(max(column) for column in list(zip(*summary_rows))[1:])]
-    summary_file = out / f"{prefix}_summary.csv"
-    write_csv(
-        summary_file,
+    outputs.table(
+        "summary.csv",
         ["seed", "sup_w_lp", "w0_lp", "sup_v_halpha", "apriori_ratio", "max_iters", "max_residual"],
         summary_rows + [agg],
     )
-    outputs.append(summary_file.name)
-    write_manifest(out / f"{prefix}_manifest.json", cfg, "burgers", seed, outputs)
     return 0
 
 
-def run_regularity(cfg: RunConfig, out: Path, seed: int) -> int:
+def run_regularity(cfg: RunConfig, outputs: _Outputs, seed: int) -> int:
     global verify_mod
     from . import verify as verify_mod
 
@@ -832,9 +831,9 @@ def run_regularity(cfg: RunConfig, out: Path, seed: int) -> int:
         for rep in reports
         for lag, value in zip(rep.metadata["lags"], rep.metadata["structure_values"])
     ]
-    curve_file = out / f"{output_prefix(cfg)}_structure.csv"
-    write_csv(curve_file, ["alpha", "lag", "structure"], curve_rows)
-    return _write_reports(cfg, out, seed, "regularity", reports, [curve_file.name])
+    outputs.table("structure.csv", ["alpha", "lag", "structure"], curve_rows)
+    outputs.table("reports.csv", REPORT_HEADER, [report_row(r, seed) for r in reports])
+    return 0 if all(r.passed for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -862,17 +861,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        output_prefix(cfg)  # a bad prefix fails before the run, not at its first output
-        seed = effective_seed(cfg, args.seed)
-        out, made = output_dir(cfg, args.out)
+        outputs = _Outputs(cfg, args.out)
         try:
-            return runners[args.command](cfg, out, seed)
-        except ConfigError:  # stopped before its first output: take back the directories made
-            for path in made:
-                if any(path.iterdir()):
-                    break
-                path.rmdir()
+            seed = effective_seed(cfg, args.seed)
+            code = runners[args.command](cfg, outputs, seed)
+            outputs.write_manifest(args.command, seed)
+        except BaseException:
+            outputs.discard()
             raise
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -347,6 +347,18 @@ prefix = run
 """
 
 
+def blow_up_config(out, amplitude="50.0", t=1.0):
+    """Reaction-diffusion (theta = 1, m = 4, K = 16) with spectra: 50.0 blows up in block 0.
+
+    At ``u0_amplitude = 1.0`` and ``t = 0.1`` the same run passes.
+    """
+    return STREAMED_SIM.format(
+        model="kind = reaction_diffusion\ntheta = 1.0\nm = 4", noise="kind = white",
+        scheme="euler_maruyama", u0="cos", t=t, out=out,
+        extra=f"u0_amplitude = {amplitude}\nsave_spectra = true",
+    ).replace("modes = 8", "modes = 16").replace("dt = 1e-5", "dt = 1e-4")
+
+
 def streamed_config(tmp_path, name, n_steps, extra="save_spectra = true"):
     model, noise, scheme, u0 = STREAMED_MODELS[name]
     text = STREAMED_SIM.format(model=model, noise=noise, scheme=scheme, u0=u0, t=n_steps * 1e-5,
@@ -392,18 +404,13 @@ class TestStreamedSimulate:
     def test_blow_up_message_is_the_full_paths(self, tmp_path, capsys, amplitude):
         from spdekit.integrators import BlowUpError
 
-        text = STREAMED_SIM.format(
-            model="kind = reaction_diffusion\ntheta = 1.0\nm = 4", noise="kind = white",
-            scheme="euler_maruyama", u0="cos", t=1.0, out=tmp_path / "o",
-            extra=f"u0_amplitude = {amplitude}\nsave_spectra = true",
-        ).replace("modes = 8", "modes = 16").replace("dt = 1e-5", "dt = 1e-4")
-        cfg = write_config(tmp_path / "c.ini", text)
+        cfg = write_config(tmp_path / "c.ini", blow_up_config(tmp_path / "o", amplitude))
         assert cli.main(["simulate", "--config", cfg]) == 3
         with pytest.raises(BlowUpError) as err:
             full_path(cfg)
         assert capsys.readouterr().err == f"numerical failure: {err.value}\n"
         assert (err.value.step > 256) == (amplitude == "5.0")
-        assert list((tmp_path / "o").iterdir()) == []  # no partial spectra file is left
+        assert not (tmp_path / "o").exists()  # no partial file, nor the directory made for them
 
     def test_peak_memory_does_not_grow_with_the_path(self, tmp_path):
         # K = 64: 5 * 10^4 exact OU steps are 52 MB of states; the command
@@ -540,7 +547,7 @@ CONFIG_ERRORS = {
     ),
     "unreadable_config": ("simulate", None, "cannot read config file"),
     "grid_points_below_2K_plus_1": (
-        "simulate", ("modes = 16", "modes = 16\npoints = 20"), "grid section invalid"
+        "simulate", ("modes = 16", "modes = 16\npoints = 20"), "grid.points=20 < 2*grid.modes+1=33"
     ),
     "noise_list_without_values": (
         "simulate", (MODEL_LINES, f"{ADDITIVE}\n[noise]\nkind = list"), "noise.values required"
@@ -552,7 +559,7 @@ CONFIG_ERRORS = {
     ),
     "unknown_model_kind": ("simulate", ("transport_heat", "wave"), "model.kind must be one of"),
     "unknown_scheme_kind": (
-        "simulate", ("kind = euler_maruyama", "kind = rk4"), "scheme section invalid: unknown scheme"
+        "simulate", ("kind = euler_maruyama", "kind = rk4"), "scheme.kind must be one of"
     ),
     "u0_mode_out_of_range": (
         "simulate", ("u0 = cos", "u0 = cos\nu0_mode = 17"), "experiment.u0_mode must lie in 1..16"
@@ -571,15 +578,30 @@ CONFIG_ERRORS = {
 }
 
 
+def failing_config(command, out, fails=True):
+    """A run of ``command`` that exits 3 after its first output, or with ``fails=False`` passes.
+
+    burgers: two seeds at K = 16; with picard_maxit = 5 seed 0 is written and seed 1
+    fails in window 9. simulate: ``blow_up_config``, which blows up after its files are opened.
+    """
+    if command == "simulate":
+        return blow_up_config(out) if fails else blow_up_config(out, "1.0", 0.1)
+    text = BURGERS_TEMPLATE.format(
+        noise="mean_free_white", amp="0.1", n=2, maxit=5 if fails else 25, out=out
+    ).replace("modes = 32", "modes = 16").replace("t = 0.05", "t = 0.2")
+    return text.replace("picard_maxit", "window = 0.02\npicard_maxit")
+
+
 class TestConfigErrors:
-    # a configuration error exits 2 with one line naming its key, and leaves no
-    # traceback, no file and no directory behind
+    # a configuration error (exit 2) or a numerical failure (exit 3) is one line,
+    # naming the key or the failure, and leaves no traceback and no file or
+    # directory that its run made
 
     @staticmethod
-    def assert_nothing_left(capsys, tmp_path, named, config):
+    def assert_nothing_left(capsys, tmp_path, named, config, status="configuration error"):
         captured = capsys.readouterr()
         err = captured.err
-        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+        assert err.startswith(f"{status}: ") and err.count("\n") == 1, err
         assert named in err and "Traceback" not in err + captured.out, err
         assert sorted(tmp_path.rglob("*")) == ([config] if config.exists() else [])
 
@@ -597,19 +619,44 @@ class TestConfigErrors:
         self.assert_nothing_left(capsys, tmp_path, named, config)
 
     @pytest.mark.parametrize(
-        "command, old, new, named",
+        "command, text, code, named",
         [
-            ("verify", "u0 = cos", "u0 = cos\nchecks = nonsense", "unknown check 'nonsense'"),
-            ("simulate", "modes = 16", "modes = x", "grid.modes must be an integer"),
+            ("verify", lambda out: BASE_SIM.format(out=out).replace(
+                "u0 = cos", "u0 = cos\nchecks = nonsense"), 2, "unknown check 'nonsense'"),
+            ("simulate", lambda out: BASE_SIM.format(out=out).replace(
+                "modes = 16", "modes = x"), 2, "grid.modes must be an integer"),
+            # numerical failures after the first output: burgers has written
+            # seed 0, simulate has opened its norms and spectra
+            ("burgers", lambda out: failing_config("burgers", out), 3, "window 9:"),
+            ("simulate", lambda out: failing_config("simulate", out), 3, "blew up"),
         ],
+        ids=["verify_bad_check", "simulate_bad_modes", "burgers_picard", "simulate_blow_up"],
     )
-    def test_out_made_for_the_run_is_removed(self, tmp_path, capsys, command, old, new, named):
-        # the run makes o_bad/deep before its runner reads the bad key; both go again
+    def test_out_made_for_the_run_is_removed(self, tmp_path, capsys, command, text, code, named):
+        # the run makes o_bad/deep before its runner reads the bad key or fails; both go
+        # again, with every file that the run wrote
         config = tmp_path / "c.ini"
-        config.write_text(BASE_SIM.format(out="unused").replace(old, new))
+        config.write_text(text("unused"))
         argv = [command, "--config", str(config), "--out", str(tmp_path / "o_bad" / "deep")]
-        assert cli.main(argv) == 2
-        self.assert_nothing_left(capsys, tmp_path, named, config)
+        assert cli.main(argv) == code
+        status = "configuration error" if code == 2 else "numerical failure"
+        self.assert_nothing_left(capsys, tmp_path, named, config, status)
+
+    @pytest.mark.parametrize("command", ["burgers", "simulate"])
+    def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path, command):
+        # a good run, then a failing rerun into its directory: a manifest left
+        # must be the good run's, and every file it names must be the good run's
+        out, kept = tmp_path / "o", tmp_path / "kept"
+        good = write_config(tmp_path / "good.ini", failing_config(command, out, fails=False))
+        assert cli.main([command, "--config", good]) == 0
+        kept.mkdir()
+        for path in out.iterdir():
+            os.link(path, kept / path.name)
+        bad = write_config(tmp_path / "bad.ini", failing_config(command, out))
+        assert cli.main([command, "--config", bad]) == 3
+        for manifest in out.glob("*_manifest.json"):
+            for name in [manifest.name, *json.loads(manifest.read_text())["outputs"]]:
+                assert (out / name).exists() and os.path.samefile(out / name, kept / name), name
 
     def test_out_that_existed_is_kept(self, tmp_path, capsys):
         (tmp_path / "o").mkdir()
