@@ -32,6 +32,7 @@ import os
 import re
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
@@ -83,7 +84,8 @@ class RunConfig:
             return default
         return value
 
-    def get_float(self, section, key, default=None, required=False):
+    def get_float(self, section, key, default=None, required=False, low=None, strict=False):
+        """``section.key`` as a finite number, at least ``low`` (above it if ``strict``)."""
         raw = self.get_str(section, key, None, required)
         if raw is None:
             return default
@@ -93,16 +95,18 @@ class RunConfig:
             raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from exc
         if not math.isfinite(value):
             raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
-        return value
+        return _bounded(f"{section}.{key}", value, low, strict)
 
-    def get_int(self, section, key, default=None, required=False):
+    def get_int(self, section, key, default=None, required=False, low=None):
+        """``section.key`` as an integer, at least ``low``."""
         raw = self.get_str(section, key, None, required)
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError as exc:
             raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from exc
+        return _bounded(f"{section}.{key}", value, low)
 
     def get_list(self, section, key):
         raw = self.get_str(section, key, "")
@@ -131,6 +135,26 @@ class RunConfig:
                     canon = raw
                 pairs.append(f"{section}.{key}={canon}")
         return hashlib.sha256("\n".join(pairs).encode()).hexdigest()
+
+
+def _bounded(name: str, value, low, strict=False):
+    """``value`` of the key ``name`` if it is at least ``low`` (above it if ``strict``)."""
+    if low is None or value > low or (value == low and not strict):
+        return value
+    if low == 0:
+        bound = "positive" if strict else "nonnegative"
+    else:
+        bound = f"greater than {low}" if strict else f"at least {low}"
+    raise ConfigError(f"{name} must be {bound}, got {value}")
+
+
+@contextmanager
+def _naming(prefix: str):
+    """Re-raise a library ``ValueError`` as a ``ConfigError``: ``prefix`` names the key."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -195,10 +219,8 @@ def build_noise(cfg: RunConfig, grid: TorusGrid) -> CovarianceSpec:
                 f"noise.values lists {len(values)} eigenvalues, grid holds {grid.n_modes + 1}"
             )
         lam[: len(values)] = values
-        try:
+        with _naming("noise.values invalid: "):
             return CovarianceSpec.from_eigenvalues(grid, lam)
-        except ValueError as exc:
-            raise ConfigError(f"noise.values invalid: {exc}") from exc
     raise ConfigError(f"noise.kind must be white|mean_free_white|power|list, got {kind!r}")
 
 
@@ -206,13 +228,11 @@ def build_model(cfg: RunConfig, grid: TorusGrid):
     kind = cfg.get_str("model", "kind", required=True)
     if kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
-    try:
+    with _naming("model section invalid: "):
         if kind == "transport_heat":
             sigma = tuple(cfg.get_floats("model", "sigma", [1.0]))
-            try:
+            with _naming("model.sigma invalid: "):
                 return TransportHeat(grid, sigma)
-            except ValueError as exc:
-                raise ConfigError(f"model.sigma invalid: {exc}") from exc
         q = build_noise(cfg, grid)
         if kind == "additive_heat":
             return AdditiveHeat(q)
@@ -224,8 +244,6 @@ def build_model(cfg: RunConfig, grid: TorusGrid):
             m = cfg.get_int("model", "m", required=True)
             return PorousMedium(m, q)
         return Burgers(q)
-    except ValueError as exc:
-        raise ConfigError(f"model section invalid: {exc}") from exc
 
 
 def build_scheme(cfg: RunConfig) -> SchemeSpec:
@@ -233,10 +251,8 @@ def build_scheme(cfg: RunConfig) -> SchemeSpec:
     if kind not in SCHEME_KINDS:
         raise ConfigError(f"scheme.kind must be one of {SCHEME_KINDS}, got {kind!r}")
     dt = cfg.get_float("scheme", "dt", required=True)
-    try:
+    with _naming("scheme."):  # with a known kind, SchemeSpec names dt first
         return SchemeSpec(kind, dt)
-    except ValueError as exc:  # with a known kind, SchemeSpec names dt first
-        raise ConfigError(f"scheme.{exc}") from exc
 
 
 def build_initial_field(cfg: RunConfig, grid: TorusGrid, key="u0") -> SpectralField:
@@ -323,7 +339,8 @@ class _Outputs:
 
     It checks ``output.prefix``, a file name stem, and makes the directory
     (``--out``, else ``output.directory``) with its parents.  Each output is
-    recorded as it is opened, and the first removes the old manifest.
+    recorded as it is opened, and the first takes back the previous run's
+    manifest and the files that it lists.
     ``main`` has the manifest written last, or on any exception the run's
     files and directories taken back.
     """
@@ -348,12 +365,31 @@ class _Outputs:
 
         So a rerun writes each output as a new file: a link at the path is
         replaced, not written through, and no file is truncated in place.
+        The first output takes back the previous run: the files its manifest
+        lists, then the manifest.
         """
         if not self.files:
-            (self.dir / f"{self.prefix}_manifest.json").unlink(missing_ok=True)
+            self._take_back(self.dir / f"{self.prefix}_manifest.json")
         self.files.append(self.dir / f"{self.prefix}_{stem}")
         self.files[-1].unlink(missing_ok=True)
         return self.files[-1]
+
+    def _take_back(self, manifest: Path) -> None:
+        """Unlink the outputs that ``manifest`` lists, then ``manifest``.
+
+        The manifest is read from disk and may have been edited, so only a
+        plain file name of this prefix is taken; an unreadable one lists none.
+        """
+        try:
+            listed = json.loads(manifest.read_bytes()).get("outputs")
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, AttributeError):
+            listed = None
+        for name in listed if isinstance(listed, list) else []:
+            if not isinstance(name, str) or {os.sep, os.altsep, "\0"} & set(name):
+                continue
+            if name.startswith(f"{self.prefix}_") and not (self.dir / name).is_dir():
+                (self.dir / name).unlink(missing_ok=True)
+        manifest.unlink(missing_ok=True)
 
     def open(self, stem: str, header: list[str]):
         """A streamed CSV: the header is written, the rows are appended by the caller."""
@@ -481,7 +517,7 @@ def run_verify(cfg: RunConfig, outputs: _Outputs, seed: int) -> int:
     stats = [unit for unit in units if isinstance(unit, verify_mod.McStatistic)]
     on_path = [unit for unit in units if isinstance(unit, tuple)]
     mc = _mc_config(cfg, seed) if stats else None
-    n_paths = _n_paths(cfg) if on_path else 0
+    n_paths = cfg.get_int("experiment", "n_paths", 1, low=1) if on_path else 0
     streamed = iter(verify_mod.mc_reports(stats, mc) if stats else ())
     worst = iter(_pathwise_reports(cfg, grid, seed, n_paths, on_path) if on_path else ())
     reports = [
@@ -518,21 +554,17 @@ def _pathwise_reports(cfg: RunConfig, grid: TorusGrid, seed: int, n_paths: int, 
 
 def _mc_config(cfg: RunConfig, seed: int) -> verify_mod.McConfig:
     """The Monte Carlo budget: ``experiment.n_paths`` and ``tolerance_multiplier`` at ``seed``."""
-    try:
+    with _naming("experiment."):  # McConfig names the field first
         return verify_mod.McConfig(
             n_paths=cfg.get_int("experiment", "n_paths", 100),
             base_seed=seed,
             tolerance_multiplier=cfg.get_float("experiment", "tolerance_multiplier", 3.0),
         )
-    except ValueError as exc:
-        raise ConfigError(f"experiment.{exc}") from exc  # McConfig names the field first
 
 
 def _check_steps(T: float, dt: float, where: str = "") -> None:
-    try:
+    with _naming(f"{where}scheme.dt / experiment.t: "):
         _resolve_steps(T, dt)
-    except ValueError as exc:
-        raise ConfigError(f"{where}scheme.dt / experiment.t: {exc}") from exc
 
 
 def _path_run(cfg: RunConfig, grid: TorusGrid, check: str = ""):
@@ -545,10 +577,8 @@ def _path_run(cfg: RunConfig, grid: TorusGrid, check: str = ""):
     scheme = build_scheme(cfg)
     T = cfg.get_float("experiment", "t", required=True)
     u0 = build_initial_field(cfg, grid)
-    try:
+    with _naming(f"{where}scheme.kind = {scheme.kind}: "):
         check_scheme(model, scheme.kind)
-    except ValueError as exc:
-        raise ConfigError(f"{where}scheme.kind = {scheme.kind}: {exc}") from exc
     _check_steps(T, scheme.dt, where)
     return model, scheme, T, u0
 
@@ -556,32 +586,6 @@ def _path_run(cfg: RunConfig, grid: TorusGrid, check: str = ""):
 def _require_transport(model, check: str) -> None:
     if not isinstance(model, TransportHeat):
         raise ConfigError(f"{check} check requires model.kind = transport_heat")
-
-
-def _n_paths(cfg: RunConfig) -> int:
-    """``experiment.n_paths`` of the pathwise checks and of ``burgers``: at least 1."""
-    n_paths = cfg.get_int("experiment", "n_paths", 1)
-    if n_paths < 1:
-        raise ConfigError(f"experiment.n_paths must be at least 1, got {n_paths}")
-    return n_paths
-
-
-def _time(cfg: RunConfig, key: str, default=None, positive_for: str = "") -> float:
-    """``experiment.<key>``, a time >= 0 (> 0 for ``positive_for``), required without a default."""
-    value = cfg.get_float("experiment", key, default, required=default is None)
-    if value < 0:
-        raise ConfigError(f"experiment.{key} must be nonnegative, got {value}")
-    if positive_for and value == 0:
-        raise ConfigError(f"experiment.{key} must be positive for {positive_for}, got 0")
-    return value
-
-
-def _rel_tol(cfg: RunConfig) -> float:
-    """``experiment.rel_tol`` of the energy and quadratic-variation gates: a number > 0."""
-    rel_tol = cfg.get_float("experiment", "rel_tol", 0.05)
-    if rel_tol <= 0:
-        raise ConfigError(f"experiment.rel_tol must be positive, got {rel_tol}")
-    return rel_tol
 
 
 def _worst(reports) -> verify_mod.StatReport:
@@ -611,16 +615,15 @@ def _check_energy_identity(cfg, grid, seed):
     model, scheme, T, u0 = _path_run(cfg, grid, "energy_identity")
     _require_transport(model, "energy_identity")
     # the finest rung of the dt, dt/2 ladder of verify.energy_identity_refinement
-    fine, rel_tol = SchemeSpec(scheme.kind, scheme.dt / 2.0), _rel_tol(cfg)
+    fine = SchemeSpec(scheme.kind, scheme.dt / 2.0)
+    rel_tol = cfg.get_float("experiment", "rel_tol", 0.05, low=0.0, strict=True)
     return [(fine, lambda balance: balance.energy_report(rel_tol))]
 
 
 def _check_gronwall(cfg, grid, seed):
     model, scheme, T, u0 = _path_run(cfg, grid, "gronwall")
     _require_transport(model, "gronwall")
-    slack = cfg.get_float("experiment", "slack", 0.05)
-    if slack < 0:
-        raise ConfigError(f"experiment.slack must be nonnegative, got {slack}")
+    slack = cfg.get_float("experiment", "slack", 0.05, low=0.0)
     if model.sigma_total >= 2.0:
         note = f"sigma >= 2 (sigma = {model.sigma_total:g}); bound undefined"
         return _skipped("gronwall", note, "upper", slack, float("nan"))
@@ -630,30 +633,32 @@ def _check_gronwall(cfg, grid, seed):
 def _phi_weights(cfg):
     """(phi, lambda) of the ito_isometry check: one weight and variance per channel."""
     phi_kind = cfg.get_str("experiment", "phi", "single_mode")
-    count = cfg.get_int("experiment", "phi_count", 16)
     if phi_kind == "single_mode":
         return np.array([1.0]), np.array([1.0])
     if phi_kind not in ("inverse_k", "white"):
         raise ConfigError("experiment.phi must be single_mode|inverse_k|white")
-    if count < 1:
-        raise ConfigError(f"experiment.phi_count must be at least 1, got {count}")
+    count = cfg.get_int("experiment", "phi_count", 16, low=1)
     if phi_kind == "inverse_k":
         return 1.0 / np.arange(1, count + 1), np.ones(count)
     return np.ones(2 * count + 1), np.ones(2 * count + 1)
 
 
 def _check_ito_isometry(cfg, grid, seed):
-    return [verify_mod.ito_isometry_stat(*_phi_weights(cfg), _time(cfg, "t"))]
+    phi, lam = _phi_weights(cfg)
+    t = cfg.get_float("experiment", "t", required=True, low=0.0)
+    return [verify_mod.ito_isometry_stat(phi, lam, t)]
 
 
 def _check_trace_identity(cfg, grid, seed):
     spec = build_noise(cfg, grid)
-    return [verify_mod.trace_identity_stat(spec, _time(cfg, "t"))]
+    t = cfg.get_float("experiment", "t", required=True, low=0.0)
+    return [verify_mod.trace_identity_stat(spec, t)]
 
 
 def _check_wiener_covariance(cfg, grid, seed):
     spec = build_noise(cfg, grid)
-    s, t = _time(cfg, "s", 0.3), _time(cfg, "t")
+    s = cfg.get_float("experiment", "s", 0.3, low=0.0)
+    t = cfg.get_float("experiment", "t", required=True, low=0.0)
     h = build_initial_field(cfg, grid, key="h")
     g = build_initial_field(cfg, grid, key="g")
     return [verify_mod.wiener_covariance_stat(spec, h, g, s, t)]
@@ -661,11 +666,11 @@ def _check_wiener_covariance(cfg, grid, seed):
 
 def _check_quadratic_variation(cfg, grid, seed):
     mc = _mc_config(cfg, seed)
-    T = _time(cfg, "t", positive_for="quadratic_variation")
-    n_int = cfg.get_int("experiment", "qv_intervals", 2**14)
-    rel_tol = _rel_tol(cfg)
+    T = cfg.get_float("experiment", "t", required=True, low=0.0, strict=True)
+    n_int = cfg.get_int("experiment", "qv_intervals", 2**14, low=1)
+    rel_tol = cfg.get_float("experiment", "rel_tol", 0.05, low=0.0, strict=True)
     levels = [max(1, n_int // 16), max(1, n_int // 4), n_int]
-    if n_int < 1 or any(n_int % level for level in levels):
+    if any(n_int % level for level in levels):
         raise ConfigError(
             f"experiment.qv_intervals must be a positive multiple of {levels[:2]}, got {n_int}"
         )
@@ -684,14 +689,12 @@ def _check_ito_strat(cfg, grid, seed):
     mc = _mc_config(cfg, seed)
     # the ladder, not [scheme], sets the steps here
     model = build_model(cfg, grid)
-    T = _time(cfg, "t", positive_for="ito_strat")
+    T = cfg.get_float("experiment", "t", required=True, low=0.0, strict=True)
     u0 = build_initial_field(cfg, grid)
     _require_transport(model, "ito_strat")
     ladder = cfg.get_floats("experiment", "dt_ladder", [1e-3, 2.5e-4, 6.25e-5])
-    try:
+    with _naming("experiment.dt_ladder invalid: "):
         verify_mod.ladder_rungs(ladder, T)
-    except ValueError as exc:
-        raise ConfigError(f"experiment.dt_ladder invalid: {exc}") from exc
     return [lambda: verify_mod.ito_strat_compare(model, u0, ladder, T, mc)]
 
 
@@ -701,27 +704,21 @@ def _check_gaussian_moment(cfg, grid, seed):
 
 def _check_ou_exactness(cfg, grid, seed):
     spec = build_noise(cfg, grid)
-    dt = cfg.get_float("scheme", "dt", required=True)
-    if dt <= 0:
-        raise ConfigError(f"scheme.dt must be positive, got {dt}")
+    dt = cfg.get_float("scheme", "dt", required=True, low=0.0, strict=True)
     values = cfg.get_floats("experiment", "ou_modes", [0, 1, 8])
     modes = [int(k) for k in values]
     if modes != values or len(set(modes)) < len(modes):
         raise ConfigError(f"experiment.ou_modes must be distinct integers, got {values}")
-    try:
+    with _naming("experiment.ou_modes invalid: "):
         return verify_mod.ou_variance_stats(spec, dt, modes)
-    except ValueError as exc:
-        raise ConfigError(f"experiment.ou_modes invalid: {exc}") from exc
 
 
 def _holder_report(cfg: RunConfig, grid: TorusGrid, alpha: float) -> verify_mod.StatReport:
     """The Hoelder-exponent fit at ``alpha`` over ``experiment.lags`` and ``base_time``."""
     lags = cfg.get_floats("experiment", "lags", [2.0**-e for e in range(8, 15)])
-    base_time = _time(cfg, "base_time", 0.5)
-    try:
+    base_time = cfg.get_float("experiment", "base_time", 0.5, low=0.0)
+    with _naming("experiment.alpha or experiment.lags invalid: "):
         return verify_mod.holder_exponent_fit(alpha, grid.n_modes, lags, base_time)
-    except ValueError as exc:
-        raise ConfigError(f"experiment.alpha or experiment.lags invalid: {exc}") from exc
 
 
 def _check_holder_exponent(cfg, grid, seed):
@@ -795,7 +792,7 @@ def run_burgers(cfg: RunConfig, outputs: _Outputs, seed: int) -> int:
     dt = cfg.get_float("scheme", "dt", required=True)
     _check_steps(T, dt)
     w0 = build_initial_field(cfg, grid, key="w0")
-    try:
+    with _naming("experiment."):  # BurgersProblem names the field first
         problem = burgers_mod.BurgersProblem(
             grid=grid,
             T=T,
@@ -808,9 +805,8 @@ def run_burgers(cfg: RunConfig, outputs: _Outputs, seed: int) -> int:
             window=cfg.get_float("experiment", "window", 0.05),
             q=build_noise(cfg, grid) if "noise" in cfg.sections else None,
         )
-    except ValueError as exc:  # BurgersProblem names the field first
-        raise ConfigError(f"experiment.{exc}") from exc
-    summary_rows = [_burgers_seed(problem, seed, i, outputs) for i in range(_n_paths(cfg))]
+    n_paths = cfg.get_int("experiment", "n_paths", 1, low=1)
+    summary_rows = [_burgers_seed(problem, seed, i, outputs) for i in range(n_paths)]
     agg = ["ensemble", *(max(column) for column in list(zip(*summary_rows))[1:])]
     outputs.table(
         "summary.csv",

@@ -658,6 +658,31 @@ class TestConfigErrors:
             for name in [manifest.name, *json.loads(manifest.read_text())["outputs"]]:
                 assert (out / name).exists() and os.path.samefile(out / name, kept / name), name
 
+    def test_failed_rerun_leaves_no_file_of_the_prefix(self, tmp_path):
+        # the failing rerun takes back both seeds and the summary of the good run
+        # that its manifest lists, not the names an edited manifest adds off the prefix
+        out = tmp_path / "o"
+        good = write_config(tmp_path / "good.ini", failing_config("burgers", out, fails=False))
+        assert cli.main(["burgers", "--config", good]) == 0
+        manifest = json.loads((out / "b_manifest.json").read_text())
+        manifest["outputs"] += ["../good.ini", "c_seed000.csv", str(tmp_path / "good.ini")]
+        (out / "b_manifest.json").write_text(json.dumps(manifest))
+        (out / "c_seed000.csv").write_text("kept\n")
+        bad = write_config(tmp_path / "bad.ini", failing_config("burgers", out))
+        assert cli.main(["burgers", "--config", bad]) == 3
+        assert sorted(path.name for path in out.iterdir()) == ["c_seed000.csv"]
+        assert (tmp_path / "good.ini").exists()
+
+    def test_shorter_rerun_leaves_what_its_manifest_lists(self, tmp_path):
+        out = tmp_path / "o"
+        text = failing_config("burgers", out, fails=False)
+        assert cli.main(["burgers", "--config", write_config(tmp_path / "two.ini", text)]) == 0
+        one = write_config(tmp_path / "one.ini", text.replace("n_paths = 2", "n_paths = 1"))
+        assert cli.main(["burgers", "--config", one]) == 0
+        listed = json.loads((out / "b_manifest.json").read_text())["outputs"]
+        assert listed == ["b_seed000.csv", "b_summary.csv"]
+        assert sorted(path.name for path in out.iterdir()) == ["b_manifest.json", *listed]
+
     def test_out_that_existed_is_kept(self, tmp_path, capsys):
         (tmp_path / "o").mkdir()
         config = tmp_path / "c.ini"
@@ -833,6 +858,9 @@ class TestCheckTable:
     def test_shipped_configs_build(self, path):
         cfg = cli.load_config(path)
         grid = cli.build_grid(cfg)
+        if path.name == "she_regularity.ini":  # regularity reads no model, scheme or noise
+            assert not {"model", "scheme", "noise"} & set(cfg.sections)
+            return
         cli.build_model(cfg, grid)
         cli.build_scheme(cfg)
         assert set(cfg.get_list("experiment", "checks")) <= set(cli.CHECKS)
@@ -1187,7 +1215,7 @@ class TestStreamCalls:
 
 
 # (checks, key, value): a value of an [experiment] or [scheme] key that a
-# verify check, or the regularity command, rejects before it draws anything
+# verify check, or the regularity or burgers command, rejects before it draws anything
 BAD_CHECK_VALUES = {
     "verify_dt_ladder_zero_rung": ("ito_strat", "dt_ladder", "0, 1e-3"),
     "verify_dt_ladder_one_rung": ("ito_strat", "dt_ladder", "1e-3"),
@@ -1213,19 +1241,51 @@ BAD_CHECK_VALUES = {
     "verify_energy_identity_rel_tol_zero": ("energy_identity", "rel_tol", "0"),
     "verify_quadratic_variation_rel_tol_negative": ("quadratic_variation", "rel_tol", "-1"),
     "verify_gronwall_slack_negative": ("gronwall", "slack", "-1"),
+    # just past a bound: AT_THE_BOUND gives the value at it, which is accepted
+    "verify_wiener_covariance_s_past_zero": ("wiener_covariance", "s", "-1e-12"),
+    "verify_gronwall_slack_past_zero": ("gronwall", "slack", "-1e-12"),
+    "verify_holder_exponent_base_time_past_zero": ("holder_exponent", "base_time", "-1e-12"),
+    "regularity_base_time_past_zero": ("", "base_time", "-1e-12"),
+    "verify_ito_isometry_phi_count_past_one": ("ito_isometry", "phi_count", "0\nphi = white"),
+    "verify_mass_conservation_n_paths_past_one": ("mass_conservation", "n_paths", "0"),
+    "burgers_n_paths_past_one": ("", "n_paths", "0"),
+    "verify_trace_identity_t_past_zero": ("trace_identity", "t", "-1e-12"),
+}
+
+# the value at the bound of a case above: ">= 0" accepts 0 where "> 0" would not
+AT_THE_BOUND = {
+    "verify_wiener_covariance_s_past_zero": "0",
+    "verify_gronwall_slack_past_zero": "0",
+    "verify_holder_exponent_base_time_past_zero": "0",
+    "regularity_base_time_past_zero": "0",
+    "verify_ito_isometry_phi_count_past_one": "1\nphi = white",
+    "verify_mass_conservation_n_paths_past_one": "1",
+    "burgers_n_paths_past_one": "1",
+    "verify_trace_identity_t_past_zero": "0.0",
 }
 
 
-def stepping_error_config(tmp_path, case):
-    """(command, config path) of a configuration the stepping layer rejects."""
+def stepping_error_config(tmp_path, case, value=None):
+    """(command, config path) of a configuration the stepping layer rejects.
+
+    A ``value`` given, such as one of ``AT_THE_BOUND``, replaces the rejected
+    value of a ``BAD_CHECK_VALUES`` case.
+    """
     out = tmp_path / "o"
+    burgers = (ROOT / "configs" / "burgers_ensemble.ini").read_text()
+    burgers = burgers.replace("directory = out", f"directory = {out}")
     if case in BAD_CHECK_VALUES:
-        checks, key, value = BAD_CHECK_VALUES[case]
-        text = Path(all_checks_config(tmp_path, checks)).read_text()
+        checks, key, bad = BAD_CHECK_VALUES[case]
+        command = case.partition("_")[0]
+        if command == "burgers":
+            text = burgers
+        else:
+            text = Path(all_checks_config(tmp_path, checks)).read_text()
+        value = bad if value is None else value
         text, found = re.subn(rf"\n{key} = [^\n]*", f"\n{key} = {value}", text)
         if not found:  # a key the template leaves out joins [experiment]
             text = text.replace("\nchecks = ", f"\n{key} = {value}\nchecks = ")
-        return case.partition("_")[0], write_config(tmp_path / "c.ini", text)
+        return command, write_config(tmp_path / "c.ini", text)
     sim = BASE_SIM.format(out=out)
     transport = "kind = transport_heat\nsigma = 1.0"
     if case == "simulate_transport_exact_ou":
@@ -1255,8 +1315,6 @@ def stepping_error_config(tmp_path, case):
             text = re.sub(r"\nmodes = \d+", "\nmodes = 1", text)
             text = text.replace("sigma = 1.0", f"sigma = {sigma}")
             return command, write_config(tmp_path / "c.ini", text)
-    burgers = (ROOT / "configs" / "burgers_ensemble.ini").read_text()
-    burgers = burgers.replace("directory = out", f"directory = {out}")
     nonfinite = re.fullmatch(r"(simulate|verify|burgers)_(t|dt)_(inf|nan)", case)
     if nonfinite:
         command, key, value = nonfinite.groups()
@@ -1323,6 +1381,17 @@ class TestSteppingConfigErrors:
             ("verify_energy_identity_rel_tol_zero", "experiment.rel_tol"),
             ("verify_quadratic_variation_rel_tol_negative", "experiment.rel_tol"),
             ("verify_gronwall_slack_negative", "experiment.slack"),
+            ("verify_wiener_covariance_s_past_zero", "experiment.s must be nonnegative"),
+            ("verify_gronwall_slack_past_zero", "experiment.slack must be nonnegative"),
+            (
+                "verify_holder_exponent_base_time_past_zero",
+                "experiment.base_time must be nonnegative",
+            ),
+            ("regularity_base_time_past_zero", "experiment.base_time must be nonnegative"),
+            ("verify_ito_isometry_phi_count_past_one", "experiment.phi_count must be at least 1"),
+            ("verify_mass_conservation_n_paths_past_one", "experiment.n_paths must be at least 1"),
+            ("burgers_n_paths_past_one", "experiment.n_paths must be at least 1"),
+            ("verify_trace_identity_t_past_zero", "experiment.t must be nonnegative"),
         ],
     )
     def test_exit_two_naming_the_key(self, tmp_path, capsys, case, key):
@@ -1330,11 +1399,17 @@ class TestSteppingConfigErrors:
         assert cli.main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and key in err
+        if case in AT_THE_BOUND:  # the bound itself is accepted
+            _, cfg = stepping_error_config(tmp_path, case, AT_THE_BOUND[case])
+            assert cli.main([command, "--config", cfg]) in (0, 1)
+            assert capsys.readouterr().err == ""
 
 
 # the checks that draw or step when they run, and which BAD_CHECK_VALUES keys they read
 DRAWING_CHECKS = "energy_identity, ito_strat, quadratic_variation"
-DRAWING_CHECK_KEYS = {"t", "dt", "dt_ladder", "qv_intervals", "rel_tol", "tolerance_multiplier"}
+DRAWING_CHECK_KEYS = {
+    "t", "dt", "dt_ladder", "qv_intervals", "rel_tol", "tolerance_multiplier", "n_paths"
+}
 
 
 class TestVerifyPlan:
