@@ -305,19 +305,11 @@ _CSV_ROWS = 4096  # table rows formatted per chunk in _write_table
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write the header and the rows: a list of rows or a structured array.
-
-    A structured array is written by :func:`_write_table`; a list of rows
-    is formatted value by value with :func:`_fmt`.
-    """
+    """Write the header and the rows, list rows only: each value through :func:`_fmt`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if isinstance(rows, np.ndarray):
-            _write_table(fh, rows)
-        else:
-            for row in rows:
-                writer.writerow([_fmt(x) for x in row])
+        writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
 def _write_table(fh, rows: np.ndarray) -> None:
@@ -398,7 +390,7 @@ class _Outputs:
         return self.handles[-1]
 
     def table(self, stem: str, header: list[str], rows) -> None:
-        """A whole table, through :func:`write_csv`."""
+        """A whole table of list rows only, through :func:`write_csv`."""
         write_csv(self._record(stem), header, rows)
 
     def write_manifest(self, command: str, seed: int) -> None:
@@ -745,39 +737,34 @@ BURGERS_HEADER = ["t", "v_halpha", "w_lp", "u_l2", "picard_iters", "residual"]
 
 
 def _burgers_seed(problem, seed: int, i: int, outputs: _Outputs) -> list:
-    """Solve seed ``i``, write its series to ``<prefix>_seed<i>.csv`` and return its summary row.
+    """Solve seed ``i``, stream its rows to ``<prefix>_seed<i>.csv`` and return its summary row.
 
-    Each Picard window is reduced to its rows of the series before the next
-    window is solved, so a ``burgers`` command holds one window of v, w and
-    u and one seed's series, never a path.  The a priori ratio of the row,
+    Each Picard window's rows are appended before the next window is solved,
+    and the file is closed when the seed ends, so a ``burgers`` command holds
+    one window of v, w and u and one open file, never a path.  The summary
+    keeps running maxima; its a priori ratio,
     sup |w|_{L^p} / (|w_0|_{L^p} + sup |v|_{H^alpha}), is reported, not gated.
     """
-    n_steps = problem.n_steps
-    series = np.empty(
-        n_steps + 1, [(n, np.int64 if n == "picard_iters" else float) for n in BURGERS_HEADER]
-    )
-    series["t"] = np.arange(n_steps + 1) * problem.dt
-    for win in burgers_mod.split_windows(problem, NoiseSampler(problem.q, seed, i)):
-        rows = series[win.step0 : win.step0 + win.v.shape[0]]
-        rows["v_halpha"] = halpha_rows(win.v, problem.grid, problem.alpha)
-        rows["w_lp"] = win.w_lp
-        rows["u_l2"] = np.sqrt(l2_sq_rows(win.v + win.w))
-        rows["picard_iters"] = win.iters
-        rows["residual"] = win.residual
-    outputs.table(f"seed{i:03d}.csv", BURGERS_HEADER, series)
-    sup_w, w0_lp = float(np.max(series["w_lp"])), float(series["w_lp"][0])
-    sup_v = float(np.max(series["v_halpha"]))
+    peaks = np.full(4, -np.inf)  # sup w_lp, sup v_halpha, max iterations, max residual
+    with outputs.open(f"seed{i:03d}.csv", BURGERS_HEADER) as fh:
+        for win in burgers_mod.split_windows(problem, NoiseSampler(problem.q, seed, i)):
+            n = win.v.shape[0]
+            v_halpha = halpha_rows(win.v, problem.grid, problem.alpha)
+            if win.index == 0:
+                w0_lp = float(win.w_lp[0])
+            _write_table(fh, np.rec.fromarrays([
+                (win.step0 + np.arange(n)) * problem.dt,
+                v_halpha,
+                win.w_lp,
+                np.sqrt(l2_sq_rows(win.v + win.w)),
+                np.full(n, win.iters),
+                np.full(n, win.residual),
+            ]))
+            peaks = np.maximum(peaks, [win.w_lp.max(), v_halpha.max(), win.iters, win.residual])
+    sup_w, sup_v, iters, residual = peaks.tolist()
     denom = w0_lp + sup_v
     ratio = sup_w / denom if denom > 0 else 0.0
-    return [
-        i,
-        sup_w,
-        w0_lp,
-        sup_v,
-        ratio,
-        int(np.max(series["picard_iters"])),
-        float(np.max(series["residual"])),
-    ]
+    return [i, sup_w, w0_lp, sup_v, ratio, int(iters), residual]
 
 
 def run_burgers(cfg: RunConfig, outputs: _Outputs, seed: int) -> int:

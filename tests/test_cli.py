@@ -204,6 +204,14 @@ def write_rows(path, header, rows):
     return path.read_bytes()
 
 
+def write_table(tmp_path, header, columns):
+    """The streamed CSV path: ``_Outputs.open``, then ``_write_table`` on the columns."""
+    outputs = cli._Outputs(cli.RunConfig({}), str(tmp_path / "o"))
+    with outputs.open("table.csv", header) as fh:
+        cli._write_table(fh, np.rec.fromarrays(columns))
+    return (tmp_path / "o" / "run_table.csv").read_bytes()
+
+
 class TestCsvTables:
     # tables are written with one %-string per row; the bytes must be those
     # of the row-wise _fmt path on the same values
@@ -212,9 +220,8 @@ class TestCsvTables:
         t = np.array([0.0, -0.0, 1e-300, -2.5, np.pi, 1e300, np.nan, np.inf, -np.inf])
         k = np.array([0, 1, -7, 2**40, 3, 0, 12, 5, 9], dtype=np.int64)
         header = ["t", "k", "x"]
-        cli.write_csv(tmp_path / "table.csv", header, np.rec.fromarrays([t, k, t[::-1]]))
         rows = write_rows(tmp_path / "rows.csv", header, zip(t, k, t[::-1]))
-        assert (tmp_path / "table.csv").read_bytes() == rows
+        assert write_table(tmp_path, header, [t, k, t[::-1]]) == rows
 
     def test_table_in_row_chunks_matches_row_wise_bytes(self, tmp_path):
         # two full chunks of formatted rows and a short third one
@@ -223,9 +230,8 @@ class TestCsvTables:
         t, x = rng.normal(size=n), rng.normal(size=n) * 1e-200
         k = np.arange(n) - n // 2
         header = ["t", "k", "x"]
-        cli.write_csv(tmp_path / "table.csv", header, np.rec.fromarrays([t, k, x]))
         rows = write_rows(tmp_path / "rows.csv", header, zip(t, k, x))
-        assert (tmp_path / "table.csv").read_bytes() == rows
+        assert write_table(tmp_path, header, [t, k, x]) == rows
 
     def test_simulate_tables_match_row_wise_bytes(self, tmp_path):
         from spdekit.integrators import SchemeSpec, simulate
@@ -266,8 +272,8 @@ class TestCsvTables:
         ],
     )
     def test_burgers_outputs_match_solve_split_bytes(self, tmp_path, modes, dt, t, window):
-        # the command reduces each window as it is solved; its series and
-        # summary are bit for bit those of the held paths of solve_split
+        # the command writes each window's rows as it is solved; its seed CSVs
+        # and summary are bit for bit those of the held paths of solve_split
         from conftest import sin_field
         from spdekit.burgers import BurgersProblem, solve_split
         from spdekit.noise import CovarianceSpec
@@ -1591,24 +1597,62 @@ class TestBurgers:
         err = capsys.readouterr().err
         assert "numerical failure: solution blew up at t = 0.001 (step 1" in err
 
+    @staticmethod
+    def traced_peak(tmp_path, t, modes, dt):
+        """The traced peak of a one-seed ``burgers`` run to ``t``."""
+        text = BURGERS_TEMPLATE.format(
+            noise="mean_free_white", amp="1.0", n=1, maxit=25, out=tmp_path / t
+        ).replace("modes = 32", f"modes = {modes}").replace("dt = 1e-3", f"dt = {dt}")
+        cfg = write_config(tmp_path / f"c{t}.ini", text.replace("t = 0.05", f"t = {t}"))
+        tracemalloc.start()
+        try:
+            assert cli.main(["burgers", "--config", cfg]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_does_not_grow_with_the_horizon(self, tmp_path):
         # K = 64: a seed's v, w and u paths are 3 * 16 * 65 B = 3.1 kB per
-        # step; the command holds one 200-step window and 48 B of series per step
-        def peak(t):
-            text = BURGERS_TEMPLATE.format(
-                noise="mean_free_white", amp="1.0", n=1, maxit=25, out=tmp_path / t
-            ).replace("modes = 32", "modes = 64").replace("dt = 1e-3", "dt = 2.5e-4")
-            cfg = write_config(tmp_path / f"c{t}.ini", text.replace("t = 0.05", f"t = {t}"))
-            tracemalloc.start()
-            try:
-                assert cli.main(["burgers", "--config", cfg]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak("0.25")  # first-call allocations
-        short, long = peak("0.25"), peak("1.0")
+        # step; the command holds one 200-step window
+        self.traced_peak(tmp_path, "0.25", 64, "2.5e-4")  # first-call allocations
+        short = self.traced_peak(tmp_path, "0.25", 64, "2.5e-4")
+        long = self.traced_peak(tmp_path, "1.0", 64, "2.5e-4")
         assert long <= 1.2 * short, (short, long)
+
+    def test_peak_memory_is_flat_in_the_horizon(self, tmp_path):
+        # one seed at K = 16, 50-step windows: ten times the steps (250 to
+        # 2,500) must leave the traced peak within 64 kB, as each window's rows
+        # are written before the next is solved; holding the seed's rows until
+        # it ends would add 48 B per step, and their formatting more
+        self.traced_peak(tmp_path, "0.25", 16, "1e-3")  # first-call allocations
+        short = self.traced_peak(tmp_path, "0.25", 16, "1e-3")
+        long = self.traced_peak(tmp_path, "2.5", 16, "1e-3")
+        assert long - short < 64_000, (short, long)
+
+    def test_each_seed_closes_its_file(self, tmp_path):
+        # more seeds than the child may hold files open: a seed's CSV must be
+        # closed when the seed ends, not when the manifest is written
+        import resource
+        import subprocess
+        import sys
+
+        limit, n = 32, 40
+        text = BURGERS_TEMPLATE.format(
+            noise="mean_free_white", amp="0.5", n=n, maxit=25, out=tmp_path / "o"
+        ).replace("modes = 32", "modes = 4").replace("t = 0.05", "t = 0.005")
+        cfg = write_config(tmp_path / "c.ini", text)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+        res = subprocess.run(
+            [sys.executable, "-m", "spdekit.cli", "burgers", "--config", cfg],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard)),
+        )
+        assert res.returncode == 0, res.stderr
+        seeds = [f"b_seed{i:03d}.csv" for i in range(n)]
+        expected = sorted([*seeds, "b_summary.csv", "b_manifest.json"])
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == expected
 
     def test_picard_failure_exit_code(self, tmp_path, capsys):
         cfg = write_config(
