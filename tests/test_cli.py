@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from reference import gronwall_table, mass_table
-from spdekit import cli, verify
+from spdekit import cli, cli_verify, verify
 from spdekit.integrators import SchemeSpec, block_norms, step_blocks
 from spdekit.verify import energy_identity_refinement
 
@@ -689,6 +689,37 @@ class TestConfigErrors:
         assert listed == ["b_seed000.csv", "b_summary.csv"]
         assert sorted(path.name for path in out.iterdir()) == ["b_manifest.json", *listed]
 
+    @pytest.mark.parametrize(
+        "command, config, key, value",
+        [
+            ("verify", "transport_verify.ini", "checks", ""),
+            ("burgers", "burgers_ensemble.ini", "window", "0"),
+        ],
+        ids=["verify_no_check", "burgers_window_zero"],
+    )
+    def test_module_entry_point_exits_two(self, tmp_path, command, config, key, value):
+        # run as ``python -m spdekit.cli`` the file is ``__main__``, and the runner
+        # modules import ``spdekit.cli``: their ConfigError is still the one main catches
+        import subprocess
+        import sys
+
+        text = (ROOT / "configs" / config).read_text()
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1
+        cfg = write_config(tmp_path / "c.ini", text)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        res = subprocess.run(
+            [sys.executable, "-m", "spdekit.cli", command, "--config", cfg, "--out",
+             str(tmp_path / "o")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert res.returncode == 2, res.stderr
+        err = res.stderr
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+        assert f"experiment.{key}" in err, err
+        assert "Traceback" not in err + res.stdout and not (tmp_path / "o").exists()
+
     def test_out_that_existed_is_kept(self, tmp_path, capsys):
         (tmp_path / "o").mkdir()
         config = tmp_path / "c.ini"
@@ -741,7 +772,7 @@ class TestVerify:
         cfg = write_config(tmp_path / "c.ini", text.replace("checks = \n", checks + "\n"))
         assert cli.main(["verify", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "experiment.checks" in err and ", ".join(cli.CHECKS) in err
+        assert "experiment.checks" in err and ", ".join(cli_verify.CHECKS) in err
         assert not (tmp_path / "o" / "v_reports.csv").exists()
 
     def test_unknown_check_is_config_error(self, tmp_path, capsys):
@@ -846,19 +877,19 @@ def report_rows(tmp_path):
 
 
 class TestCheckTable:
-    @pytest.mark.parametrize("name", list(cli.CHECKS))
+    @pytest.mark.parametrize("name", list(cli_verify.CHECKS))
     def test_each_check_writes_its_reports(self, tmp_path, name):
         cfg = all_checks_config(tmp_path, name)
         assert cli.main(["verify", "--config", cfg]) in (0, 1)
         assert [row["name"] for row in report_rows(tmp_path)] == EXPECTED_REPORTS[name]
 
     def test_expected_reports_cover_the_table(self):
-        assert list(EXPECTED_REPORTS) == list(cli.CHECKS)
+        assert list(EXPECTED_REPORTS) == list(cli_verify.CHECKS)
 
     def test_readme_lists_the_table(self):
         readme = (ROOT / "README.md").read_text()
         listed = re.search(r"Known verify checks: (.*?)\.\n", readme, re.DOTALL).group(1)
-        assert tuple(re.findall(r"`(\w+)`", listed)) == tuple(cli.CHECKS)
+        assert tuple(re.findall(r"`(\w+)`", listed)) == tuple(cli_verify.CHECKS)
 
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.ini")), ids=lambda p: p.name)
     def test_shipped_configs_build(self, path):
@@ -869,7 +900,7 @@ class TestCheckTable:
             return
         cli.build_model(cfg, grid)
         cli.build_scheme(cfg)
-        assert set(cfg.get_list("experiment", "checks")) <= set(cli.CHECKS)
+        assert set(cfg.get_list("experiment", "checks")) <= set(cli_verify.CHECKS)
 
     def test_energy_identity_steps_with_the_configured_scheme(self, tmp_path):
         cfg_path = all_checks_config(
@@ -996,7 +1027,7 @@ class TestPathwiseChecks:
             )
         ]
         ref = tmp_path / "ref.csv"
-        cli.write_csv(ref, cli.REPORT_HEADER, [cli.report_row(r, 5) for r in worst])
+        cli.write_csv(ref, cli_verify.REPORT_HEADER, [cli_verify.report_row(r, 5) for r in worst])
         assert (tmp_path / "o" / "v_reports.csv").read_bytes() == ref.read_bytes()
 
     def test_energy_identity_steps_no_coarse_rung(self, tmp_path, monkeypatch):
@@ -1008,7 +1039,7 @@ class TestPathwiseChecks:
             calls.append((getattr(sampler, "stream_id", None), scheme))
             return step_blocks(model, scheme, u0, T, sampler)
 
-        monkeypatch.setattr(cli, "step_blocks", recorded)
+        monkeypatch.setattr(cli_verify, "step_blocks", recorded)
         monkeypatch.setattr(verify, "step_blocks", recorded)
         checks = "mass_conservation, energy_identity, gronwall"
         cfg = all_checks_config(tmp_path, checks, scheme="heun_stratonovich", n_paths=2)
@@ -1095,7 +1126,7 @@ class TestWidestBlockFirst:
 
     @pytest.mark.parametrize(
         "name, extra",
-        [(name, "") for name in cli.CHECKS]
+        [(name, "") for name in cli_verify.CHECKS]
         + [
             ("ito_isometry", "phi = white\nphi_count = 20"),
             ("ito_isometry", "phi = inverse_k\nphi_count = 5"),

@@ -95,15 +95,25 @@ n_paths = 1
 prefix = bur
 """
 
-# run in a fresh interpreter: (burgers/verify loaded by importing spdekit and
-# its command line, the exit code, burgers/verify loaded after the command)
+REGULARITY_INI = """[grid]
+modes = 8
+[experiment]
+alpha = -0.25
+lags = 0.01, 0.02
+[output]
+prefix = reg
+"""
+
+# run in a fresh interpreter: (the runner and library modules that importing
+# spdekit and its command line loaded, the exit code, those loaded after the command)
 COMMAND = """
 import json, sys
 import spdekit
 from spdekit.cli import main
 
 def loaded():
-    return sorted(m for m in ("spdekit.burgers", "spdekit.verify") if m in sys.modules)
+    names = ("burgers", "cli_burgers", "cli_verify", "verify")
+    return [m for m in (f"spdekit.{n}" for n in names) if m in sys.modules]
 
 imported = loaded()
 code = main(sys.argv[1:])
@@ -126,10 +136,11 @@ def run_fresh(code, *args):
     "command,config,loaded",
     [
         ("simulate", SIMULATE_INI, []),
-        ("verify", VERIFY_INI, ["spdekit.verify"]),
-        ("burgers", BURGERS_INI, ["spdekit.burgers"]),
+        ("verify", VERIFY_INI, ["spdekit.cli_verify", "spdekit.verify"]),
+        ("regularity", REGULARITY_INI, ["spdekit.cli_verify", "spdekit.verify"]),
+        ("burgers", BURGERS_INI, ["spdekit.burgers", "spdekit.cli_burgers"]),
     ],
-    ids=["simulate", "verify", "burgers"],
+    ids=["simulate", "verify", "regularity", "burgers"],
 )
 def test_each_command_loads_only_its_modules(tmp_path, command, config, loaded):
     (tmp_path / "run.ini").write_text(config)

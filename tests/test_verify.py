@@ -11,7 +11,7 @@ from spdekit import noise
 from spdekit.integrators import SchemeSpec, block_norms, simulate
 from spdekit.models import AdditiveHeat, Burgers, TransportHeat
 from spdekit import verify
-from spdekit.cli import report_row
+from spdekit.cli_verify import report_row
 from spdekit.noise import (
     BLOCK_STEPS,
     CovarianceSpec,
